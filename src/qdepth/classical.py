@@ -100,12 +100,20 @@ def to_json(circuit: ClassicalCircuit, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent)
 
 
+def _json_ints(values, what: str) -> tuple[int, ...]:
+    # a JSON list of integers; bools load as ints in Python, so check types
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ClassicalCircuitError(f"{what} must be JSON integers, got {values!r}")
+    return tuple(values)
+
+
 def from_json(text: str) -> ClassicalCircuit:
     try:
         doc = json.loads(text)
-        layers = tuple(tuple(ClassicalGate(g["op"], tuple(g["args"])) for g in layer)
-                       for layer in doc["layers"])
-        return ClassicalCircuit(int(doc["inputs"]), layers)
+        layers = tuple(tuple(ClassicalGate(g["op"], _json_ints(g["args"], "args"))
+                             for g in layer) for layer in doc["layers"])
+        (n_inputs,) = _json_ints([doc["inputs"]], "inputs")
+        return ClassicalCircuit(n_inputs, layers)
     except (json.JSONDecodeError, KeyError, TypeError) as e:
         raise ClassicalCircuitError(f"invalid classical circuit JSON: {e}") from e
 

@@ -18,14 +18,15 @@ import numpy as np
 
 from . import classical as cc
 from .ir import CircuitError, Discipline, circuit_from_json, circuit_to_json
-from .sim import dump_state, run, zero_state
+from .sim import basis_state, dump_state, plus_at, run
 from .verify import (
     CONSTRUCTIONS,
+    DEFAULT_ERROR_TOL,
+    TOL_ENV,
     Built,
     SimulationCapExceeded,
     build_construction,
     depth_scaling_table,
-    error_tol,
     identity_checks,
     sim_cap,
     verify_built,
@@ -63,20 +64,15 @@ def _build_from_args(args) -> Built:
 
 
 def _parse_input(spec: str, width: int) -> np.ndarray:
-    state = zero_state(width)
     if spec.startswith("plus@"):
         qubit = int(spec[5:])
         if qubit >= width:
             raise CircuitError(f"qubit {qubit} outside width {width}")
-        state[0] = state[1 << qubit] = 1 / np.sqrt(2)
-        return state
+        return plus_at(width, qubit)
     if len(spec) != width or set(spec) - {"0", "1"}:
         raise CircuitError(
             f"input must be {width} bits (qubit 0 first) or plus@i, got {spec!r}")
-    index = sum(1 << i for i, b in enumerate(spec) if b == "1")
-    state[0] = 0.0
-    state[index] = 1.0
-    return state
+    return basis_state(width, sum(1 << i for i, b in enumerate(spec) if b == "1"))
 
 
 def cmd_synth(args) -> int:
@@ -171,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structural-only", action="store_true",
                    help="skip amplitude checks; report resources only")
     p.add_argument("--tolerance", type=float, default=None,
-                   help=f"max amplitude error (default {error_tol()})")
+                   help=f"max amplitude error (default ${TOL_ENV} or "
+                        f"{DEFAULT_ERROR_TOL})")
     p.add_argument("--superpositions", type=int, default=0,
                    help="extra random superposition inputs to check")
     p.add_argument("--json", action="store_true")

@@ -237,18 +237,23 @@ def check_ancilla_purity(state: np.ndarray, ancillae, tol: float = PURITY_TOL) -
     """Total probability of any ancilla being |1>; pure iff below `tol`.
 
     Zero leakage means the state factors exactly as (data state) x |0...0>
-    on the ancilla block.
+    on the ancilla block. The sum runs in place over disjoint slabs of the
+    [2]*w view (ancilla k at |1>, every higher one at |0>), which are
+    contiguous when the ancillae are the high qubits.
     """
     w = state_width(state)
-    mask = 0
-    for a in ancillae:
-        if a >= w:
+    # real view with a trailing (re, im) axis, so |amp|^2 is a sum of squares
+    psi = np.ascontiguousarray(state, dtype=complex).view(float).reshape([2] * w + [2])
+    index = [slice(None)] * w
+    leakage = 0.0
+    for a in sorted(set(ancillae), reverse=True):
+        if not 0 <= a < w:
             raise CircuitError(f"ancilla index {a} outside width {w}")
-        mask |= 1 << a
-    if mask == 0:
-        return AncillaPurityResult(True, 0.0)
-    hot = (np.arange(state.size) & mask) != 0
-    leakage = float(np.sum(np.abs(state[hot]) ** 2))
+        index[_axis(a, w)] = 1
+        slab = psi[tuple(index)]
+        axes = list(range(slab.ndim))
+        leakage += float(np.einsum(slab, axes, slab, axes, []))
+        index[_axis(a, w)] = 0
     return AncillaPurityResult(leakage <= tol, leakage)
 
 
@@ -267,10 +272,8 @@ def relabel_qubits(array: np.ndarray, src: tuple[int, ...] | list[int]) -> np.nd
     w = len(src)
     if sorted(src) != list(range(w)):
         raise CircuitError("src must be a permutation of 0..w-1")
-    idx = np.arange(1 << w)
-    f = np.zeros(1 << w, dtype=np.int64)
-    for i, s in enumerate(src):
-        f |= ((idx >> s) & 1) << i
+    # basis index j moves to f[j]: its bit src[i] becomes bit i
+    f = embed_index(np.arange(1 << w), np.argsort(src))
     if array.ndim == 1:
         out = np.empty_like(array)
         out[f] = array
@@ -280,11 +283,17 @@ def relabel_qubits(array: np.ndarray, src: tuple[int, ...] | list[int]) -> np.nd
     return out
 
 
+def embed_index(index, data_qubits):
+    """Full-register basis index of a data-register basis index, every other
+    qubit at |0>: bit j of `index` moves to qubit data_qubits[j]. Works on a
+    Python int or elementwise on an integer array."""
+    out = index & 0
+    for j, qb in enumerate(data_qubits):
+        out = out | (((index >> j) & 1) << qb)
+    return out
+
+
 def data_block_unitary(u: np.ndarray, width: int, data_qubits) -> np.ndarray:
     """Restrict a full unitary to the block where all other qubits are |0>."""
-    d = len(data_qubits)
-    ys = np.arange(1 << d)
-    emb = np.zeros(1 << d, dtype=np.int64)
-    for j, qb in enumerate(data_qubits):
-        emb |= ((ys >> j) & 1) << qb
+    emb = embed_index(np.arange(1 << len(data_qubits)), data_qubits)
     return u[np.ix_(emb, emb)]

@@ -2,19 +2,25 @@
 Oracle-based equivalence checking, named-construction registry, and
 depth/width/ancilla scaling reports.
 
-verify_construction drives a circuit over every basis state of its data
-register (ancillae zeroed), compares full complex amplitudes against the
-definitional gate semantics from qdepth.oracle, and tallies ancilla
-leakage. Comparison is on amplitudes, not bit patterns: the parallelized
-counting circuits are only correct because internal phases cancel, and a
-bit-level check would pass even with phase bugs. Verification over the
-basis inputs is deterministic; superposition spot checks use a fixed seed.
+verify_construction is the one drive loop: each admissible basis input of
+the data register (ancillae at |0>) runs through the simulator, all
+2^width output amplitudes are compared with the oracle's image (a Gate's
+columns from qdepth.oracle, or an image function), and ancilla leakage is
+tallied by sim.check_ancilla_purity. Amplitudes, not bit patterns: the
+parallel counting circuits are correct only because internal phases cancel.
+
+A cat builder is decided exactly by the inputs 0 and 1, which by linearity
+fix its image of every (a|0> + b|1>)|0...0>. rev-embed admits every (x, y)
+but drives only y in {0, 1...1} above EMBED_FULL_LIMIT data qubits; the
+report's coverage field says so. Superposition spot checks use a fixed seed.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +28,12 @@ import numpy as np
 from . import classical as cc
 from . import synth
 from .ir import (
-    Circuit, CircuitError, Discipline, Gate, Layer, Role, cnot, fanout,
-    hadamard, modq_gate, symmetric_phase, controlled_u,
+    _H_MATRIX, Circuit, CircuitError, Discipline, Gate, Layer, Role, cnot,
+    fanout, hadamard, modq_gate, symmetric_phase, controlled_u,
 )
 from .oracle import oracle_unitary
 from .sim import (
-    check_ancilla_purity, make_workspace, run, unitary_of, zero_state,
+    check_ancilla_purity, embed_index, make_workspace, run, unitary_of,
 )
 
 SIM_CAP_ENV = "QDEPTH_SIM_CAP"
@@ -35,9 +41,15 @@ TOL_ENV = "QDEPTH_TOL"
 DEFAULT_SIM_CAP = 22
 DEFAULT_ERROR_TOL = 1e-9
 DEFAULT_LEAKAGE_TOL = 1e-10
+# rev-embed drives every (x, y) up to this many data qubits, and only
+# y in {0, 1...1} above it
+EMBED_FULL_LIMIT = 12
 
 CONSTRUCTIONS = ("cat", "fanout", "parity-fanout", "parity-cat",
                  "modq-seq", "modq-const", "ctrl-u", "rev-embed")
+
+# data-register basis index -> its image as [(basis index, amplitude)]
+Image = Callable[[int], Sequence[tuple[int, complex]]]
 
 
 class SimulationCapExceeded(RuntimeError):
@@ -45,11 +57,25 @@ class SimulationCapExceeded(RuntimeError):
 
 
 def sim_cap() -> int:
-    return int(os.environ.get(SIM_CAP_ENV, DEFAULT_SIM_CAP))
+    """$QDEPTH_SIM_CAP, an integer >= 1, or the default."""
+    raw = os.environ.get(SIM_CAP_ENV, str(DEFAULT_SIM_CAP))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{SIM_CAP_ENV} must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
-def error_tol() -> float:
-    return float(os.environ.get(TOL_ENV, DEFAULT_ERROR_TOL))
+def error_tol(tol: float | None = None) -> float:
+    """The amplitude-error tolerance: `tol`, else $QDEPTH_TOL, else the
+    default. It must be finite and >= 0."""
+    what, raw = (("tolerance", tol) if tol is not None
+                 else (TOL_ENV, os.environ.get(TOL_ENV, DEFAULT_ERROR_TOL)))
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{what} must be a finite number >= 0, got {raw!r}")
+    return value
 
 
 @dataclass
@@ -67,6 +93,7 @@ class VerificationReport:
     max_leakage: float | None = None
     passed: bool | None = None
     inputs_checked: int = 0
+    coverage: float | None = None  # basis inputs checked / admissible ones
     structural_only: bool = False
     error_tol: float = DEFAULT_ERROR_TOL
     leakage_tol: float = DEFAULT_LEAKAGE_TOL
@@ -78,6 +105,7 @@ class VerificationReport:
                 "work_qubits": self.work_qubits, "max_error": self.max_error,
                 "max_leakage": self.max_leakage, "pass": self.passed,
                 "inputs_checked": self.inputs_checked,
+                "coverage": self.coverage,
                 "structural_only": self.structural_only,
                 "error_tol": self.error_tol, "leakage_tol": self.leakage_tol}
 
@@ -93,86 +121,77 @@ class VerificationReport:
         if self.structural_only:
             return head + " (structural only)"
         verdict = "pass" if self.passed else "FAIL"
+        partial = f" coverage={self.coverage:.3g}" if self.coverage < 1 else ""
         return (head + f" max_error={self.max_error:.3g}"
                        f" leakage={self.max_leakage:.3g}"
-                       f" inputs={self.inputs_checked} {verdict}")
+                       f" inputs={self.inputs_checked}{partial} {verdict}")
 
 
-def _embedding_indices(width: int, data_qubits) -> np.ndarray:
-    ys = np.arange(1 << len(data_qubits))
-    emb = np.zeros(ys.size, dtype=np.int64)
-    for j, qb in enumerate(data_qubits):
-        emb |= ((ys >> j) & 1) << qb
-    return emb
+def _gate_image(gate: Gate, d: int) -> Image:
+    u = oracle_unitary(gate, d)
+    return lambda x: [(int(y), u[y, x]) for y in np.flatnonzero(u[:, x])]
 
 
-def verify_construction(circuit: Circuit, oracle: Gate, data_qubits, ancillae,
-                        *, superpositions: int = 0, seed: int = 0,
+def verify_construction(circuit: Circuit, oracle: Gate | Image, data_qubits,
+                        ancillae, *, inputs: Sequence[int] | None = None,
+                        superpositions: int = 0, seed: int = 0,
                         cap: int | None = None) -> tuple[float, float, int]:
-    """Compare the circuit against an oracle gate over the data register.
+    """Compare the circuit against an oracle (a Gate or an Image function)
+    over the data register.
 
-    Runs every basis state of the data register (ancillae at |0>) through
-    the circuit and measures the max amplitude deviation from the oracle
-    image, plus the max ancilla leakage. Optionally also checks random
-    superpositions of the data register (l2 residual). Returns
-    (max_error, max_leakage, inputs_checked).
+    Each of `inputs`, data-register basis indices (default: all 2^d), runs
+    with the ancillae at |0>; the expected image is subtracted in place and
+    the error is the max |amplitude| left over the whole register. Random
+    superpositions of the inputs, if asked for, are judged by the l2 norm
+    of that difference. Returns (max_error, max_leakage, inputs_checked).
     """
     data_qubits = tuple(data_qubits)
     ancillae = tuple(ancillae)
     if len(data_qubits) + len(ancillae) != circuit.width:
         raise CircuitError("data and ancilla registers must partition the circuit")
+    if superpositions < 0:
+        raise ValueError(f"superpositions must be >= 0, got {superpositions}")
     cap = sim_cap() if cap is None else cap
     if circuit.width > cap:
         raise SimulationCapExceeded(
-            f"{circuit.width}-qubit register exceeds the {cap}-qubit simulation cap")
+            f"{circuit.width}-qubit register exceeds the {cap}-qubit "
+            f"simulation cap; rerun structural-only")
 
     d = len(data_qubits)
-    oracle_u = oracle_unitary(oracle, d)
-    emb = _embedding_indices(circuit.width, data_qubits)
+    inputs = range(1 << d) if inputs is None else inputs
+    image = _gate_image(oracle, d) if isinstance(oracle, Gate) else oracle
     workspace = make_workspace(circuit.width)
     initial = np.zeros(1 << circuit.width, dtype=complex)
     abs_buf = np.empty(1 << circuit.width, dtype=float)
     max_error = 0.0
     max_leak = 0.0
-    checked = 0
 
-    def drive(data_vec: np.ndarray, expected: np.ndarray) -> tuple[float, np.ndarray, float]:
-        # every index outside the embedded data block has an ancilla bit
-        # set, so zeroing the block leaves exactly the leaked amplitudes
-        initial[emb] = data_vec
+    def drive(terms) -> np.ndarray:
+        # run sum_x a_x |x>, then leave (output - expected image) in place
+        nonlocal max_leak
+        for x, a in terms:
+            initial[embed_index(x, data_qubits)] = a
         out = run(circuit, initial, workspace)
-        initial[emb] = 0.0
-        residual = out[emb] - expected
-        out[emb] = 0.0
-        leak = float(np.vdot(out, out).real)
-        np.abs(out, out=abs_buf)
-        return leak, residual, float(abs_buf.max())
+        for x, _ in terms:
+            initial[embed_index(x, data_qubits)] = 0.0
+        max_leak = max(max_leak, check_ancilla_purity(out, ancillae).leakage)
+        for x, a in terms:
+            for y, b in image(x):
+                out[embed_index(y, data_qubits)] -= a * b
+        return out
 
-    for x in range(1 << d):
-        leak, residual, stray = drive(_one_hot(d, x), oracle_u[:, x])
-        max_leak = max(max_leak, leak)
-        max_error = max(max_error, float(np.abs(residual).max()), stray)
-        checked += 1
+    for x in inputs:
+        np.abs(drive(((x, 1.0),)), out=abs_buf)
+        max_error = max(max_error, float(abs_buf.max()))
 
-    if superpositions:
-        rng = np.random.default_rng(seed)
-        for _ in range(superpositions):
-            psi = rng.normal(size=1 << d) + 1j * rng.normal(size=1 << d)
-            psi /= np.linalg.norm(psi)
-            leak, residual, _ = drive(psi, oracle_u @ psi)
-            max_leak = max(max_leak, leak)
-            # l2 residual including amplitudes that strayed off the block
-            max_error = max(max_error, float(
-                np.sqrt(np.linalg.norm(residual) ** 2 + leak)))
-            checked += 1
+    rng = np.random.default_rng(seed)
+    for _ in range(superpositions):
+        psi = rng.normal(size=len(inputs)) + 1j * rng.normal(size=len(inputs))
+        psi /= np.linalg.norm(psi)
+        diff = drive(list(zip(inputs, psi)))
+        max_error = max(max_error, math.sqrt(np.vdot(diff, diff).real))
 
-    return max_error, max_leak, checked
-
-
-def _one_hot(d: int, x: int) -> np.ndarray:
-    v = np.zeros(1 << d, dtype=complex)
-    v[x] = 1.0
-    return v
+    return max_error, max_leak, len(inputs) + superpositions
 
 
 # --- named constructions ---
@@ -180,7 +199,7 @@ def _one_hot(d: int, x: int) -> np.ndarray:
 _U_BY_NAME = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "h": _H_MATRIX,
     "s": np.array([[1, 0], [0, 1j]], dtype=complex),
 }
 
@@ -198,17 +217,31 @@ def _u_matrix(name: str, theta: float | None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Built:
-    """A named construction with everything needed to verify it."""
+    """A named construction with everything needed to verify it, including
+    the basis inputs to drive (None: all of the data register) and how many
+    basis inputs it admits (None: as many as are driven)."""
     name: str
     n: int
     q: int | None
     circuit: Circuit
-    oracle: Gate | None           # None for cat / rev-embed (special checkers)
+    oracle: Gate | Image
     data_qubits: tuple[int, ...]
     ancillae: tuple[int, ...]
     copy_ancillae: int
     work_qubits: int
-    classical: cc.ClassicalCircuit | None = None
+    inputs: tuple[int, ...] | None = None
+    admissible: int | None = None
+
+
+def _embedding_image(c: cc.ClassicalCircuit) -> Image:
+    # |x, y> -> |x, y xor f(x)>, with x the low n bits
+    n = c.n_inputs
+
+    @functools.cache
+    def f(x: int) -> int:
+        bits = c.evaluate([(x >> i) & 1 for i in range(n)])
+        return sum(bit << j for j, bit in enumerate(bits))
+    return lambda index: ((index ^ (f(index & ((1 << n) - 1)) << n), 1.0),)
 
 
 def build_construction(name: str, n: int | None = None, q: int | None = None,
@@ -216,99 +249,57 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
                        builder: str = "fanout", u: str = "x",
                        theta: float | None = None,
                        classical: cc.ClassicalCircuit | None = None) -> Built:
-    """Instantiate a construction by name; see CONSTRUCTIONS for the list."""
+    """Instantiate a construction by name; see CONSTRUCTIONS for the list.
+
+    Data and ancilla registers come from the circuit's qubit roles, except
+    for cat, whose copies are outputs checked on the data register.
+    """
     if name not in CONSTRUCTIONS:
         raise CircuitError(f"unknown construction {name!r}")
+
+    def built(circ, oracle, q=None, copies=0, work=0, **extra) -> Built:
+        return Built(name, n, q, circ, oracle, circ.data_qubits, circ.ancillae,
+                     copies, work, **extra)
+
     if name == "rev-embed":
         if classical is None:
             raise CircuitError("rev-embed requires a classical circuit")
+        n, m = classical.n_inputs, classical.n_outputs
         circ = synth.reversible_embed(classical)
-        data = tuple(range(classical.n_inputs + classical.n_outputs))
-        return Built(name, classical.n_inputs, None, circ, None, data,
-                     circ.ancillae, 0, circ.ancilla_count, classical)
+        inputs = None if n + m <= EMBED_FULL_LIMIT else tuple(
+            x | (y << n) for x in range(1 << n) for y in (0, (1 << m) - 1))
+        return built(circ, _embedding_image(classical), work=circ.ancilla_count,
+                     inputs=inputs, admissible=1 << (n + m))
     if n is None or n < 1:
         raise CircuitError(f"{name} requires n >= 1")
 
     if name == "cat":
-        circ = synth.CAT_BUILDERS[builder](n)
-        return Built(name, n, None, circ, None, tuple(range(n)), (),
-                     n - 1, 0)
+        # |0...0> stays, |1 0...0> (index 1) becomes |1...1>
+        return Built(name, n, None, synth.CAT_BUILDERS[builder](n),
+                     lambda x: ((x * ((1 << n) - 1), 1.0),), tuple(range(n)),
+                     (), n - 1, 0, inputs=(0, 1))
     if name == "fanout":
-        circ = synth.fanout_gate(n)
-        oracle = fanout(0, tuple(range(1, n + 1)))
-        return Built(name, n, None, circ, oracle, tuple(range(n + 1)), (), 0, 0)
+        return built(synth.fanout_gate(n), fanout(0, tuple(range(1, n + 1))))
 
     parity_oracle = modq_gate(2, tuple(range(n)), n)
     if name == "parity-fanout":
-        circ = synth.parity_from_fanout(n)
-        return Built(name, n, 2, circ, parity_oracle, tuple(range(n + 1)), (), 0, 0)
+        return built(synth.parity_from_fanout(n), parity_oracle, q=2)
     if name == "parity-cat":
-        circ = synth.parity_via_catstate(n, builder)
-        return Built(name, n, 2, circ, parity_oracle, tuple(range(n + 1)),
-                     circ.ancillae, n - 1, 0)
+        return built(synth.parity_via_catstate(n, builder), parity_oracle, q=2,
+                     copies=n - 1)
     if name == "ctrl-u":
         mat = _u_matrix(u, theta)
-        circ = synth.controlled_u_constant_depth(tuple(range(n)), mat, n)
-        oracle = controlled_u(tuple(range(n)), mat, (n,))
-        return Built(name, n, None, circ, oracle, tuple(range(n + 1)),
-                     (n + 1,), 0, 1)
+        return built(synth.controlled_u_constant_depth(tuple(range(n)), mat, n),
+                     controlled_u(tuple(range(n)), mat, (n,)), work=1)
 
     if q is None or q < 2:
         raise CircuitError(f"{name} requires q >= 2")
     modq_oracle = modq_gate(q, tuple(range(n)), n)
-    if name == "modq-seq":
-        circ = synth.modq_sequential(n, q)
-        k = (q - 1).bit_length()
-        return Built(name, n, q, circ, modq_oracle, tuple(range(n + 1)),
-                     circ.ancillae, 0, k)
-    # modq-const
-    circ = synth.modq_constant_depth(n, q, discipline)
     k = (q - 1).bit_length()
-    return Built(name, n, q, circ, modq_oracle, tuple(range(n + 1)),
-                 circ.ancillae, n * k, k)
-
-
-def _verify_cat(built: Built, samples: int = 20,
-                seed: int = 7) -> tuple[float, float, int]:
-    rng = np.random.default_rng(seed)
-    w = built.circuit.width
-    max_err = 0.0
-    for _ in range(samples):
-        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        norm = math.hypot(abs(a), abs(b))
-        a, b = a / norm, b / norm
-        state = zero_state(w)
-        state[0], state[1] = a, b
-        out = run(built.circuit, state)
-        expected = zero_state(w)
-        expected[0], expected[-1] = a, b
-        max_err = max(max_err, float(np.abs(out - expected).max()))
-    return max_err, 0.0, samples
-
-
-def _verify_embedding(built: Built) -> tuple[float, float, int]:
-    c = built.classical
-    circ = built.circuit
-    n, m = c.n_inputs, c.n_outputs
-    workspace = make_workspace(circ.width)
-    initial = np.zeros(1 << circ.width, dtype=complex)
-    max_err = 0.0
-    max_leak = 0.0
-    checked = 0
-    ys = range(1 << m) if n + m <= 12 else (0, (1 << m) - 1)
-    for x in range(1 << n):
-        fx = 0
-        for j, bit in enumerate(c.evaluate([(x >> i) & 1 for i in range(n)])):
-            fx |= bit << j
-        for y in ys:
-            initial[x | (y << n)] = 1.0
-            out = run(circ, initial, workspace)
-            initial[x | (y << n)] = 0.0
-            max_leak = max(max_leak, check_ancilla_purity(out, circ.ancillae).leakage)
-            out[x | ((y ^ fx) << n)] -= 1.0
-            max_err = max(max_err, float(np.abs(out).max()))
-            checked += 1
-    return max_err, max_leak, checked
+    if name == "modq-seq":
+        return built(synth.modq_sequential(n, q), modq_oracle, q=q, work=k)
+    return built(synth.modq_constant_depth(n, q, discipline), modq_oracle, q=q,
+                 copies=n * k, work=k)
 
 
 def verify_built(built: Built, *, structural_only: bool = False,
@@ -316,8 +307,8 @@ def verify_built(built: Built, *, structural_only: bool = False,
                  tol_leak: float = DEFAULT_LEAKAGE_TOL,
                  superpositions: int = 0, seed: int = 0,
                  cap: int | None = None) -> VerificationReport:
-    """Run the right checker for a built construction and fill the report."""
-    tol_err = error_tol() if tol_err is None else tol_err
+    """Check a built construction with verify_construction and fill the report."""
+    tol_err = error_tol(tol_err)
     report = VerificationReport(
         construction=built.name, n=built.n, q=built.q,
         discipline=built.circuit.discipline.value, depth=built.circuit.depth,
@@ -326,22 +317,14 @@ def verify_built(built: Built, *, structural_only: bool = False,
         error_tol=tol_err, leakage_tol=tol_leak)
     if structural_only:
         return report
-    cap = sim_cap() if cap is None else cap
-    if built.circuit.width > cap:
-        raise SimulationCapExceeded(
-            f"{built.circuit.width}-qubit register exceeds the {cap}-qubit "
-            f"simulation cap; rerun structural-only")
-    if built.name == "cat":
-        err, leak, checked = _verify_cat(built)
-    elif built.name == "rev-embed":
-        err, leak, checked = _verify_embedding(built)
-    else:
-        err, leak, checked = verify_construction(
-            built.circuit, built.oracle, built.data_qubits, built.ancillae,
-            superpositions=superpositions, seed=seed, cap=cap)
+    err, leak, checked = verify_construction(
+        built.circuit, built.oracle, built.data_qubits, built.ancillae,
+        inputs=built.inputs, superpositions=superpositions, seed=seed, cap=cap)
     report.max_error = err
     report.max_leakage = leak
     report.inputs_checked = checked
+    driven = checked - superpositions
+    report.coverage = driven / (built.admissible or driven)
     report.passed = err <= tol_err and leak <= tol_leak
     return report
 

@@ -143,6 +143,59 @@ class TestVerify:
         assert code == 0 and "pass" in text and "depth=3" in text
 
 
+class TestBadSettings:
+    @pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf"])
+    def test_bad_tolerance_env_is_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("QDEPTH_TOL", value)
+        code, out, err = run_cli(capsys, "verify", "--construction", "fanout",
+                                 "--n", "2")
+        assert code == 2 and out == "" and err.startswith("error: QDEPTH_TOL")
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_tolerance_flag_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "verify", "--construction", "fanout",
+                                 "--n", "2", "--tolerance", value)
+        assert code == 2 and out == "" and err.startswith("error: tolerance")
+
+    def test_tolerance_flag_overrides_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("QDEPTH_TOL", "abc")
+        code, text, _ = run_cli(capsys, "verify", "--construction", "fanout",
+                                "--n", "2", "--tolerance", "0")
+        assert code == 0 and "pass" in text
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+    def test_bad_sim_cap_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
+        out = tmp_path / "f.json"
+        run_cli(capsys, "synth", "--construction", "fanout", "--n", "2",
+                "--out", str(out))
+        monkeypatch.setenv("QDEPTH_SIM_CAP", value)
+        for argv in (("verify", "--construction", "fanout", "--n", "2"),
+                     ("sim", str(out), "--input", "000")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2 and err.startswith("error: QDEPTH_SIM_CAP"), argv
+
+
+    def test_negative_superpositions_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--construction", "fanout",
+                                 "--n", "2", "--superpositions", "-3")
+        assert code == 2 and out == "" and err.startswith("error: superpositions")
+
+
+class TestBadClassicalJson:
+    @pytest.mark.parametrize("doc", [
+        {"inputs": 2, "layers": [[{"op": "and", "args": [0, 1.5]}]]},
+        {"inputs": 2, "layers": [[{"op": "and", "args": "01"}]]},
+        {"inputs": 2, "layers": [[{"op": "and", "args": [True, 0]}]]},
+        {"inputs": 2.7, "layers": [[{"op": "and", "args": [0, 1]}]]},
+    ])
+    def test_non_integer_wires_are_usage_errors(self, tmp_path, capsys, doc):
+        path = tmp_path / "classical.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--construction", "rev-embed",
+                                 "--classical", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
 class TestScaleAndIdentities:
     def test_constant_verdict(self, capsys):
         code, text, _ = run_cli(capsys, "scale", "--construction", "modq-const",

@@ -150,6 +150,25 @@ class TestAncillaPurity:
     def test_no_ancillae_is_trivially_pure(self):
         assert check_ancilla_purity(plus_at(2, 0), ()).pure
 
+    @pytest.mark.parametrize("ancillae", [
+        (4, 5), (3, 4, 5), (5,),           # high qubits: contiguous slabs
+        (0,), (0, 2, 4), (1, 3), (5, 1), (2, 2, 0), tuple(range(6)),
+    ])
+    def test_slab_sum_matches_mask_sum(self, ancillae):
+        rng = np.random.default_rng(19)
+        state = random_state(6, rng)
+        mask = sum(1 << a for a in set(ancillae))
+        hot = (np.arange(state.size) & mask) != 0
+        want = float(np.sum(np.abs(state[hot]) ** 2))
+        res = check_ancilla_purity(state, ancillae)
+        assert abs(res.leakage - want) <= 1e-15
+        state[hot] = 0.0
+        assert check_ancilla_purity(state, ancillae).leakage == 0.0
+
+    def test_ancilla_outside_width_raises(self):
+        with pytest.raises(CircuitError):
+            check_ancilla_purity(zero_state(2), (2,))
+
 
 class TestProperties:
     def test_norm_preservation(self):

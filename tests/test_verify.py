@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from qdepth.ir import Circuit, Layer, modq_gate
+from qdepth.classical import ClassicalCircuit, ClassicalGate
+from qdepth.ir import Circuit, GateKind, Layer, modq_gate
 from qdepth.synth import parity_via_catstate
 from qdepth.verify import (
     SimulationCapExceeded, build_construction, depth_scaling_table,
@@ -64,6 +66,76 @@ class TestVerifyConstruction:
         r1 = verify_built(b, superpositions=5)
         r2 = verify_built(b, superpositions=5)
         assert r1.max_error == r2.max_error and r1.max_leakage == r2.max_leakage
+
+
+def _with_gate_changed(built, kind, change):
+    """`built` with its first gate of `kind` replaced by change(gate), or
+    dropped when that returns None."""
+    layers, done = [], False
+    for layer in built.circuit.layers:
+        gates = []
+        for g in layer.gates:
+            if not done and g.kind is kind:
+                done = True
+                g = change(g)
+            if g is not None:
+                gates.append(g)
+        layers.append(Layer(tuple(gates)))
+    assert done
+    c = built.circuit
+    return dataclasses.replace(
+        built, circuit=Circuit(c.width, c.roles, tuple(layers), c.discipline))
+
+
+def _rev_embed(n_inputs, layers):
+    return build_construction("rev-embed", classical=ClassicalCircuit(
+        n_inputs, tuple(tuple(ClassicalGate(op, args) for op, args in layer)
+                        for layer in layers)))
+
+
+class TestSinglePath:
+    def test_cat_is_exact_on_two_inputs(self):
+        for builder in ("fanout", "log-cat"):
+            report = verify_built(build_construction("cat", n=5, builder=builder))
+            assert report.passed and report.max_error == 0.0
+            assert report.inputs_checked == 2 and report.coverage == 1
+
+    def test_cat_with_a_fanout_target_dropped_fails(self):
+        built = build_construction("cat", n=4, builder="fanout")
+        broken = _with_gate_changed(built, GateKind.FANOUT, lambda g: dataclasses.replace(
+            g, targets=g.targets[:-1]))
+        report = verify_built(broken)
+        assert not report.passed and report.max_error == 1.0
+
+    def test_log_cat_with_a_cnot_dropped_fails(self):
+        built = build_construction("cat", n=4, builder="log-cat")
+        report = verify_built(_with_gate_changed(built, GateKind.CNOT, lambda g: None))
+        assert not report.passed and report.max_error == 1.0
+
+    def test_rev_embed_with_a_target_moved_fails(self):
+        # 2 inputs, 1 output, two level-0 slots (qubits 3, 4) and two
+        # unused level-1 slots (5, 6); the and-gate's value goes to slot 6
+        built = _rev_embed(2, [[("and", (0, 1)), ("or", (0, 1))],
+                               [("xor", (2, 3))]])
+        assert verify_built(built).passed
+        broken = _with_gate_changed(built, GateKind.TOFFOLI, lambda g: dataclasses.replace(
+            g, targets=(6,)))
+        report = verify_built(broken)
+        assert not report.passed and report.max_error == 1.0
+        assert report.max_leakage > 0
+
+    def test_rev_embed_above_the_limit_reports_coverage(self):
+        n, m = 11, 2
+        built = _rev_embed(n, [[("and", (0, 1)), ("not", (2,))]])
+        report = verify_built(built)
+        assert report.passed
+        assert report.inputs_checked == 1 << (n + 1)
+        assert json.loads(report.to_json())["coverage"] == 2 ** (n + 1) / 2 ** (n + m)
+        assert " coverage=0.5 pass" in report.to_text()
+
+    def test_full_coverage_is_not_shown_in_text(self):
+        report = verify_built(build_construction("fanout", n=2))
+        assert report.coverage == 1 and "coverage" not in report.to_text()
 
 
 class TestScalingTables:
