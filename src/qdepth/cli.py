@@ -167,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structural-only", action="store_true",
                    help="skip amplitude checks; report resources only")
     p.add_argument("--tolerance", type=float, default=None,
-                   help=f"max amplitude error (default ${TOL_ENV} or "
-                        f"{DEFAULT_ERROR_TOL})")
+                   help=f"max amplitude error (default ${TOL_ENV} or {DEFAULT_ERROR_TOL})")
     p.add_argument("--superpositions", type=int, default=0,
                    help="extra random superposition inputs to check")
     p.add_argument("--json", action="store_true")

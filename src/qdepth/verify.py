@@ -2,21 +2,21 @@
 Oracle-based equivalence checking, named-construction registry, and
 depth/width/ancilla scaling reports.
 
-verify_construction is the one drive loop: each admissible basis input of
-the data register (ancillae at |0>) runs through the simulator, all
-2^width output amplitudes are compared with the oracle's image (a Gate's
-columns from qdepth.oracle, or an image function), and ancilla leakage is
-tallied by sim.check_ancilla_purity. Amplitudes, not bit patterns: the
-parallel counting circuits are correct only because internal phases cancel.
-
-A cat builder is decided exactly by the inputs 0 and 1, which by linearity
-fix its image of every (a|0> + b|1>)|0...0>. rev-embed admits every (x, y)
-but drives only y in {0, 1...1} above EMBED_FULL_LIMIT data qubits; the
-report's coverage field says so. Superposition spot checks use a fixed seed.
+verify_construction is the one drive loop. Each admissible basis input of
+the data register (ancillae at |0>) runs through the simulator; all 2^width
+output amplitudes are compared with the oracle's image (Gate columns from
+qdepth.oracle, or an image function) and sim.check_ancilla_purity tallies
+leakage. Amplitudes, not bit patterns: the counting circuits are correct
+only because internal phases cancel. Cat is decided exactly by the inputs 0
+and 1, by linearity; rev-embed drives only y in {0, 1...1} above
+EMBED_FULL_LIMIT data qubits and reports coverage < 1. Superposition spot
+checks use a fixed seed.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -99,15 +99,8 @@ class VerificationReport:
     leakage_tol: float = DEFAULT_LEAKAGE_TOL
 
     def to_dict(self) -> dict:
-        return {"construction": self.construction, "n": self.n, "q": self.q,
-                "discipline": self.discipline, "depth": self.depth,
-                "width": self.width, "copy_ancillae": self.copy_ancillae,
-                "work_qubits": self.work_qubits, "max_error": self.max_error,
-                "max_leakage": self.max_leakage, "pass": self.passed,
-                "inputs_checked": self.inputs_checked,
-                "coverage": self.coverage,
-                "structural_only": self.structural_only,
-                "error_tol": self.error_tol, "leakage_tol": self.leakage_tol}
+        return {"pass" if k == "passed" else k: v
+                for k, v in dataclasses.asdict(self).items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -127,23 +120,16 @@ class VerificationReport:
                        f" inputs={self.inputs_checked}{partial} {verdict}")
 
 
-def _gate_image(gate: Gate, d: int) -> Image:
-    u = oracle_unitary(gate, d)
-    return lambda x: [(int(y), u[y, x]) for y in np.flatnonzero(u[:, x])]
-
-
 def verify_construction(circuit: Circuit, oracle: Gate | Image, data_qubits,
-                        ancillae, *, inputs: Sequence[int] | None = None,
+                        ancillae, *, inputs: Sequence[range] | None = None,
                         superpositions: int = 0, seed: int = 0,
                         cap: int | None = None) -> tuple[float, float, int]:
-    """Compare the circuit against an oracle (a Gate or an Image function)
-    over the data register.
-
-    Each of `inputs`, data-register basis indices (default: all 2^d), runs
-    with the ancillae at |0>; the expected image is subtracted in place and
-    the error is the max |amplitude| left over the whole register. Random
-    superpositions of the inputs, if asked for, are judged by the l2 norm
-    of that difference. Returns (max_error, max_leakage, inputs_checked).
+    """Compare the circuit with an oracle (a Gate or an Image function) on
+    the data register: each basis index in the `inputs` ranges (default all
+    2^d) runs with the ancillae at |0>, and the error is the max |amplitude|
+    of (output - expected image) over the whole register; random
+    superpositions of those inputs use its l2 norm. Returns (max_error,
+    max_leakage, inputs_checked).
     """
     data_qubits = tuple(data_qubits)
     ancillae = tuple(ancillae)
@@ -158,40 +144,56 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image, data_qubits,
             f"simulation cap; rerun structural-only")
 
     d = len(data_qubits)
-    inputs = range(1 << d) if inputs is None else inputs
-    image = _gate_image(oracle, d) if isinstance(oracle, Gate) else oracle
+    inputs = (range(1 << d),) if inputs is None else inputs
+    if isinstance(oracle, Gate):
+        u = oracle_unitary(oracle, d)
+        image = lambda x: [(y, u[y, x]) for y in np.flatnonzero(u[:, x])]
+        image_of = u.dot
+    else:
+        image = oracle
+
+        def image_of(v: np.ndarray) -> np.ndarray:
+            # the linear extension of the image function to a data vector
+            out = np.zeros_like(v)
+            for x in np.flatnonzero(v).tolist():
+                for y, b in image(x):
+                    out[y] += v[x] * b
+            return out
+
     workspace = make_workspace(circuit.width)
     initial = np.zeros(1 << circuit.width, dtype=complex)
     abs_buf = np.empty(1 << circuit.width, dtype=float)
     max_error = 0.0
     max_leak = 0.0
 
-    def drive(terms) -> np.ndarray:
-        # run sum_x a_x |x>, then leave (output - expected image) in place
+    def drive(at, amplitudes) -> np.ndarray:
         nonlocal max_leak
-        for x, a in terms:
-            initial[embed_index(x, data_qubits)] = a
+        initial[at] = amplitudes
         out = run(circuit, initial, workspace)
-        for x, _ in terms:
-            initial[embed_index(x, data_qubits)] = 0.0
+        initial[at] = 0.0
         max_leak = max(max_leak, check_ancilla_purity(out, ancillae).leakage)
-        for x, a in terms:
-            for y, b in image(x):
-                out[embed_index(y, data_qubits)] -= a * b
         return out
 
-    for x in inputs:
-        np.abs(drive(((x, 1.0),)), out=abs_buf)
+    for x in itertools.chain.from_iterable(inputs):
+        out = drive(embed_index(x, data_qubits), 1.0)
+        for y, b in image(x):
+            out[embed_index(y, data_qubits)] -= b
+        np.abs(out, out=abs_buf)
         max_error = max(max_error, float(abs_buf.max()))
 
-    rng = np.random.default_rng(seed)
-    for _ in range(superpositions):
-        psi = rng.normal(size=len(inputs)) + 1j * rng.normal(size=len(inputs))
-        psi /= np.linalg.norm(psi)
-        diff = drive(list(zip(inputs, psi)))
-        max_error = max(max_error, math.sqrt(np.vdot(diff, diff).real))
+    if superpositions:
+        xs = np.concatenate([np.arange(r.start, r.stop, r.step) for r in inputs])
+        emb = embed_index(np.arange(1 << d), data_qubits)
+        v = np.zeros(1 << d, dtype=complex)
+        rng = np.random.default_rng(seed)
+        for _ in range(superpositions):
+            psi = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
+            v[xs] = psi / np.linalg.norm(psi)
+            out = drive(emb, v)
+            out[emb] -= image_of(v)
+            max_error = max(max_error, math.sqrt(np.vdot(out, out).real))
 
-    return max_error, max_leak, len(inputs) + superpositions
+    return max_error, max_leak, sum(map(len, inputs)) + superpositions
 
 
 # --- named constructions ---
@@ -229,7 +231,7 @@ class Built:
     ancillae: tuple[int, ...]
     copy_ancillae: int
     work_qubits: int
-    inputs: tuple[int, ...] | None = None
+    inputs: tuple[range, ...] | None = None
     admissible: int | None = None
 
 
@@ -266,8 +268,9 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
             raise CircuitError("rev-embed requires a classical circuit")
         n, m = classical.n_inputs, classical.n_outputs
         circ = synth.reversible_embed(classical)
-        inputs = None if n + m <= EMBED_FULL_LIMIT else tuple(
-            x | (y << n) for x in range(1 << n) for y in (0, (1 << m) - 1))
+        top = ((1 << m) - 1) << n  # y = 1...1
+        inputs = None if n + m <= EMBED_FULL_LIMIT else (
+            range(1 << n), range(top, top + (1 << n)))
         return built(circ, _embedding_image(classical), work=circ.ancilla_count,
                      inputs=inputs, admissible=1 << (n + m))
     if n is None or n < 1:
@@ -277,7 +280,7 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
         # |0...0> stays, |1 0...0> (index 1) becomes |1...1>
         return Built(name, n, None, synth.CAT_BUILDERS[builder](n),
                      lambda x: ((x * ((1 << n) - 1), 1.0),), tuple(range(n)),
-                     (), n - 1, 0, inputs=(0, 1))
+                     (), n - 1, 0, inputs=(range(2),))
     if name == "fanout":
         return built(synth.fanout_gate(n), fanout(0, tuple(range(1, n + 1))))
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +198,35 @@ class TestBadClassicalJson:
         code, out, err = run_cli(capsys, "verify", "--construction", "rev-embed",
                                  "--classical", str(path))
         assert code == 2 and out == "" and err.startswith("error: ")
+
+
+class TestWideRevEmbed:
+    """A 30-input rev-embed is far over the simulation cap. Commands that
+    do no amplitude work must not list its 2^31 admissible inputs, so each
+    runs under a 1 GiB address-space limit."""
+
+    @staticmethod
+    def _limit_memory():
+        import resource  # POSIX only, like preexec_fn
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (("synth", "--out", "c.json"), 0),
+        (("verify", "--structural-only"), 0),
+        (("verify",), 3),
+    ])
+    def test_returns_promptly(self, tmp_path, argv, exit_code):
+        c = ClassicalCircuit(30, ((ClassicalGate("and", (0, 1)),),))
+        (tmp_path / "classical.json").write_text(to_json(c))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdepth.cli", *argv,
+             "--construction", "rev-embed", "--classical", "classical.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=self._limit_memory)
+        assert proc.returncode == exit_code, proc.stderr
+        assert "width=32" in proc.stdout or "32-qubit" in proc.stderr
 
 
 class TestScaleAndIdentities:

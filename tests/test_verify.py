@@ -6,6 +6,7 @@ import pytest
 
 from qdepth.classical import ClassicalCircuit, ClassicalGate
 from qdepth.ir import Circuit, GateKind, Layer, modq_gate
+from qdepth.oracle import oracle_unitary
 from qdepth.synth import parity_via_catstate
 from qdepth.verify import (
     SimulationCapExceeded, build_construction, depth_scaling_table,
@@ -127,11 +128,27 @@ class TestSinglePath:
     def test_rev_embed_above_the_limit_reports_coverage(self):
         n, m = 11, 2
         built = _rev_embed(n, [[("and", (0, 1)), ("not", (2,))]])
+        top = ((1 << m) - 1) << n
+        assert built.inputs == (range(1 << n), range(top, top + (1 << n)))
         report = verify_built(built)
         assert report.passed
         assert report.inputs_checked == 1 << (n + 1)
         assert json.loads(report.to_json())["coverage"] == 2 ** (n + 1) / 2 ** (n + m)
         assert " coverage=0.5 pass" in report.to_text()
+
+    def test_image_function_superpositions_match_the_gate_oracle(self):
+        # the same oracle as a Gate and as an image function, on a circuit
+        # with its last layer dropped, must give the same verdict numbers
+        built = build_construction("parity-fanout", n=3)
+        c = built.circuit
+        broken = Circuit(c.width, c.roles, c.layers[:-1], c.discipline)
+        u = oracle_unitary(built.oracle, len(built.data_qubits))
+        image = lambda x: [(y, u[y, x]) for y in range(u.shape[0]) if u[y, x]]
+        results = [verify_construction(broken, oracle, built.data_qubits,
+                                       built.ancillae, superpositions=4, seed=3)
+                   for oracle in (built.oracle, image)]
+        assert results[0][0] > 0.1
+        assert results[0] == pytest.approx(results[1], rel=1e-12)
 
     def test_full_coverage_is_not_shown_in_text(self):
         report = verify_built(build_construction("fanout", n=2))
