@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ir import as_int
+
 OPS = ("and", "or", "not", "xor")
 
 
@@ -26,7 +28,8 @@ class ClassicalGate:
     args: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "args", tuple(int(a) for a in self.args))
+        object.__setattr__(self, "args", tuple(
+            as_int(a, "wire", ClassicalCircuitError) for a in self.args))
         if self.op not in OPS:
             raise ClassicalCircuitError(f"unknown op {self.op!r}")
         if self.op == "not" and len(self.args) != 1:
@@ -53,6 +56,8 @@ class ClassicalCircuit:
     layers: tuple[tuple[ClassicalGate, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_inputs",
+                           as_int(self.n_inputs, "inputs", ClassicalCircuitError))
         object.__setattr__(self, "layers", tuple(tuple(l) for l in self.layers))
         if self.n_inputs < 1:
             raise ClassicalCircuitError("need at least one input")
@@ -100,20 +105,12 @@ def to_json(circuit: ClassicalCircuit, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent)
 
 
-def _json_ints(values, what: str) -> tuple[int, ...]:
-    # a JSON list of integers; bools load as ints in Python, so check types
-    if not isinstance(values, list) or any(type(v) is not int for v in values):
-        raise ClassicalCircuitError(f"{what} must be JSON integers, got {values!r}")
-    return tuple(values)
-
-
 def from_json(text: str) -> ClassicalCircuit:
     try:
         doc = json.loads(text)
-        layers = tuple(tuple(ClassicalGate(g["op"], _json_ints(g["args"], "args"))
+        layers = tuple(tuple(ClassicalGate(g["op"], g["args"])
                              for g in layer) for layer in doc["layers"])
-        (n_inputs,) = _json_ints([doc["inputs"]], "inputs")
-        return ClassicalCircuit(n_inputs, layers)
+        return ClassicalCircuit(doc["inputs"], layers)
     except (json.JSONDecodeError, KeyError, TypeError) as e:
         raise ClassicalCircuitError(f"invalid classical circuit JSON: {e}") from e
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,6 +63,14 @@ _SELF_INVERSE = frozenset({
 })
 
 
+def as_int(value, what: str, error: type[ValueError] = CircuitError) -> int:
+    """`value` as an int if its type is integral (numpy integers too); a
+    bool, float or string raises `error` instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_unitary(m: np.ndarray, dim: int) -> None:
     if m.shape != (dim, dim):
         raise CircuitError(f"matrix must be {dim}x{dim}, got {m.shape}")
@@ -89,9 +98,14 @@ class Gate:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "controls", tuple(int(c) for c in self.controls))
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        object.__setattr__(self, "negated", frozenset(int(c) for c in self.negated))
+        object.__setattr__(self, "controls", tuple(as_int(c, "qubit") for c in self.controls))
+        object.__setattr__(self, "targets", tuple(as_int(t, "qubit") for t in self.targets))
+        object.__setattr__(self, "negated", frozenset(as_int(c, "qubit") for c in self.negated))
+        if self.q is not None:
+            object.__setattr__(self, "q", as_int(self.q, "q"))
+        if isinstance(self.theta, bool) or not isinstance(
+                self.theta, (numbers.Real, type(None))):
+            raise CircuitError(f"theta must be a real number, got {self.theta!r}")
         if self.matrix is not None:
             m = np.array(self.matrix, dtype=complex)
             m.setflags(write=False)
@@ -233,15 +247,16 @@ def controlled_u(controls, matrix, targets, negated=()) -> Gate:
                 frozenset(negated), matrix=matrix)
 
 
-def gate_matrix_2x2(gate: Gate) -> np.ndarray:
-    """The 2x2 matrix of a one-qubit gate (H, X, or explicit unitary)."""
+def block_matrix(gate: Gate) -> np.ndarray:
+    """The 2^k x 2^k block a gate applies to its k targets where its
+    controls fire: H, the explicit u/cu matrix, or PHASE's diag(1, e^{i theta})."""
     if gate.kind is GateKind.HADAMARD:
         return _H_MATRIX
-    if gate.kind is GateKind.PAULI_X:
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if gate.kind is GateKind.SINGLE_QUBIT:
+    if gate.kind is GateKind.PHASE:
+        return np.diag([1, np.exp(1j * gate.theta)])
+    if gate.matrix is not None:
         return gate.matrix
-    raise CircuitError(f"{gate.kind.value} has no standalone 2x2 matrix")
+    raise CircuitError(f"{gate.kind.value} is a permutation gate, not a block")
 
 
 # --- layers and circuits ---
@@ -303,6 +318,7 @@ class Circuit:
     discipline: Discipline = Discipline.STRICT
 
     def __post_init__(self):
+        object.__setattr__(self, "width", as_int(self.width, "width"))
         object.__setattr__(self, "roles", tuple(self.roles))
         object.__setattr__(self, "layers", tuple(
             l if isinstance(l, Layer) else Layer(tuple(l)) for l in self.layers))
@@ -466,7 +482,7 @@ def circuit_from_json(text: str) -> Circuit:
         roles = tuple(Role(r) for r in doc["roles"])
         layers = tuple(Layer(tuple(_gate_from_obj(o) for o in layer))
                        for layer in doc["layers"])
-        return Circuit(int(doc["width"]), roles, layers,
+        return Circuit(doc["width"], roles, layers,
                        Discipline(doc["discipline"]))
     except (KeyError, TypeError) as e:
         raise CircuitError(f"invalid circuit JSON: missing/bad field {e}") from e

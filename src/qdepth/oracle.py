@@ -14,7 +14,7 @@ import cmath
 
 import numpy as np
 
-from .ir import Gate, GateKind, gate_matrix_2x2
+from .ir import Gate, GateKind, block_matrix
 
 # Gates whose action on a basis state is a single basis state with a phase.
 PERMUTATION_KINDS = frozenset({
@@ -80,7 +80,7 @@ def oracle_unitary(gate: Gate, width: int) -> np.ndarray:
             u[image, b] = phase
         return u
 
-    block = gate_matrix_2x2(gate) if gate.kind is not GateKind.CONTROLLED_U else gate.matrix
+    block = block_matrix(gate)
     k = len(gate.targets)
     for b in range(dim):
         if not _inputs_true(gate, b):

@@ -4,8 +4,14 @@ Dense state-vector simulation and ancilla-purity analysis.
 A state is a plain complex128 numpy array of length 2^m, unit norm, in
 little-endian basis order: qubit 0 is the least significant bit of the
 basis index. Gate application is out of place; the caller keeps the input
-state. Gates on few qubits are applied through axis slicing of the state
-reshaped to [2]*m, so cost is one pass over the touched amplitudes.
+state. A gate touches only the slab of the state, reshaped to [2]*m, where
+its controls fire, through one of three kernels: permutation (X, CNOT,
+Toffoli, fanout, MODQ), diagonal (PHASE, diagonal u/cu) or dense block (H,
+u, cu). Beyond the workspace pair a gate allocates a few KiB of numpy
+bookkeeping, except that MODQ builds its 2^inputs count and mask, and the
+diagonal kernel's strided in-place scale takes numpy iterator buffers of
+up to 256 KiB (0.13x the state for a one-control 3-qubit diagonal block
+at 16 qubits).
 
 A state is owned by one execution context while being advanced; read-only
 states may be shared freely.
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit, CircuitError, Gate, GateKind, gate_matrix_2x2
+from .ir import Circuit, CircuitError, Gate, GateKind, block_matrix
 
 DEFAULT_UNITARY_WIDTH_CAP = 12
 PURITY_TOL = 1e-10
@@ -61,23 +67,35 @@ def _axis(qubit: int, width: int) -> int:
     return width - 1 - qubit
 
 
-def _control_index(gate: Gate, width: int) -> tuple:
+def _slab(gate: Gate, width: int) -> tuple:
+    """Index of the slab where the gate's controls fire. Control axes get
+    length-1 slices, so the slab keeps every axis where _axis puts it.
+    MODQ counts its inputs rather than requiring them: its slab is all."""
     idx = [slice(None)] * width
-    for c in gate.controls:
-        idx[_axis(c, width)] = 0 if c in gate.negated else 1
+    if gate.kind is not GateKind.MODQ:
+        for c in gate.controls:
+            v = 0 if c in gate.negated else 1
+            idx[_axis(c, width)] = slice(v, v + 1)
     return tuple(idx)
 
 
-def _sub_axis(qubit: int, width: int, fixed: tuple[int, ...]) -> int:
-    a = _axis(qubit, width)
-    return a - sum(1 for f in fixed if _axis(f, width) < a)
+def _modq_fires(gate: Gate, width: int) -> np.ndarray:
+    """Where a MODQ gate flips its target: count % q != 0. Qubit c is axis
+    -1-c of the [2]*width view, so each input bit has shape (2, 1, ..., 1)
+    with c ones; the sum broadcasts over 2^inputs entries, not 2^width."""
+    count = sum((np.arange(2) ^ (c in gate.negated)).reshape((2,) + (1,) * c)
+                for c in gate.controls)
+    return count % gate.q != 0
 
+
+_FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
+                         GateKind.FANOUT, GateKind.MODQ})
 
 _EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def _block_einsum(view: np.ndarray, out_view: np.ndarray, u: np.ndarray,
-                  axes: list[int]) -> None:
+                  axes: tuple[int, ...]) -> None:
     """out_view = u applied to `view` on the given axes (bit j of the block
     index lives on axes[j]); writes into out_view without allocating."""
     k = len(axes)
@@ -98,77 +116,44 @@ def _apply(state: np.ndarray, scratch: np.ndarray, gate: Gate,
     """Advance `state` by one gate, using `scratch` for staging.
 
     Returns the (state, scratch) pair, swapped when the result landed in
-    the scratch buffer. Only the gate's subspace is touched; nothing is
-    allocated on the hot paths.
+    the scratch buffer. Only the slab where the controls fire is touched,
+    by one of three kernels:
+
+    - diagonal (PHASE, and any block_matrix that is diagonal): each target
+      bit pattern is scaled in place, skipping factors of 1;
+    - permutation (X, CNOT, Toffoli, fanout, MODQ): the slab flipped on the
+      target axes is staged in scratch;
+    - dense block (H, u, cu): one einsum of the slab is staged in scratch.
+
+    A staged slab is copied back where the gate fires: everywhere, or
+    where MODQ's input count is not a multiple of q. An uncontrolled gate's
+    slab is the whole state, so the buffers swap instead.
+
+    Beyond the pair, MODQ allocates its 2^inputs mask and the diagonal
+    kernel numpy's iterator buffers (up to 256 KiB).
     """
-    kind = gate.kind
-    if kind is GateKind.MODQ:
-        idx = np.arange(state.size)
-        count = np.zeros(state.size, dtype=np.int64)
-        for c in gate.controls:
-            bit = (idx >> c) & 1
-            count += bit ^ 1 if c in gate.negated else bit
-        flip = (count % gate.q) != 0
-        np.take(state, np.where(flip, idx ^ (1 << gate.targets[0]), idx),
-                out=scratch)
-        return scratch, state
-
     psi = state.reshape([2] * w)
-    stage = scratch.reshape([2] * w)
-    sel = _control_index(gate, w)
-
-    if kind in (GateKind.CNOT, GateKind.TOFFOLI, GateKind.PAULI_X):
-        view = psi[sel]
-        ax = _sub_axis(gate.targets[0], w, gate.controls)
-        i0 = [slice(None)] * view.ndim
-        i1 = list(i0)
-        i0[ax], i1[ax] = slice(0, 1), slice(1, 2)
-        a, b = view[tuple(i0)], view[tuple(i1)]
-        tmp = stage[sel][tuple(i0)]
-        tmp[...] = a
-        a[...] = b
-        b[...] = tmp
-        return state, scratch
-
-    if kind is GateKind.FANOUT:
-        view = psi[sel]
-        axes = tuple(_sub_axis(t, w, gate.controls) for t in gate.targets)
-        staged = stage[sel]
-        staged[...] = np.flip(view, axis=axes)
-        view[...] = staged
-        return state, scratch
-
-    if kind is GateKind.PHASE:
-        idx = list(sel)
-        idx[_axis(gate.targets[0], w)] = 1
-        psi[tuple(idx)] *= np.exp(1j * gate.theta)
-        return state, scratch
-
-    if kind in (GateKind.HADAMARD, GateKind.SINGLE_QUBIT):
-        u = gate_matrix_2x2(gate)
-    else:
-        u = gate.matrix
-    k = len(gate.targets)
-
-    diag = np.diagonal(u)
-    if not np.count_nonzero(u - np.diag(diag)):
-        # diagonal block: scale each target bit pattern, skipping factors of 1
-        for y in range(1 << k):
-            if diag[y] != 1:
+    sel = _slab(gate, w)
+    axes = tuple(_axis(t, w) for t in gate.targets)
+    u = None if gate.kind in _FLIP_KINDS else block_matrix(gate)
+    if u is not None and not np.count_nonzero(u - np.diag(np.diagonal(u))):
+        for y, d in enumerate(np.diagonal(u)):
+            if d != 1:
                 idx = list(sel)
-                for j, t in enumerate(gate.targets):
-                    idx[_axis(t, w)] = (y >> j) & 1
-                psi[tuple(idx)] *= diag[y]
+                for j, ax in enumerate(axes):
+                    idx[ax] = (y >> j) & 1
+                psi[tuple(idx)] *= d
         return state, scratch
 
-    axes = [_sub_axis(t, w, gate.controls) for t in gate.targets]
-    if not gate.controls:
-        _block_einsum(psi, stage, u, axes)
+    view, staged = psi[sel], scratch.reshape([2] * w)[sel]
+    if u is None:
+        staged[...] = np.flip(view, axes)
+    else:
+        _block_einsum(view, staged, u, axes)
+    if not gate.controls:  # the whole result is in scratch
         return scratch, state
-    view = psi[sel]
-    staged = stage[sel]
-    _block_einsum(view, staged, u, axes)
-    view[...] = staged
+    fires = _modq_fires(gate, w) if gate.kind is GateKind.MODQ else True
+    np.copyto(view, staged, where=fires)
     return state, scratch
 
 
@@ -194,7 +179,7 @@ def run(circuit: Circuit, initial: np.ndarray,
 
     Within a layer the gates commute by the discipline's disjointness
     guarantee, so in-layer application order is unobservable. Passing a
-    `workspace` from make_workspace avoids per-call allocations; the
+    `workspace` from make_workspace avoids per-call state allocations; the
     returned state then aliases one of its buffers and is only valid until
     the next run with the same workspace.
     """

@@ -45,6 +45,15 @@ class TestEvaluation:
         with pytest.raises(ClassicalCircuitError):
             gate("and", 0, 0)
 
+    @pytest.mark.parametrize("args", [(0, 1.5), (True, 0)])
+    def test_non_integer_wire_rejected(self, args):
+        with pytest.raises(ClassicalCircuitError):
+            ClassicalGate("and", args)
+
+    def test_non_integer_input_count_rejected(self):
+        with pytest.raises(ClassicalCircuitError):
+            ClassicalCircuit(2.0, ((gate("and", 0, 1),),))
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(41)
         for _ in range(10):

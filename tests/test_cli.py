@@ -185,6 +185,38 @@ class TestBadSettings:
         assert code == 2 and out == "" and err.startswith("error: superpositions")
 
 
+def _circuit_doc(gate, **top):
+    doc = {"width": 2, "discipline": "strict", "roles": ["input"] * 2,
+           "layers": [[gate]]}
+    doc.update(top)
+    return doc
+
+
+class TestBadCircuitJson:
+    @pytest.mark.parametrize("doc, field", [
+        (_circuit_doc({"kind": "cnot", "controls": [0.7], "targets": [True]},
+                      width=2.9), "qubit"),
+        (_circuit_doc({"kind": "cnot", "controls": [0], "targets": [1]},
+                      width=2.9), "width"),
+        (_circuit_doc({"kind": "cnot", "controls": [0], "targets": [True]}),
+         "qubit"),
+        (_circuit_doc({"kind": "modq", "controls": [0], "targets": [1],
+                       "q": 2.5}), "q"),
+        (_circuit_doc({"kind": "cnot", "controls": [0], "targets": [1]},
+                      width="2"), "width"),
+        (_circuit_doc({"kind": "cnot", "controls": [0], "neg": [1.0],
+                       "targets": [1]}), "qubit"),
+        (_circuit_doc({"kind": "phase", "controls": [0], "targets": [1],
+                       "theta": True}), "theta"),
+    ])
+    def test_non_integer_fields_are_usage_errors(self, tmp_path, capsys, doc,
+                                                 field):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "sim", str(path), "--input", "00")
+        assert code == 2 and out == "" and err.startswith(f"error: {field} must be")
+
+
 class TestBadClassicalJson:
     @pytest.mark.parametrize("doc", [
         {"inputs": 2, "layers": [[{"op": "and", "args": [0, 1.5]}]]},

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qdepth.ir import (
-    cnot, controlled_u, fanout, hadamard, modq_gate, pauli_x, single_qubit,
-    symmetric_phase, toffoli,
+    Gate, GateKind, cnot, controlled_u, fanout, hadamard, modq_gate, pauli_x,
+    single_qubit, symmetric_phase, toffoli,
 )
 from qdepth.oracle import OracleError, oracle_apply, oracle_unitary
 from qdepth.sim import apply_gate, basis_state
@@ -93,6 +93,13 @@ class TestSimulatorAgreement:
             symmetric_phase(np.pi, (), 1),
             single_qubit(random_unitary(rng, 2), 2),
             controlled_u((4, 0), random_unitary(rng, 4), (1, 3)),
+            modq_gate(3, (5, 0, 4, 1), 2, negated=(4,)),
+            Gate(GateKind.FANOUT, (1,), (5, 0, 3), frozenset({1})),
+            symmetric_phase(0.9, (), 4),
+            symmetric_phase(-1.1, (0, 3), 5, negated=(3,)),
+            controlled_u((1, 4), np.diag(np.exp([0.3j, -1.2j, 2j, 0])), (3, 0),
+                         negated=(1, 4)),
+            pauli_x(5),
         ]
         for g in gates + [random_gate(rng, 6) for _ in range(30)]:
             width = max(g.support) + 1 if g.support else 1

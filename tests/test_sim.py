@@ -1,14 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qdepth.ir import (
     Circuit, CircuitError, Discipline, Layer, Role, cnot, compose, fanout,
-    hadamard, inverse, modq_gate, symmetric_phase, toffoli,
+    hadamard, inverse, modq_gate, pauli_x, symmetric_phase, toffoli,
 )
 from qdepth.sim import (
     WidthCapExceeded, apply_gate, basis_state, check_ancilla_purity,
-    data_block_unitary, dump_state, plus_at, random_state, relabel_qubits,
-    run, unitary_of, zero_state,
+    data_block_unitary, dump_state, make_workspace, plus_at, random_state,
+    relabel_qubits, run, unitary_of, zero_state,
 )
 from qdepth.synth import cat_fanout, cat_log_depth
 
@@ -97,6 +99,25 @@ class TestRun:
         c = Circuit(3, (Role.INPUT,) * 3)
         with pytest.raises(CircuitError):
             run(c, zero_state(2))
+
+    @pytest.mark.parametrize("gate", [
+        pauli_x(7), cnot(3, 12), toffoli((0, 9, 15), 4, negated=(9,)),
+        modq_gate(3, (0, 2, 4, 6, 8, 10, 12, 14), 5, negated=(8,)),
+        fanout(1, (0, 2, 3, 6, 9, 11, 13, 15)),
+    ])
+    def test_permutation_gates_allocate_little(self, gate):
+        w = 16
+        circuit = Circuit(w, (Role.INPUT,) * w, (Layer((gate,)),))
+        initial = random_state(w, np.random.default_rng(5))
+        workspace = make_workspace(w)
+        run(circuit, initial, workspace)
+        tracemalloc.start()
+        try:
+            run(circuit, initial, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < initial.nbytes / 16, peak
 
 
 class TestUnitaryOf:
