@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from qdepth.ir import (
-    Circuit, CircuitError, Discipline, Layer, Role, cnot, compose, fanout,
-    hadamard, inverse, modq_gate, pauli_x, symmetric_phase, toffoli,
+    Circuit, CircuitError, Discipline, Gate, GateKind, Layer, Role, cnot,
+    compose, fanout, hadamard, inverse, modq_gate, pauli_x, symmetric_phase,
+    toffoli,
 )
+from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
     WidthCapExceeded, apply_gate, basis_state, check_ancilla_purity,
     data_block_unitary, dump_state, make_workspace, plus_at, random_state,
@@ -66,6 +68,26 @@ class TestApplyGate:
         assert abs(out[3] - 0.5 * np.exp(1j * np.pi / 3)) < 1e-15
         assert np.abs(out[:3] - 0.5).max() < 1e-15
 
+    @pytest.mark.parametrize("place", [
+        lambda o: pauli_x(o),
+        lambda o: cnot(o + 1, o),
+        lambda o: toffoli((o + 5, o), o + 3, negated=(o,)),
+        lambda o: modq_gate(3, (o, o + 2, o + 3, o + 5), o + 1, negated=(o + 2,)),
+        lambda o: Gate(GateKind.FANOUT, (o + 2,), (o + 4, o, o + 3), frozenset({o + 2})),
+        # a qubit at w-4 or above: the flip kernel
+        lambda o: modq_gate(2, (o, o + 8), o + 4),
+        lambda o: toffoli((o, o + 1), o + 8),
+    ])
+    def test_permutation_inside_wide_register_matches_oracle(self, place):
+        # the gate on qubits 2.. of 12 must act as its own oracle does on
+        # every setting of the qubits below and above it
+        gate, local = place(2), place(0)
+        k = max(local.support) + 1
+        state = random_state(12, np.random.default_rng(8))
+        want = np.einsum("ij,ajb->aib", oracle_unitary(local, k),
+                         state.reshape(-1, 1 << k, 4)).ravel()
+        assert np.array_equal(apply_gate(state, gate), want)
+
     def test_out_of_range_qubit(self):
         with pytest.raises(CircuitError):
             apply_gate(basis_state(2, 0), cnot(0, 5))
@@ -99,6 +121,11 @@ class TestRun:
         c = Circuit(3, (Role.INPUT,) * 3)
         with pytest.raises(CircuitError):
             run(c, zero_state(2))
+
+    def test_workspace_buffers_are_half_a_page_apart(self):
+        first, second = make_workspace(12)
+        assert first.size == second.size == 1 << 12
+        assert (second.ctypes.data - first.ctypes.data) % 4096 == 2048
 
     @pytest.mark.parametrize("gate", [
         pauli_x(7), cnot(3, 12), toffoli((0, 9, 15), 4, negated=(9,)),
