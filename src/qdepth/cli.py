@@ -19,10 +19,12 @@ import numpy as np
 from . import classical as cc
 from .ir import CircuitError, Discipline, circuit_from_json, circuit_to_json
 from .sim import basis_state, dump_state, plus_at, run
+from .synth import CAT_BUILDERS
 from .verify import (
     CONSTRUCTIONS,
     DEFAULT_ERROR_TOL,
     TOL_ENV,
+    U_NAMES,
     Built,
     SimulationCapExceeded,
     build_construction,
@@ -37,15 +39,17 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
+DISCIPLINES = [d.value for d in Discipline]
+
 
 def _add_construction_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--construction", required=True, choices=CONSTRUCTIONS)
     p.add_argument("--n", type=int, help="number of inputs / register size")
     p.add_argument("--q", type=int, help="modulus for the counting gates")
-    p.add_argument("--discipline", choices=["strict", "wf"], default="wf")
-    p.add_argument("--builder", choices=["fanout", "log-cat"], default="fanout",
+    p.add_argument("--discipline", choices=DISCIPLINES, default="wf")
+    p.add_argument("--builder", choices=list(CAT_BUILDERS), default="fanout",
                    help="cat-state builder for parity-cat")
-    p.add_argument("--u", default="x", choices=["x", "z", "h", "s", "phase"],
+    p.add_argument("--u", default="x", choices=U_NAMES,
                    help="one-qubit unitary for ctrl-u")
     p.add_argument("--theta", type=float, help="angle for --u phase")
     p.add_argument("--classical", metavar="FILE",
@@ -66,7 +70,7 @@ def _build_from_args(args) -> Built:
 def _parse_input(spec: str, width: int) -> np.ndarray:
     if spec.startswith("plus@"):
         qubit = int(spec[5:])
-        if qubit >= width:
+        if not 0 <= qubit < width:
             raise CircuitError(f"qubit {qubit} outside width {width}")
         return plus_at(width, qubit)
     if len(spec) != width or set(spec) - {"0", "1"}:
@@ -178,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--discipline", choices=["strict", "wf"], default="wf")
-    p.add_argument("--builder", choices=["fanout", "log-cat"], default="fanout")
+    p.add_argument("--discipline", choices=DISCIPLINES, default="wf")
+    p.add_argument("--builder", choices=list(CAT_BUILDERS), default="fanout")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_scale)
 

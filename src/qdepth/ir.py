@@ -71,11 +71,19 @@ def as_int(value, what: str, error: type[ValueError] = CircuitError) -> int:
     return int(value)
 
 
+def as_real(value, what: str):
+    """`value` unchanged if it is a real number (numpy floats too); a bool,
+    complex number or string raises CircuitError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise CircuitError(f"{what} must be a real number, got {value!r}")
+    return value
+
+
 def _check_unitary(m: np.ndarray, dim: int) -> None:
     if m.shape != (dim, dim):
         raise CircuitError(f"matrix must be {dim}x{dim}, got {m.shape}")
     err = np.abs(m.conj().T @ m - np.eye(dim)).max()
-    if err > UNITARY_TOL:
+    if not err <= UNITARY_TOL:  # NaN fails too
         raise CircuitError(f"matrix is not unitary (deviation {err:.3g})")
 
 
@@ -103,9 +111,8 @@ class Gate:
         object.__setattr__(self, "negated", frozenset(as_int(c, "qubit") for c in self.negated))
         if self.q is not None:
             object.__setattr__(self, "q", as_int(self.q, "q"))
-        if isinstance(self.theta, bool) or not isinstance(
-                self.theta, (numbers.Real, type(None))):
-            raise CircuitError(f"theta must be a real number, got {self.theta!r}")
+        if self.theta is not None:
+            as_real(self.theta, "theta")
         if self.matrix is not None:
             m = np.array(self.matrix, dtype=complex)
             m.setflags(write=False)
@@ -378,7 +385,7 @@ def inverse(c: Circuit) -> Circuit:
 
 def remap_qubits(c: Circuit, mapping, width: int, roles, discipline=None) -> Circuit:
     """Embed a circuit into a wider register; qubit i becomes mapping[i]."""
-    mapping = tuple(int(m) for m in mapping)
+    mapping = tuple(as_int(m, "qubit") for m in mapping)
     if len(mapping) != c.width or len(set(mapping)) != len(mapping):
         raise CircuitError("mapping must be injective and cover the circuit width")
 
@@ -455,7 +462,8 @@ def _gate_to_obj(g: Gate) -> dict:
 def _gate_from_obj(obj: dict) -> Gate:
     matrix = None
     if "matrix" in obj:
-        flat = np.array([complex(re, im) for re, im in obj["matrix"]])
+        flat = np.array([complex(as_real(re, "matrix entry"), as_real(im, "matrix entry"))
+                         for re, im in obj["matrix"]])
         dim = math.isqrt(flat.size)
         if dim * dim != flat.size:
             raise CircuitError(f"matrix of length {flat.size} is not square")

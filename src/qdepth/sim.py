@@ -25,7 +25,7 @@ import numpy as np
 
 from .ir import Circuit, CircuitError, Gate, GateKind, block_matrix
 
-DEFAULT_UNITARY_WIDTH_CAP = 12
+UNITARY_WIDTH_CAP = 12
 PURITY_TOL = 1e-10
 DUMP_THRESHOLD = 1e-14
 
@@ -224,11 +224,11 @@ def run(circuit: Circuit, initial: np.ndarray,
     return state
 
 
-def unitary_of(circuit: Circuit, max_width: int = DEFAULT_UNITARY_WIDTH_CAP) -> np.ndarray:
+def unitary_of(circuit: Circuit) -> np.ndarray:
     """Full matrix of the circuit; column j is the image of basis state j."""
-    if circuit.width > max_width:
-        raise WidthCapExceeded(
-            f"unitary extraction capped at {max_width} qubits, circuit has {circuit.width}")
+    if circuit.width > UNITARY_WIDTH_CAP:
+        raise WidthCapExceeded(f"unitary extraction capped at {UNITARY_WIDTH_CAP} "
+                               f"qubits, circuit has {circuit.width}")
     dim = 1 << circuit.width
     u = np.empty((dim, dim), dtype=complex)
     workspace = make_workspace(circuit.width)
@@ -246,8 +246,8 @@ class AncillaPurityResult:
     leakage: float  # probability mass on basis states with any ancilla bit set
 
 
-def check_ancilla_purity(state: np.ndarray, ancillae, tol: float = PURITY_TOL) -> AncillaPurityResult:
-    """Total probability of any ancilla being |1>; pure iff below `tol`.
+def check_ancilla_purity(state: np.ndarray, ancillae) -> AncillaPurityResult:
+    """Total probability of any ancilla being |1>; pure iff <= PURITY_TOL.
 
     Zero leakage means the state factors exactly as (data state) x |0...0>
     on the ancilla block. The sum runs in place over disjoint slabs of the
@@ -267,14 +267,14 @@ def check_ancilla_purity(state: np.ndarray, ancillae, tol: float = PURITY_TOL) -
         axes = list(range(slab.ndim))
         leakage += float(np.einsum(slab, axes, slab, axes, []))
         index[_axis(a, w)] = 0
-    return AncillaPurityResult(leakage <= tol, leakage)
+    return AncillaPurityResult(leakage <= PURITY_TOL, leakage)
 
 
-def dump_state(state: np.ndarray, threshold: float = DUMP_THRESHOLD) -> str:
+def dump_state(state: np.ndarray) -> str:
     """One line per nonzero amplitude: index (binary, qubit 0 rightmost), re, im."""
     w = state_width(state)
     lines = []
-    for b in np.flatnonzero(np.abs(state) > threshold):
+    for b in np.flatnonzero(np.abs(state) > DUMP_THRESHOLD):
         amp = state[b]
         lines.append(f"{b:0{w}b} {amp.real:.17g} {amp.imag:.17g}")
     return "\n".join(lines)

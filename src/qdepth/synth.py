@@ -163,28 +163,23 @@ def parity_via_catstate(n: int, builder: str | Callable[[int], Circuit] = "fanou
 
 # --- wide controlled-U via one ancilla ---
 
-def controlled_u_constant_depth(controls, u, target: int,
-                                ancilla: int | None = None) -> Circuit:
+def controlled_u_constant_depth(controls, u, target: int) -> Circuit:
     """Apply a 2x2 unitary to `target` iff all controls are 1; depth 3.
 
-    A Toffoli ANDs the controls onto a zeroed ancilla, a two-qubit
-    controlled-U fires from the ancilla, and a second Toffoli restores it.
+    A Toffoli ANDs the controls onto a zeroed ancilla, the qubit above the
+    highest control or target; a two-qubit controlled-U fires from the
+    ancilla, and a second Toffoli restores it.
     """
-    controls = tuple(int(c) for c in controls)
+    controls = tuple(controls)
     if not controls:
         raise CircuitError("need at least one control")
-    if ancilla is None:
-        ancilla = max(controls + (target,)) + 1
-    if ancilla in controls or ancilla == target:
-        raise CircuitError("ancilla overlaps controls or target")
-    width = max(controls + (target, ancilla)) + 1
-    roles = [Role.INPUT] * width
+    ancilla = max(controls + (target,)) + 1
+    compute = Layer((toffoli(controls, ancilla),))
+    roles = [Role.INPUT] * (ancilla + 1)
     roles[target] = Role.TARGET
     roles[ancilla] = Role.ANCILLA
-    layers = (Layer((toffoli(controls, ancilla),)),
-              Layer((controlled_u((ancilla,), u, (target,)),)),
-              Layer((toffoli(controls, ancilla),)))
-    return Circuit(width, tuple(roles), layers, Discipline.STRICT)
+    layers = (compute, Layer((controlled_u((ancilla,), u, (target,)),)), compute)
+    return Circuit(ancilla + 1, tuple(roles), layers, Discipline.STRICT)
 
 
 # --- counting gates: flip target iff #true inputs is not a multiple of q ---
@@ -209,16 +204,16 @@ class ModCountingPlan:
     def diagonal_matrix(self) -> np.ndarray:
         return np.diag(self.phases)
 
-    def validate(self, tol: float = PLAN_TOL) -> None:
+    def validate(self) -> None:
         dim = 1 << self.k
         m = np.linalg.matrix_power(self.step, self.q)
-        if np.abs(m - np.eye(dim)).max() > tol:
+        if np.abs(m - np.eye(dim)).max() > PLAN_TOL:
             raise CircuitError(f"step matrix does not have period {self.q}")
         recon = self.basis_change.conj().T @ self.diagonal_matrix @ self.basis_change
-        if np.abs(recon - self.step).max() > tol:
+        if np.abs(recon - self.step).max() > PLAN_TOL:
             raise CircuitError("diagonalization does not reproduce the step matrix")
         roots = self.phases ** self.q
-        if np.abs(roots - 1).max() > tol:
+        if np.abs(roots - 1).max() > PLAN_TOL:
             raise CircuitError("phases are not q-th roots of unity")
 
 

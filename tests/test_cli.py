@@ -103,6 +103,13 @@ class TestSim:
         code, _, err = run_cli(capsys, "sim", str(out), "--input", "01")
         assert code == 2 and "3 bits" in err
 
+    def test_plus_input_outside_width_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        run_cli(capsys, "synth", "--construction", "fanout", "--n", "2",
+                "--out", str(out))
+        code, text, err = run_cli(capsys, "sim", str(out), "--input", "plus@-1")
+        assert (code, text, err) == (2, "", "error: qubit -1 outside width 3\n")
+
     def test_unparseable_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -215,6 +222,21 @@ class TestBadCircuitJson:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "sim", str(path), "--input", "00")
         assert code == 2 and out == "" and err.startswith(f"error: {field} must be")
+
+    @pytest.mark.parametrize("entry, message", [
+        (float("nan"), "error: matrix is not unitary"),
+        (True, "error: matrix entry must be a real number"),
+    ], ids=["nan", "bool"])
+    def test_bad_matrix_entries_are_usage_errors(self, tmp_path, capsys, entry,
+                                                 message):
+        # the identity with one entry replaced; JSON carries NaN as a literal
+        doc = _circuit_doc({"kind": "u", "targets": [0],
+                            "matrix": [[entry, 0], [0, 0], [0, 0], [1, 0]]},
+                           width=1, roles=["input"])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "sim", str(path), "--input", "0")
+        assert code == 2 and out == "" and err.startswith(message)
 
 
 class TestBadClassicalJson:

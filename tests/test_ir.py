@@ -42,6 +42,11 @@ class TestGateInvariants:
     def test_explicit_matrix_must_be_unitary(self):
         with pytest.raises(CircuitError):
             single_qubit(np.array([[1, 0], [0, 2.0]]), 0)
+        nan = np.array([[np.nan, 0], [0, 1]])  # NaN deviation fails too
+        with pytest.raises(CircuitError, match="not unitary"):
+            single_qubit(nan, 0)
+        with pytest.raises(CircuitError, match="not unitary"):
+            controlled_u((0,), nan, (1,))
 
     def test_block_size_cap(self):
         with pytest.raises(CircuitError):
@@ -158,6 +163,11 @@ class TestRemapAndNegationLowering:
         c = Circuit(2, (Role.INPUT,) * 2, (layer(cnot(0, 1)),))
         with pytest.raises(CircuitError):
             remap_qubits(c, (0, 0), 2, (Role.INPUT,) * 2)
+
+    def test_remap_rejects_non_integer_qubits(self):
+        c = Circuit(2, (Role.INPUT,) * 2, (layer(cnot(0, 1)),))
+        with pytest.raises(CircuitError, match="qubit must be an integer"):
+            remap_qubits(c, (0.5, 1.9), 2, (Role.INPUT,) * 2)
 
     def test_lowering_preserves_unitary_and_strips_negations(self):
         rng = np.random.default_rng(4)

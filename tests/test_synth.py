@@ -184,9 +184,9 @@ class TestControlledUConstantDepth:
         assert abs(out[0b011] - ta) < 1e-12 and abs(out[0b111] - tb) < 1e-12
         assert check_ancilla_purity(out, (3,)).leakage == 0.0
 
-    def test_ancilla_overlap_rejected(self):
-        with pytest.raises(CircuitError):
-            controlled_u_constant_depth((0, 1), X, 2, ancilla=1)
+    def test_non_integer_controls_rejected(self):
+        with pytest.raises(CircuitError, match="qubit must be an integer"):
+            controlled_u_constant_depth((0.7, 1.2), X, 2)
 
 
 class TestModPlan:

@@ -138,17 +138,23 @@ class TestSinglePath:
 
     def test_image_function_superpositions_match_the_gate_oracle(self):
         # the same oracle as a Gate and as an image function, on a circuit
-        # with its last layer dropped, must give the same verdict numbers
-        built = build_construction("parity-fanout", n=3)
-        c = built.circuit
-        broken = Circuit(c.width, c.roles, c.layers[:-1], c.discipline)
-        u = oracle_unitary(built.oracle, len(built.data_qubits))
-        image = lambda x: [(y, u[y, x]) for y in range(u.shape[0]) if u[y, x]]
-        results = [verify_construction(broken, oracle, built.data_qubits,
-                                       built.ancillae, superpositions=4, seed=3)
-                   for oracle in (built.oracle, image)]
-        assert results[0][0] > 0.1
-        assert results[0] == pytest.approx(results[1], rel=1e-12)
+        # with its last layer dropped, must give the same verdict numbers,
+        # and the whole circuit must pass on superpositions. ctrl-u with H
+        # has two images of amplitude +-1/sqrt(2) per column, so a linear
+        # extension that drops or repeats amplitude weights fails there.
+        for built in (build_construction("parity-fanout", n=3),
+                      build_construction("ctrl-u", n=3, u="h")):
+            c = built.circuit
+            broken = Circuit(c.width, c.roles, c.layers[:-1], c.discipline)
+            u = oracle_unitary(built.oracle, len(built.data_qubits))
+            image = lambda x: [(y, u[y, x]) for y in range(u.shape[0]) if u[y, x]]
+            results = [verify_construction(circuit, oracle, built.data_qubits,
+                                           built.ancillae, superpositions=4,
+                                           seed=3)
+                       for circuit in (broken, c) for oracle in (built.oracle, image)]
+            assert results[0][0] > 0.1
+            assert results[0] == pytest.approx(results[1], rel=1e-12)
+            assert results[2][0] <= 1e-12 and results[3][0] <= 1e-12
 
     def test_full_coverage_is_not_shown_in_text(self):
         report = verify_built(build_construction("fanout", n=2))
