@@ -24,7 +24,6 @@ from .ir import (
     fanout,
     hadamard,
     inverse,
-    lower_negations,
     modq_gate,
     pauli_x,
     remap_qubits,

@@ -402,45 +402,6 @@ def remap_qubits(c: Circuit, mapping, width: int, roles, discipline=None) -> Cir
                    c.discipline if discipline is None else discipline)
 
 
-def lower_negations(c: Circuit) -> Circuit:
-    """Expand negated controls into explicit X - gate - X layers.
-
-    Gates in one layer are grouped so that every group reads each shared
-    qubit with a single polarity; each group with negations becomes three
-    layers. Depth generally grows, which is the point: the result counts
-    the conjugation layers explicitly.
-    """
-    new_layers: list[Layer] = []
-    for layer in c.layers:
-        plain = [g for g in layer.gates if not g.negated]
-        pending = [g for g in layer.gates if g.negated]
-        if plain:
-            new_layers.append(Layer(tuple(plain)))
-        # A group can be conjugated by one X layer iff no qubit it negates
-        # is read positively or written by another gate in the group.
-        groups: list[tuple[list[Gate], set[int], set[int]]] = []
-        for g in pending:
-            plain_use = (set(g.controls) - g.negated) | set(g.targets)
-            placed = False
-            for gates, neg, used in groups:
-                if (g.negated & used) or (plain_use & neg):
-                    continue
-                gates.append(g)
-                neg |= g.negated
-                used |= plain_use
-                placed = True
-                break
-            if not placed:
-                groups.append(([g], set(g.negated), plain_use))
-        for gates, neg, _ in groups:
-            xs = Layer(tuple(pauli_x(q) for q in sorted(neg)))
-            stripped = Layer(tuple(
-                Gate(g.kind, g.controls, g.targets, frozenset(),
-                     theta=g.theta, q=g.q, matrix=g.matrix) for g in gates))
-            new_layers += [xs, stripped, xs]
-    return Circuit(c.width, c.roles, tuple(new_layers), c.discipline)
-
-
 # --- JSON serialization ---
 # Document shape: {"width": int, "discipline": "strict"|"wf",
 #   "roles": [str per qubit], "layers": [[gate objects]]}; a gate object is

@@ -7,7 +7,9 @@ basis index. Gate application is out of place; the caller keeps the input
 state. A gate touches only the slab of the state, reshaped to [2]*m, where
 its controls fire, through one of three kernels: permutation (X, CNOT,
 Toffoli, fanout, MODQ), diagonal (PHASE, diagonal u/cu) or dense block (H,
-u, cu). A permutation gate on low qubits is one gather of the whole state
+u, cu), which is one np.matmul of the slab, staged in scratch with the
+target axes last unless they already form a stack of block-sized matrices.
+A permutation gate on low qubits is one gather of the whole state
 instead. Beyond the workspace pair a gate allocates a few KiB of numpy
 bookkeeping, except that the gather builds an index of up to 1/32 of the
 state, MODQ its 2^inputs count and mask, and the diagonal kernel's
@@ -96,24 +98,39 @@ def _fires(gate: Gate) -> np.ndarray | bool:
 _FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
                          GateKind.FANOUT, GateKind.MODQ})
 
-_EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
-
-def _block_einsum(view: np.ndarray, out_view: np.ndarray, u: np.ndarray,
-                  axes: tuple[int, ...]) -> None:
-    """out_view = u applied to `view` on the given axes (bit j of the block
-    index lives on axes[j]); writes into out_view without allocating."""
-    k = len(axes)
-    nd = view.ndim
-    in_sub = list(_EINSUM_LETTERS[:nd])
-    fresh = _EINSUM_LETTERS[nd:nd + k]
-    out_sub = list(in_sub)
-    for j, ax in enumerate(axes):
-        out_sub[ax] = fresh[j]
-    u_sub = [fresh[j] for j in reversed(range(k))] + \
-        [in_sub[axes[j]] for j in reversed(range(k))]
-    spec = "".join(u_sub) + "," + "".join(in_sub) + "->" + "".join(out_sub)
-    np.einsum(spec, u.reshape((2,) * (2 * k)), view, out=out_view)
+def _dense_block(state: np.ndarray, scratch: np.ndarray, view: np.ndarray,
+                 staged: np.ndarray, u: np.ndarray, gate: Gate,
+                 w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Multiply the slab `view` of `state` by u on the gate's targets (bit
+    j of the block index on target j); `staged` is the same slab of
+    scratch. Returns the (state, scratch) pair as _apply does."""
+    k, lo = len(gate.targets), min(gate.targets)
+    if (gate.targets == tuple(range(lo, lo + k)) and lo + k >= 6
+            and min(gate.controls, default=w) > lo):
+        # The slab already is a stack of [2^k, 2^lo] matrices: one matmul
+        # multiplies each in place of staging. Below 64 amplitudes per
+        # matrix the per-matrix BLAS calls cost more than staging does.
+        shape = view.shape[:w - lo - k] + (1 << k, 1 << lo)
+        np.matmul(u, view.reshape(shape), out=staged.reshape(shape))
+        if not gate.controls:
+            return scratch, state
+        view[...] = staged
+        return state, scratch
+    # Stage the slab into scratch with the targets innermost, bit 0 last,
+    # so the product is one [rows, 2^k] x [2^k, 2^k] matmul. It lands in
+    # the half of scratch a controlled slab leaves free, or, for the whole
+    # state, in the state itself, whose contents are staged already.
+    src, dst = [_axis(t, w) for t in reversed(gate.targets)], range(w - k, w)
+    moved = np.moveaxis(view, src, dst)
+    m = moved.size
+    rows = scratch[:m].reshape(moved.shape)
+    rows[...] = moved
+    product = scratch[m:2 * m] if gate.controls else state
+    np.matmul(rows.reshape(-1, 1 << k), u.T, out=product.reshape(-1, 1 << k))
+    home = view if gate.controls else staged
+    np.moveaxis(home, src, dst)[...] = product.reshape(moved.shape)
+    return (state, scratch) if gate.controls else (scratch, state)
 
 
 def _apply(state: np.ndarray, scratch: np.ndarray, gate: Gate,
@@ -129,13 +146,18 @@ def _apply(state: np.ndarray, scratch: np.ndarray, gate: Gate,
       qubit is below w-4, the whole state is gathered into scratch through
       an index over qubits 0..hi; otherwise the slab flipped on the target
       axes is staged in scratch;
-    - dense block (H, u, cu): one einsum of the slab is staged in scratch.
+    - dense block (H, u, cu): one np.matmul (BLAS) by the block matrix.
+      When the targets are in order, reach qubit 5 or above and have no
+      control below them, it runs on the slab as a stack of [2^k, 2^lo]
+      matrices, writing to scratch. Otherwise the slab is first staged
+      in scratch with its target axes last, and the product lands in the
+      free half of scratch or, for an uncontrolled gate, in the state.
 
     The gather costs the same wherever the controls sit; a slab sliced on
-    a low control breaks into runs of a few amplitudes. A staged slab is
-    copied back where the gate fires: everywhere, or where MODQ's input
-    count is not a multiple of q. An uncontrolled gate's slab is the whole
-    state, so the buffers swap instead.
+    a low control breaks into runs of a few amplitudes. A result in
+    scratch is copied back where the gate fires: everywhere, or where
+    MODQ's input count is not a multiple of q. An uncontrolled gate's slab
+    is the whole state, so the buffers swap instead.
 
     Beyond the pair, the gather allocates its index (at most 1/32 of the
     state), MODQ its 2^inputs mask, and the diagonal kernel numpy's
@@ -166,10 +188,9 @@ def _apply(state: np.ndarray, scratch: np.ndarray, gate: Gate,
         return scratch, state
 
     view, staged = psi[sel], scratch.reshape([2] * w)[sel]
-    if u is None:
-        staged[...] = np.flip(view, axes)
-    else:
-        _block_einsum(view, staged, u, axes)
+    if u is not None:
+        return _dense_block(state, scratch, view, staged, u, gate, w)
+    staged[...] = np.flip(view, axes)
     if not gate.controls:  # the whole result is in scratch
         return scratch, state
     fires = _fires(gate) if gate.kind is GateKind.MODQ else True

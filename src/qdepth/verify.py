@@ -131,7 +131,8 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image, data_qubits,
     2^d) runs with the ancillae at |0>, and the error is the max |amplitude|
     of (output - expected image) over the whole register; random
     superpositions of those inputs use its l2 norm. Returns (max_error,
-    max_leakage, inputs_checked).
+    max_leakage, inputs_checked). The folds use np.maximum, which keeps a
+    NaN (max() drops one that comes second), so a NaN fails every tolerance.
     """
     data_qubits = tuple(data_qubits)
     ancillae = tuple(ancillae)
@@ -163,7 +164,8 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image, data_qubits,
         initial[at] = amplitudes
         out = run(circuit, initial, workspace)
         initial[at] = 0.0
-        max_leak = max(max_leak, check_ancilla_purity(out, ancillae).leakage)
+        leak = check_ancilla_purity(out, ancillae).leakage
+        max_leak = float(np.maximum(max_leak, leak))
         return out
 
     entries = []  # (y, x, amplitude) of every image entry
@@ -173,7 +175,7 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image, data_qubits,
             out[embed_index(y, data_qubits)] -= b
             entries.append((y, x, b))
         np.abs(out, out=abs_buf)
-        max_error = max(max_error, float(abs_buf.max()))
+        max_error = float(np.maximum(max_error, abs_buf.max()))
 
     if superpositions:
         xs = np.concatenate([np.arange(r.start, r.stop, r.step) for r in inputs])
@@ -188,7 +190,8 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image, data_qubits,
             v[xs] = psi / np.linalg.norm(psi)
             out = drive(emb, v)
             np.add.at(out, emb[ys], -amps * v[xe])
-            max_error = max(max_error, math.sqrt(np.vdot(out, out).real))
+            err = math.sqrt(np.vdot(out, out).real)
+            max_error = float(np.maximum(max_error, err))
 
     return max_error, max_leak, sum(map(len, inputs)) + superpositions
 

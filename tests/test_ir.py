@@ -4,7 +4,7 @@ import pytest
 from qdepth.ir import (
     Circuit, CircuitError, Discipline, Gate, GateKind, Layer, LayeringError,
     Role, circuit_from_json, circuit_to_json, cnot, compose, controlled_u,
-    hadamard, inverse, lower_negations, modq_gate,
+    hadamard, inverse, modq_gate,
     remap_qubits, single_qubit, symmetric_phase, toffoli, validate_layer,
 )
 from qdepth.sim import basis_state, run, unitary_of
@@ -168,23 +168,6 @@ class TestRemapAndNegationLowering:
         c = Circuit(2, (Role.INPUT,) * 2, (layer(cnot(0, 1)),))
         with pytest.raises(CircuitError, match="qubit must be an integer"):
             remap_qubits(c, (0.5, 1.9), 2, (Role.INPUT,) * 2)
-
-    def test_lowering_preserves_unitary_and_strips_negations(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            width = int(rng.integers(2, 5))
-            c = random_circuit(rng, width, 4)
-            lowered = lower_negations(c)
-            assert all(not g.negated for g in lowered.gates())
-            assert np.abs(unitary_of(lowered) - unitary_of(c)).max() <= 1e-10
-
-    def test_lowering_splits_mixed_polarity_layer(self):
-        # one gate negates qubit 0 while the other reads it positively
-        mixed = Circuit(3, (Role.INPUT,) * 3,
-                        (layer(cnot(0, 1, negated=(0,)), cnot(0, 2)),), WF)
-        lowered = lower_negations(mixed)
-        assert all(not g.negated for g in lowered.gates())
-        assert np.abs(unitary_of(lowered) - unitary_of(mixed)).max() <= 1e-12
 
 
 class TestSerialization:

@@ -101,7 +101,19 @@ class TestSimulatorAgreement:
                          negated=(1, 4)),
             pauli_x(5),
         ]
-        for g in gates + [random_gate(rng, 6) for _ in range(30)]:
+        # every layout the dense-block kernel tells apart: staged (targets
+        # out of order, apart, or over a control) or in place (targets in
+        # order up to qubit 5 or above, no control below), each controlled
+        # or on the whole state
+        u2, u4, u8 = (random_unitary(np.random.default_rng(29), d) for d in (2, 4, 8))
+        blocks = [
+            controlled_u((), u8, (3, 1, 2)), controlled_u((), u4, (0, 4)),
+            controlled_u((0, 3, 5), u4, (2, 4), negated=(3,)),
+            single_qubit(u2, 0), controlled_u((0,), u2, (5,), negated=(0,)),
+            controlled_u((), u8, (0, 1, 2)), controlled_u((), u8, (3, 4, 5)),
+            hadamard(5),
+        ]
+        for g in gates + [random_gate(rng, 6) for _ in range(30)] + blocks:
             width = max(g.support) + 1 if g.support else 1
             width = max(width, int(rng.integers(width, 7)))
             u = oracle_unitary(g, width)

@@ -5,8 +5,8 @@ import pytest
 
 from qdepth.ir import (
     Circuit, CircuitError, Discipline, Gate, GateKind, Layer, Role, cnot,
-    compose, fanout, hadamard, inverse, modq_gate, pauli_x, symmetric_phase,
-    toffoli,
+    compose, controlled_u, fanout, hadamard, inverse, modq_gate, pauli_x,
+    single_qubit, symmetric_phase, toffoli,
 )
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
@@ -16,7 +16,20 @@ from qdepth.sim import (
 )
 from qdepth.synth import cat_fanout, cat_log_depth
 
-from common import MOD2_3INPUT_MATRIX, random_circuit
+from common import MOD2_3INPUT_MATRIX, random_circuit, random_unitary
+
+U2, U4, U8 = (random_unitary(np.random.default_rng(31), d) for d in (2, 4, 8))
+
+
+def _in_wide_register(place):
+    """apply_gate of place(2) on 12 qubits, and what place(0) does by its
+    own oracle on every setting of the qubits below and above it."""
+    gate, local = place(2), place(0)
+    k = max(local.support) + 1
+    state = random_state(12, np.random.default_rng(8))
+    want = np.einsum("ij,ajb->aib", oracle_unitary(local, k),
+                     state.reshape(-1, 1 << k, 4)).ravel()
+    return apply_gate(state, gate), want
 
 
 class TestApplyGate:
@@ -79,14 +92,28 @@ class TestApplyGate:
         lambda o: toffoli((o, o + 1), o + 8),
     ])
     def test_permutation_inside_wide_register_matches_oracle(self, place):
-        # the gate on qubits 2.. of 12 must act as its own oracle does on
-        # every setting of the qubits below and above it
-        gate, local = place(2), place(0)
-        k = max(local.support) + 1
-        state = random_state(12, np.random.default_rng(8))
-        want = np.einsum("ij,ajb->aib", oracle_unitary(local, k),
-                         state.reshape(-1, 1 << k, 4)).ravel()
-        assert np.array_equal(apply_gate(state, gate), want)
+        got, want = _in_wide_register(place)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("place", [
+        # staged: targets out of order, apart, or over a control
+        lambda o: controlled_u((), U8, (o + 3, o + 1, o + 2)),
+        lambda o: controlled_u((), U4, (o, o + 5)),
+        lambda o: controlled_u((o, o + 3, o + 7), U4, (o + 2, o + 5),
+                               negated=(o + 3,)),
+        lambda o: controlled_u((o + 9,), U2, (o,)),
+        lambda o: controlled_u((), U8, (o, o + 1, o + 2)),
+        # in place at o=2: targets in order up to qubit 5 or above, no
+        # control below them
+        lambda o: controlled_u((), U8, (o + 4, o + 5, o + 6)),
+        lambda o: controlled_u((o + 9,), U8, (o + 4, o + 5, o + 6),
+                               negated=(o + 9,)),
+        lambda o: single_qubit(U2, o + 9),
+        lambda o: hadamard(o + 6),
+    ])
+    def test_dense_block_inside_wide_register_matches_oracle(self, place):
+        got, want = _in_wide_register(place)
+        assert np.abs(got - want).max() <= 1e-14
 
     def test_out_of_range_qubit(self):
         with pytest.raises(CircuitError):
@@ -131,6 +158,9 @@ class TestRun:
         pauli_x(7), cnot(3, 12), toffoli((0, 9, 15), 4, negated=(9,)),
         modq_gate(3, (0, 2, 4, 6, 8, 10, 12, 14), 5, negated=(8,)),
         fanout(1, (0, 2, 3, 6, 9, 11, 13, 15)),
+        hadamard(8), single_qubit(U2, 3), controlled_u((), U8, (7, 8, 9)),
+        controlled_u((0,), U8, (7, 8, 9)), controlled_u((12,), U8, (7, 8, 9)),
+        controlled_u((), U4, (2, 13)),
     ])
     def test_permutation_gates_allocate_little(self, gate):
         w = 16

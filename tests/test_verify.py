@@ -43,6 +43,18 @@ class TestVerifyConstruction:
             broken, modq_gate(2, (0, 1, 2), 3), (0, 1, 2, 3), broken.ancillae)
         assert err >= 0.5
 
+    def test_nan_error_fails(self):
+        # a NaN on one input only: max(0.0, nan) would keep 0.0 and pass
+        b = build_construction("fanout", n=2)
+        u = oracle_unitary(b.oracle, len(b.data_qubits))
+        image = lambda x: [(y, math.nan if x == 5 else u[y, x])
+                           for y in range(u.shape[0]) if u[y, x]]
+        err, leak, checked = verify_construction(
+            b.circuit, image, b.data_qubits, b.ancillae, superpositions=2)
+        assert math.isnan(err) and leak == 0.0 and checked == 10
+        report = verify_built(dataclasses.replace(b, oracle=image))
+        assert math.isnan(report.max_error) and not report.passed
+
     def test_cap_exceeded_raises(self):
         b = build_construction("modq-const", n=20, q=3)
         with pytest.raises(SimulationCapExceeded):
