@@ -1,7 +1,7 @@
 """
 Two ways to copy one qubit across a register.
 
-A controlled-not copies a qubit onto a zeroed ancilla in the computational
+A controlled-not copies a qubit onto a zeroed wire in the computational
 basis. Doubling the copies each round (1, 2, 4, ...) spreads one qubit
 over n wires in ceil(log2 n) layers; a single fanout gate does the same in
 one layer. Starting from (|0> + |1>)/sqrt(2), either route produces the
@@ -27,7 +27,7 @@ print(dump_state(out_log))
 print("\nsame state from the fanout route:", np.allclose(out_log, out_fan))
 
 # The two circuits are NOT the same operator; they only agree on inputs
-# whose ancillae start at |0>. Feed ancilla 1 with a |1> to see them split.
+# whose copy wires start at |0>. Feed copy wire 1 a |1> to see them split.
 probe = np.zeros(1 << n, dtype=complex)
 probe[0b11] = 1.0
 print("\non |...011> the routes differ:",

@@ -6,7 +6,7 @@ scaling, and run the matrix identity checks.
 Input bitstrings are qubit-0-first ("110" sets qubit 0 and qubit 1); the
 state dump prints basis indices in binary with qubit 0 rightmost. Exit
 codes: 0 success/pass, 1 verification failure, 2 usage error, 3 register
-too wide for the simulation cap (QDEPTH_SIM_CAP, default 22).
+too wide for the simulation cap (QDEPTH_SIM_CAP, default 22) or a gate oracle.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from .verify import (
     U_NAMES,
     Built,
     SimulationCapExceeded,
+    VerificationReport,
     build_construction,
     depth_scaling_table,
     identity_checks,
@@ -84,28 +85,28 @@ def cmd_synth(args) -> int:
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(circuit_to_json(built.circuit, indent=2))
         f.write("\n")
-    c = built.circuit
-    summary = {"construction": built.name, "n": built.n, "q": built.q,
-               "discipline": c.discipline.value, "depth": c.depth,
-               "width": c.width, "ancillae": built.copy_ancillae,
-               "work": built.work_qubits, "out": args.out}
+    r = VerificationReport.of(built)
+    summary = {"construction": r.construction, "n": r.n, "q": r.q,
+               "discipline": r.discipline, "depth": r.depth,
+               "width": r.width, "ancillae": r.copy_ancillae,
+               "work": r.work_qubits, "out": args.out}
     if args.json:
         print(json.dumps(summary))
     else:
-        q_part = f" q={built.q}" if built.q is not None else ""
-        print(f"construction={built.name} n={built.n}{q_part} "
-              f"depth={c.depth} width={c.width} "
-              f"ancillae={built.copy_ancillae} work={built.work_qubits}")
+        q_part = f" q={r.q}" if r.q is not None else ""
+        print(f"construction={r.construction} n={r.n}{q_part} "
+              f"depth={r.depth} width={r.width} "
+              f"ancillae={r.copy_ancillae} work={r.work_qubits}")
     return EXIT_PASS
 
 
 def cmd_sim(args) -> int:
     with open(args.circuit, encoding="utf-8") as f:
         circuit = circuit_from_json(f.read())
-    if circuit.width > sim_cap():
-        print(f"error: {circuit.width} qubits exceeds simulation cap {sim_cap()}",
-              file=sys.stderr)
-        return EXIT_CAP
+    cap = sim_cap()
+    if circuit.width > cap:
+        raise SimulationCapExceeded(
+            f"{circuit.width} qubits exceeds simulation cap {cap}")
     state = _parse_input(args.input, circuit.width)
     out = run(circuit, state)
     print(dump_state(out))
@@ -113,18 +114,11 @@ def cmd_sim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    built = _build_from_args(args)
-    try:
-        report = verify_built(
-            built, structural_only=args.structural_only,
-            tol_err=args.tolerance, superpositions=args.superpositions)
-    except SimulationCapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
+    report = verify_built(
+        _build_from_args(args), structural_only=args.structural_only,
+        tol_err=args.tolerance, superpositions=args.superpositions)
     print(report.to_json() if args.json else report.to_text())
-    if args.structural_only:
-        return EXIT_PASS
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return EXIT_PASS if args.structural_only or report.passed else EXIT_FAIL
 
 
 def cmd_scale(args) -> int:
@@ -204,6 +198,9 @@ def main(argv=None) -> int:
     except (CircuitError, cc.ClassicalCircuitError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except SimulationCapExceeded as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CAP
 
 
 def entry() -> None:

@@ -49,6 +49,7 @@ class GateKind(Enum):
 class Role(Enum):
     INPUT = "input"
     TARGET = "target"
+    COPY = "copy"            # holds a cat-style copy; must start and end in |0>
     ANCILLA = "ancilla"      # must start and end in |0>
 
 
@@ -56,6 +57,8 @@ class Discipline(Enum):
     STRICT = "strict"        # gates in a layer act on pairwise disjoint qubits
     WITH_FANOUT = "wf"       # gates may share controls, never targets
 
+
+_ZEROED_ROLES = frozenset({Role.COPY, Role.ANCILLA})  # start and end in |0>
 
 _SELF_INVERSE = frozenset({
     GateKind.HADAMARD, GateKind.PAULI_X, GateKind.CNOT,
@@ -342,7 +345,7 @@ class Circuit:
 
     @property
     def ancillae(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.roles) if r is Role.ANCILLA)
+        return tuple(i for i, r in enumerate(self.roles) if r in _ZEROED_ROLES)
 
     @property
     def ancilla_count(self) -> int:
@@ -350,7 +353,7 @@ class Circuit:
 
     @property
     def data_qubits(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.roles) if r is not Role.ANCILLA)
+        return tuple(i for i, r in enumerate(self.roles) if r not in _ZEROED_ROLES)
 
     def gates(self):
         for layer in self.layers:

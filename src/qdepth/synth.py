@@ -56,7 +56,7 @@ def cat_log_depth(n: int) -> Circuit:
     """
     if n < 1:
         raise CircuitError("cat circuit needs n >= 1 qubits")
-    roles = (Role.INPUT,) + (Role.ANCILLA,) * (n - 1)
+    roles = (Role.INPUT,) + (Role.TARGET,) * (n - 1)
     layers = []
     written = 1
     while written < n:
@@ -70,7 +70,7 @@ def cat_fanout(n: int) -> Circuit:
     """Same map as cat_log_depth in one layer, using the fanout primitive."""
     if n < 1:
         raise CircuitError("cat circuit needs n >= 1 qubits")
-    roles = (Role.INPUT,) + (Role.ANCILLA,) * (n - 1)
+    roles = (Role.INPUT,) + (Role.TARGET,) * (n - 1)
     layers = () if n == 1 else (Layer((fanout(0, tuple(range(1, n))),)),)
     return Circuit(n, roles, layers, Discipline.WITH_FANOUT)
 
@@ -137,8 +137,8 @@ def parity_via_catstate(n: int, builder: str | Callable[[int], Circuit] = "fanou
     copy ancilla returns to |0>.
 
     `builder` produces the n-qubit copy circuit (source on qubit 0); any
-    circuit that maps a one-qubit state plus zeroed ancillae onto the
-    corresponding cat state will do.
+    circuit that maps a one-qubit state plus n-1 zeroed qubits onto the
+    corresponding cat state will do. Here those qubits are COPY ancillae.
     """
     if n < 1:
         raise CircuitError("parity needs n >= 1 inputs")
@@ -150,7 +150,7 @@ def parity_via_catstate(n: int, builder: str | Callable[[int], Circuit] = "fanou
     target = n
     block = (target,) + tuple(range(n + 1, 2 * n))  # target plus n-1 copies
     width = 2 * n
-    roles = (Role.INPUT,) * n + (Role.TARGET,) + (Role.ANCILLA,) * (n - 1)
+    roles = (Role.INPUT,) * n + (Role.TARGET,) + (Role.COPY,) * (n - 1)
     uses_fanout = any(g.kind is GateKind.FANOUT for g in cat.gates())
     disc = Discipline.WITH_FANOUT if uses_fanout else Discipline.STRICT
     copy = remap_qubits(cat, block, width, roles, discipline=disc)
@@ -222,6 +222,9 @@ def modq_plan(q: int) -> ModCountingPlan:
     if q < 2:
         raise CircuitError("modulus must be >= 2")
     k = (q - 1).bit_length()  # ceil(log2 q) without float round-off
+    if k > MAX_BLOCK_QUBITS:
+        raise CircuitError(
+            f"modulus {q} needs a {k}-qubit block, cap is {MAX_BLOCK_QUBITS}")
     dim = 1 << k
     step = np.zeros((dim, dim), dtype=complex)
     for x in range(q):
@@ -241,9 +244,6 @@ def modq_plan(q: int) -> ModCountingPlan:
 
 def _modq_register(n: int, q: int):
     plan = modq_plan(q)
-    if plan.k > MAX_BLOCK_QUBITS:
-        raise CircuitError(
-            f"modulus {q} needs a {plan.k}-qubit block, cap is {MAX_BLOCK_QUBITS}")
     if n < 1:
         raise CircuitError("counting gate needs n >= 1 inputs")
     target = n
@@ -295,14 +295,14 @@ def modq_constant_depth(n: int, q: int,
                         discipline: Discipline = Discipline.WITH_FANOUT) -> Circuit:
     """Mod-q gate whose layer count depends only on q, never on n.
 
-    Layout: inputs 0..n-1, target n, a k-qubit counter register, and n
-    k-qubit copy blocks (n*k copy ancillae in all). The controlled counter
-    steps of the sequential form all commute once diagonalized, so after a
-    basis change on the counter the circuit fans the counter out onto the
-    copy blocks, applies every input's controlled diagonal simultaneously
-    in one layer, unfans, and changes basis back. An OR then detects a
-    nonzero count onto the target and the whole compute phase is reversed
-    to restore all n*k + k ancillae.
+    Layout: inputs 0..n-1, target n, a k-qubit ANCILLA counter register,
+    and n k-qubit COPY blocks (n*k copy ancillae in all). The controlled
+    counter steps of the sequential form all commute once diagonalized, so
+    after a basis change on the counter the circuit fans the counter out
+    onto the copy blocks, applies every input's controlled diagonal
+    simultaneously in one layer, unfans, and changes basis back. An OR then
+    detects a nonzero count onto the target and the whole compute phase is
+    reversed to restore all n*k + k ancillae.
 
     Under Discipline.WITH_FANOUT each copy phase is one layer of k fanout
     gates; under Discipline.STRICT it becomes 1 + ceil(log2 n) layers of
@@ -314,7 +314,7 @@ def modq_constant_depth(n: int, q: int,
     base = n + 1 + k
     copies = [tuple(base + i * k + j for j in range(k)) for i in range(n)]
     width = base + n * k
-    roles = roles + (Role.ANCILLA,) * (n * k)
+    roles = roles + (Role.COPY,) * (n * k)
 
     if discipline is Discipline.WITH_FANOUT:
         copy_layers = [Layer(tuple(

@@ -2,17 +2,19 @@
 Oracle-based equivalence checking, named-construction registry, and
 depth/width/ancilla scaling reports.
 
-verify_construction is the one drive loop. Each admissible basis input of
-the data register (ancillae at |0>) runs through the simulator; all 2^width
-output amplitudes are compared with the oracle's image (Gate columns from
-qdepth.oracle, or an image function) and sim.check_ancilla_purity tallies
-leakage. Amplitudes, not bit patterns: the counting circuits are correct
-only because internal phases cancel. Cat is decided exactly by the inputs 0
-and 1, by linearity; rev-embed drives only y in {0, 1...1} above
-EMBED_FULL_LIMIT data qubits and reports coverage < 1. Superposition spot
-checks use a fixed seed: a random superposition of the checked basis
-inputs is expected to map to the sum of their images, weighted by its
-amplitudes (the (y, x, amplitude) entries of the basis pass).
+verify_construction is the one drive loop; the circuit's roles give its
+data register (INPUT, TARGET) and its ancillae (COPY, ANCILLA), which start
+and must end in |0>. Each admissible basis input of the data register runs
+through the simulator; all 2^width output amplitudes are compared with the
+oracle's image (Gate columns from qdepth.oracle, at most
+sim.UNITARY_WIDTH_CAP data qubits, or an image function) and
+sim.check_ancilla_purity tallies leakage. Amplitudes, not bit patterns: the
+counting circuits are correct only because internal phases cancel. Cat is
+decided exactly by the inputs 0 and 1, by linearity; rev-embed drives only
+y in {0, 1...1} above EMBED_FULL_LIMIT data qubits and reports coverage
+< 1. Superposition spot checks use a fixed seed: a random superposition of
+the checked basis inputs is expected to map to the sum of their images,
+weighted by its amplitudes (the (y, x, amplitude) entries of the basis pass).
 """
 from __future__ import annotations
 
@@ -35,8 +37,8 @@ from .ir import (
 )
 from .oracle import oracle_unitary
 from .sim import (
-    PURITY_TOL, check_ancilla_purity, embed_index, make_workspace, run,
-    unitary_of,
+    PURITY_TOL, UNITARY_WIDTH_CAP, check_ancilla_purity, embed_index,
+    make_workspace, run, unitary_of,
 )
 
 SIM_CAP_ENV = "QDEPTH_SIM_CAP"
@@ -100,6 +102,15 @@ class VerificationReport:
     error_tol: float = DEFAULT_ERROR_TOL
     leakage_tol: float = PURITY_TOL
 
+    @classmethod
+    def of(cls, built: Built, **fields) -> VerificationReport:
+        """A report on `built` with its resource fields filled in; the copy
+        and work counts are its circuit's COPY and ANCILLA roles."""
+        c = built.circuit
+        return cls(built.name, built.n, built.q, c.discipline.value, c.depth,
+                   c.width, c.roles.count(Role.COPY),
+                   c.roles.count(Role.ANCILLA), **fields)
+
     def to_dict(self) -> dict:
         return {"pass" if k == "passed" else k: v
                 for k, v in dataclasses.asdict(self).items()}
@@ -122,22 +133,20 @@ class VerificationReport:
                        f" inputs={self.inputs_checked}{partial} {verdict}")
 
 
-def verify_construction(circuit: Circuit, oracle: Gate | Image, data_qubits,
-                        ancillae, *, inputs: Sequence[range] | None = None,
+def verify_construction(circuit: Circuit, oracle: Gate | Image, *,
+                        inputs: Sequence[range] | None = None,
                         superpositions: int = 0, seed: int = 0,
                         cap: int | None = None) -> tuple[float, float, int]:
     """Compare the circuit with an oracle (a Gate or an Image function) on
-    the data register: each basis index in the `inputs` ranges (default all
+    its data register: each basis index in the `inputs` ranges (default all
     2^d) runs with the ancillae at |0>, and the error is the max |amplitude|
     of (output - expected image) over the whole register; random
     superpositions of those inputs use its l2 norm. Returns (max_error,
     max_leakage, inputs_checked). The folds use np.maximum, which keeps a
     NaN (max() drops one that comes second), so a NaN fails every tolerance.
     """
-    data_qubits = tuple(data_qubits)
-    ancillae = tuple(ancillae)
-    if len(data_qubits) + len(ancillae) != circuit.width:
-        raise CircuitError("data and ancilla registers must partition the circuit")
+    data_qubits, ancillae = circuit.data_qubits, circuit.ancillae
+    d = len(data_qubits)
     if superpositions < 0:
         raise ValueError(f"superpositions must be >= 0, got {superpositions}")
     cap = sim_cap() if cap is None else cap
@@ -145,8 +154,11 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image, data_qubits,
         raise SimulationCapExceeded(
             f"{circuit.width}-qubit register exceeds the {cap}-qubit "
             f"simulation cap; rerun structural-only")
+    if isinstance(oracle, Gate) and d > UNITARY_WIDTH_CAP:
+        raise SimulationCapExceeded(
+            f"{d}-qubit data register exceeds the {UNITARY_WIDTH_CAP}-qubit "
+            f"dense oracle cap; rerun structural-only")
 
-    d = len(data_qubits)
     inputs = (range(1 << d),) if inputs is None else inputs
     image = oracle
     if isinstance(oracle, Gate):
@@ -228,10 +240,6 @@ class Built:
     q: int | None
     circuit: Circuit
     oracle: Gate | Image
-    data_qubits: tuple[int, ...]
-    ancillae: tuple[int, ...]
-    copy_ancillae: int
-    work_qubits: int
     inputs: tuple[range, ...] | None = None
     admissible: int | None = None
 
@@ -254,15 +262,13 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
                        classical: cc.ClassicalCircuit | None = None) -> Built:
     """Instantiate a construction by name; see CONSTRUCTIONS for the list.
 
-    Data and ancilla registers come from the circuit's qubit roles, except
-    for cat, whose copies are outputs checked on the data register.
+    Its registers and resource counts come from the circuit's qubit roles.
     """
     if name not in CONSTRUCTIONS:
         raise CircuitError(f"unknown construction {name!r}")
 
-    def built(circ, oracle, q=None, copies=0, work=0, **extra) -> Built:
-        return Built(name, n, q, circ, oracle, circ.data_qubits, circ.ancillae,
-                     copies, work, **extra)
+    def built(circ, oracle, q=None, **extra) -> Built:
+        return Built(name, n, q, circ, oracle, **extra)
 
     if name == "rev-embed":
         if classical is None:
@@ -272,16 +278,15 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
         top = ((1 << m) - 1) << n  # y = 1...1
         inputs = None if n + m <= EMBED_FULL_LIMIT else (
             range(1 << n), range(top, top + (1 << n)))
-        return built(circ, _embedding_image(classical), work=circ.ancilla_count,
-                     inputs=inputs, admissible=1 << (n + m))
+        return built(circ, _embedding_image(classical), inputs=inputs,
+                     admissible=1 << (n + m))
     if n is None or n < 1:
         raise CircuitError(f"{name} requires n >= 1")
 
     if name == "cat":
         # |0...0> stays, |1 0...0> (index 1) becomes |1...1>
-        return Built(name, n, None, synth.CAT_BUILDERS[builder](n),
-                     lambda x: ((x * ((1 << n) - 1), 1.0),), tuple(range(n)),
-                     (), n - 1, 0, inputs=(range(2),))
+        return built(synth.CAT_BUILDERS[builder](n),
+                     lambda x: ((x * ((1 << n) - 1), 1.0),), inputs=(range(2),))
     if name == "fanout":
         return built(synth.fanout_gate(n), fanout(0, tuple(range(1, n + 1))))
 
@@ -289,45 +294,37 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
     if name == "parity-fanout":
         return built(synth.parity_from_fanout(n), parity_oracle, q=2)
     if name == "parity-cat":
-        return built(synth.parity_via_catstate(n, builder), parity_oracle, q=2,
-                     copies=n - 1)
+        return built(synth.parity_via_catstate(n, builder), parity_oracle, q=2)
     if name == "ctrl-u":
         mat = _u_matrix(u, theta)
         return built(synth.controlled_u_constant_depth(tuple(range(n)), mat, n),
-                     controlled_u(tuple(range(n)), mat, (n,)), work=1)
+                     controlled_u(tuple(range(n)), mat, (n,)))
 
     if q is None or q < 2:
         raise CircuitError(f"{name} requires q >= 2")
     modq_oracle = modq_gate(q, tuple(range(n)), n)
-    k = (q - 1).bit_length()
     if name == "modq-seq":
-        return built(synth.modq_sequential(n, q), modq_oracle, q=q, work=k)
-    return built(synth.modq_constant_depth(n, q, discipline), modq_oracle, q=q,
-                 copies=n * k, work=k)
+        return built(synth.modq_sequential(n, q), modq_oracle, q=q)
+    return built(synth.modq_constant_depth(n, q, discipline), modq_oracle, q=q)
 
 
 def verify_built(built: Built, *, structural_only: bool = False,
                  tol_err: float | None = None, superpositions: int = 0,
                  seed: int = 0, cap: int | None = None) -> VerificationReport:
     """Check a built construction with verify_construction and fill the report."""
-    tol_err = error_tol(tol_err)
-    report = VerificationReport(
-        construction=built.name, n=built.n, q=built.q,
-        discipline=built.circuit.discipline.value, depth=built.circuit.depth,
-        width=built.circuit.width, copy_ancillae=built.copy_ancillae,
-        work_qubits=built.work_qubits, structural_only=structural_only,
-        error_tol=tol_err)
+    report = VerificationReport.of(built, structural_only=structural_only,
+                                   error_tol=error_tol(tol_err))
     if structural_only:
         return report
     err, leak, checked = verify_construction(
-        built.circuit, built.oracle, built.data_qubits, built.ancillae,
-        inputs=built.inputs, superpositions=superpositions, seed=seed, cap=cap)
+        built.circuit, built.oracle, inputs=built.inputs,
+        superpositions=superpositions, seed=seed, cap=cap)
     report.max_error = err
     report.max_leakage = leak
     report.inputs_checked = checked
     driven = checked - superpositions
     report.coverage = driven / (built.admissible or driven)
-    report.passed = err <= tol_err and leak <= PURITY_TOL
+    report.passed = err <= report.error_tol and leak <= PURITY_TOL
     return report
 
 

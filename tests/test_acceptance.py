@@ -19,7 +19,9 @@ from qdepth.synth import (
     modq_constant_depth, modq_plan, modq_sequential, parity_from_fanout,
     parity_via_catstate, reversible_embed,
 )
-from qdepth.verify import build_construction, verify_built, verify_construction
+from qdepth.verify import (
+    VerificationReport, build_construction, verify_built, verify_construction,
+)
 
 from common import MOD2_3INPUT_MATRIX, random_circuit, random_gate
 
@@ -72,16 +74,14 @@ def test_criterion_3_parity_fanout_equivalences():
         for builder in ("fanout", "log-cat"):
             c = parity_via_catstate(n, builder)
             assert c.ancilla_count == n - 1
-            err, leak, _ = verify_construction(
-                c, parity_oracle, tuple(range(n + 1)), c.ancillae)
+            assert c.data_qubits == tuple(range(n + 1))
+            err, leak, _ = verify_construction(c, parity_oracle)
             assert err <= 1e-9 and leak <= 1e-10, (n, builder, err, leak)
-        err, leak, _ = verify_construction(
-            parity_from_fanout(n), parity_oracle, tuple(range(n + 1)), ())
+        err, leak, _ = verify_construction(parity_from_fanout(n), parity_oracle)
         assert err <= 1e-9 and leak <= 1e-10
         from qdepth.ir import fanout
         err, leak, _ = verify_construction(
-            fanout_from_parity(n), fanout(0, tuple(range(1, n + 1))),
-            tuple(range(n + 1)), ())
+            fanout_from_parity(n), fanout(0, tuple(range(1, n + 1))))
         assert err <= 1e-9 and leak <= 1e-10
     _announce(3, "cat->parity and parity<->fanout agree with the gate "
                  "semantics for n = 2..6 with exactly n-1 extra ancillae")
@@ -112,7 +112,8 @@ def test_criterion_5_modq_resource_claims():
         depths = set()
         for n in range(2, 17):
             built = build_construction("modq-const", n=n, q=q)
-            assert built.copy_ancillae == n * k == n * math.ceil(math.log2(q))
+            report = VerificationReport.of(built)
+            assert report.copy_ancillae == n * k == n * math.ceil(math.log2(q))
             assert built.circuit.ancilla_count == n * k + k
             depths.add(built.circuit.depth)
         assert len(depths) == 1, (q, depths)

@@ -110,6 +110,15 @@ class TestSim:
         code, text, err = run_cli(capsys, "sim", str(out), "--input", "plus@-1")
         assert (code, text, err) == (2, "", "error: qubit -1 outside width 3\n")
 
+    def test_over_the_cap_exits_three(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "c.json"
+        run_cli(capsys, "synth", "--construction", "fanout", "--n", "4",
+                "--out", str(out))
+        monkeypatch.setenv("QDEPTH_SIM_CAP", "4")
+        code, text, err = run_cli(capsys, "sim", str(out), "--input", "00000")
+        assert (code, text, err) == (
+            3, "", "error: 5 qubits exceeds simulation cap 4\n")
+
     def test_unparseable_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -254,15 +263,24 @@ class TestBadClassicalJson:
         assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def _limit_memory():
+    import resource  # POSIX only, like preexec_fn
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_cli_limited(cwd, *argv):
+    """Run the CLI in a subprocess under a 1 GiB address-space limit."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "qdepth.cli", *argv], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
+
+
 class TestWideRevEmbed:
     """A 30-input rev-embed is far over the simulation cap. Commands that
     do no amplitude work must not list its 2^31 admissible inputs, so each
     runs under a 1 GiB address-space limit."""
-
-    @staticmethod
-    def _limit_memory():
-        import resource  # POSIX only, like preexec_fn
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     @pytest.mark.parametrize("argv, exit_code", [
         (("synth", "--out", "c.json"), 0),
@@ -272,15 +290,34 @@ class TestWideRevEmbed:
     def test_returns_promptly(self, tmp_path, argv, exit_code):
         c = ClassicalCircuit(30, ((ClassicalGate("and", (0, 1)),),))
         (tmp_path / "classical.json").write_text(to_json(c))
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "qdepth.cli", *argv,
-             "--construction", "rev-embed", "--classical", "classical.json"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-            preexec_fn=self._limit_memory)
+        proc = run_cli_limited(tmp_path, *argv, "--construction", "rev-embed",
+                               "--classical", "classical.json")
         assert proc.returncode == exit_code, proc.stderr
         assert "width=32" in proc.stdout or "32-qubit" in proc.stderr
+
+
+class TestNoHugeAllocation:
+    """Requests that would need a matrix far beyond memory end in one
+    error line before anything is allocated; each runs under the same
+    1 GiB limit, so an attempted allocation shows up as a traceback."""
+
+    @pytest.mark.parametrize("argv, exit_code, message", [
+        # a 15-qubit data register under the 22-qubit simulation cap: its
+        # dense gate oracle would be a 16 GiB matrix
+        (("verify", "--construction", "fanout", "--n", "14"), 3,
+         "15-qubit data register exceeds the 12-qubit dense oracle cap; "
+         "rerun structural-only"),
+        (("verify", "--construction", "modq-const", "--n", "2",
+          "--q", "1048576"), 2,
+         "modulus 1048576 needs a 20-qubit block, cap is 4"),
+        (("scale", "--construction", "modq-seq", "--q", "1048576",
+          "--n-min", "1", "--n-max", "2"), 2,
+         "modulus 1048576 needs a 20-qubit block, cap is 4"),
+    ], ids=["fanout-oracle", "modq-const-modulus", "modq-seq-scale-modulus"])
+    def test_one_error_line(self, tmp_path, argv, exit_code, message):
+        proc = run_cli_limited(tmp_path, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            exit_code, "", f"error: {message}\n")
 
 
 class TestScaleAndIdentities:

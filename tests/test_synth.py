@@ -9,11 +9,11 @@ from qdepth.ir import (
 )
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
-    basis_state, check_ancilla_purity, data_block_unitary, relabel_qubits,
-    run, unitary_of, zero_state,
+    basis_state, check_ancilla_purity, data_block_unitary, plus_at,
+    relabel_qubits, run, unitary_of, zero_state,
 )
 from qdepth.synth import (
-    cat_fanout, cat_log_depth, controlled_u_constant_depth,
+    CAT_BUILDERS, cat_fanout, cat_log_depth, controlled_u_constant_depth,
     fanout_from_parity, fanout_gate, modq_constant_depth, modq_plan,
     modq_sequential, parity_from_fanout, parity_via_catstate,
 )
@@ -69,6 +69,14 @@ class TestCatCircuits:
                 expected[0], expected[-1] = a, b
                 assert np.linalg.norm(out - expected) <= 1e-10
 
+    def test_declared_ancillae_end_clean(self):
+        # the copies end in |1...1>, so they are targets, not ancillae
+        for build in CAT_BUILDERS.values():
+            for n in range(1, 7):
+                c = build(n)
+                leak = check_ancilla_purity(run(c, plus_at(n, 0)), c.ancillae)
+                assert leak.leakage == 0.0, (build.__name__, n)
+
     def test_rejects_zero(self):
         with pytest.raises(CircuitError):
             cat_log_depth(0)
@@ -119,8 +127,7 @@ class TestParityConjugations:
     def test_parity_from_fanout_matches_oracle(self):
         for n in (2, 4, 5):
             err, leak, _ = verify_construction(
-                parity_from_fanout(n), modq_gate(2, tuple(range(n)), n),
-                tuple(range(n + 1)), ())
+                parity_from_fanout(n), modq_gate(2, tuple(range(n)), n))
             assert err <= 1e-12 and leak == 0.0
 
 
@@ -145,9 +152,9 @@ class TestParityViaCatState:
 
     def test_five_inputs_log_builder_matches_oracle_with_pure_ancillae(self):
         c = parity_via_catstate(5, "log-cat")
+        assert c.data_qubits == (0, 1, 2, 3, 4, 5)
         err, leak, checked = verify_construction(
-            c, modq_gate(2, (0, 1, 2, 3, 4), 5), (0, 1, 2, 3, 4, 5),
-            c.ancillae)
+            c, modq_gate(2, (0, 1, 2, 3, 4), 5))
         assert err <= 1e-12 and leak == 0.0 and checked == 64
 
     def test_custom_builder_width_checked(self):
@@ -280,9 +287,9 @@ class TestModConstantDepth:
     def test_superposition_inputs_match_oracle(self):
         for n, q in ((3, 3), (2, 5), (4, 2)):
             c = modq_constant_depth(n, q)
+            assert c.data_qubits == tuple(range(n + 1))
             err, leak, _ = verify_construction(
-                c, modq_gate(q, tuple(range(n)), n), tuple(range(n + 1)),
-                c.ancillae, superpositions=6, seed=42)
+                c, modq_gate(q, tuple(range(n)), n), superpositions=6, seed=42)
             assert err <= 1e-9 and leak <= 1e-10
 
     def test_strict_discipline_costs_log_n_per_copy_phase(self):
@@ -300,9 +307,9 @@ class TestModConstantDepth:
     def test_strict_variant_matches_oracle(self):
         for n, q in ((1, 3), (3, 3), (3, 5), (4, 2)):
             c = modq_constant_depth(n, q, Discipline.STRICT)
+            assert c.data_qubits == tuple(range(n + 1))
             err, leak, _ = verify_construction(
-                c, modq_gate(q, tuple(range(n)), n), tuple(range(n + 1)),
-                c.ancillae, superpositions=3)
+                c, modq_gate(q, tuple(range(n)), n), superpositions=3)
             assert err <= 1e-9 and leak <= 1e-10, (n, q)
 
 

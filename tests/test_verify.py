@@ -5,12 +5,12 @@ import math
 import pytest
 
 from qdepth.classical import ClassicalCircuit, ClassicalGate
-from qdepth.ir import Circuit, GateKind, Layer, modq_gate
+from qdepth.ir import Circuit, Discipline, GateKind, Layer, modq_gate
 from qdepth.oracle import oracle_unitary
 from qdepth.synth import parity_via_catstate
 from qdepth.verify import (
-    SimulationCapExceeded, build_construction, depth_scaling_table,
-    identity_checks, verify_built, verify_construction,
+    SimulationCapExceeded, VerificationReport, build_construction,
+    depth_scaling_table, identity_checks, verify_built, verify_construction,
 )
 
 
@@ -39,18 +39,18 @@ class TestVerifyConstruction:
             broken_layers.append(Layer(gates))
         assert dropped
         broken = Circuit(c.width, c.roles, tuple(broken_layers), c.discipline)
-        err, leak, _ = verify_construction(
-            broken, modq_gate(2, (0, 1, 2), 3), (0, 1, 2, 3), broken.ancillae)
+        assert broken.data_qubits == (0, 1, 2, 3)
+        err, leak, _ = verify_construction(broken, modq_gate(2, (0, 1, 2), 3))
         assert err >= 0.5
 
     def test_nan_error_fails(self):
         # a NaN on one input only: max(0.0, nan) would keep 0.0 and pass
         b = build_construction("fanout", n=2)
-        u = oracle_unitary(b.oracle, len(b.data_qubits))
+        u = oracle_unitary(b.oracle, len(b.circuit.data_qubits))
         image = lambda x: [(y, math.nan if x == 5 else u[y, x])
                            for y in range(u.shape[0]) if u[y, x]]
-        err, leak, checked = verify_construction(
-            b.circuit, image, b.data_qubits, b.ancillae, superpositions=2)
+        err, leak, checked = verify_construction(b.circuit, image,
+                                                 superpositions=2)
         assert math.isnan(err) and leak == 0.0 and checked == 10
         report = verify_built(dataclasses.replace(b, oracle=image))
         assert math.isnan(report.max_error) and not report.passed
@@ -106,6 +106,42 @@ def _rev_embed(n_inputs, layers):
                         for layer in layers)))
 
 
+def _register_table():
+    """(built, data register size, copy ancillae, work qubits) for every
+    construction. Cat's n-1 copies are outputs, so cat has no ancillae,
+    like fanout, which is the same gate."""
+    for n in range(1, 7):
+        yield build_construction("fanout", n=n), n + 1, 0, 0
+        yield build_construction("parity-fanout", n=n), n + 1, 0, 0
+        yield build_construction("ctrl-u", n=n), n + 1, 0, 1
+        for builder in ("fanout", "log-cat"):
+            yield build_construction("cat", n=n, builder=builder), n, 0, 0
+            yield (build_construction("parity-cat", n=n, builder=builder),
+                   n + 1, n - 1, 0)
+        for q in range(2, 6):
+            k = (q - 1).bit_length()
+            yield build_construction("modq-seq", n=n, q=q), n + 1, 0, k
+            for disc in Discipline:
+                yield (build_construction("modq-const", n=n, q=q,
+                                          discipline=disc), n + 1, n * k, k)
+    # 3 inputs, 2 outputs, two layers of width 2: 2 * 2 ancilla slots
+    yield (_rev_embed(3, [[("and", (0, 1)), ("or", (1, 2))],
+                          [("xor", (3, 4)), ("not", (0,))]]), 5, 0, 4)
+
+
+def test_registers_and_counts_come_from_roles():
+    cases = 0
+    for built, d, copies, work in _register_table():
+        c = built.circuit
+        assert c.data_qubits == tuple(range(d)), built.name
+        assert c.ancillae == tuple(range(d, c.width)), built.name
+        report = VerificationReport.of(built)
+        assert (report.copy_ancillae, report.work_qubits) == (copies, work), (
+            built.name, built.n, built.q)
+        cases += 1
+    assert cases == 6 * (3 + 2 * 2 + 4 * 3) + 1
+
+
 class TestSinglePath:
     def test_cat_is_exact_on_two_inputs(self):
         for builder in ("fanout", "log-cat"):
@@ -158,10 +194,9 @@ class TestSinglePath:
                       build_construction("ctrl-u", n=3, u="h")):
             c = built.circuit
             broken = Circuit(c.width, c.roles, c.layers[:-1], c.discipline)
-            u = oracle_unitary(built.oracle, len(built.data_qubits))
+            u = oracle_unitary(built.oracle, len(c.data_qubits))
             image = lambda x: [(y, u[y, x]) for y in range(u.shape[0]) if u[y, x]]
-            results = [verify_construction(circuit, oracle, built.data_qubits,
-                                           built.ancillae, superpositions=4,
+            results = [verify_construction(circuit, oracle, superpositions=4,
                                            seed=3)
                        for circuit in (broken, c) for oracle in (built.oracle, image)]
             assert results[0][0] > 0.1
