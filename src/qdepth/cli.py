@@ -6,7 +6,8 @@ scaling, and run the matrix identity checks.
 Input bitstrings are qubit-0-first ("110" sets qubit 0 and qubit 1); the
 state dump prints basis indices in binary with qubit 0 rightmost. Exit
 codes: 0 success/pass, 1 verification failure, 2 usage error, 3 register
-too wide for the simulation cap (QDEPTH_SIM_CAP, default 22) or a gate oracle.
+too wide for the simulation cap (QDEPTH_SIM_CAP, default 22) or for a
+block-matrix gate oracle (ctrl-u).
 """
 from __future__ import annotations
 

@@ -1,20 +1,29 @@
 """
-Dense state-vector simulation and ancilla-purity analysis.
+State-vector simulation on two engines, and ancilla-purity analysis.
 
-A state is a plain complex128 numpy array of length 2^m, unit norm, in
-little-endian basis order: qubit 0 is the least significant bit of the
-basis index. Gate application is out of place; the caller keeps the input
-state. A gate touches only the slab of the state, reshaped to [2]*m, where
-its controls fire, through one of three kernels: permutation (X, CNOT,
-Toffoli, fanout, MODQ), diagonal (PHASE, diagonal u/cu) or dense block (H,
-u, cu), which is one np.matmul of the slab, staged in scratch with the
-target axes last unless they already form a stack of block-sized matrices.
-A permutation gate on low qubits is one gather of the whole state
-instead. Beyond the workspace pair a gate allocates a few KiB of numpy
-bookkeeping, except that the gather builds an index of up to 1/32 of the
-state, MODQ its 2^inputs count and mask, and the diagonal kernel's
-strided in-place scale takes numpy iterator buffers of up to 256 KiB
-(0.13x the state for a one-control 3-qubit diagonal block at 16 qubits).
+The dense engine (run) holds a state as a plain complex128 numpy array of
+length 2^m, unit norm, in little-endian basis order: qubit 0 is the least
+significant bit of the basis index. Gate application is out of place; the
+caller keeps the input state. A gate touches only the slab of the state,
+reshaped to [2]*m, where its controls fire, through one of three kernels:
+permutation (X, CNOT, Toffoli, fanout, MODQ), diagonal (PHASE, diagonal
+u/cu) or dense block (H, u, cu), which is one np.matmul of the slab,
+staged in scratch with the target axes last unless they already form a
+stack of block-sized matrices. A permutation gate on low qubits is one
+gather of the whole state instead. Beyond the workspace pair a gate
+allocates a few KiB of numpy bookkeeping, except that the gather builds an
+index of up to 1/32 of the state, MODQ its 2^inputs count and mask, and
+the diagonal kernel's strided in-place scale takes numpy iterator buffers
+of up to 256 KiB (0.13x the state for a one-control 3-qubit diagonal block
+at 16 qubits).
+
+The sparse engine (run_basis) drives many basis inputs at once as rows of
+(input id, basis index, amplitude), with the same three gate classes: a
+permutation XORs the rows' indices, a diagonal block scales their
+amplitudes and a dense block expands each row it acts on into 2^k rows,
+then merges rows with equal (id, index). It prunes exact zeros only, and
+gives up as soon as it would hold more than 2^m rows, the amplitude count
+of one dense state.
 
 A state is owned by one execution context while being advanced; read-only
 states may be shared freely.
@@ -99,6 +108,12 @@ _FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
                          GateKind.FANOUT, GateKind.MODQ})
 
 
+def _diagonal(u: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a block matrix that has no other nonzero entry."""
+    d = np.diagonal(u)
+    return None if np.count_nonzero(u - np.diag(d)) else d
+
+
 def _dense_block(state: np.ndarray, scratch: np.ndarray, view: np.ndarray,
                  staged: np.ndarray, u: np.ndarray, gate: Gate,
                  w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,8 +182,9 @@ def _apply(state: np.ndarray, scratch: np.ndarray, gate: Gate,
     sel = _slab(gate, w)
     axes = tuple(_axis(t, w) for t in gate.targets)
     u = None if gate.kind in _FLIP_KINDS else block_matrix(gate)
-    if u is not None and not np.count_nonzero(u - np.diag(np.diagonal(u))):
-        for y, d in enumerate(np.diagonal(u)):
+    diag = None if u is None else _diagonal(u)
+    if diag is not None:
+        for y, d in enumerate(diag):
             if d != 1:
                 idx = list(sel)
                 for j, ax in enumerate(axes):
@@ -243,6 +259,74 @@ def run(circuit: Circuit, initial: np.ndarray,
         for gate in layer.gates:
             state, scratch = _apply(state, scratch, gate, circuit.width)
     return state
+
+
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray]  # (input id, basis index, amplitude)
+
+
+def merge_rows(ids: np.ndarray, index: np.ndarray, amps: np.ndarray,
+               width: int) -> Rows:
+    """Sum the amplitudes of rows with equal (id, index) into one row each,
+    sorted by id, then index. Nothing is dropped, not even a zero. The
+    rows are keyed by (id << width) | index, which must fit an int64."""
+    if width + int(ids.max(initial=0)).bit_length() > 63:
+        raise WidthCapExceeded(f"{width}-qubit rows of {int(ids.max()) + 1} "
+                               f"inputs overflow an int64 (id, index) key")
+    keys, inverse = np.unique((ids << width) | index, return_inverse=True)
+    re = np.bincount(inverse, amps.real, keys.size)
+    im = np.bincount(inverse, amps.imag, keys.size)
+    return keys >> width, keys & ((1 << width) - 1), re + 1j * im
+
+
+def _row_fires(gate: Gate, index: np.ndarray) -> np.ndarray:
+    """Where a gate acts on rows with these basis indices: every control
+    set (a negated one clear), or for MODQ a count of them that is not a
+    multiple of q."""
+    controls = sum(1 << c for c in gate.controls)
+    hits = (index ^ sum(1 << c for c in gate.negated)) & controls
+    if gate.kind is GateKind.MODQ:
+        return sum((hits >> c) & 1 for c in gate.controls) % gate.q != 0
+    return hits == controls
+
+
+def run_basis(circuit: Circuit, starts) -> Rows | None:
+    """Run the basis inputs |starts[i]> through the circuit at once.
+
+    Returns the rows (input id i, basis index, amplitude) that hold every
+    nonzero amplitude of each input's output, one row per (i, index), in no
+    set order. A permutation gate XORs its target mask into the indices of
+    the rows where it fires; a diagonal block scales those rows; a dense
+    block expands each firing row into 2^k rows and merges duplicates with
+    merge_rows. Only exact zeros are pruned, so no amplitude is lost.
+    Returns None as soon as the rows would outnumber the 2^width
+    amplitudes of one dense state: run is then the cheaper engine.
+    """
+    w, budget = circuit.width, 1 << circuit.width
+    index = np.array(starts, dtype=np.int64)
+    ids, amps = np.arange(index.size), np.ones(index.size, dtype=complex)
+    for gate in circuit.gates():
+        fires = _row_fires(gate, index)
+        mask = sum(1 << t for t in gate.targets)
+        if gate.kind in _FLIP_KINDS:
+            index ^= np.where(fires, mask, 0)
+            continue
+        u = block_matrix(gate)
+        block = sum(((index >> t) & 1) << j for j, t in enumerate(gate.targets))
+        diag = _diagonal(u)
+        if diag is not None:
+            amps *= np.where(fires, diag[block], 1)
+            continue
+        hit, k = np.flatnonzero(fires), len(gate.targets)
+        if index.size + (hit.size << k) - hit.size > budget:
+            return None
+        spread = embed_index(np.arange(1 << k), gate.targets)
+        new = merge_rows(np.repeat(ids[hit], 1 << k),
+                         ((index[hit] & ~mask)[:, None] | spread).ravel(),
+                         (amps[hit, None] * u.T[block[hit]]).ravel(), w)
+        nonzero, rest = new[2] != 0, ~fires
+        ids, index, amps = (np.concatenate((old[rest], fresh[nonzero]))
+                            for old, fresh in zip((ids, index, amps), new))
+    return ids, index, amps
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:

@@ -4,17 +4,23 @@ depth/width/ancilla scaling reports.
 
 verify_construction is the one drive loop; the circuit's roles give its
 data register (INPUT, TARGET) and its ancillae (COPY, ANCILLA), which start
-and must end in |0>. Each admissible basis input of the data register runs
-through the simulator; all 2^width output amplitudes are compared with the
-oracle's image (Gate columns from qdepth.oracle, at most
-sim.UNITARY_WIDTH_CAP data qubits, or an image function) and
-sim.check_ancilla_purity tallies leakage. Amplitudes, not bit patterns: the
-counting circuits are correct only because internal phases cancel. Cat is
-decided exactly by the inputs 0 and 1, by linearity; rev-embed drives only
-y in {0, 1...1} above EMBED_FULL_LIMIT data qubits and reports coverage
-< 1. Superposition spot checks use a fixed seed: a random superposition of
-the checked basis inputs is expected to map to the sum of their images,
-weighted by its amplitudes (the (y, x, amplitude) entries of the basis pass).
+and must end in |0>. Every admissible basis input of the data register
+runs through the simulator, and all 2^width output amplitudes are compared
+with the oracle's image: oracle_apply for a permutation Gate, a column of
+oracle_unitary for a block-matrix Gate (at most sim.UNITARY_WIDTH_CAP data
+qubits), or an image function. Leakage is the output's probability mass
+on basis states with any ancilla bit set. There are two engines. The
+basis inputs run together on the sparse engine, sim.run_basis, as rows of
+(input id, basis index, amplitude); once those rows would outnumber the
+2^width amplitudes of one dense state, each input runs alone on the dense
+engine, sim.run, with sim.check_ancilla_purity. Amplitudes, not bit
+patterns: the counting circuits are correct only because internal phases
+cancel. Cat is decided exactly by the inputs 0 and 1, by linearity;
+rev-embed drives only y in {0, 1...1} above EMBED_FULL_LIMIT data qubits
+and reports coverage < 1. Superposition spot checks run on the dense
+engine with a fixed seed: a random superposition of the checked basis
+inputs is expected to map to the sum of their images, weighted by its
+amplitudes.
 """
 from __future__ import annotations
 
@@ -35,10 +41,10 @@ from .ir import (
     _H_MATRIX, Circuit, CircuitError, Discipline, Gate, Layer, Role, cnot,
     fanout, hadamard, modq_gate, symmetric_phase, controlled_u,
 )
-from .oracle import oracle_unitary
+from .oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
 from .sim import (
     PURITY_TOL, UNITARY_WIDTH_CAP, check_ancilla_purity, embed_index,
-    make_workspace, run, unitary_of,
+    make_workspace, merge_rows, run, run_basis, unitary_of,
 )
 
 SIM_CAP_ENV = "QDEPTH_SIM_CAP"
@@ -133,6 +139,20 @@ class VerificationReport:
                        f" inputs={self.inputs_checked}{partial} {verdict}")
 
 
+def _gate_image(gate: Gate, d: int) -> Image:
+    """A Gate oracle as an image function on a d-qubit data register: each
+    input's image from oracle_apply for a permutation gate, else a column
+    of its dense oracle_unitary matrix, capped at UNITARY_WIDTH_CAP."""
+    if gate.kind in PERMUTATION_KINDS:
+        return lambda x: (oracle_apply(gate, x, d),)
+    if d > UNITARY_WIDTH_CAP:
+        raise SimulationCapExceeded(
+            f"{d}-qubit data register exceeds the {UNITARY_WIDTH_CAP}-qubit "
+            f"dense oracle cap; rerun structural-only")
+    u = oracle_unitary(gate, d)
+    return lambda x: [(y, u[y, x]) for y in np.flatnonzero(u[:, x])]
+
+
 def verify_construction(circuit: Circuit, oracle: Gate | Image, *,
                         inputs: Sequence[range] | None = None,
                         superpositions: int = 0, seed: int = 0,
@@ -144,32 +164,51 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image, *,
     superpositions of those inputs use its l2 norm. Returns (max_error,
     max_leakage, inputs_checked). The folds use np.maximum, which keeps a
     NaN (max() drops one that comes second), so a NaN fails every tolerance.
+
+    The basis inputs run together on the sparse engine, sim.run_basis,
+    unless their rows would outnumber the 2^width amplitudes of one dense
+    state; then each runs alone on the dense engine, sim.run. Either way
+    the leakage is each input's probability mass on basis states with any
+    ancilla bit set. Superpositions always run on the dense engine.
     """
     data_qubits, ancillae = circuit.data_qubits, circuit.ancillae
-    d = len(data_qubits)
+    d, width = len(data_qubits), circuit.width
     if superpositions < 0:
         raise ValueError(f"superpositions must be >= 0, got {superpositions}")
     cap = sim_cap() if cap is None else cap
-    if circuit.width > cap:
+    if width > cap:
         raise SimulationCapExceeded(
-            f"{circuit.width}-qubit register exceeds the {cap}-qubit "
+            f"{width}-qubit register exceeds the {cap}-qubit "
             f"simulation cap; rerun structural-only")
-    if isinstance(oracle, Gate) and d > UNITARY_WIDTH_CAP:
-        raise SimulationCapExceeded(
-            f"{d}-qubit data register exceeds the {UNITARY_WIDTH_CAP}-qubit "
-            f"dense oracle cap; rerun structural-only")
+    image = _gate_image(oracle, d) if isinstance(oracle, Gate) else oracle
 
     inputs = (range(1 << d),) if inputs is None else inputs
-    image = oracle
-    if isinstance(oracle, Gate):
-        u = oracle_unitary(oracle, d)
-        image = lambda x: [(y, u[y, x]) for y in np.flatnonzero(u[:, x])]
-
-    workspace = make_workspace(circuit.width)
-    initial = np.zeros(1 << circuit.width, dtype=complex)
-    abs_buf = np.empty(1 << circuit.width, dtype=float)
+    xs = list(itertools.chain.from_iterable(inputs))
+    images = [image(x) for x in xs]
+    # every image entry as (input id, full-register index, amplitude)
+    ids = np.repeat(np.arange(len(xs)), [len(im) for im in images])
+    ys = embed_index(np.array([y for im in images for y, _ in im], dtype=np.int64),
+                     data_qubits)
+    amps = np.array([b for im in images for _, b in im], dtype=complex)
     max_error = 0.0
     max_leak = 0.0
+
+    rows = run_basis(circuit, embed_index(np.array(xs, dtype=np.int64), data_qubits))
+    if rows is not None:
+        out_ids, out_index, out = rows
+        residual = merge_rows(np.concatenate((out_ids, ids)),
+                              np.concatenate((out_index, ys)),
+                              np.concatenate((out, -amps)), width)[2]
+        max_error = float(np.abs(residual).max(initial=0.0))
+        dirty = (out_index & sum(1 << a for a in ancillae)) != 0
+        leak = np.bincount(out_ids[dirty], out[dirty].real ** 2
+                           + out[dirty].imag ** 2, len(xs))
+        max_leak = float(leak.max(initial=0.0))
+        if not superpositions:
+            return max_error, max_leak, len(xs)
+
+    workspace = make_workspace(width)
+    initial = np.zeros(1 << width, dtype=complex)
 
     def drive(at, amplitudes) -> np.ndarray:
         nonlocal max_leak
@@ -180,32 +219,31 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image, *,
         max_leak = float(np.maximum(max_leak, leak))
         return out
 
-    entries = []  # (y, x, amplitude) of every image entry
-    for x in itertools.chain.from_iterable(inputs):
-        out = drive(embed_index(x, data_qubits), 1.0)
-        for y, b in image(x):
-            out[embed_index(y, data_qubits)] -= b
-            entries.append((y, x, b))
-        np.abs(out, out=abs_buf)
-        max_error = float(np.maximum(max_error, abs_buf.max()))
+    if rows is None:
+        abs_buf = np.empty(1 << width, dtype=float)
+        for x, im in zip(xs, images):
+            out = drive(embed_index(x, data_qubits), 1.0)
+            for y, b in im:
+                out[embed_index(y, data_qubits)] -= b
+            np.abs(out, out=abs_buf)
+            max_error = float(np.maximum(max_error, abs_buf.max()))
 
     if superpositions:
-        xs = np.concatenate([np.arange(r.start, r.stop, r.step) for r in inputs])
         emb = embed_index(np.arange(1 << d), data_qubits)
-        # the linear extension of the image: v's image is the sum of its
-        # entries' amplitudes times v[x], added at emb[y]
-        ys, xe, amps = map(np.array, zip(*entries))
         v = np.zeros(1 << d, dtype=complex)
         rng = np.random.default_rng(seed)
         for _ in range(superpositions):
-            psi = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
-            v[xs] = psi / np.linalg.norm(psi)
+            psi = rng.normal(size=len(xs)) + 1j * rng.normal(size=len(xs))
+            psi /= np.linalg.norm(psi)
+            v[xs] = psi
             out = drive(emb, v)
-            np.add.at(out, emb[ys], -amps * v[xe])
+            # the linear extension of the image: each entry's amplitude
+            # times its input's weight in v, added at the entry's index
+            np.add.at(out, ys, -amps * psi[ids])
             err = math.sqrt(np.vdot(out, out).real)
             max_error = float(np.maximum(max_error, err))
 
-    return max_error, max_leak, sum(map(len, inputs)) + superpositions
+    return max_error, max_leak, len(xs) + superpositions
 
 
 # --- named constructions ---

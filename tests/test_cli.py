@@ -303,8 +303,8 @@ class TestNoHugeAllocation:
 
     @pytest.mark.parametrize("argv, exit_code, message", [
         # a 15-qubit data register under the 22-qubit simulation cap: its
-        # dense gate oracle would be a 16 GiB matrix
-        (("verify", "--construction", "fanout", "--n", "14"), 3,
+        # block-matrix gate oracle would be a 16 GiB dense matrix
+        (("verify", "--construction", "ctrl-u", "--n", "14", "--u", "h"), 3,
          "15-qubit data register exceeds the 12-qubit dense oracle cap; "
          "rerun structural-only"),
         (("verify", "--construction", "modq-const", "--n", "2",
@@ -313,11 +313,25 @@ class TestNoHugeAllocation:
         (("scale", "--construction", "modq-seq", "--q", "1048576",
           "--n-min", "1", "--n-max", "2"), 2,
          "modulus 1048576 needs a 20-qubit block, cap is 4"),
-    ], ids=["fanout-oracle", "modq-const-modulus", "modq-seq-scale-modulus"])
+    ], ids=["block-oracle", "modq-const-modulus", "modq-seq-scale-modulus"])
     def test_one_error_line(self, tmp_path, argv, exit_code, message):
         proc = run_cli_limited(tmp_path, *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             exit_code, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        # a permutation oracle needs no matrix: each input's image is one
+        # basis state, and the sparse engine holds 2^15 rows
+        ("--construction", "fanout", "--n", "14"),
+        # H on every qubit fills the register: the sparse engine gives up
+        # before its rows outgrow one dense state, and the dense engine
+        # runs each input
+        ("--construction", "parity-fanout", "--n", "11"),
+    ], ids=["fanout-n14", "parity-fanout-n11"])
+    def test_wide_gate_oracles_verify(self, tmp_path, argv):
+        proc = run_cli_limited(tmp_path, "verify", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith(" pass\n")
 
 
 class TestScaleAndIdentities:

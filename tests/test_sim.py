@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qdepth.classical import ClassicalCircuit, ClassicalGate
 from qdepth.ir import (
     Circuit, CircuitError, Discipline, Gate, GateKind, Layer, Role, cnot,
     compose, controlled_u, fanout, hadamard, inverse, modq_gate, pauli_x,
@@ -11,10 +12,12 @@ from qdepth.ir import (
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
     WidthCapExceeded, apply_gate, basis_state, check_ancilla_purity,
-    data_block_unitary, dump_state, make_workspace, plus_at, random_state,
-    relabel_qubits, run, unitary_of, zero_state,
+    data_block_unitary, dump_state, embed_index, make_workspace, merge_rows,
+    plus_at, random_state, relabel_qubits, run, run_basis, unitary_of,
+    zero_state,
 )
 from qdepth.synth import cat_fanout, cat_log_depth
+from qdepth.verify import build_construction
 
 from common import MOD2_3INPUT_MATRIX, random_circuit, random_unitary
 
@@ -175,6 +178,121 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak < initial.nbytes / 16, peak
+
+
+def _worst_row_error(circuit, starts, rows) -> float:
+    """Max |amplitude| of (rows of input i) - run(|starts[i]>) over every
+    input, after checking that the rows hold no exact zero and no two rows
+    share an (input id, basis index)."""
+    ids, index, amps = rows
+    assert np.count_nonzero(amps) == amps.size
+    keys = ids * (1 << circuit.width) + index
+    assert np.unique(keys).size == keys.size
+    worst = 0.0
+    for i, start in enumerate(starts):
+        mine = ids == i
+        out = np.zeros(1 << circuit.width, dtype=complex)
+        out[index[mine]] = amps[mine]
+        dense = run(circuit, basis_state(circuit.width, int(start)))
+        worst = max(worst, float(np.abs(out - dense).max()))
+    return worst
+
+
+def _small_constructions():
+    """(label, built) for every construction at small n."""
+    for disc in Discipline:
+        for q in (2, 3, 5):
+            yield (f"modq-const-{disc.value}-q{q}",
+                   build_construction("modq-const", n=3, q=q, discipline=disc))
+    yield "modq-seq", build_construction("modq-seq", n=3, q=3)
+    for builder in ("fanout", "log-cat"):
+        yield f"cat-{builder}", build_construction("cat", n=4, builder=builder)
+        yield (f"parity-cat-{builder}",
+               build_construction("parity-cat", n=3, builder=builder))
+    yield "parity-fanout", build_construction("parity-fanout", n=3)
+    yield "fanout", build_construction("fanout", n=3)
+    yield "ctrl-u", build_construction("ctrl-u", n=3, u="h")
+    yield "rev-embed", build_construction("rev-embed", classical=ClassicalCircuit(3, (
+        (ClassicalGate("and", (0, 1)), ClassicalGate("or", (1, 2))),
+        (ClassicalGate("xor", (3, 4)), ClassicalGate("not", (0,))))))
+
+
+_SMALL_CONSTRUCTIONS = list(_small_constructions())
+
+
+class TestRunBasis:
+    """The sparse engine against the dense one, which shares none of its
+    gate arithmetic."""
+
+    def test_matches_run_on_random_circuits(self):
+        # batches of four inputs; a batch that outgrows the row budget is
+        # driven one input at a time
+        rng = np.random.default_rng(2024)
+        compared = total = 0
+        for width in range(3, 9):
+            for _ in range(10):
+                c = random_circuit(rng, width, int(rng.integers(1, 10)))
+                for lo in range(0, 1 << width, 4):
+                    batch = np.arange(lo, lo + 4)
+                    total += batch.size
+                    rows = run_basis(c, batch)
+                    if rows is not None:
+                        assert _worst_row_error(c, batch, rows) <= 1e-12
+                        compared += batch.size
+                        continue
+                    for start in batch:
+                        rows = run_basis(c, [start])
+                        if rows is not None:
+                            assert _worst_row_error(c, [start], rows) <= 1e-12
+                            compared += 1
+        assert compared >= 0.98 * total, (compared, total)
+
+    @pytest.mark.parametrize("built", [b for _, b in _SMALL_CONSTRUCTIONS],
+                             ids=[label for label, _ in _SMALL_CONSTRUCTIONS])
+    def test_matches_run_on_constructions(self, built):
+        c = built.circuit
+        d = 1 if built.name == "cat" else len(c.data_qubits)
+        starts = embed_index(np.arange(1 << d), c.data_qubits)
+        rows = run_basis(c, starts)
+        if built.name == "parity-fanout":
+            # H on every qubit fills the register, and the second H layer
+            # would double it even for one input: the dense engine's case
+            assert rows is None and run_basis(c, starts[:1]) is None
+        else:
+            assert _worst_row_error(c, starts, rows) <= 1e-12, built.name
+
+    def test_tiny_amplitudes_are_kept(self):
+        theta = 1e-20
+        rotation = np.array([[np.cos(theta), -np.sin(theta)],
+                             [np.sin(theta), np.cos(theta)]])
+        c = Circuit(2, (Role.INPUT,) * 2, (Layer((single_qubit(rotation, 0),)),))
+        ids, index, amps = run_basis(c, [0, 2])
+        got = sorted(zip(ids.tolist(), index.tolist(), amps.tolist()))
+        assert got == [(0, 0, 1.0), (0, 1, 1e-20), (1, 2, 1.0), (1, 3, 1e-20)]
+
+    def test_exact_cancellation_is_pruned(self):
+        c = Circuit(2, (Role.INPUT,) * 2,
+                    (Layer((hadamard(0),)), Layer((hadamard(0),))))
+        ids, index, amps = run_basis(c, [1])
+        assert (ids.tolist(), index.tolist()) == ([0], [1])
+        assert abs(amps[0] - 1) <= 1e-15
+
+    def test_merge_key_must_fit_int64(self):
+        ids, index = np.array([0, 15, 15]), np.array([3, 1, 1])
+        amps = np.array([1.0, 0.5, 0.25j])
+        merged = merge_rows(ids, index, amps, 59)
+        assert [a.tolist() for a in merged] == [[0, 15], [3, 1], [1.0, 0.5 + 0.25j]]
+        with pytest.raises(WidthCapExceeded):
+            merge_rows(ids, index, amps, 60)
+
+    def test_gives_up_beyond_one_dense_state(self):
+        w = 5
+        c = Circuit(w, (Role.INPUT,) * w, (Layer(tuple(map(hadamard, range(w)))),))
+        assert run_basis(c, range(1 << w)) is None
+        # one input fills the register exactly: 2^w rows are within budget
+        ids, index, amps = run_basis(c, [0])
+        assert sorted(index.tolist()) == list(range(1 << w))
+        assert np.allclose(amps, 2 ** (-w / 2))
 
 
 class TestUnitaryOf:

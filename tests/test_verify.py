@@ -4,14 +4,34 @@ import math
 
 import pytest
 
+import numpy as np
+
+from qdepth import verify
 from qdepth.classical import ClassicalCircuit, ClassicalGate
 from qdepth.ir import Circuit, Discipline, GateKind, Layer, modq_gate
 from qdepth.oracle import oracle_unitary
+from qdepth.sim import (
+    PURITY_TOL, basis_state, check_ancilla_purity, embed_index, run,
+)
 from qdepth.synth import parity_via_catstate
 from qdepth.verify import (
     SimulationCapExceeded, VerificationReport, build_construction,
     depth_scaling_table, identity_checks, verify_built, verify_construction,
 )
+
+
+@pytest.fixture
+def engine_used(monkeypatch):
+    """Records whether each verify_construction call ran its basis inputs
+    on the sparse engine (True) or fell back to the dense one (False)."""
+    used, run_basis = [], verify.run_basis
+
+    def spy(circuit, starts):
+        rows = run_basis(circuit, starts)
+        used.append(rows is not None)
+        return rows
+    monkeypatch.setattr(verify, "run_basis", spy)
+    return used
 
 
 class TestVerifyConstruction:
@@ -54,6 +74,44 @@ class TestVerifyConstruction:
         assert math.isnan(err) and leak == 0.0 and checked == 10
         report = verify_built(dataclasses.replace(b, oracle=image))
         assert math.isnan(report.max_error) and not report.passed
+
+    def test_nan_error_fails_on_the_sparse_path(self, engine_used):
+        # no superpositions: the NaN can only come through the sparse merge
+        b = build_construction("fanout", n=2)
+        image = lambda x: [(x ^ (0b110 if x & 1 else 0), math.nan if x == 5 else 1.0)]
+        err, leak, checked = verify_construction(b.circuit, image)
+        assert engine_used == [True]
+        assert math.isnan(err) and leak == 0.0 and checked == 8
+
+    def test_dense_fallback_matches_a_dense_loop(self, engine_used):
+        # H on every qubit: the sparse engine gives up, and the fallback
+        # must give the numbers of a plain per-input dense loop
+        b = build_construction("parity-fanout", n=6)
+        c, d = b.circuit, len(b.circuit.data_qubits)
+        u = oracle_unitary(b.oracle, d)
+        err = leak = 0.0
+        for x in range(1 << d):
+            out = run(c, basis_state(c.width, embed_index(x, c.data_qubits)))
+            want = np.zeros(1 << c.width, dtype=complex)
+            want[embed_index(np.arange(1 << d), c.data_qubits)] = u[:, x]
+            err = max(err, float(np.abs(out - want).max()))
+            leak = max(leak, check_ancilla_purity(out, c.ancillae).leakage)
+        assert verify_construction(c, b.oracle) == (err, leak, 1 << d)
+        assert engine_used == [False]
+
+    def test_uncompute_mutant_fails_on_leakage(self, engine_used):
+        # drop one unfan gate of the uncompute half (the second-to-last
+        # layer): its copies stay entangled with the counter
+        built = build_construction("modq-const", n=2, q=3)
+        c = built.circuit
+        layers = list(c.layers)
+        assert layers[-2].gates[0].kind is GateKind.FANOUT
+        layers[-2] = Layer(layers[-2].gates[1:])
+        broken = dataclasses.replace(
+            built, circuit=Circuit(c.width, c.roles, tuple(layers), c.discipline))
+        report = verify_built(broken)
+        assert engine_used == [True]
+        assert not report.passed and report.max_leakage > PURITY_TOL
 
     def test_cap_exceeded_raises(self):
         b = build_construction("modq-const", n=20, q=3)
