@@ -8,7 +8,9 @@ as layer zero). The circuit's outputs are the gates of the last layer.
 """
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from .ir import as_int
 
 OPS = ("and", "or", "not", "xor")
+_BIT_OPS = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
 
 
 class ClassicalCircuitError(ValueError):
@@ -40,14 +43,12 @@ class ClassicalGate:
             raise ClassicalCircuitError("gate reads a wire twice")
 
     def eval(self, values) -> int:
+        """The gate's bit from its argument wires' 0/1 values; on int
+        arrays of such values it works elementwise."""
         bits = [values[a] for a in self.args]
-        if self.op == "and":
-            return int(all(bits))
-        if self.op == "or":
-            return int(any(bits))
         if self.op == "not":
             return bits[0] ^ 1
-        return sum(bits) & 1  # xor
+        return functools.reduce(_BIT_OPS[self.op], bits)
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,9 @@ class ClassicalCircuit:
         return len(self.layers[-1])
 
     def wire_values(self, bits) -> list[int]:
-        values = [int(b) & 1 for b in bits]
+        """Every wire's bit from the input bits, each an int or an int
+        array (then every wire is evaluated elementwise)."""
+        values = [b & 1 for b in bits]
         if len(values) != self.n_inputs:
             raise ClassicalCircuitError(
                 f"{len(values)} input bits for {self.n_inputs} inputs")

@@ -9,13 +9,11 @@ reshaped to [2]*m, where its controls fire, through one of three kernels:
 permutation (X, CNOT, Toffoli, fanout, MODQ), diagonal (PHASE, diagonal
 u/cu) or dense block (H, u, cu), which is one np.matmul of the slab,
 staged in scratch with the target axes last unless they already form a
-stack of block-sized matrices. A permutation gate on low qubits is one
-gather of the whole state instead. Beyond the workspace pair a gate
-allocates a few KiB of numpy bookkeeping, except that the gather builds an
-index of up to 1/32 of the state, MODQ its 2^inputs count and mask, and
-the diagonal kernel's strided in-place scale takes numpy iterator buffers
-of up to 256 KiB (0.13x the state for a one-control 3-qubit diagonal block
-at 16 qubits).
+stack of block-sized matrices. Beyond the workspace pair a gate allocates
+a few KiB of numpy bookkeeping, except that MODQ builds its 2^inputs count
+and mask, and the diagonal kernel's strided in-place scale takes numpy
+iterator buffers of up to 256 KiB (0.13x the state for a one-control
+3-qubit diagonal block at 16 qubits).
 
 The sparse engine (run_basis) drives many basis inputs at once as rows of
 (input id, basis index, amplitude), with the same three gate classes: a
@@ -91,17 +89,14 @@ def _slab(gate: Gate, width: int) -> tuple:
     return tuple(idx)
 
 
-def _fires(gate: Gate) -> np.ndarray | bool:
-    """Where a permutation gate flips its targets, on the [2]*k view of
-    qubits 0..k-1: every control set, or for MODQ an input count that is
-    not a multiple of q. Qubit c is axis -1-c, so each control bit has
-    shape (2, 1, ..., 1) with c ones; the count broadcasts over
-    2^controls entries, not 2^k."""
+def _fires(gate: Gate) -> np.ndarray:
+    """Where a MODQ gate flips its target, on the [2]*k view of qubits
+    0..k-1: an input count that is not a multiple of q. Qubit c is axis
+    -1-c, so each input bit has shape (2, 1, ..., 1) with c ones; the
+    count broadcasts over 2^inputs entries, not 2^k."""
     count = sum((np.arange(2) ^ (c in gate.negated)).reshape((2,) + (1,) * c)
                 for c in gate.controls)
-    if gate.kind is GateKind.MODQ:
-        return count % gate.q != 0
-    return count == len(gate.controls)
+    return count % gate.q != 0
 
 
 _FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
@@ -157,10 +152,8 @@ def _apply(state: np.ndarray, scratch: np.ndarray, gate: Gate,
 
     - diagonal (PHASE, and any block_matrix that is diagonal): each target
       bit pattern is scaled in place, skipping factors of 1;
-    - permutation (X, CNOT, Toffoli, fanout, MODQ): if the gate's highest
-      qubit is below w-4, the whole state is gathered into scratch through
-      an index over qubits 0..hi; otherwise the slab flipped on the target
-      axes is staged in scratch;
+    - permutation (X, CNOT, Toffoli, fanout, MODQ): the slab flipped on
+      the target axes is staged in scratch;
     - dense block (H, u, cu): one np.matmul (BLAS) by the block matrix.
       When the targets are in order, reach qubit 5 or above and have no
       control below them, it runs on the slab as a stack of [2^k, 2^lo]
@@ -168,15 +161,12 @@ def _apply(state: np.ndarray, scratch: np.ndarray, gate: Gate,
       in scratch with its target axes last, and the product lands in the
       free half of scratch or, for an uncontrolled gate, in the state.
 
-    The gather costs the same wherever the controls sit; a slab sliced on
-    a low control breaks into runs of a few amplitudes. A result in
-    scratch is copied back where the gate fires: everywhere, or where
-    MODQ's input count is not a multiple of q. An uncontrolled gate's slab
-    is the whole state, so the buffers swap instead.
+    A result in scratch is copied back where the gate fires: everywhere,
+    or where MODQ's input count is not a multiple of q. An uncontrolled
+    gate's slab is the whole state, so the buffers swap instead.
 
-    Beyond the pair, the gather allocates its index (at most 1/32 of the
-    state), MODQ its 2^inputs mask, and the diagonal kernel numpy's
-    iterator buffers (up to 256 KiB).
+    Beyond the pair, MODQ allocates its 2^inputs mask, and the diagonal
+    kernel numpy's iterator buffers (up to 256 KiB).
     """
     psi = state.reshape([2] * w)
     sel = _slab(gate, w)
@@ -191,17 +181,6 @@ def _apply(state: np.ndarray, scratch: np.ndarray, gate: Gate,
                     idx[ax] = (y >> j) & 1
                 psi[tuple(idx)] *= d
         return state, scratch
-
-    hi = max(gate.support)
-    if u is None and hi < w - 4:
-        # the same permutation of qubits 0..hi for every setting of the
-        # rest: one gather whose index is at most 1/32 of the state's bytes
-        index = np.arange(2 << hi).reshape([2] * (hi + 1))
-        np.bitwise_xor(index, sum(1 << t for t in gate.targets), out=index,
-                       where=_fires(gate))  # ^= would copy index first
-        np.take(state.reshape(-1, index.size), index.ravel(), axis=1,
-                out=scratch.reshape(-1, index.size), mode="wrap")
-        return scratch, state
 
     view, staged = psi[sel], scratch.reshape([2] * w)[sel]
     if u is not None:

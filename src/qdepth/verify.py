@@ -4,29 +4,27 @@ depth/width/ancilla scaling reports.
 
 verify_construction is the one drive loop; the circuit's roles give its
 data register (INPUT, TARGET) and its ancillae (COPY, ANCILLA), which start
-and must end in |0>. Every admissible basis input of the data register
-runs through the simulator, and all 2^width output amplitudes are compared
-with the oracle's image: oracle_apply for a permutation Gate, a column of
+and must end in |0>. Every basis input of the data register runs through
+the simulator, and all 2^width output amplitudes are compared with the
+oracle's image: oracle_apply for a permutation Gate, a column of
 oracle_unitary for a block-matrix Gate (at most sim.UNITARY_WIDTH_CAP data
-qubits), or an image function. Leakage is the output's probability mass
-on basis states with any ancilla bit set. There are two engines. The
-basis inputs run together on the sparse engine, sim.run_basis, as rows of
-(input id, basis index, amplitude); once those rows would outnumber the
-2^width amplitudes of one dense state, each input runs alone on the dense
-engine, sim.run, with sim.check_ancilla_purity. Amplitudes, not bit
-patterns: the counting circuits are correct only because internal phases
-cancel. Cat is decided exactly by the inputs 0 and 1, by linearity;
-rev-embed drives only y in {0, 1...1} above EMBED_FULL_LIMIT data qubits
-and reports coverage < 1. Superposition spot checks run on the dense
-engine with a fixed seed: a random superposition of the checked basis
-inputs is expected to map to the sum of their images, weighted by its
-amplitudes.
+qubits), an image function, or a BasisMap, which gives the one image of
+every input in a single array call (cat, rev-embed). Leakage is the
+output's probability mass on basis states with any ancilla bit set. There
+are two engines. The basis inputs run together on the sparse engine,
+sim.run_basis, as rows of (input id, basis index, amplitude); once those
+rows would outnumber the 2^width amplitudes of one dense state, each input
+runs alone on the dense engine, sim.run, with sim.check_ancilla_purity.
+Amplitudes, not bit patterns: the counting circuits are correct only
+because internal phases cancel. Cat is decided exactly by the inputs 0 and
+1, by linearity; rev-embed, a permutation, drives every (x, y) at one
+sparse row each. Superposition spot checks run on the dense engine with a
+fixed seed: a random superposition of the checked basis inputs is expected
+to map to the sum of their images, weighted by its amplitudes.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
-import itertools
 import json
 import math
 import os
@@ -51,15 +49,20 @@ SIM_CAP_ENV = "QDEPTH_SIM_CAP"
 TOL_ENV = "QDEPTH_TOL"
 DEFAULT_SIM_CAP = 22
 DEFAULT_ERROR_TOL = 1e-9
-# rev-embed drives every (x, y) up to this many data qubits, and only
-# y in {0, 1...1} above it
-EMBED_FULL_LIMIT = 12
 
 CONSTRUCTIONS = ("cat", "fanout", "parity-fanout", "parity-cat",
                  "modq-seq", "modq-const", "ctrl-u", "rev-embed")
 
 # data-register basis index -> its image as [(basis index, amplitude)]
 Image = Callable[[int], Sequence[tuple[int, complex]]]
+
+
+@dataclass(frozen=True)
+class BasisMap:
+    """An oracle that sends each data-register basis index to one basis
+    index with amplitude 1; `apply` maps an int64 array of them
+    elementwise, so no input costs a Python call."""
+    apply: Callable[[np.ndarray], np.ndarray]
 
 
 class SimulationCapExceeded(RuntimeError):
@@ -103,7 +106,7 @@ class VerificationReport:
     max_leakage: float | None = None
     passed: bool | None = None
     inputs_checked: int = 0
-    coverage: float | None = None  # basis inputs checked / admissible ones
+    coverage: float | None = None  # 1.0 once amplitudes are checked
     structural_only: bool = False
     error_tol: float = DEFAULT_ERROR_TOL
     leakage_tol: float = PURITY_TOL
@@ -133,10 +136,9 @@ class VerificationReport:
         if self.structural_only:
             return head + " (structural only)"
         verdict = "pass" if self.passed else "FAIL"
-        partial = f" coverage={self.coverage:.3g}" if self.coverage < 1 else ""
         return (head + f" max_error={self.max_error:.3g}"
                        f" leakage={self.max_leakage:.3g}"
-                       f" inputs={self.inputs_checked}{partial} {verdict}")
+                       f" inputs={self.inputs_checked} {verdict}")
 
 
 def _gate_image(gate: Gate, d: int) -> Image:
@@ -153,15 +155,15 @@ def _gate_image(gate: Gate, d: int) -> Image:
     return lambda x: [(y, u[y, x]) for y in np.flatnonzero(u[:, x])]
 
 
-def verify_construction(circuit: Circuit, oracle: Gate | Image, *,
-                        inputs: Sequence[range] | None = None,
+def verify_construction(circuit: Circuit, oracle: Gate | Image | BasisMap, *,
+                        inputs: range | None = None,
                         superpositions: int = 0, seed: int = 0,
                         cap: int | None = None) -> tuple[float, float, int]:
-    """Compare the circuit with an oracle (a Gate or an Image function) on
-    its data register: each basis index in the `inputs` ranges (default all
-    2^d) runs with the ancillae at |0>, and the error is the max |amplitude|
-    of (output - expected image) over the whole register; random
-    superpositions of those inputs use its l2 norm. Returns (max_error,
+    """Compare the circuit with an oracle (a Gate, an Image function or a
+    BasisMap) on its data register: each basis index in the `inputs` range
+    (default all 2^d) runs with the ancillae at |0>, and the error is the
+    max |amplitude| of (output - expected image) over the whole register;
+    random superpositions of those inputs use its l2 norm. Returns (max_error,
     max_leakage, inputs_checked). The folds use np.maximum, which keeps a
     NaN (max() drops one that comes second), so a NaN fails every tolerance.
 
@@ -182,30 +184,42 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image, *,
             f"simulation cap; rerun structural-only")
     image = _gate_image(oracle, d) if isinstance(oracle, Gate) else oracle
 
-    inputs = (range(1 << d),) if inputs is None else inputs
-    xs = list(itertools.chain.from_iterable(inputs))
-    images = [image(x) for x in xs]
-    # every image entry as (input id, full-register index, amplitude)
-    ids = np.repeat(np.arange(len(xs)), [len(im) for im in images])
-    ys = embed_index(np.array([y for im in images for y, _ in im], dtype=np.int64),
-                     data_qubits)
-    amps = np.array([b for im in images for _, b in im], dtype=complex)
+    inputs = range(1 << d) if inputs is None else inputs
+    xs = np.arange(inputs.start, inputs.stop, inputs.step, dtype=np.int64)
+    # every image entry as (input id, data-register index, amplitude),
+    # sorted by input id
+    if isinstance(image, BasisMap):
+        ids, ys, amps = np.arange(xs.size), image.apply(xs), np.ones(xs.size, complex)
+    else:
+        images = [image(x) for x in inputs]
+        ids = np.repeat(np.arange(xs.size), [len(im) for im in images])
+        ys = np.array([y for im in images for y, _ in im], dtype=np.int64)
+        amps = np.array([b for im in images for _, b in im], dtype=complex)
+    ys = embed_index(ys, data_qubits)
+    starts = embed_index(xs, data_qubits)
     max_error = 0.0
     max_leak = 0.0
 
-    rows = run_basis(circuit, embed_index(np.array(xs, dtype=np.int64), data_qubits))
+    rows = run_basis(circuit, starts)
     if rows is not None:
         out_ids, out_index, out = rows
-        residual = merge_rows(np.concatenate((out_ids, ids)),
-                              np.concatenate((out_index, ys)),
-                              np.concatenate((out, -amps)), width)[2]
-        max_error = float(np.abs(residual).max(initial=0.0))
+        if isinstance(image, BasisMap):
+            # each input expects amplitude 1 at its image and 0 elsewhere;
+            # an input with no row at its image misses the whole 1
+            hit = out_index == ys[out_ids]
+            missed = np.bincount(out_ids[hit], minlength=xs.size).min(initial=1) == 0
+            max_error = float(np.maximum(np.abs(out - hit).max(initial=0.0), missed))
+        else:
+            residual = merge_rows(np.concatenate((out_ids, ids)),
+                                  np.concatenate((out_index, ys)),
+                                  np.concatenate((out, -amps)), width)[2]
+            max_error = float(np.abs(residual).max(initial=0.0))
         dirty = (out_index & sum(1 << a for a in ancillae)) != 0
         leak = np.bincount(out_ids[dirty], out[dirty].real ** 2
-                           + out[dirty].imag ** 2, len(xs))
+                           + out[dirty].imag ** 2, xs.size)
         max_leak = float(leak.max(initial=0.0))
         if not superpositions:
-            return max_error, max_leak, len(xs)
+            return max_error, max_leak, xs.size
 
     workspace = make_workspace(width)
     initial = np.zeros(1 << width, dtype=complex)
@@ -221,10 +235,11 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image, *,
 
     if rows is None:
         abs_buf = np.empty(1 << width, dtype=float)
-        for x, im in zip(xs, images):
-            out = drive(embed_index(x, data_qubits), 1.0)
-            for y, b in im:
-                out[embed_index(y, data_qubits)] -= b
+        bounds = np.searchsorted(ids, np.arange(xs.size + 1))
+        for i, at in enumerate(starts):
+            out = drive(at, 1.0)
+            entries = slice(bounds[i], bounds[i + 1])
+            np.subtract.at(out, ys[entries], amps[entries])
             np.abs(out, out=abs_buf)
             max_error = float(np.maximum(max_error, abs_buf.max()))
 
@@ -233,7 +248,7 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image, *,
         v = np.zeros(1 << d, dtype=complex)
         rng = np.random.default_rng(seed)
         for _ in range(superpositions):
-            psi = rng.normal(size=len(xs)) + 1j * rng.normal(size=len(xs))
+            psi = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
             psi /= np.linalg.norm(psi)
             v[xs] = psi
             out = drive(emb, v)
@@ -243,7 +258,7 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image, *,
             err = math.sqrt(np.vdot(out, out).real)
             max_error = float(np.maximum(max_error, err))
 
-    return max_error, max_leak, len(xs) + superpositions
+    return max_error, max_leak, xs.size + superpositions
 
 
 # --- named constructions ---
@@ -259,8 +274,8 @@ U_NAMES = (*_U_BY_NAME, "phase")
 
 def _u_matrix(name: str, theta: float | None) -> np.ndarray:
     if name == "phase":
-        if theta is None:
-            raise CircuitError("u 'phase' requires theta")
+        if theta is None or not math.isfinite(theta):
+            raise CircuitError("phase requires a finite theta")
         return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
     try:
         return _U_BY_NAME[name]
@@ -271,26 +286,27 @@ def _u_matrix(name: str, theta: float | None) -> np.ndarray:
 @dataclass(frozen=True)
 class Built:
     """A named construction with everything needed to verify it, including
-    the basis inputs to drive (None: all of the data register) and how many
-    basis inputs it admits (None: as many as are driven)."""
+    the basis inputs to drive: None for all of the data register, or
+    range(2) for cat, which linearity decides on those two."""
     name: str
     n: int
     q: int | None
     circuit: Circuit
-    oracle: Gate | Image
-    inputs: tuple[range, ...] | None = None
-    admissible: int | None = None
+    oracle: Gate | Image | BasisMap
+    inputs: range | None = None
 
 
-def _embedding_image(c: cc.ClassicalCircuit) -> Image:
-    # |x, y> -> |x, y xor f(x)>, with x the low n bits
+def _embedding_image(c: cc.ClassicalCircuit) -> BasisMap:
+    # |x, y> -> |x, y xor f(x)>, with x the low n bits; the classical
+    # circuit runs once, elementwise on all 2^n values of x, into a table
     n = c.n_inputs
 
-    @functools.cache
-    def f(x: int) -> int:
+    def image(index: np.ndarray) -> np.ndarray:
+        x = np.arange(1 << n)
         bits = c.evaluate([(x >> i) & 1 for i in range(n)])
-        return sum(bit << j for j, bit in enumerate(bits))
-    return lambda index: ((index ^ (f(index & ((1 << n) - 1)) << n), 1.0),)
+        f = sum(bit << j for j, bit in enumerate(bits))
+        return index ^ (f[index & ((1 << n) - 1)] << n)
+    return BasisMap(image)
 
 
 def build_construction(name: str, n: int | None = None, q: int | None = None,
@@ -311,20 +327,16 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
     if name == "rev-embed":
         if classical is None:
             raise CircuitError("rev-embed requires a classical circuit")
-        n, m = classical.n_inputs, classical.n_outputs
-        circ = synth.reversible_embed(classical)
-        top = ((1 << m) - 1) << n  # y = 1...1
-        inputs = None if n + m <= EMBED_FULL_LIMIT else (
-            range(1 << n), range(top, top + (1 << n)))
-        return built(circ, _embedding_image(classical), inputs=inputs,
-                     admissible=1 << (n + m))
+        n = classical.n_inputs
+        return built(synth.reversible_embed(classical),
+                     _embedding_image(classical))
     if n is None or n < 1:
         raise CircuitError(f"{name} requires n >= 1")
 
     if name == "cat":
         # |0...0> stays, |1 0...0> (index 1) becomes |1...1>
         return built(synth.CAT_BUILDERS[builder](n),
-                     lambda x: ((x * ((1 << n) - 1), 1.0),), inputs=(range(2),))
+                     BasisMap(lambda x: x * ((1 << n) - 1)), inputs=range(2))
     if name == "fanout":
         return built(synth.fanout_gate(n), fanout(0, tuple(range(1, n + 1))))
 
@@ -360,8 +372,7 @@ def verify_built(built: Built, *, structural_only: bool = False,
     report.max_error = err
     report.max_leakage = leak
     report.inputs_checked = checked
-    driven = checked - superpositions
-    report.coverage = driven / (built.admissible or driven)
+    report.coverage = 1.0
     report.passed = err <= report.error_tol and leak <= PURITY_TOL
     return report
 

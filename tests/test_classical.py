@@ -33,6 +33,16 @@ class TestEvaluation:
             bits = [(x >> i) & 1 for i in range(3)]
             assert c.evaluate(bits) == (int(sum(bits) >= 2),)
 
+    def test_arrays_evaluate_elementwise(self):
+        rng = np.random.default_rng(43)
+        x = np.arange(32)
+        for _ in range(10):
+            c = random_circuit(rng, 5, 3, 3)
+            outputs = c.evaluate([(x >> i) & 1 for i in range(5)])
+            for v in range(32):
+                bits = [(v >> i) & 1 for i in range(5)]
+                assert tuple(int(o[v]) for o in outputs) == c.evaluate(bits)
+
     def test_wire_from_later_layer_rejected(self):
         with pytest.raises(ClassicalCircuitError):
             ClassicalCircuit(2, ((gate("and", 0, 2),),))

@@ -194,6 +194,11 @@ class TestBadSettings:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2 and err.startswith("error: QDEPTH_SIM_CAP"), argv
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_theta_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "verify", "--construction", "ctrl-u",
+                                 "--n", "2", "--u", "phase", f"--theta={value}")
+        assert (code, out, err) == (2, "", "error: phase requires a finite theta\n")
 
     def test_negative_superpositions_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--construction", "fanout",

@@ -90,7 +90,7 @@ class TestApplyGate:
         lambda o: toffoli((o + 5, o), o + 3, negated=(o,)),
         lambda o: modq_gate(3, (o, o + 2, o + 3, o + 5), o + 1, negated=(o + 2,)),
         lambda o: Gate(GateKind.FANOUT, (o + 2,), (o + 4, o, o + 3), frozenset({o + 2})),
-        # a qubit at w-4 or above: the flip kernel
+        # inputs on both sides of the target; a target above its controls
         lambda o: modq_gate(2, (o, o + 8), o + 4),
         lambda o: toffoli((o, o + 1), o + 8),
     ])

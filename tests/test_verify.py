@@ -8,7 +8,9 @@ import numpy as np
 
 from qdepth import verify
 from qdepth.classical import ClassicalCircuit, ClassicalGate
-from qdepth.ir import Circuit, Discipline, GateKind, Layer, modq_gate
+from qdepth.ir import (
+    Circuit, Discipline, GateKind, Layer, hadamard, modq_gate, pauli_x, toffoli,
+)
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
     PURITY_TOL, basis_state, check_ancilla_purity, embed_index, run,
@@ -231,16 +233,48 @@ class TestSinglePath:
         assert not report.passed and report.max_error == 1.0
         assert report.max_leakage > 0
 
-    def test_rev_embed_above_the_limit_reports_coverage(self):
+    def test_rev_embed_checks_every_input(self):
         n, m = 11, 2
         built = _rev_embed(n, [[("and", (0, 1)), ("not", (2,))]])
-        top = ((1 << m) - 1) << n
-        assert built.inputs == (range(1 << n), range(top, top + (1 << n)))
         report = verify_built(built)
         assert report.passed
-        assert report.inputs_checked == 1 << (n + 1)
-        assert json.loads(report.to_json())["coverage"] == 2 ** (n + 1) / 2 ** (n + m)
-        assert " coverage=0.5 pass" in report.to_text()
+        assert report.inputs_checked == 1 << (n + m)
+        assert json.loads(report.to_json())["coverage"] == 1
+        assert "coverage=" not in report.to_text()
+        # flips x0 only where y0 is set and y1 clear: y = 1, neither 0 nor 1...1
+        c = built.circuit
+        flip = Layer((toffoli((n, n + 1), 0, negated=(n + 1,)),))
+        mutant = dataclasses.replace(built, circuit=Circuit(
+            c.width, c.roles, (flip,) + c.layers, c.discipline))
+        report = verify_built(mutant)
+        assert not report.passed and report.max_error == 1.0
+
+    def test_basis_map_matches_an_image_function_on_both_engines(self, engine_used):
+        # rev-embed's BasisMap against the same map as a per-input image
+        # function, on the circuit and on two mutants. One prepends X on
+        # y1 and H on y0, so no output has a row at its image and every
+        # row holds 1/sqrt(2). The other prepends H on every data qubit:
+        # 2^5 inputs times 2^5 rows each outnumber the 2^9 amplitudes, so
+        # the dense engine takes its inputs.
+        classical = ClassicalCircuit(3, (
+            (ClassicalGate("and", (0, 1)), ClassicalGate("or", (1, 2))),
+            (ClassicalGate("xor", (3, 4)), ClassicalGate("not", (0,)))))
+        built = build_construction("rev-embed", classical=classical)
+
+        def image(x):
+            bits = classical.evaluate([(x >> i) & 1 for i in range(3)])
+            return ((x ^ (sum(b << j for j, b in enumerate(bits)) << 3), 1.0),)
+        c = built.circuit
+        results = []
+        for first in ((), (Layer((pauli_x(4), hadamard(3))),),
+                      (Layer(tuple(hadamard(q) for q in c.data_qubits)),)):
+            circuit = Circuit(c.width, c.roles, first + c.layers, c.discipline)
+            pair = [verify_construction(circuit, oracle)
+                    for oracle in (built.oracle, image)]
+            assert pair[0] == pair[1]
+            results.append(pair[0])
+        assert results[0][0] == 0.0 and results[1][0] == 1.0 and results[2][0] > 0.1
+        assert engine_used == [True] * 4 + [False] * 2
 
     def test_image_function_superpositions_match_the_gate_oracle(self):
         # the same oracle as a Gate and as an image function, on a circuit
