@@ -361,7 +361,9 @@ class Circuit:
 
     def describe(self) -> str:
         lines = [f"width={self.width} depth={self.depth} "
-                 f"ancillae={self.ancilla_count} discipline={self.discipline.value}"]
+                 f"ancillae={self.roles.count(Role.COPY)} "
+                 f"work={self.roles.count(Role.ANCILLA)} "
+                 f"discipline={self.discipline.value}"]
         for i, layer in enumerate(self.layers):
             lines.append(f"layer {i}: " + "; ".join(repr(g) for g in layer.gates))
         return "\n".join(lines)

@@ -3,17 +3,25 @@ State-vector simulation on two engines, and ancilla-purity analysis.
 
 The dense engine (run) holds a state as a plain complex128 numpy array of
 length 2^m, unit norm, in little-endian basis order: qubit 0 is the least
-significant bit of the basis index. Gate application is out of place; the
-caller keeps the input state. A gate touches only the slab of the state,
-reshaped to [2]*m, where its controls fire, through one of three kernels:
-permutation (X, CNOT, Toffoli, fanout, MODQ), diagonal (PHASE, diagonal
-u/cu) or dense block (H, u, cu), which is one np.matmul of the slab,
-staged in scratch with the target axes last unless they already form a
-stack of block-sized matrices. Beyond the workspace pair a gate allocates
-a few KiB of numpy bookkeeping, except that MODQ builds its 2^inputs count
-and mask, and the diagonal kernel's strided in-place scale takes numpy
-iterator buffers of up to 256 KiB (0.13x the state for a one-control
-3-qubit diagonal block at 16 qubits).
+significant bit of the basis index. Its unit of work is a layer, as in
+the paper, where a layer of commuting gates is one time step. The caller
+keeps the input state; a layer's gates are regrouped by class, and each
+group advances the state, reshaped to [2]*m, in one pass:
+
+- permutation gates (X, CNOT, Toffoli, fanout, MODQ): one out-of-place
+  copy, slab by slab over the settings of their controls, flipped on the
+  targets of the gates that fire there;
+- diagonal gates (PHASE, diagonal u/cu): one in-place multiply by the
+  product of their factors, a tensor over the union of their qubits;
+- dense blocks (H, u, cu), one gate at a time: one np.matmul of the slab
+  where the controls fire, staged in scratch with the target axes last
+  unless they already form a stack of block-sized matrices.
+
+A group of one gate keeps the gate's own kernel, which touches only the
+slab where its controls fire. Beyond the workspace pair a layer allocates
+a few KiB of numpy bookkeeping, except that a lone MODQ builds its
+2^inputs count and mask, and a diagonal group its factor tensor, at most
+1/32 of the state.
 
 The sparse engine (run_basis) drives many basis inputs at once as rows of
 (input id, basis index, amplitude), with the same three gate classes: a
@@ -77,30 +85,47 @@ def _axis(qubit: int, width: int) -> int:
     return width - 1 - qubit
 
 
-def _slab(gate: Gate, width: int) -> tuple:
-    """Index of the slab where the gate's controls fire. Control axes get
-    length-1 slices, so the slab keeps every axis where _axis puts it.
-    MODQ counts its inputs rather than requiring them: its slab is all."""
-    idx = [slice(None)] * width
-    if gate.kind is not GateKind.MODQ:
-        for c in gate.controls:
-            v = 0 if c in gate.negated else 1
-            idx[_axis(c, width)] = slice(v, v + 1)
-    return tuple(idx)
+def _slab(index: int, qubits, width: int) -> tuple:
+    """Index of the slab of the [2]*width view where `qubits` hold their
+    bits in the basis index `index`. Their axes get length-1 slices, so
+    the slab keeps every axis where _axis puts it."""
+    sel = [slice(None)] * width
+    for q in qubits:
+        b = (index >> q) & 1
+        sel[_axis(q, width)] = slice(b, b + 1)
+    return tuple(sel)
 
 
-def _fires(gate: Gate) -> np.ndarray:
-    """Where a MODQ gate flips its target, on the [2]*k view of qubits
-    0..k-1: an input count that is not a multiple of q. Qubit c is axis
-    -1-c, so each input bit has shape (2, 1, ..., 1) with c ones; the
-    count broadcasts over 2^inputs entries, not 2^k."""
-    count = sum((np.arange(2) ^ (c in gate.negated)).reshape((2,) + (1,) * c)
-                for c in gate.controls)
-    return count % gate.q != 0
+def _shape(qubits, width: int) -> list[int]:
+    """A shape that broadcasts against the [2]*width view: length 2 on the
+    axes of `qubits`, 1 on the others."""
+    shape = [1] * width
+    for q in qubits:
+        shape[_axis(q, width)] = 2
+    return shape
+
+
+def _grid(qubits, width: int) -> np.ndarray:
+    """The basis index of every setting of `qubits` (every other qubit 0),
+    in _shape(qubits, width)."""
+    qubits = sorted(qubits)
+    return embed_index(np.arange(1 << len(qubits)), qubits).reshape(
+        _shape(qubits, width))
+
+
+def _on(gate: Gate) -> int:
+    """The basis index whose control bits fire the gate: set, or clear
+    where negated."""
+    return sum(1 << c for c in gate.controls if c not in gate.negated)
 
 
 _FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
                          GateKind.FANOUT, GateKind.MODQ})
+
+# A permutation group walks every setting of its gates' controls, one
+# numpy copy each; a gate whose controls would take it past this many
+# settings starts the next group.
+MAX_PATTERNS = 64
 
 
 def _diagonal(u: np.ndarray) -> np.ndarray | None:
@@ -109,12 +134,87 @@ def _diagonal(u: np.ndarray) -> np.ndarray | None:
     return None if np.count_nonzero(u - np.diag(d)) else d
 
 
-def _dense_block(state: np.ndarray, scratch: np.ndarray, view: np.ndarray,
-                 staged: np.ndarray, u: np.ndarray, gate: Gate,
-                 w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Multiply the slab `view` of `state` by u on the gate's targets (bit
-    j of the block index on target j); `staged` is the same slab of
-    scratch. Returns the (state, scratch) pair as _apply does."""
+def _flip(state: np.ndarray, scratch: np.ndarray, group, w: int):
+    """Permutation gates (X, CNOT, Toffoli, fanout, MODQ), as (gate, None)
+    pairs, whose targets no other gate of the group touches.
+
+    One gate works on its firing slab: the slab flipped on the target axes
+    is staged in scratch and copied back where it fires (everywhere, or
+    where MODQ's input count is not a multiple of q). An uncontrolled
+    gate's slab is the whole state, so the buffers swap instead.
+
+    A larger group takes one out-of-place pass: for each setting of the
+    union of their controls, that slab is copied into scratch, flipped on
+    the targets of the gates that fire there (an AND gate on its control
+    pattern, MODQ where its input count is not a multiple of q), and the
+    buffers swap.
+    """
+    psi, out = state.reshape([2] * w), scratch.reshape([2] * w)
+    if len(group) == 1:
+        (gate, _), = group
+        modq = gate.kind is GateKind.MODQ
+        sel = _slab(_on(gate), () if modq else gate.controls, w)
+        view, staged = psi[sel], out[sel]
+        staged[...] = np.flip(view, [_axis(t, w) for t in gate.targets])
+        if not gate.controls:
+            return scratch, state
+        fires = _row_fires(gate, _grid(gate.controls, w)) if modq else True
+        np.copyto(view, staged, where=fires)
+        return state, scratch
+    controls = {c for gate, _ in group for c in gate.controls}
+    settings = _grid(controls, w).ravel()
+    fires = np.array([_row_fires(gate, settings) for gate, _ in group]).T
+    axes = [[_axis(t, w) for t in gate.targets] for gate, _ in group]
+    for index, hits in zip(settings.tolist(), fires.tolist()):
+        sel = _slab(index, controls, w)
+        out[sel] = np.flip(psi[sel], [a for hit, gate_axes in zip(hits, axes)
+                                      if hit for a in gate_axes])
+    return scratch, state
+
+
+def _scale(state: np.ndarray, scratch: np.ndarray, group, w: int):
+    """Diagonal gates (PHASE, and any block_matrix that is diagonal), as
+    (gate, diagonal) pairs, in place.
+
+    One gate scales each target bit pattern of its firing slab, skipping
+    factors of 1. A larger group takes one multiply by the product of their
+    factors: a tensor over the union of their qubits, broadcast over the
+    rest, which _steps keeps at or below 1/32 of the state.
+
+    numpy stages a strided or broadcast operand in buffers of bufsize
+    elements, 128 KiB by default. 512 (8 KiB) keeps the allocations of a
+    step below 1/16 of a 16-qubit state, and it multiplied the 20-qubit
+    four-cu layer of modq-const n=4 q=5 in 1.5 ms rather than 2.0.
+    """
+    psi = state.reshape([2] * w)
+    bufsize = np.setbufsize(512)
+    try:
+        if len(group) == 1:
+            (gate, diag), = group
+            qubits = gate.controls + gate.targets
+            for y, d in enumerate(diag):
+                if d != 1:
+                    psi[_slab(_on(gate) | embed_index(y, gate.targets), qubits, w)] *= d
+            return state, scratch
+        factor = np.ones(_shape({q for gate, _ in group for q in gate.support}, w),
+                         dtype=complex)
+        for gate, diag in group:
+            index = _grid(gate.support, w)
+            factor *= np.where(_row_fires(gate, index), diag[_block(gate, index)], 1)
+        psi *= factor
+        return state, scratch
+    finally:
+        np.setbufsize(bufsize)
+
+
+def _dense_block(state: np.ndarray, scratch: np.ndarray, group, w: int):
+    """One (gate, u) pair: multiply the slab where the gate's controls
+    fire by u on its targets (bit j of the block index on target j), with
+    one np.matmul (BLAS). An uncontrolled result in scratch swaps the
+    buffers; a controlled one is copied back."""
+    (gate, u), = group
+    sel = _slab(_on(gate), gate.controls, w)
+    view, staged = state.reshape([2] * w)[sel], scratch.reshape([2] * w)[sel]
     k, lo = len(gate.targets), min(gate.targets)
     if (gate.targets == tuple(range(lo, lo + k)) and lo + k >= 6
             and min(gate.controls, default=w) > lo):
@@ -143,63 +243,61 @@ def _dense_block(state: np.ndarray, scratch: np.ndarray, view: np.ndarray,
     return (state, scratch) if gate.controls else (scratch, state)
 
 
-def _apply(state: np.ndarray, scratch: np.ndarray, gate: Gate,
+def _steps(gates, w: int) -> list:
+    """The kernel calls that advance a state by one layer's gates, as
+    (kernel, [(gate, matrix)]) pairs. Permutation gates are packed into
+    groups whose controls take at most MAX_PATTERNS settings, diagonal
+    gates into groups over at most w - 5 qubits, whose factor tensor is
+    then at most 1/32 of the state; a gate that would overflow its group
+    starts the next one. Each dense block is a step of its own."""
+    steps, open_groups = [], {}
+    for gate in gates:
+        if gate.kind in _FLIP_KINDS:
+            kernel, matrix, qubits, cap = _flip, None, set(gate.controls), MAX_PATTERNS
+        else:
+            u = block_matrix(gate)
+            matrix = _diagonal(u)
+            if matrix is None:
+                steps.append((_dense_block, [(gate, u)]))
+                continue
+            kernel, qubits, cap = _scale, set(gate.support), 1 << max(w - 5, 0)
+        group, held = open_groups.get(kernel, ([], set()))
+        if group and 1 << len(held | qubits) > cap:
+            steps.append((kernel, group))
+            group, held = [], set()
+        open_groups[kernel] = (group + [(gate, matrix)], held | qubits)
+    steps.extend((kernel, group) for kernel, (group, _) in open_groups.items())
+    return steps
+
+
+def _apply(state: np.ndarray, scratch: np.ndarray, gates,
            w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Advance `state` by one gate, using `scratch` for staging.
+    """Advance `state` by the gates of one layer, using `scratch` for
+    staging. Returns the (state, scratch) pair, swapped when the result
+    landed in the scratch buffer.
 
-    Returns the (state, scratch) pair, swapped when the result landed in
-    the scratch buffer. One of three kernels runs:
+    The layer is taken by gate class (see _steps), one state pass per
+    step: a group of permutation gates (_flip), a group of diagonal gates
+    (_scale), or one dense block (_dense_block). A one-gate group keeps
+    the gate's own kernel, which touches only its firing slab.
 
-    - diagonal (PHASE, and any block_matrix that is diagonal): each target
-      bit pattern is scaled in place, skipping factors of 1;
-    - permutation (X, CNOT, Toffoli, fanout, MODQ): the slab flipped on
-      the target axes is staged in scratch;
-    - dense block (H, u, cu): one np.matmul (BLAS) by the block matrix.
-      When the targets are in order, reach qubit 5 or above and have no
-      control below them, it runs on the slab as a stack of [2^k, 2^lo]
-      matrices, writing to scratch. Otherwise the slab is first staged
-      in scratch with its target axes last, and the product lands in the
-      free half of scratch or, for an uncontrolled gate, in the state.
-
-    A result in scratch is copied back where the gate fires: everywhere,
-    or where MODQ's input count is not a multiple of q. An uncontrolled
-    gate's slab is the whole state, so the buffers swap instead.
-
-    Beyond the pair, MODQ allocates its 2^inputs mask, and the diagonal
-    kernel numpy's iterator buffers (up to 256 KiB).
+    Beyond the pair, a step allocates a few KiB of numpy bookkeeping,
+    except that a lone MODQ builds its 2^inputs count and mask, and a
+    diagonal group its factor tensor.
     """
-    psi = state.reshape([2] * w)
-    sel = _slab(gate, w)
-    axes = tuple(_axis(t, w) for t in gate.targets)
-    u = None if gate.kind in _FLIP_KINDS else block_matrix(gate)
-    diag = None if u is None else _diagonal(u)
-    if diag is not None:
-        for y, d in enumerate(diag):
-            if d != 1:
-                idx = list(sel)
-                for j, ax in enumerate(axes):
-                    idx[ax] = (y >> j) & 1
-                psi[tuple(idx)] *= d
-        return state, scratch
-
-    view, staged = psi[sel], scratch.reshape([2] * w)[sel]
-    if u is not None:
-        return _dense_block(state, scratch, view, staged, u, gate, w)
-    staged[...] = np.flip(view, axes)
-    if not gate.controls:  # the whole result is in scratch
-        return scratch, state
-    fires = _fires(gate) if gate.kind is GateKind.MODQ else True
-    np.copyto(view, staged, where=fires)
+    for kernel, group in _steps(gates, w):
+        state, scratch = kernel(state, scratch, group, w)
     return state, scratch
 
 
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate; returns a new state, norm preserved."""
+    """Apply one gate, as a one-gate layer; returns a new state, norm
+    preserved."""
     w = state_width(state)
     high = [i for i in gate.support if i >= w]
     if high:
         raise CircuitError(f"gate touches qubit {high[0]} outside width {w}")
-    out, _ = _apply(state.copy(), np.empty_like(state), gate, w)
+    out, _ = _apply(state.copy(), np.empty_like(state), (gate,), w)
     return out
 
 
@@ -221,11 +319,15 @@ def run(circuit: Circuit, initial: np.ndarray,
         workspace: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Apply the circuit's layers in order; `initial` is left untouched.
 
-    Within a layer the gates commute by the discipline's disjointness
-    guarantee, so in-layer application order is unobservable. Passing a
-    `workspace` from make_workspace avoids per-call state allocations; the
-    returned state then aliases one of its buffers and is only valid until
-    the next run with the same workspace.
+    Each layer is one _apply: its gates are regrouped by class, and each
+    group advances the whole state at once. That is safe because
+    Circuit validates every layer: a gate's target is touched by no other
+    gate of the layer, and under WITH_FANOUT gates share only controls,
+    which no gate changes. So the gates of a layer commute, and any order
+    or grouping gives the same state. Passing a `workspace` from
+    make_workspace avoids per-call state allocations; the returned state
+    then aliases one of its buffers and is only valid until the next run
+    with the same workspace.
     """
     if state_width(initial) != circuit.width:
         raise CircuitError(
@@ -235,8 +337,7 @@ def run(circuit: Circuit, initial: np.ndarray,
     state, scratch = workspace
     state[...] = initial
     for layer in circuit.layers:
-        for gate in layer.gates:
-            state, scratch = _apply(state, scratch, gate, circuit.width)
+        state, scratch = _apply(state, scratch, layer.gates, circuit.width)
     return state
 
 
@@ -258,14 +359,19 @@ def merge_rows(ids: np.ndarray, index: np.ndarray, amps: np.ndarray,
 
 
 def _row_fires(gate: Gate, index: np.ndarray) -> np.ndarray:
-    """Where a gate acts on rows with these basis indices: every control
-    set (a negated one clear), or for MODQ a count of them that is not a
+    """Where a gate acts on these basis indices: every control set (a
+    negated one clear), or for MODQ a count of them that is not a
     multiple of q."""
     controls = sum(1 << c for c in gate.controls)
     hits = (index ^ sum(1 << c for c in gate.negated)) & controls
     if gate.kind is GateKind.MODQ:
         return sum((hits >> c) & 1 for c in gate.controls) % gate.q != 0
     return hits == controls
+
+
+def _block(gate: Gate, index: np.ndarray) -> np.ndarray:
+    """The block index of each basis index: bit j is target j's bit."""
+    return sum(((index >> t) & 1) << j for j, t in enumerate(gate.targets))
 
 
 def run_basis(circuit: Circuit, starts) -> Rows | None:
@@ -290,7 +396,7 @@ def run_basis(circuit: Circuit, starts) -> Rows | None:
             index ^= np.where(fires, mask, 0)
             continue
         u = block_matrix(gate)
-        block = sum(((index >> t) & 1) << j for j, t in enumerate(gate.targets))
+        block = _block(gate, index)
         diag = _diagonal(u)
         if diag is not None:
             amps *= np.where(fires, diag[block], 1)

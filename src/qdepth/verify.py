@@ -384,12 +384,12 @@ class ScalingTable:
     construction: str
     q: int | None
     discipline: str
-    rows: list[tuple[int, int, int, int]]  # (n, depth, width, ancillae)
+    rows: list[tuple[int, int, int, int, int]]  # (n, depth, width, ancillae, work)
     verdict: str = field(default="")
 
     def to_text(self) -> str:
-        lines = ["n\tdepth\twidth\tancillae"]
-        lines += [f"{n}\t{d}\t{w}\t{a}" for n, d, w, a in self.rows]
+        lines = ["n\tdepth\twidth\tancillae\twork"]
+        lines += ["\t".join(map(str, row)) for row in self.rows]
         lines.append(f"verdict: {self.verdict}")
         return "\n".join(lines)
 
@@ -417,14 +417,17 @@ def _classify_depths(ns, depths) -> str:
 def depth_scaling_table(name: str, q: int | None, n_range,
                         discipline: Discipline = Discipline.WITH_FANOUT,
                         builder: str = "fanout") -> ScalingTable:
-    """Tabulate (n, depth, width, ancillae); no simulation involved."""
+    """Tabulate (n, depth, width, ancillae, work), where ancillae counts
+    the COPY qubits and work the ANCILLA qubits, as verify reports them;
+    no simulation involved."""
     rows = []
     ns = list(n_range)
     for n in ns:
         b = build_construction(name, n=n, q=q, discipline=discipline,
                                builder=builder)
         c = b.circuit
-        rows.append((n, c.depth, c.width, c.ancilla_count))
+        rows.append((n, c.depth, c.width, c.roles.count(Role.COPY),
+                     c.roles.count(Role.ANCILLA)))
     verdict = _classify_depths(ns, [r[1] for r in rows])
     return ScalingTable(name, q, discipline.value, rows, verdict)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from qdepth.ir import (
-    Circuit, Discipline, Gate, Layer, Role,
+    Circuit, Discipline, Gate, GateKind, Layer, Role,
     cnot, controlled_u, fanout, hadamard, modq_gate, pauli_x, single_qubit,
     symmetric_phase, toffoli,
 )
@@ -77,3 +77,83 @@ def random_circuit(rng: np.random.Generator, width: int, n_gates: int) -> Circui
     layers = tuple(Layer((random_gate(rng, width),)) for _ in range(n_gates))
     roles = (Role.INPUT,) * width
     return Circuit(width, roles, layers, Discipline.WITH_FANOUT)
+
+
+def random_layered_circuit(rng: np.random.Generator, width: int, depth: int,
+                           discipline: Discipline) -> Circuit:
+    """Random circuit of `depth` layers that hold several gates each, valid
+    under `discipline`: permutation (X, CNOT, Toffoli, MODQ, fanout),
+    diagonal (PHASE, diagonal cu) and dense (H, u, cu) gates side by side,
+    with negated controls, and under WITH_FANOUT controls shared between
+    gates. When the width allows, the first layer's permutation gates read
+    seven controls, more than the dense engine walks in one group."""
+    layers = []
+    for i in range(depth):
+        free = [int(q) for q in rng.permutation(width)]  # touched by no gate yet
+        read = []  # controls of this layer's gates so far
+        gates = []
+        if i == 0 and width >= 10:
+            wide = [free.pop() for _ in range(9)]
+            gates += [toffoli(wide[:6], wide[6], negated=wide[:2]),
+                      cnot(wide[7], wide[8])]
+            read += wide[:6] + wide[7:8]
+        for _ in range(width):
+            gate = _random_layer_gate(rng, free, read, discipline)
+            if gate is not None:
+                gates.append(gate)
+                read += [c for c in gate.controls if c not in read]
+        layers.append(Layer(tuple(gates)))
+    return Circuit(width, (Role.INPUT,) * width, tuple(layers), discipline)
+
+
+# kind: (fewest controls, most controls, most targets)
+_LAYER_GATE_SHAPES = {
+    "x": (0, 0, 1), "h": (0, 0, 1), "u": (0, 0, 1), "cnot": (1, 1, 1),
+    "toffoli": (1, 3, 1), "modq": (1, 4, 1), "fanout": (1, 1, 3),
+    "phase": (0, 3, 1), "cu_diag": (0, 2, 2), "cu": (0, 2, 2),
+}
+
+
+def _random_layer_gate(rng: np.random.Generator, free: list, read: list,
+                       discipline: Discipline) -> Gate | None:
+    """One gate on qubits of `free`, which it removes from there, or None
+    when too few are left. Under WITH_FANOUT a control may instead be one
+    that other gates of the layer already read."""
+    kind = str(rng.choice(list(_LAYER_GATE_SHAPES)))
+    fewest, most, widest = _LAYER_GATE_SHAPES[kind]
+    n_targets = int(rng.integers(1, widest + 1))
+    targets, pool, controls = free[:n_targets], free[n_targets:], []
+    for _ in range(int(rng.integers(fewest, most + 1))):
+        shared = [c for c in read if c not in controls]
+        if discipline is Discipline.WITH_FANOUT and shared and rng.random() < 0.5:
+            controls.append(int(rng.choice(shared)))
+        elif pool:
+            controls.append(pool.pop())
+    if len(targets) < n_targets or len(controls) < fewest:
+        return None
+    for q in targets + controls:
+        if q in free:
+            free.remove(q)
+    neg = tuple(c for c in controls if rng.random() < 0.3)
+    if kind == "x":
+        return pauli_x(targets[0])
+    if kind == "h":
+        return hadamard(targets[0])
+    if kind == "u":
+        return single_qubit(random_unitary(rng, 2), targets[0])
+    if kind == "cnot":
+        return cnot(controls[0], targets[0], negated=neg)
+    if kind == "toffoli":
+        return toffoli(controls, targets[0], negated=neg)
+    if kind == "modq":
+        return modq_gate(int(rng.integers(2, 6)), controls, targets[0], negated=neg)
+    if kind == "fanout":
+        return Gate(GateKind.FANOUT, tuple(controls), tuple(targets), frozenset(neg))
+    if kind == "phase":
+        return symmetric_phase(float(rng.uniform(-np.pi, np.pi)), controls,
+                               targets[0], negated=neg)
+    if kind == "cu_diag":
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 1 << n_targets))
+        return controlled_u(controls, np.diag(phases), targets, negated=neg)
+    return controlled_u(controls, random_unitary(rng, 1 << n_targets), targets,
+                        negated=neg)

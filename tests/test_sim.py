@@ -16,10 +16,11 @@ from qdepth.sim import (
     plus_at, random_state, relabel_qubits, run, run_basis, unitary_of,
     zero_state,
 )
-from qdepth.synth import cat_fanout, cat_log_depth
+from qdepth.synth import cat_fanout, cat_log_depth, modq_constant_depth
 from qdepth.verify import build_construction
 
-from common import MOD2_3INPUT_MATRIX, random_circuit, random_unitary
+from common import (MOD2_3INPUT_MATRIX, random_circuit, random_layered_circuit,
+                    random_unitary)
 
 U2, U4, U8 = (random_unitary(np.random.default_rng(31), d) for d in (2, 4, 8))
 
@@ -179,6 +180,35 @@ class TestRun:
             tracemalloc.stop()
         assert peak < initial.nbytes / 16, peak
 
+    @pytest.mark.parametrize("gates", [
+        modq_constant_depth(3, 5).layers[1].gates,  # three 3-way fanouts
+        tuple(cnot(c, c + 6) for c in range(4, 10)),
+        tuple(controlled_u((j,), np.diag(np.exp(1j * np.arange(8) * (j + 1))),
+                           (4 + 3 * j, 5 + 3 * j, 6 + 3 * j)) for j in range(4)),
+    ], ids=["fanout-x3", "cnot-x6", "diagonal-cu-x4"])
+    def test_multi_gate_layers_allocate_little(self, gates):
+        w = 16
+        circuit = Circuit(w, (Role.INPUT,) * w, (Layer(gates),),
+                          Discipline.WITH_FANOUT)
+        initial = random_state(w, np.random.default_rng(5))
+        workspace = make_workspace(w)
+        run(circuit, initial, workspace)
+        tracemalloc.start()
+        try:
+            run(circuit, initial, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < initial.nbytes / 16, peak
+
+
+def _layered_circuits():
+    """Random multi-gate-layer circuits over both disciplines: every
+    width from 3 to 12, three circuits of four layers each."""
+    rng = np.random.default_rng(2025)
+    return [random_layered_circuit(rng, width, 4, disc)
+            for disc in Discipline for width in range(3, 13) for _ in range(3)]
+
 
 def _worst_row_error(circuit, starts, rows) -> float:
     """Max |amplitude| of (rows of input i) - run(|starts[i]>) over every
@@ -246,6 +276,25 @@ class TestRunBasis:
                             assert _worst_row_error(c, [start], rows) <= 1e-12
                             compared += 1
         assert compared >= 0.98 * total, (compared, total)
+
+    def test_matches_run_on_layered_circuits(self):
+        # one batch of eight inputs per circuit, or one input at a time when
+        # the batch outgrows the row budget
+        compared = total = 0
+        for c in _layered_circuits():
+            batch = np.arange(min(8, 1 << c.width))
+            total += batch.size
+            rows = run_basis(c, batch)
+            if rows is not None:
+                assert _worst_row_error(c, batch, rows) <= 1e-12
+                compared += batch.size
+                continue
+            for start in batch:
+                rows = run_basis(c, [start])
+                if rows is not None:
+                    assert _worst_row_error(c, [start], rows) <= 1e-12
+                    compared += 1
+        assert compared >= 0.9 * total, (compared, total)
 
     @pytest.mark.parametrize("built", [b for _, b in _SMALL_CONSTRUCTIONS],
                              ids=[label for label, _ in _SMALL_CONSTRUCTIONS])
@@ -397,6 +446,26 @@ class TestProperties:
             perm = tuple(gates[i] for i in rng.permutation(len(gates)))
             shuffled = Circuit(6, c.roles, (Layer(perm),), Discipline.WITH_FANOUT)
             assert np.abs(run(shuffled, state) - base).max() <= 1e-12
+
+    def test_layer_matches_its_gates_one_per_layer(self):
+        # A layer's permutation gates only copy amplitudes, so grouping them
+        # must not change a bit; diagonal factors multiplied together first
+        # may round differently in the last place.
+        rng = np.random.default_rng(18)
+        for c in _layered_circuits():
+            state = random_state(c.width, rng)
+            for layer in c.layers:
+                flips = tuple(g for g in layer.gates if g.kind in (
+                    GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
+                    GateKind.FANOUT, GateKind.MODQ))
+                for gates in (layer.gates, flips):
+                    one = Circuit(c.width, c.roles, (Layer(gates),), c.discipline)
+                    apart = Circuit(c.width, c.roles,
+                                    tuple(Layer((g,)) for g in gates), c.discipline)
+                    got, want = run(one, state), run(apart, state)
+                    if gates == flips:
+                        assert np.array_equal(got, want), gates
+                    assert np.abs(got - want).max() <= 1e-13, gates
 
 
 class TestDumpAndRelabel:

@@ -304,25 +304,25 @@ class TestScalingTables:
     def test_constant_depth_verdict(self):
         table = depth_scaling_table("modq-const", 3, range(2, 17))
         assert table.verdict == "constant"
-        assert len({d for _, d, _, _ in table.rows}) == 1
+        assert len({d for _, d, _, _, _ in table.rows}) == 1
 
     def test_cat_is_logarithmic(self):
         table = depth_scaling_table("cat", None, range(2, 17), builder="log-cat")
         assert table.verdict == "logarithmic"
-        for n, depth, _, _ in table.rows:
+        for n, depth, _, _, _ in table.rows:
             assert depth == math.ceil(math.log2(n))
 
     def test_sequential_is_linear(self):
         table = depth_scaling_table("modq-seq", 3, range(2, 17))
         assert table.verdict == "linear"
-        depths = [d for _, d, _, _ in table.rows]
+        depths = [d for _, d, _, _, _ in table.rows]
         assert all(b > a for a, b in zip(depths, depths[1:]))
 
     def test_text_output_is_tab_separated(self):
         table = depth_scaling_table("fanout", None, range(2, 5))
         lines = table.to_text().splitlines()
-        assert lines[0] == "n\tdepth\twidth\tancillae"
-        assert lines[1] == "2\t1\t3\t0"
+        assert lines[0] == "n\tdepth\twidth\tancillae\twork"
+        assert lines[1] == "2\t1\t3\t0\t0"
         assert lines[-1].startswith("verdict:")
 
 
