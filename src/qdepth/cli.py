@@ -6,8 +6,9 @@ scaling, and run the matrix identity checks.
 Input bitstrings are qubit-0-first ("110" sets qubit 0 and qubit 1); the
 state dump prints basis indices in binary with qubit 0 rightmost. Exit
 codes: 0 success/pass, 1 verification failure, 2 usage error, 3 register
-too wide for the simulation cap (QDEPTH_SIM_CAP, default 22) or for a
-block-matrix gate oracle (ctrl-u).
+too wide for a limit of the simulator (sim.WidthCapExceeded): the
+simulation cap (QDEPTH_SIM_CAP, default 22), a block-matrix gate oracle
+(ctrl-u), or the int64 key of the sparse engine's rows.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import classical as cc
 from .ir import CircuitError, Discipline, circuit_from_json, circuit_to_json
-from .sim import basis_state, dump_state, plus_at, run
+from .sim import WidthCapExceeded, basis_state, dump_state, plus_at, run
 from .synth import CAT_BUILDERS
 from .verify import (
     CONSTRUCTIONS,
@@ -27,7 +28,6 @@ from .verify import (
     TOL_ENV,
     U_NAMES,
     Built,
-    SimulationCapExceeded,
     VerificationReport,
     build_construction,
     depth_scaling_table,
@@ -106,7 +106,7 @@ def cmd_sim(args) -> int:
         circuit = circuit_from_json(f.read())
     cap = sim_cap()
     if circuit.width > cap:
-        raise SimulationCapExceeded(
+        raise WidthCapExceeded(
             f"{circuit.width} qubits exceeds simulation cap {cap}")
     state = _parse_input(args.input, circuit.width)
     out = run(circuit, state)
@@ -199,7 +199,7 @@ def main(argv=None) -> int:
     except (CircuitError, cc.ClassicalCircuitError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except SimulationCapExceeded as e:
+    except WidthCapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
 

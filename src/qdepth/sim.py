@@ -3,25 +3,35 @@ State-vector simulation on two engines, and ancilla-purity analysis.
 
 The dense engine (run) holds a state as a plain complex128 numpy array of
 length 2^m, unit norm, in little-endian basis order: qubit 0 is the least
-significant bit of the basis index. Its unit of work is a layer, as in
-the paper, where a layer of commuting gates is one time step. The caller
-keeps the input state; a layer's gates are regrouped by class, and each
-group advances the state, reshaped to [2]*m, in one pass:
+significant bit of the basis index. It runs a plan (dense_plan), built
+for each circuit on its first run and kept with the circuit; the caller
+keeps the input state. A layer of commuting gates is one time step, as in
+the paper, and the plan takes each layer's gates by class. Each step
+advances the state, reshaped to [2]*m, in one pass:
 
 - permutation gates (X, CNOT, Toffoli, fanout, MODQ): one out-of-place
   copy, slab by slab over the settings of their controls, flipped on the
   targets of the gates that fire there;
-- diagonal gates (PHASE, diagonal u/cu): one in-place multiply by the
-  product of their factors, a tensor over the union of their qubits;
+- diagonal gates (PHASE, diagonal u/cu): one in-place multiply by a
+  factor tensor that the plan holds, of at most 1/32 of the state (or
+  2^8 amplitudes, below 13 qubits);
 - dense blocks (H, u, cu), one gate at a time: one np.matmul of the slab
   where the controls fire, staged in scratch with the target axes last
   unless they already form a stack of block-sized matrices.
 
-A group of one gate keeps the gate's own kernel, which touches only the
-slab where its controls fire. Beyond the workspace pair a layer allocates
-a few KiB of numpy bookkeeping, except that a lone MODQ builds its
-2^inputs count and mask, and a diagonal group its factor tensor, at most
-1/32 of the state.
+Affine permutation gates (X, CNOT, fanout, and MODQ with q=2, the parity)
+are held back as one GF(2) affine map of the basis index, and a diagonal
+gate that follows them is rewritten through the map into a factor over
+the qubits the map reads. The held-back gates run, in their own layers,
+only when a layer with a dense block or a non-affine permutation gate
+arrives, when a rewritten factor would outgrow its tensor, or at the
+end, and not at all when the map composes to the identity. So the
+paper's copy, diagonal, uncopy pattern costs only the diagonal.
+
+A one-gate step keeps the gate's own kernel, which touches only the slab
+where its controls fire. Beyond the workspace pair a run allocates a few
+KiB of numpy bookkeeping, except that a lone MODQ builds its 2^inputs
+count and mask.
 
 The sparse engine (run_basis) drives many basis inputs at once as rows of
 (input id, basis index, amplitude), with the same three gate classes: a
@@ -47,8 +57,11 @@ PURITY_TOL = 1e-10
 DUMP_THRESHOLD = 1e-14
 
 
-class WidthCapExceeded(CircuitError):
-    """A request would allocate more amplitudes than the configured cap."""
+class WidthCapExceeded(RuntimeError):
+    """A register is too wide for a limit of the simulator: the simulation
+    cap, the width of unitary extraction, or the int64 (id, index) key of
+    the sparse rows. This is not a malformed request, so it is no
+    CircuitError; the CLI exits 3 on it."""
 
 
 def state_width(state: np.ndarray) -> int:
@@ -128,15 +141,30 @@ _FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
 MAX_PATTERNS = 64
 
 
+# A factor tensor that spans the lowest FILL_RUN qubits multiplies the
+# state in contiguous runs of 2^FILL_RUN amplitudes (16 KiB): on 20 qubits
+# that took 1.14 ms, as fast as a scalar multiply, where runs of 2^8 took
+# 1.54 ms and a tensor over qubits {3, 5, 6, 7, 17, 18, 19} 3.0 ms.
+FILL_RUN = 10
+
+
 def _diagonal(u: np.ndarray) -> np.ndarray | None:
     """The diagonal of a block matrix that has no other nonzero entry."""
     d = np.diagonal(u)
     return None if np.count_nonzero(u - np.diag(d)) else d
 
 
-def _flip(state: np.ndarray, scratch: np.ndarray, group, w: int):
-    """Permutation gates (X, CNOT, Toffoli, fanout, MODQ), as (gate, None)
-    pairs, whose targets no other gate of the group touches.
+def _affine(gate: Gate) -> bool:
+    """Whether a permutation gate is an affine map of the basis index over
+    GF(2): X, CNOT and fanout, a Toffoli or MODQ on one control, or MODQ
+    with q=2, which XORs the parity of its controls onto its target."""
+    return gate.kind in (GateKind.PAULI_X, GateKind.CNOT, GateKind.FANOUT) or (
+        gate.kind in _FLIP_KINDS and (len(gate.controls) == 1 or gate.q == 2))
+
+
+def _flip(state: np.ndarray, scratch: np.ndarray, gates, w: int):
+    """Permutation gates (X, CNOT, Toffoli, fanout, MODQ) whose targets no
+    other gate of the group touches.
 
     One gate works on its firing slab: the slab flipped on the target axes
     is staged in scratch and copied back where it fires (everywhere, or
@@ -150,8 +178,8 @@ def _flip(state: np.ndarray, scratch: np.ndarray, group, w: int):
     buffers swap.
     """
     psi, out = state.reshape([2] * w), scratch.reshape([2] * w)
-    if len(group) == 1:
-        (gate, _), = group
+    if len(gates) == 1:
+        gate, = gates
         modq = gate.kind is GateKind.MODQ
         sel = _slab(_on(gate), () if modq else gate.controls, w)
         view, staged = psi[sel], out[sel]
@@ -161,10 +189,10 @@ def _flip(state: np.ndarray, scratch: np.ndarray, group, w: int):
         fires = _row_fires(gate, _grid(gate.controls, w)) if modq else True
         np.copyto(view, staged, where=fires)
         return state, scratch
-    controls = {c for gate, _ in group for c in gate.controls}
+    controls = {c for gate in gates for c in gate.controls}
     settings = _grid(controls, w).ravel()
-    fires = np.array([_row_fires(gate, settings) for gate, _ in group]).T
-    axes = [[_axis(t, w) for t in gate.targets] for gate, _ in group]
+    fires = np.array([_row_fires(gate, settings) for gate in gates]).T
+    axes = [[_axis(t, w) for t in gate.targets] for gate in gates]
     for index, hits in zip(settings.tolist(), fires.tolist()):
         sel = _slab(index, controls, w)
         out[sel] = np.flip(psi[sel], [a for hit, gate_axes in zip(hits, axes)
@@ -172,14 +200,25 @@ def _flip(state: np.ndarray, scratch: np.ndarray, group, w: int):
     return scratch, state
 
 
-def _scale(state: np.ndarray, scratch: np.ndarray, group, w: int):
-    """Diagonal gates (PHASE, and any block_matrix that is diagonal), as
-    (gate, diagonal) pairs, in place.
+def _scale_slab(state: np.ndarray, scratch: np.ndarray, pair, w: int):
+    """One diagonal gate, as a (gate, diagonal) pair, in place: each target
+    bit pattern of its firing slab is scaled, skipping factors of 1, with
+    the small ufunc buffer that _scale explains."""
+    gate, diag = pair
+    psi, qubits = state.reshape([2] * w), gate.controls + gate.targets
+    bufsize = np.setbufsize(512)
+    try:
+        for y, d in enumerate(diag):
+            if d != 1:
+                psi[_slab(_on(gate) | embed_index(y, gate.targets), qubits, w)] *= d
+    finally:
+        np.setbufsize(bufsize)
+    return state, scratch
 
-    One gate scales each target bit pattern of its firing slab, skipping
-    factors of 1. A larger group takes one multiply by the product of their
-    factors: a tensor over the union of their qubits, broadcast over the
-    rest, which _steps keeps at or below 1/32 of the state.
+
+def _scale(state: np.ndarray, scratch: np.ndarray, factor: np.ndarray, w: int):
+    """One in-place multiply by a factor tensor that a plan built from
+    diagonal gates, broadcast over the qubits it does not span.
 
     numpy stages a strided or broadcast operand in buffers of bufsize
     elements, 128 KiB by default. 512 (8 KiB) keeps the allocations of a
@@ -189,30 +228,18 @@ def _scale(state: np.ndarray, scratch: np.ndarray, group, w: int):
     psi = state.reshape([2] * w)
     bufsize = np.setbufsize(512)
     try:
-        if len(group) == 1:
-            (gate, diag), = group
-            qubits = gate.controls + gate.targets
-            for y, d in enumerate(diag):
-                if d != 1:
-                    psi[_slab(_on(gate) | embed_index(y, gate.targets), qubits, w)] *= d
-            return state, scratch
-        factor = np.ones(_shape({q for gate, _ in group for q in gate.support}, w),
-                         dtype=complex)
-        for gate, diag in group:
-            index = _grid(gate.support, w)
-            factor *= np.where(_row_fires(gate, index), diag[_block(gate, index)], 1)
         psi *= factor
-        return state, scratch
     finally:
         np.setbufsize(bufsize)
+    return state, scratch
 
 
-def _dense_block(state: np.ndarray, scratch: np.ndarray, group, w: int):
+def _dense_block(state: np.ndarray, scratch: np.ndarray, pair, w: int):
     """One (gate, u) pair: multiply the slab where the gate's controls
     fire by u on its targets (bit j of the block index on target j), with
     one np.matmul (BLAS). An uncontrolled result in scratch swaps the
     buffers; a controlled one is copied back."""
-    (gate, u), = group
+    gate, u = pair
     sel = _slab(_on(gate), gate.controls, w)
     view, staged = state.reshape([2] * w)[sel], scratch.reshape([2] * w)[sel]
     k, lo = len(gate.targets), min(gate.targets)
@@ -231,73 +258,216 @@ def _dense_block(state: np.ndarray, scratch: np.ndarray, group, w: int):
     # so the product is one [rows, 2^k] x [2^k, 2^k] matmul. It lands in
     # the half of scratch a controlled slab leaves free, or, for the whole
     # state, in the state itself, whose contents are staged already.
-    src, dst = [_axis(t, w) for t in reversed(gate.targets)], range(w - k, w)
-    moved = np.moveaxis(view, src, dst)
+    # (a transpose that moves the target axes last, as np.moveaxis would,
+    # without its argument checks)
+    src = [_axis(t, w) for t in reversed(gate.targets)]
+    order = [a for a in range(w) if a not in src] + src
+    moved = view.transpose(order)
     m = moved.size
     rows = scratch[:m].reshape(moved.shape)
     rows[...] = moved
     product = scratch[m:2 * m] if gate.controls else state
     np.matmul(rows.reshape(-1, 1 << k), u.T, out=product.reshape(-1, 1 << k))
     home = view if gate.controls else staged
-    np.moveaxis(home, src, dst)[...] = product.reshape(moved.shape)
+    home.transpose(order)[...] = product.reshape(moved.shape)
     return (state, scratch) if gate.controls else (scratch, state)
 
 
-def _steps(gates, w: int) -> list:
-    """The kernel calls that advance a state by one layer's gates, as
-    (kernel, [(gate, matrix)]) pairs. Permutation gates are packed into
-    groups whose controls take at most MAX_PATTERNS settings, diagonal
-    gates into groups over at most w - 5 qubits, whose factor tensor is
-    then at most 1/32 of the state; a gate that would overflow its group
-    starts the next one. Each dense block is a step of its own."""
-    steps, open_groups = [], {}
+def _flip_steps(gates) -> list:
+    """Permutation gates as _flip steps, packed into groups whose controls
+    take at most MAX_PATTERNS settings; a gate that would overflow its
+    group starts the next one."""
+    steps, group, held = [], [], set()
     for gate in gates:
-        if gate.kind in _FLIP_KINDS:
-            kernel, matrix, qubits, cap = _flip, None, set(gate.controls), MAX_PATTERNS
-        else:
-            u = block_matrix(gate)
-            matrix = _diagonal(u)
-            if matrix is None:
-                steps.append((_dense_block, [(gate, u)]))
-                continue
-            kernel, qubits, cap = _scale, set(gate.support), 1 << max(w - 5, 0)
-        group, held = open_groups.get(kernel, ([], set()))
-        if group and 1 << len(held | qubits) > cap:
-            steps.append((kernel, group))
+        if group and 1 << len(held | set(gate.controls)) > MAX_PATTERNS:
+            steps.append((_flip, group))
             group, held = [], set()
-        open_groups[kernel] = (group + [(gate, matrix)], held | qubits)
-    steps.extend((kernel, group) for kernel, (group, _) in open_groups.items())
+        group.append(gate)
+        held |= set(gate.controls)
+    return steps + [(_flip, group)] if group else steps
+
+
+class _Pending:
+    """Affine permutation gates that a plan holds back, kept as the map
+    they compose to: basis index x goes to P(x), whose bit j is the parity
+    of x & src[j], flipped where bit j of off is set. `layers` keeps the
+    gates themselves, one tuple per circuit layer, for when they must run;
+    it empties whenever the map composes to the identity."""
+
+    def __init__(self, w: int):
+        self.src, self.off, self.layers = [1 << j for j in range(w)], 0, []
+
+    def push(self, gates: tuple) -> None:
+        """Compose one layer's affine gates onto the map. No gate of a
+        layer reads another's target, so the order does not matter."""
+        for gate in gates:
+            mask, flip = 0, (len(gate.negated) & 1) if gate.controls else 1
+            for c in gate.controls:
+                mask ^= self.src[c]
+                flip ^= (self.off >> c) & 1
+            for t in gate.targets:
+                self.src[t] ^= mask
+                self.off ^= flip << t
+        self.layers.append(gates)
+        if not self.off and all(m == 1 << j for j, m in enumerate(self.src)):
+            self.layers = []
+
+    def terms(self, gate: Gate) -> tuple:
+        """(qubit, source mask, offset bit) for each qubit of the gate:
+        what bit q of P(x) is made of."""
+        return tuple((q, self.src[q], (self.off >> q) & 1)
+                     for q in sorted(gate.support))
+
+
+def _reads(terms) -> set:
+    """The qubits that the bits described by `terms` read."""
+    mask = 0
+    for _, source, _ in terms:
+        mask |= source
+    return {q for q in range(mask.bit_length()) if mask >> q & 1}
+
+
+def _image(index: np.ndarray, terms) -> np.ndarray:
+    """The basis index whose bit q, for each (q, source, offset) of
+    `terms`, is the parity of index & source XOR offset; other bits 0."""
+    out = index & 0
+    for q, source, offset in terms:
+        bit = offset
+        for r in range(source.bit_length()):
+            if source >> r & 1:
+                bit = bit ^ ((index >> r) & 1)
+        out = out | (bit << q)
+    return out
+
+
+def _lowest_run(qubits, w: int) -> int:
+    """How many of the lowest qubits are all in `qubits` or all out."""
+    inside = 0 in qubits
+    return next((q for q in range(w) if (q in qubits) != inside), w)
+
+
+def _plan(layers, w: int) -> list:
+    """The kernel calls that advance a state by `layers` (each a tuple of
+    gates), as (kernel, argument) pairs.
+
+    A layer's gates commute, so the plan may take them by class. Affine
+    permutation gates (_affine) are held back in a _Pending map P, and a
+    diagonal gate D that follows them is rewritten through P: D·P = P·D'
+    with D'(x) = D(P(x)), a factor over the qubits that P reads on D's
+    qubits. Held-back gates run, as _flip steps in their own layers, only
+    when a dense block or a non-affine permutation arrives, when a
+    rewritten factor would span more than max(w - 5, 8) qubits, or at the
+    end; when P composes to the identity they are dropped. So a copy
+    tree, a diagonal and the uncopy cost only the diagonal.
+
+    Diagonal gates, rewritten or not, are packed into factor tensors over
+    at most max(w - 5, 8) qubits, 1/32 of the state at 13 qubits or more;
+    a gate that would overflow the open tensor closes it. A tensor of one
+    gate that P leaves as it is becomes a _scale_slab step, which touches
+    only its firing slab. Dense blocks are steps of their own.
+    """
+    steps, pending = [], _Pending(w)
+    group, held = [], set()  # the open factor: (gate, diagonal, terms)
+    limit = max(w - 5, 8)
+
+    def close():
+        nonlocal group, held
+        if len(group) == 1 and all(source == 1 << q and not offset
+                                   for q, source, offset in group[0][2]):
+            steps.append((_scale_slab, group[0][:2]))
+        elif group:
+            # numpy's multiply walks the state in runs as long as the
+            # tensor's lowest qubits that it spans or broadcasts alike. So
+            # where it makes that run longer, the qubits below FILL_RUN
+            # that the tensor does not read fill it, up to the limit.
+            fill = held | set([q for q in range(min(w, FILL_RUN))
+                               if q not in held][:limit - len(held)])
+            if _lowest_run(fill, w) > _lowest_run(held, w):
+                held = fill
+            factor = np.ones(_shape(held, w), dtype=complex)
+            for gate, diag, terms in group:
+                image = _image(_grid(_reads(terms), w), terms)
+                factor *= np.where(_row_fires(gate, image), diag[_block(gate, image)], 1)
+            factor.setflags(write=False)
+            steps.append((_scale, factor))
+        group, held = [], set()
+
+    def flush():
+        nonlocal pending
+        close()
+        for gates in pending.layers:
+            steps.extend(_flip_steps(gates))
+        pending = _Pending(w)
+
+    for gates in layers:
+        flips, diagonals, blocks = [], [], []
+        for gate in gates:
+            if gate.kind in _FLIP_KINDS:
+                flips.append(gate)
+                continue
+            u = block_matrix(gate)
+            diag = _diagonal(u)
+            if diag is None:
+                blocks.append((gate, u))
+            else:
+                diagonals.append((gate, diag))
+        deferred = not blocks and all(map(_affine, flips))
+        if not deferred:
+            flush()
+            steps.extend(_flip_steps(flips))
+            steps.extend((_dense_block, pair) for pair in blocks)
+        for gate, diag in diagonals:
+            terms = pending.terms(gate)
+            if len(_reads(terms)) > limit and pending.layers:
+                flush()
+                terms = pending.terms(gate)
+            reads = _reads(terms)
+            if group and len(held | reads) > limit:
+                close()
+            group.append((gate, diag, terms))
+            held |= reads
+        if deferred and flips:
+            pending.push(tuple(flips))
+    flush()
     return steps
 
 
-def _apply(state: np.ndarray, scratch: np.ndarray, gates,
+def _apply(state: np.ndarray, scratch: np.ndarray, steps,
            w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Advance `state` by the gates of one layer, using `scratch` for
-    staging. Returns the (state, scratch) pair, swapped when the result
-    landed in the scratch buffer.
+    """Advance `state` by the steps of a plan (see _plan), using `scratch`
+    for staging. Returns the (state, scratch) pair, swapped when the
+    result landed in the scratch buffer.
 
-    The layer is taken by gate class (see _steps), one state pass per
-    step: a group of permutation gates (_flip), a group of diagonal gates
-    (_scale), or one dense block (_dense_block). A one-gate group keeps
-    the gate's own kernel, which touches only its firing slab.
-
-    Beyond the pair, a step allocates a few KiB of numpy bookkeeping,
-    except that a lone MODQ builds its 2^inputs count and mask, and a
-    diagonal group its factor tensor.
+    Each step is one state pass: a group of permutation gates (_flip), a
+    factor tensor (_scale) or a lone diagonal gate on its firing slab
+    (_scale_slab), or one dense block (_dense_block). Beyond the pair, a
+    step allocates a few KiB of numpy bookkeeping, except that a lone MODQ
+    builds its 2^inputs count and mask.
     """
-    for kernel, group in _steps(gates, w):
-        state, scratch = kernel(state, scratch, group, w)
+    for kernel, arg in steps:
+        state, scratch = kernel(state, scratch, arg, w)
     return state, scratch
 
 
+def dense_plan(circuit: Circuit) -> list:
+    """The circuit's plan for the dense engine (see _plan). It is built on
+    the first call and then kept on the circuit, so it is freed with it.
+    Two threads that ask at once may each build it; either plan serves."""
+    plan = vars(circuit).get("_dense_plan")
+    if plan is None:
+        plan = _plan([layer.gates for layer in circuit.layers], circuit.width)
+        object.__setattr__(circuit, "_dense_plan", plan)
+    return plan
+
+
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate, as a one-gate layer; returns a new state, norm
-    preserved."""
+    """Apply one gate, as the plan of a one-gate layer; returns a new
+    state, norm preserved."""
     w = state_width(state)
     high = [i for i in gate.support if i >= w]
     if high:
         raise CircuitError(f"gate touches qubit {high[0]} outside width {w}")
-    out, _ = _apply(state.copy(), np.empty_like(state), (gate,), w)
+    out, _ = _apply(state.copy(), np.empty_like(state), _plan([(gate,)], w), w)
     return out
 
 
@@ -319,15 +489,16 @@ def run(circuit: Circuit, initial: np.ndarray,
         workspace: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Apply the circuit's layers in order; `initial` is left untouched.
 
-    Each layer is one _apply: its gates are regrouped by class, and each
-    group advances the whole state at once. That is safe because
-    Circuit validates every layer: a gate's target is touched by no other
-    gate of the layer, and under WITH_FANOUT gates share only controls,
-    which no gate changes. So the gates of a layer commute, and any order
-    or grouping gives the same state. Passing a `workspace` from
-    make_workspace avoids per-call state allocations; the returned state
-    then aliases one of its buffers and is only valid until the next run
-    with the same workspace.
+    The state advances by the steps of the circuit's plan (dense_plan),
+    built on its first run. The plan takes each layer's gates by class,
+    holds copy trees back and pushes them through diagonal gates. That is
+    safe because Circuit validates every layer: a gate's target is
+    touched by no other gate of the layer, and under WITH_FANOUT gates
+    share only controls, which no gate changes. So the gates of a layer
+    commute, and any order or grouping gives the same state. Passing a
+    `workspace` from make_workspace avoids per-call state allocations; the
+    returned state then aliases one of its buffers and is only valid until
+    the next run with the same workspace.
     """
     if state_width(initial) != circuit.width:
         raise CircuitError(
@@ -336,8 +507,7 @@ def run(circuit: Circuit, initial: np.ndarray,
         workspace = make_workspace(circuit.width)
     state, scratch = workspace
     state[...] = initial
-    for layer in circuit.layers:
-        state, scratch = _apply(state, scratch, layer.gates, circuit.width)
+    state, _ = _apply(state, scratch, dense_plan(circuit), circuit.width)
     return state
 
 

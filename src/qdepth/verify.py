@@ -41,8 +41,8 @@ from .ir import (
 )
 from .oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
 from .sim import (
-    PURITY_TOL, UNITARY_WIDTH_CAP, check_ancilla_purity, embed_index,
-    make_workspace, merge_rows, run, run_basis, unitary_of,
+    PURITY_TOL, UNITARY_WIDTH_CAP, WidthCapExceeded, check_ancilla_purity,
+    embed_index, make_workspace, merge_rows, run, run_basis, unitary_of,
 )
 
 SIM_CAP_ENV = "QDEPTH_SIM_CAP"
@@ -63,10 +63,6 @@ class BasisMap:
     index with amplitude 1; `apply` maps an int64 array of them
     elementwise, so no input costs a Python call."""
     apply: Callable[[np.ndarray], np.ndarray]
-
-
-class SimulationCapExceeded(RuntimeError):
-    """The register is too wide for amplitude-level verification."""
 
 
 def sim_cap() -> int:
@@ -148,7 +144,7 @@ def _gate_image(gate: Gate, d: int) -> Image:
     if gate.kind in PERMUTATION_KINDS:
         return lambda x: (oracle_apply(gate, x, d),)
     if d > UNITARY_WIDTH_CAP:
-        raise SimulationCapExceeded(
+        raise WidthCapExceeded(
             f"{d}-qubit data register exceeds the {UNITARY_WIDTH_CAP}-qubit "
             f"dense oracle cap; rerun structural-only")
     u = oracle_unitary(gate, d)
@@ -179,7 +175,7 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image | BasisMap, *,
         raise ValueError(f"superpositions must be >= 0, got {superpositions}")
     cap = sim_cap() if cap is None else cap
     if width > cap:
-        raise SimulationCapExceeded(
+        raise WidthCapExceeded(
             f"{width}-qubit register exceeds the {cap}-qubit "
             f"simulation cap; rerun structural-only")
     image = _gate_image(oracle, d) if isinstance(oracle, Gate) else oracle

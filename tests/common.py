@@ -79,26 +79,41 @@ def random_circuit(rng: np.random.Generator, width: int, n_gates: int) -> Circui
     return Circuit(width, roles, layers, Discipline.WITH_FANOUT)
 
 
+# kind: (fewest controls, most controls, most targets)
+_LAYER_GATE_SHAPES = {
+    "x": (0, 0, 1), "h": (0, 0, 1), "u": (0, 0, 1), "cnot": (1, 1, 1),
+    "toffoli": (1, 3, 1), "modq": (1, 4, 1), "fanout": (1, 1, 3),
+    "phase": (0, 3, 1), "cu_diag": (0, 2, 2), "cu": (0, 2, 2),
+    "parity": (1, 4, 1),
+}
+LAYER_KINDS = ("x", "h", "u", "cnot", "toffoli", "modq", "fanout", "phase",
+               "cu_diag", "cu")
+AFFINE_KINDS = ("x", "cnot", "fanout", "parity")  # parity: MODQ with q=2
+DIAGONAL_KINDS = ("phase", "cu_diag")
+
+
 def random_layered_circuit(rng: np.random.Generator, width: int, depth: int,
-                           discipline: Discipline) -> Circuit:
+                           discipline: Discipline,
+                           kinds: tuple[str, ...] = LAYER_KINDS) -> Circuit:
     """Random circuit of `depth` layers that hold several gates each, valid
-    under `discipline`: permutation (X, CNOT, Toffoli, MODQ, fanout),
-    diagonal (PHASE, diagonal cu) and dense (H, u, cu) gates side by side,
-    with negated controls, and under WITH_FANOUT controls shared between
-    gates. When the width allows, the first layer's permutation gates read
+    under `discipline`: by default permutation (X, CNOT, Toffoli, MODQ,
+    fanout), diagonal (PHASE, diagonal cu) and dense (H, u, cu) gates side
+    by side, with negated controls, and under WITH_FANOUT controls shared
+    between gates; `kinds` narrows the draw. When the width allows, the
+    first layer of a draw with Toffoli gates has permutation gates that read
     seven controls, more than the dense engine walks in one group."""
     layers = []
     for i in range(depth):
         free = [int(q) for q in rng.permutation(width)]  # touched by no gate yet
         read = []  # controls of this layer's gates so far
         gates = []
-        if i == 0 and width >= 10:
+        if i == 0 and width >= 10 and "toffoli" in kinds:
             wide = [free.pop() for _ in range(9)]
             gates += [toffoli(wide[:6], wide[6], negated=wide[:2]),
                       cnot(wide[7], wide[8])]
             read += wide[:6] + wide[7:8]
         for _ in range(width):
-            gate = _random_layer_gate(rng, free, read, discipline)
+            gate = _random_layer_gate(rng, free, read, discipline, kinds)
             if gate is not None:
                 gates.append(gate)
                 read += [c for c in gate.controls if c not in read]
@@ -106,20 +121,12 @@ def random_layered_circuit(rng: np.random.Generator, width: int, depth: int,
     return Circuit(width, (Role.INPUT,) * width, tuple(layers), discipline)
 
 
-# kind: (fewest controls, most controls, most targets)
-_LAYER_GATE_SHAPES = {
-    "x": (0, 0, 1), "h": (0, 0, 1), "u": (0, 0, 1), "cnot": (1, 1, 1),
-    "toffoli": (1, 3, 1), "modq": (1, 4, 1), "fanout": (1, 1, 3),
-    "phase": (0, 3, 1), "cu_diag": (0, 2, 2), "cu": (0, 2, 2),
-}
-
-
 def _random_layer_gate(rng: np.random.Generator, free: list, read: list,
-                       discipline: Discipline) -> Gate | None:
-    """One gate on qubits of `free`, which it removes from there, or None
-    when too few are left. Under WITH_FANOUT a control may instead be one
-    that other gates of the layer already read."""
-    kind = str(rng.choice(list(_LAYER_GATE_SHAPES)))
+                       discipline: Discipline, kinds) -> Gate | None:
+    """One gate of one of `kinds` on qubits of `free`, which it removes
+    from there, or None when too few are left. Under WITH_FANOUT a control
+    may instead be one that other gates of the layer already read."""
+    kind = str(rng.choice(list(kinds)))
     fewest, most, widest = _LAYER_GATE_SHAPES[kind]
     n_targets = int(rng.integers(1, widest + 1))
     targets, pool, controls = free[:n_targets], free[n_targets:], []
@@ -147,6 +154,8 @@ def _random_layer_gate(rng: np.random.Generator, free: list, read: list,
         return toffoli(controls, targets[0], negated=neg)
     if kind == "modq":
         return modq_gate(int(rng.integers(2, 6)), controls, targets[0], negated=neg)
+    if kind == "parity":
+        return modq_gate(2, controls, targets[0], negated=neg)
     if kind == "fanout":
         return Gate(GateKind.FANOUT, tuple(controls), tuple(targets), frozenset(neg))
     if kind == "phase":

@@ -324,6 +324,16 @@ class TestNoHugeAllocation:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             exit_code, "", f"error: {message}\n")
 
+    def test_row_key_overflow_exits_as_a_cap(self, tmp_path, monkeypatch):
+        # with the cap raised, 2^14 inputs at width 56 would need a 70-bit
+        # (id, index) row key: a limit of the simulator, not a usage error
+        monkeypatch.setenv("QDEPTH_SIM_CAP", "63")
+        proc = run_cli_limited(tmp_path, "verify", "--construction", "modq-const",
+                               "--n", "13", "--q", "5")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", "error: 56-qubit rows of 16384 inputs overflow an int64 "
+                   "(id, index) key\n")
+
     @pytest.mark.parametrize("argv", [
         # a permutation oracle needs no matrix: each input's image is one
         # basis state, and the sparse engine holds 2^15 rows

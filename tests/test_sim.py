@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qdepth import sim
 from qdepth.classical import ClassicalCircuit, ClassicalGate
 from qdepth.ir import (
     Circuit, CircuitError, Discipline, Gate, GateKind, Layer, Role, cnot,
@@ -12,9 +13,9 @@ from qdepth.ir import (
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
     WidthCapExceeded, apply_gate, basis_state, check_ancilla_purity,
-    data_block_unitary, dump_state, embed_index, make_workspace, merge_rows,
-    plus_at, random_state, relabel_qubits, run, run_basis, unitary_of,
-    zero_state,
+    data_block_unitary, dense_plan, dump_state, embed_index, make_workspace,
+    merge_rows, plus_at, random_state, relabel_qubits, run, run_basis,
+    unitary_of, zero_state,
 )
 from qdepth.synth import cat_fanout, cat_log_depth, modq_constant_depth
 from qdepth.verify import build_construction
@@ -180,16 +181,18 @@ class TestRun:
             tracemalloc.stop()
         assert peak < initial.nbytes / 16, peak
 
-    @pytest.mark.parametrize("gates", [
-        modq_constant_depth(3, 5).layers[1].gates,  # three 3-way fanouts
-        tuple(cnot(c, c + 6) for c in range(4, 10)),
-        tuple(controlled_u((j,), np.diag(np.exp(1j * np.arange(8) * (j + 1))),
-                           (4 + 3 * j, 5 + 3 * j, 6 + 3 * j)) for j in range(4)),
-    ], ids=["fanout-x3", "cnot-x6", "diagonal-cu-x4"])
-    def test_multi_gate_layers_allocate_little(self, gates):
+    @pytest.mark.parametrize("layers", [
+        modq_constant_depth(3, 5).layers[1:2],  # three 3-way fanouts
+        (Layer(tuple(cnot(c, c + 6) for c in range(4, 10))),),
+        (Layer(tuple(controlled_u((j,), np.diag(np.exp(1j * np.arange(8) * (j + 1))),
+                                  (4 + 3 * j, 5 + 3 * j, 6 + 3 * j))
+                     for j in range(4))),),
+        # fanout, four diagonal cu on the copies, unfan: two factor tensors
+        modq_constant_depth(3, 5).layers[1:4],
+    ], ids=["fanout-x3", "cnot-x6", "diagonal-cu-x4", "copy-diagonal-uncopy"])
+    def test_multi_gate_layers_allocate_little(self, layers):
         w = 16
-        circuit = Circuit(w, (Role.INPUT,) * w, (Layer(gates),),
-                          Discipline.WITH_FANOUT)
+        circuit = Circuit(w, (Role.INPUT,) * w, layers, Discipline.WITH_FANOUT)
         initial = random_state(w, np.random.default_rng(5))
         workspace = make_workspace(w)
         run(circuit, initial, workspace)
@@ -200,6 +203,57 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak < initial.nbytes / 16, peak
+
+
+class TestPlan:
+    """The dense engine's per-circuit plan (sim.dense_plan)."""
+
+    @pytest.mark.parametrize("discipline", list(Discipline))
+    def test_copy_diagonal_uncopy_is_only_the_diagonal(self, discipline):
+        # layers: basis change, copy, diagonal, uncopy, basis change, ...
+        kinds = [kernel.__name__ for kernel, _ in
+                 dense_plan(modq_constant_depth(4, 5, discipline))]
+        first = kinds.index("_dense_block")
+        second = kinds.index("_dense_block", first + 1)
+        assert kinds[first + 1:second] == ["_scale", "_scale"]
+        assert len(kinds) == 10
+
+    def test_second_run_reuses_the_plan(self, monkeypatch):
+        builds = []
+        build = sim._plan
+        monkeypatch.setattr(sim, "_plan", lambda *args: builds.append(args) or build(*args))
+        c = modq_constant_depth(2, 3)
+        state = random_state(c.width, np.random.default_rng(3))
+        first = run(c, state).copy()
+        assert np.array_equal(run(c, state), first)
+        assert len(builds) == 1
+
+    def test_cancelled_copies_leave_only_factors(self):
+        copy = Layer((cnot(0, 1, negated=(0,)), pauli_x(2), modq_gate(2, (0, 3), 4)))
+        diagonal = Layer((symmetric_phase(0.3, (1,), 4),
+                          controlled_u((0,), np.diag(np.exp(1j * np.arange(4))), (2, 3))))
+        c = Circuit(5, (Role.INPUT,) * 5, (copy, diagonal, copy), Discipline.WITH_FANOUT)
+        assert [k.__name__ for k, _ in dense_plan(c)] == ["_scale"]
+        want = np.eye(32, dtype=complex)
+        for g in c.gates():
+            want = oracle_unitary(g, 5) @ want
+        assert np.abs(unitary_of(c) - want).max() <= 1e-14
+
+    def test_wide_rewrite_runs_the_copies_first(self):
+        # a CNOT chain makes qubit 14's bit the parity of qubits 0..14,
+        # wider than a 16-qubit plan's 11-qubit factors: the chain runs
+        # before the phase, which then keeps its own slab kernel
+        w = 16
+        chain = tuple(Layer((cnot(q, q + 1),)) for q in range(14))
+        c = Circuit(w, (Role.INPUT,) * w,
+                    chain + (Layer((symmetric_phase(0.7, (15,), 14),)),))
+        kinds = [k.__name__ for k, _ in dense_plan(c)]
+        assert kinds == ["_flip"] * 14 + ["_scale_slab"]
+        state = random_state(w, np.random.default_rng(4))
+        apart = state
+        for g in c.gates():
+            apart = apply_gate(apart, g)
+        assert np.array_equal(run(c, state), apart)
 
 
 def _layered_circuits():

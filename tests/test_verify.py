@@ -13,11 +13,12 @@ from qdepth.ir import (
 )
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
-    PURITY_TOL, basis_state, check_ancilla_purity, embed_index, run,
+    PURITY_TOL, WidthCapExceeded, basis_state, check_ancilla_purity,
+    embed_index, run,
 )
 from qdepth.synth import parity_via_catstate
 from qdepth.verify import (
-    SimulationCapExceeded, VerificationReport, build_construction,
+    VerificationReport, build_construction,
     depth_scaling_table, identity_checks, verify_built, verify_construction,
 )
 
@@ -117,7 +118,7 @@ class TestVerifyConstruction:
 
     def test_cap_exceeded_raises(self):
         b = build_construction("modq-const", n=20, q=3)
-        with pytest.raises(SimulationCapExceeded):
+        with pytest.raises(WidthCapExceeded):
             verify_built(b)
 
     def test_structural_only_skips_amplitudes(self):
