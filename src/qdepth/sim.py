@@ -13,8 +13,9 @@ advances the state, reshaped to [2]*m, in one pass:
   copy, slab by slab over the settings of their controls, flipped on the
   targets of the gates that fire there;
 - diagonal gates (PHASE, diagonal u/cu): one in-place multiply by a
-  factor tensor that the plan holds, of at most 1/32 of the state (or
-  2^8 amplitudes, below 13 qubits);
+  factor tensor of at most 1/32 of the state (or 2^8 amplitudes, below
+  13 qubits), which the plan keeps while its tensors stay within 1/8 of
+  the state (or 2^16 amplitudes) in all, and builds on each run past that;
 - dense blocks (H, u, cu), one gate at a time: one np.matmul of the slab
   where the controls fire, staged in scratch with the target axes last
   unless they already form a stack of block-sized matrices.
@@ -141,11 +142,9 @@ _FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
 MAX_PATTERNS = 64
 
 
-# A factor tensor that spans the lowest FILL_RUN qubits multiplies the
-# state in contiguous runs of 2^FILL_RUN amplitudes (16 KiB): on 20 qubits
-# that took 1.14 ms, as fast as a scalar multiply, where runs of 2^8 took
-# 1.54 ms and a tensor over qubits {3, 5, 6, 7, 17, 18, 19} 3.0 ms.
-FILL_RUN = 10
+# A plan keeps its factor tensors up to 1/8 of the state's amplitudes in
+# all, or this many (1 MiB) on fewer than 19 qubits.
+KEEP_AMPS = 1 << 16
 
 
 def _diagonal(u: np.ndarray) -> np.ndarray | None:
@@ -158,8 +157,9 @@ def _affine(gate: Gate) -> bool:
     """Whether a permutation gate is an affine map of the basis index over
     GF(2): X, CNOT and fanout, a Toffoli or MODQ on one control, or MODQ
     with q=2, which XORs the parity of its controls onto its target."""
-    return gate.kind in (GateKind.PAULI_X, GateKind.CNOT, GateKind.FANOUT) or (
-        gate.kind in _FLIP_KINDS and (len(gate.controls) == 1 or gate.q == 2))
+    return (gate.kind in (GateKind.PAULI_X, GateKind.CNOT, GateKind.FANOUT)
+            or (gate.kind is GateKind.MODQ and gate.q == 2)
+            or (gate.kind in _FLIP_KINDS and len(gate.controls) == 1))
 
 
 def _flip(state: np.ndarray, scratch: np.ndarray, gates, w: int):
@@ -232,6 +232,12 @@ def _scale(state: np.ndarray, scratch: np.ndarray, factor: np.ndarray, w: int):
     finally:
         np.setbufsize(bufsize)
     return state, scratch
+
+
+def _scale_built(state: np.ndarray, scratch: np.ndarray, recipe, w: int):
+    """A factor tensor that the plan does not keep, as a (qubits, gates)
+    recipe for _factor: built for this step and freed after it."""
+    return _scale(state, scratch, _factor(*recipe, w), w)
 
 
 def _dense_block(state: np.ndarray, scratch: np.ndarray, pair, w: int):
@@ -340,10 +346,15 @@ def _image(index: np.ndarray, terms) -> np.ndarray:
     return out
 
 
-def _lowest_run(qubits, w: int) -> int:
-    """How many of the lowest qubits are all in `qubits` or all out."""
-    inside = 0 in qubits
-    return next((q for q in range(w) if (q in qubits) != inside), w)
+def _factor(qubits, group, w: int) -> np.ndarray:
+    """The factor tensor over `qubits` of diagonal gates, given as (gate,
+    diagonal, terms) triples: each gate is evaluated at the image of the
+    basis index under the map that its terms describe."""
+    factor = np.ones(_shape(qubits, w), dtype=complex)
+    for gate, diag, terms in group:
+        image = _image(_grid(_reads(terms), w), terms)
+        factor *= np.where(_row_fires(gate, image), diag[_block(gate, image)], 1)
+    return factor
 
 
 def _plan(layers, w: int) -> list:
@@ -364,32 +375,29 @@ def _plan(layers, w: int) -> list:
     at most max(w - 5, 8) qubits, 1/32 of the state at 13 qubits or more;
     a gate that would overflow the open tensor closes it. A tensor of one
     gate that P leaves as it is becomes a _scale_slab step, which touches
-    only its firing slab. Dense blocks are steps of their own.
+    only its firing slab. The plan keeps its tensors, built once, up to
+    KEEP_AMPS or 1/8 of the state's amplitudes in all; a tensor past that
+    is a _scale_built step, built on each run and freed after it, so a
+    deep circuit's plan does not grow with its depth. Dense blocks are
+    steps of their own.
     """
     steps, pending = [], _Pending(w)
     group, held = [], set()  # the open factor: (gate, diagonal, terms)
-    limit = max(w - 5, 8)
+    limit, keep = max(w - 5, 8), max((1 << w) >> 3, KEEP_AMPS)
 
     def close():
-        nonlocal group, held
+        nonlocal group, held, keep
         if len(group) == 1 and all(source == 1 << q and not offset
                                    for q, source, offset in group[0][2]):
             steps.append((_scale_slab, group[0][:2]))
         elif group:
-            # numpy's multiply walks the state in runs as long as the
-            # tensor's lowest qubits that it spans or broadcasts alike. So
-            # where it makes that run longer, the qubits below FILL_RUN
-            # that the tensor does not read fill it, up to the limit.
-            fill = held | set([q for q in range(min(w, FILL_RUN))
-                               if q not in held][:limit - len(held)])
-            if _lowest_run(fill, w) > _lowest_run(held, w):
-                held = fill
-            factor = np.ones(_shape(held, w), dtype=complex)
-            for gate, diag, terms in group:
-                image = _image(_grid(_reads(terms), w), terms)
-                factor *= np.where(_row_fires(gate, image), diag[_block(gate, image)], 1)
-            factor.setflags(write=False)
-            steps.append((_scale, factor))
+            if 1 << len(held) <= keep:
+                keep -= 1 << len(held)
+                factor = _factor(held, group, w)
+                factor.setflags(write=False)
+                steps.append((_scale, factor))
+            else:
+                steps.append((_scale_built, (tuple(sorted(held)), tuple(group))))
         group, held = [], set()
 
     def flush():
@@ -439,10 +447,11 @@ def _apply(state: np.ndarray, scratch: np.ndarray, steps,
     result landed in the scratch buffer.
 
     Each step is one state pass: a group of permutation gates (_flip), a
-    factor tensor (_scale) or a lone diagonal gate on its firing slab
-    (_scale_slab), or one dense block (_dense_block). Beyond the pair, a
-    step allocates a few KiB of numpy bookkeeping, except that a lone MODQ
-    builds its 2^inputs count and mask.
+    factor tensor (_scale, or _scale_built for one the plan does not keep)
+    or a lone diagonal gate on its firing slab (_scale_slab), or one dense
+    block (_dense_block). Beyond the pair, a step allocates a few KiB of
+    numpy bookkeeping, except that a lone MODQ builds its 2^inputs count
+    and mask and _scale_built its tensor.
     """
     for kernel, arg in steps:
         state, scratch = kernel(state, scratch, arg, w)

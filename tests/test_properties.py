@@ -30,9 +30,15 @@ PROFILE = settings(derandomize=True, database=None, max_examples=50,
 
 
 def _oracle_product(c: Circuit) -> np.ndarray:
+    """The product of the gates' oracle matrices, each multiplied in by
+    its nonzero entries, which are few: 2^k in a column of a k-target
+    block, one in a permutation's."""
     u = np.eye(1 << c.width, dtype=complex)
     for gate in c.gates():
-        u = oracle_unitary(gate, c.width) @ u
+        m = oracle_unitary(gate, c.width)
+        rows, cols = np.nonzero(m)
+        u, before = np.zeros_like(u), u
+        np.add.at(u, rows, m[rows, cols, None] * before[cols])
     return u
 
 
@@ -67,13 +73,24 @@ def _shaped(rng, width, discipline, shape) -> Circuit:
     return compose(compose(a, d), inverse(a) if shape == "copy-uncopy" else b)
 
 
-@PROFILE
-@given(seed=st.integers(0, 2**32 - 1), width=st.integers(2, 8),
-       discipline=st.sampled_from(list(Discipline)),
-       shape=st.sampled_from(["layered", "copy-uncopy", "copy-other"]))
-def test_dense_sparse_and_oracle_agree(seed, width, discipline, shape):
-    c = _shaped(np.random.default_rng(seed), width, discipline, shape)
-    want = _oracle_product(c)
-    assert np.abs(unitary_of(c) - want).max() <= TOL
-    sparse, filled = _sparse_columns(c)
-    assert np.abs(sparse[:, filled] - want[:, filled]).max(initial=0.0) <= TOL
+def test_dense_sparse_and_oracle_agree():
+    # run_basis gives up on an input whose own rows outgrow its budget, so
+    # a draw may leave columns out, all of them at two qubits; across the
+    # draws at least 95% of the basis inputs must be compared (97.7% were)
+    counts = []
+
+    @PROFILE
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(2, 8),
+           discipline=st.sampled_from(list(Discipline)),
+           shape=st.sampled_from(["layered", "copy-uncopy", "copy-other"]))
+    def agree(seed, width, discipline, shape):
+        c = _shaped(np.random.default_rng(seed), width, discipline, shape)
+        want = _oracle_product(c)
+        assert np.abs(unitary_of(c) - want).max() <= TOL
+        sparse, filled = _sparse_columns(c)
+        assert np.abs(sparse[:, filled] - want[:, filled]).max(initial=0.0) <= TOL
+        counts.append((len(filled), 1 << c.width))
+
+    agree()
+    compared, total = map(sum, zip(*counts))
+    assert compared >= 0.95 * total, (compared, total)

@@ -239,6 +239,41 @@ class TestPlan:
             want = oracle_unitary(g, 5) @ want
         assert np.abs(unitary_of(c) - want).max() <= 1e-14
 
+    def test_q_on_a_toffoli_is_not_a_parity(self):
+        # a Toffoli may carry a q, which only MODQ reads: it is an AND of
+        # its controls, never held back as the parity that MODQ q=2 is
+        toffoli_q2 = Gate(GateKind.TOFFOLI, (0, 1), (2,), frozenset({1}), q=2)
+        c = Circuit(4, (Role.INPUT,) * 4,
+                    (Layer((toffoli_q2, pauli_x(3))),
+                     Layer((symmetric_phase(0.4, (2,), 3),))))
+        want = np.eye(16, dtype=complex)
+        for g in c.gates():
+            want = oracle_unitary(g, 4) @ want
+        assert np.abs(unitary_of(c) - want).max() <= 1e-14
+        ids, index, amps = run_basis(c, np.arange(16))
+        sparse = np.zeros((16, 16), dtype=complex)
+        sparse[index, ids] = amps
+        assert np.abs(sparse - want).max() <= 1e-14
+
+    def test_tensors_past_the_budget_are_built_on_each_run(self, monkeypatch):
+        # alternating H and two-gate phase layers, one factor tensor per
+        # phase layer: past the budget the plan keeps recipes, not tensors
+        rng = np.random.default_rng(6)
+        layers = []
+        for i in range(12):
+            a, b, c, d = rng.permutation(8)[:4].tolist()
+            layers += [Layer((hadamard(i % 8),)),
+                       Layer((symmetric_phase(rng.uniform(0, 6), (a,), b),
+                              symmetric_phase(rng.uniform(0, 6), (c,), d)))]
+        state = random_state(8, rng)
+        kept = run(Circuit(8, (Role.INPUT,) * 8, tuple(layers)), state).copy()
+        monkeypatch.setattr(sim, "KEEP_AMPS", 48)
+        c = Circuit(8, (Role.INPUT,) * 8, tuple(layers))
+        plan = dense_plan(c)
+        assert sum(arg.size for kernel, arg in plan if kernel is sim._scale) <= 48
+        assert any(kernel is sim._scale_built for kernel, _ in plan)
+        assert np.array_equal(run(c, state), kept)
+
     def test_wide_rewrite_runs_the_copies_first(self):
         # a CNOT chain makes qubit 14's bit the parity of qubits 0..14,
         # wider than a 16-qubit plan's 11-qubit factors: the chain runs
