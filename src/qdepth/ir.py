@@ -98,7 +98,7 @@ class Gate:
     controls whose input is X-conjugated, so they fire on 0 instead of 1.
     `theta` applies to PHASE, `q` to MODQ, and `matrix` to SINGLE_QUBIT
     (2x2) and CONTROLLED_U (2^k x 2^k over the k targets, where bit j of
-    the block index is targets[j]).
+    the block index is targets[j]); each is rejected on any other kind.
     """
     kind: GateKind
     controls: tuple[int, ...] = ()
@@ -173,6 +173,9 @@ class Gate:
             _check_unitary(self.matrix, 2 ** len(ts))
         elif self.matrix is not None:
             raise CircuitError(f"{k.value} does not take a matrix")
+        for name, owner in (("q", GateKind.MODQ), ("theta", GateKind.PHASE)):
+            if getattr(self, name) is not None and k is not owner:
+                raise CircuitError(f"{k.value} does not take {name}")
 
     @property
     def support(self) -> frozenset[int]:

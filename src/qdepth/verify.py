@@ -6,21 +6,20 @@ verify_construction is the one drive loop; the circuit's roles give its
 data register (INPUT, TARGET) and its ancillae (COPY, ANCILLA), which start
 and must end in |0>. Every basis input of the data register runs through
 the simulator, and all 2^width output amplitudes are compared with the
-oracle's image: oracle_apply for a permutation Gate, a column of
-oracle_unitary for a block-matrix Gate (at most sim.UNITARY_WIDTH_CAP data
-qubits), an image function, or a BasisMap, which gives the one image of
-every input in a single array call (cat, rev-embed). Leakage is the
-output's probability mass on basis states with any ancilla bit set. There
-are two engines. The basis inputs run together on the sparse engine,
-sim.run_basis, as rows of (input id, basis index, amplitude); once those
-rows would outnumber the 2^width amplitudes of one dense state, each input
-runs alone on the dense engine, sim.run, with sim.check_ancilla_purity.
-Amplitudes, not bit patterns: the counting circuits are correct only
-because internal phases cancel. Cat is decided exactly by the inputs 0 and
-1, by linearity; rev-embed, a permutation, drives every (x, y) at one
-sparse row each. Superposition spot checks run on the dense engine with a
-fixed seed: a random superposition of the checked basis inputs is expected
-to map to the sum of their images, weighted by its amplitudes.
+oracle's image. An Oracle maps an int64 array of inputs to the entries of
+their images in one call; _gate_oracle makes one of a Gate, cat and
+rev-embed build theirs directly. Leakage is the output's probability mass
+on basis states with any ancilla bit set. The basis inputs run together
+on the sparse engine, sim.run_basis, as rows of (input id, basis index,
+amplitude); once those rows would outnumber the 2^width amplitudes of one
+dense state, each input runs alone on the dense engine, sim.run, with
+sim.check_ancilla_purity. Amplitudes, not bit patterns: the counting
+circuits are correct only because internal phases cancel. Cat is decided
+exactly by the inputs 0 and 1, by linearity; rev-embed, a permutation,
+drives every (x, y) at one sparse row each. Superposition spot checks run
+on the dense engine with a fixed seed: a random superposition of the
+checked basis inputs is expected to map to the sum of their images,
+weighted by its amplitudes.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ import dataclasses
 import json
 import math
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,16 +52,9 @@ DEFAULT_ERROR_TOL = 1e-9
 CONSTRUCTIONS = ("cat", "fanout", "parity-fanout", "parity-cat",
                  "modq-seq", "modq-const", "ctrl-u", "rev-embed")
 
-# data-register basis index -> its image as [(basis index, amplitude)]
-Image = Callable[[int], Sequence[tuple[int, complex]]]
-
-
-@dataclass(frozen=True)
-class BasisMap:
-    """An oracle that sends each data-register basis index to one basis
-    index with amplitude 1; `apply` maps an int64 array of them
-    elementwise, so no input costs a Python call."""
-    apply: Callable[[np.ndarray], np.ndarray]
+# data-register inputs xs -> (ids, ys, amps), ordered by id: input xs[ids[i]]
+# has amplitude amps[i] at data-register basis index ys[i] of its image
+Oracle = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def sim_cap() -> int:
@@ -137,29 +129,43 @@ class VerificationReport:
                        f" inputs={self.inputs_checked} {verdict}")
 
 
-def _gate_image(gate: Gate, d: int) -> Image:
-    """A Gate oracle as an image function on a d-qubit data register: each
-    input's image from oracle_apply for a permutation gate, else a column
-    of its dense oracle_unitary matrix, capped at UNITARY_WIDTH_CAP."""
+def _one_each(image: Callable[[np.ndarray], np.ndarray]) -> Oracle:
+    """The oracle that sends each input x to image(x) with amplitude 1."""
+    return lambda xs: (np.arange(xs.size), image(xs), np.ones(xs.size, complex))
+
+
+def _gate_oracle(gate: Gate, d: int) -> Oracle:
+    """A Gate as an oracle on a d-qubit data register: one oracle_apply
+    call for a permutation gate, else the nonzero entries of its dense
+    oracle_unitary matrix, capped at UNITARY_WIDTH_CAP."""
     if gate.kind in PERMUTATION_KINDS:
-        return lambda x: (oracle_apply(gate, x, d),)
+        return lambda xs: (np.arange(xs.size), *oracle_apply(gate, xs, d))
     if d > UNITARY_WIDTH_CAP:
         raise WidthCapExceeded(
             f"{d}-qubit data register exceeds the {UNITARY_WIDTH_CAP}-qubit "
             f"dense oracle cap; rerun structural-only")
     u = oracle_unitary(gate, d)
-    return lambda x: [(y, u[y, x]) for y in np.flatnonzero(u[:, x])]
+    ys, cols = np.nonzero(u)  # by row; the stable sort keeps that per id
+    amps = u[ys, cols]
+
+    def oracle(xs):
+        ids = np.full(1 << d, -1)
+        ids[xs] = np.arange(xs.size)
+        ids = ids[cols]  # -1 for a column not in xs: those sort first, cut
+        order = np.argsort(ids, kind="stable")[np.count_nonzero(ids < 0):]
+        return ids[order], ys[order], amps[order]
+    return oracle
 
 
-def verify_construction(circuit: Circuit, oracle: Gate | Image | BasisMap, *,
+def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
                         inputs: range | None = None,
                         superpositions: int = 0, seed: int = 0,
                         cap: int | None = None) -> tuple[float, float, int]:
-    """Compare the circuit with an oracle (a Gate, an Image function or a
-    BasisMap) on its data register: each basis index in the `inputs` range
-    (default all 2^d) runs with the ancillae at |0>, and the error is the
-    max |amplitude| of (output - expected image) over the whole register;
-    random superpositions of those inputs use its l2 norm. Returns (max_error,
+    """Compare the circuit with an oracle (a Gate or an Oracle) on its data
+    register: each basis index in the `inputs` range (default all 2^d)
+    runs with the ancillae at |0>, and the error is the max |amplitude| of
+    (output - expected image) over the whole register; random
+    superpositions of those inputs use its l2 norm. Returns (max_error,
     max_leakage, inputs_checked). The folds use np.maximum, which keeps a
     NaN (max() drops one that comes second), so a NaN fails every tolerance.
 
@@ -167,7 +173,9 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image | BasisMap, *,
     unless their rows would outnumber the 2^width amplitudes of one dense
     state; then each runs alone on the dense engine, sim.run. Either way
     the leakage is each input's probability mass on basis states with any
-    ancilla bit set. Superpositions always run on the dense engine.
+    ancilla bit set. Superpositions always run on the dense engine. Sparse
+    rows meet the oracle's entries one to one when it gives every input
+    one entry, else through a merge_rows residual.
     """
     data_qubits, ancillae = circuit.data_qubits, circuit.ancillae
     d, width = len(data_qubits), circuit.width
@@ -178,19 +186,11 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image | BasisMap, *,
         raise WidthCapExceeded(
             f"{width}-qubit register exceeds the {cap}-qubit "
             f"simulation cap; rerun structural-only")
-    image = _gate_image(oracle, d) if isinstance(oracle, Gate) else oracle
+    oracle = _gate_oracle(oracle, d) if isinstance(oracle, Gate) else oracle
 
     inputs = range(1 << d) if inputs is None else inputs
     xs = np.arange(inputs.start, inputs.stop, inputs.step, dtype=np.int64)
-    # every image entry as (input id, data-register index, amplitude),
-    # sorted by input id
-    if isinstance(image, BasisMap):
-        ids, ys, amps = np.arange(xs.size), image.apply(xs), np.ones(xs.size, complex)
-    else:
-        images = [image(x) for x in inputs]
-        ids = np.repeat(np.arange(xs.size), [len(im) for im in images])
-        ys = np.array([y for im in images for y, _ in im], dtype=np.int64)
-        amps = np.array([b for im in images for _, b in im], dtype=complex)
+    ids, ys, amps = oracle(xs)
     ys = embed_index(ys, data_qubits)
     starts = embed_index(xs, data_qubits)
     max_error = 0.0
@@ -199,12 +199,14 @@ def verify_construction(circuit: Circuit, oracle: Gate | Image | BasisMap, *,
     rows = run_basis(circuit, starts)
     if rows is not None:
         out_ids, out_index, out = rows
-        if isinstance(image, BasisMap):
-            # each input expects amplitude 1 at its image and 0 elsewhere;
-            # an input with no row at its image misses the whole 1
+        if np.array_equal(ids, np.arange(xs.size)):
+            # each input expects amps[id] at its image and 0 elsewhere; an
+            # input with no row at its image misses the whole amplitude
             hit = out_index == ys[out_ids]
-            missed = np.bincount(out_ids[hit], minlength=xs.size).min(initial=1) == 0
-            max_error = float(np.maximum(np.abs(out - hit).max(initial=0.0), missed))
+            at_image = np.zeros(xs.size, dtype=complex)
+            at_image[out_ids[hit]] = out[hit]
+            max_error = float(np.maximum(np.abs(at_image - amps).max(initial=0.0),
+                                         np.abs(out[~hit]).max(initial=0.0)))
         else:
             residual = merge_rows(np.concatenate((out_ids, ids)),
                                   np.concatenate((out_index, ys)),
@@ -288,11 +290,11 @@ class Built:
     n: int
     q: int | None
     circuit: Circuit
-    oracle: Gate | Image | BasisMap
+    oracle: Gate | Oracle
     inputs: range | None = None
 
 
-def _embedding_image(c: cc.ClassicalCircuit) -> BasisMap:
+def _embedding_oracle(c: cc.ClassicalCircuit) -> Oracle:
     # |x, y> -> |x, y xor f(x)>, with x the low n bits; the classical
     # circuit runs once, elementwise on all 2^n values of x, into a table
     n = c.n_inputs
@@ -302,7 +304,7 @@ def _embedding_image(c: cc.ClassicalCircuit) -> BasisMap:
         bits = c.evaluate([(x >> i) & 1 for i in range(n)])
         f = sum(bit << j for j, bit in enumerate(bits))
         return index ^ (f[index & ((1 << n) - 1)] << n)
-    return BasisMap(image)
+    return _one_each(image)
 
 
 def build_construction(name: str, n: int | None = None, q: int | None = None,
@@ -325,14 +327,14 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
             raise CircuitError("rev-embed requires a classical circuit")
         n = classical.n_inputs
         return built(synth.reversible_embed(classical),
-                     _embedding_image(classical))
+                     _embedding_oracle(classical))
     if n is None or n < 1:
         raise CircuitError(f"{name} requires n >= 1")
 
     if name == "cat":
         # |0...0> stays, |1 0...0> (index 1) becomes |1...1>
         return built(synth.CAT_BUILDERS[builder](n),
-                     BasisMap(lambda x: x * ((1 << n) - 1)), inputs=range(2))
+                     _one_each(lambda x: x * ((1 << n) - 1)), inputs=range(2))
     if name == "fanout":
         return built(synth.fanout_gate(n), fanout(0, tuple(range(1, n + 1))))
 

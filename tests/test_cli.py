@@ -253,6 +253,21 @@ class TestBadCircuitJson:
         assert code == 2 and out == "" and err.startswith(message)
 
 
+    @pytest.mark.parametrize("gate, message", [
+        ({"kind": "toffoli", "controls": [0, 1], "targets": [2], "q": 2},
+         "error: toffoli does not take q\n"),
+        ({"kind": "cnot", "controls": [0], "targets": [1], "theta": 0.3},
+         "error: cnot does not take theta\n"),
+    ], ids=["q-on-toffoli", "theta-on-cnot"])
+    def test_stray_gate_fields_are_usage_errors(self, tmp_path, capsys, gate,
+                                                message):
+        doc = _circuit_doc(gate, width=3, roles=["input"] * 3)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "sim", str(path), "--input", "000")
+        assert (code, out, err) == (2, "", message)
+
+
 class TestBadClassicalJson:
     @pytest.mark.parametrize("doc", [
         {"inputs": 2, "layers": [[{"op": "and", "args": [0, 1.5]}]]},

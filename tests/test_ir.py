@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,23 @@ class TestGateInvariants:
     def test_negative_index_rejected(self):
         with pytest.raises(CircuitError):
             hadamard(-1)
+
+    def test_q_only_on_modq_and_theta_only_on_phase(self):
+        # a stray field is no part of the gate's meaning, so it is refused
+        # rather than carried along and written back out
+        with pytest.raises(CircuitError, match="toffoli does not take q"):
+            Gate(GateKind.TOFFOLI, (0, 1), (2,), q=2)
+        with pytest.raises(CircuitError, match="cnot does not take theta"):
+            Gate(GateKind.CNOT, (0,), (1,), theta=0.3)
+        with pytest.raises(CircuitError, match="modq does not take theta"):
+            Gate(GateKind.MODQ, (0,), (1,), q=2, theta=0.3)
+        with pytest.raises(CircuitError, match="phase does not take q"):
+            Gate(GateKind.PHASE, (0,), (1,), theta=0.3, q=2)
+        doc = json.loads(circuit_to_json(Circuit(3, (Role.INPUT,) * 3, (
+            layer(toffoli((0, 1), 2)),))))
+        doc["layers"][0][0]["q"] = 2
+        with pytest.raises(CircuitError, match="toffoli does not take q"):
+            circuit_from_json(json.dumps(doc))
 
 
 class TestLayerValidation:

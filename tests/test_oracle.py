@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from qdepth.ir import (
     Gate, GateKind, cnot, controlled_u, fanout, hadamard, modq_gate, pauli_x,
     single_qubit, symmetric_phase, toffoli,
 )
+from qdepth import oracle
 from qdepth.oracle import OracleError, oracle_apply, oracle_unitary
 from qdepth.sim import apply_gate, basis_state
 
@@ -120,3 +124,19 @@ class TestSimulatorAgreement:
             for b in range(1 << width):
                 out = apply_gate(basis_state(width, b), g)
                 assert np.abs(out - u[:, b]).max() <= 1e-12, (g, width, b)
+
+
+def test_oracle_imports_nothing_from_the_simulator():
+    # the oracle is the definition the simulator is checked against, so it
+    # must not reuse the simulator's code (embed_index, say)
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("qdepth" if node.level else None,
+                                          node.module)))
+            imported.add(base)
+            imported.update(f"{base}.{a.name}" for a in node.names)
+    assert "qdepth.ir" in imported
+    assert not [m for m in imported if m == "qdepth.sim" or m.startswith("qdepth.sim.")]

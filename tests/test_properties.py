@@ -1,4 +1,5 @@
-"""Property tests: the three engines agree on random circuits.
+"""Property tests: the three engines agree on random circuits, and the
+array oracle agrees with itself one int at a time.
 
 The dense engine (sim.run, through unitary_of), the sparse engine
 (sim.run_basis on every basis input) and the product of the per-gate
@@ -8,14 +9,15 @@ database, so the suite stays deterministic. The constants it caches from
 the code under test, as soon as tests are collected, go to a temporary
 directory removed at exit, not to a .hypothesis directory in the tree.
 """
+import cmath
 import tempfile
 
 import numpy as np
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
-from qdepth.ir import Circuit, Discipline, compose, inverse
-from qdepth.oracle import oracle_unitary
+from qdepth.ir import Circuit, Discipline, Gate, GateKind, compose, inverse
+from qdepth.oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
 from qdepth.sim import run_basis, unitary_of
 
 from common import AFFINE_KINDS, DIAGONAL_KINDS, random_layered_circuit
@@ -94,3 +96,39 @@ def test_dense_sparse_and_oracle_agree():
     agree()
     compared, total = map(sum, zip(*counts))
     assert compared >= 0.95 * total, (compared, total)
+
+
+@PROFILE
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(2, 8),
+       kind=st.sampled_from(sorted(PERMUTATION_KINDS, key=lambda k: k.value)))
+def test_array_oracle_matches_per_int_calls(seed, width, kind):
+    # each permutation kind on random qubits, about half of its controls
+    # negated: the images and phases of every basis index at once are
+    # those of one call per index, and of the gate's definition
+    rng = np.random.default_rng(seed)
+    qubits = [int(q) for q in rng.permutation(width)]
+    n_controls = {GateKind.PAULI_X: 0, GateKind.CNOT: 1, GateKind.FANOUT: 1}.get(
+        kind, int(rng.integers(kind is not GateKind.PHASE, width)))
+    controls, rest = qubits[:n_controls], qubits[n_controls:]
+    n_targets = int(rng.integers(1, len(rest) + 1)) if kind is GateKind.FANOUT else 1
+    gate = Gate(kind, tuple(controls), tuple(rest[:n_targets]),
+                frozenset(c for c in controls if rng.random() < 0.5),
+                theta=float(rng.uniform(-np.pi, np.pi)) if kind is GateKind.PHASE else None,
+                q=int(rng.integers(2, 6)) if kind is GateKind.MODQ else None)
+    images, phases = oracle_apply(gate, np.arange(1 << width), width)
+    for want in ([oracle_apply(gate, x, width) for x in range(1 << width)],
+                 [_definition(gate, x) for x in range(1 << width)]):
+        assert images.tolist() == [image for image, _ in want]
+        assert phases.tolist() == [phase for _, phase in want]
+
+
+def _definition(gate: Gate, x: int) -> tuple[int, complex]:
+    """One basis index's image and phase, bit by bit: MODQ fires on a count
+    of true controls that is not a multiple of q, every other kind when all
+    of them are true (a negated one at 0)."""
+    true = [((x >> c) & 1) ^ (c in gate.negated) for c in gate.controls]
+    fires = sum(true) % gate.q != 0 if gate.kind is GateKind.MODQ else all(true)
+    if gate.kind is GateKind.PHASE:
+        on = fires and (x >> gate.targets[0]) & 1
+        return x, cmath.exp(1j * gate.theta) if on else 1
+    return x ^ (sum(1 << t for t in gate.targets) if fires else 0), 1

@@ -37,6 +37,30 @@ def engine_used(monkeypatch):
     return used
 
 
+def _matrix_oracle(u, nan_at=-1):
+    """An array oracle read from a dense oracle matrix: input x's entries
+    are the nonzero entries of column x, by row, and the amplitudes of
+    input nan_at are NaN."""
+    def oracle(xs):
+        ids, ys = np.nonzero(u[:, xs].T)
+        return ids, ys, np.where(xs[ids] == nan_at, math.nan, u[ys, xs[ids]])
+    return oracle
+
+
+def _dense_loop(c, u):
+    """(max error, max leakage, inputs) of a plain per-input dense loop over
+    the data register, against its oracle matrix u."""
+    d = len(c.data_qubits)
+    err = leak = 0.0
+    for x in range(1 << d):
+        out = run(c, basis_state(c.width, embed_index(x, c.data_qubits)))
+        want = np.zeros(1 << c.width, dtype=complex)
+        want[embed_index(np.arange(1 << d), c.data_qubits)] = u[:, x]
+        err = max(err, float(np.abs(out - want).max()))
+        leak = max(leak, check_ancilla_purity(out, c.ancillae).leakage)
+    return err, leak, 1 << d
+
+
 class TestVerifyConstruction:
     def test_parity_from_fanout_passes(self):
         b = build_construction("parity-fanout", n=3)
@@ -70,36 +94,37 @@ class TestVerifyConstruction:
         # a NaN on one input only: max(0.0, nan) would keep 0.0 and pass
         b = build_construction("fanout", n=2)
         u = oracle_unitary(b.oracle, len(b.circuit.data_qubits))
-        image = lambda x: [(y, math.nan if x == 5 else u[y, x])
-                           for y in range(u.shape[0]) if u[y, x]]
-        err, leak, checked = verify_construction(b.circuit, image,
+        oracle = _matrix_oracle(u, nan_at=5)
+        err, leak, checked = verify_construction(b.circuit, oracle,
                                                  superpositions=2)
         assert math.isnan(err) and leak == 0.0 and checked == 10
-        report = verify_built(dataclasses.replace(b, oracle=image))
+        report = verify_built(dataclasses.replace(b, oracle=oracle))
         assert math.isnan(report.max_error) and not report.passed
 
     def test_nan_error_fails_on_the_sparse_path(self, engine_used):
-        # no superpositions: the NaN can only come through the sparse merge
+        # no superpositions: the NaN can only come through the sparse
+        # comparison, the one-entry one (fanout) or the merged one (ctrl-u
+        # with H, two entries per firing input)
         b = build_construction("fanout", n=2)
-        image = lambda x: [(x ^ (0b110 if x & 1 else 0), math.nan if x == 5 else 1.0)]
-        err, leak, checked = verify_construction(b.circuit, image)
-        assert engine_used == [True]
+        for wrong in (0, 0b001):  # with input 5's image right, then missed
+            def oracle(xs, wrong=wrong):
+                ys = xs ^ np.where(xs & 1, 0b110, 0) ^ (xs == 5) * wrong
+                return np.arange(xs.size), ys, np.where(xs == 5, math.nan, 1.0 + 0j)
+            err, leak, checked = verify_construction(b.circuit, oracle)
+            assert math.isnan(err) and leak == 0.0 and checked == 8
+        b = build_construction("ctrl-u", n=2, u="h")
+        u = oracle_unitary(b.oracle, len(b.circuit.data_qubits))
+        err, leak, checked = verify_construction(b.circuit, _matrix_oracle(u, nan_at=3))
         assert math.isnan(err) and leak == 0.0 and checked == 8
+        assert engine_used == [True] * 3
 
     def test_dense_fallback_matches_a_dense_loop(self, engine_used):
         # H on every qubit: the sparse engine gives up, and the fallback
         # must give the numbers of a plain per-input dense loop
         b = build_construction("parity-fanout", n=6)
         c, d = b.circuit, len(b.circuit.data_qubits)
-        u = oracle_unitary(b.oracle, d)
-        err = leak = 0.0
-        for x in range(1 << d):
-            out = run(c, basis_state(c.width, embed_index(x, c.data_qubits)))
-            want = np.zeros(1 << c.width, dtype=complex)
-            want[embed_index(np.arange(1 << d), c.data_qubits)] = u[:, x]
-            err = max(err, float(np.abs(out - want).max()))
-            leak = max(leak, check_ancilla_purity(out, c.ancillae).leakage)
-        assert verify_construction(c, b.oracle) == (err, leak, 1 << d)
+        want = _dense_loop(c, oracle_unitary(b.oracle, d))
+        assert verify_construction(c, b.oracle) == want
         assert engine_used == [False]
 
     def test_uncompute_mutant_fails_on_leakage(self, engine_used):
@@ -250,48 +275,63 @@ class TestSinglePath:
         report = verify_built(mutant)
         assert not report.passed and report.max_error == 1.0
 
-    def test_basis_map_matches_an_image_function_on_both_engines(self, engine_used):
-        # rev-embed's BasisMap against the same map as a per-input image
-        # function, on the circuit and on two mutants. One prepends X on
-        # y1 and H on y0, so no output has a row at its image and every
-        # row holds 1/sqrt(2). The other prepends H on every data qubit:
-        # 2^5 inputs times 2^5 rows each outnumber the 2^9 amplitudes, so
-        # the dense engine takes its inputs.
+    def test_one_entry_and_merged_comparisons_match_a_dense_loop(
+            self, engine_used, monkeypatch):
+        # rev-embed's oracle gives every input one entry, so its sparse rows
+        # are compared one by one; ctrl-u with H gives a firing input two,
+        # so its rows go through merge_rows. Each must give the numbers of a
+        # plain per-input dense loop, on the circuit and on two mutants.
+        # Rev-embed's first mutant prepends X on y1 and H on y0, so no
+        # output has a row at its image and every row holds 1/sqrt(2);
+        # ctrl-u's drops its last layer. The second prepends H on every
+        # data qubit: 2^d inputs times 2^d rows each outnumber the 2^width
+        # amplitudes, so the dense engine takes its inputs.
+        merges, merge_rows = [], verify.merge_rows
+
+        def spy(*args):
+            merges.append(args)
+            return merge_rows(*args)
+        monkeypatch.setattr(verify, "merge_rows", spy)
         classical = ClassicalCircuit(3, (
             (ClassicalGate("and", (0, 1)), ClassicalGate("or", (1, 2))),
             (ClassicalGate("xor", (3, 4)), ClassicalGate("not", (0,)))))
-        built = build_construction("rev-embed", classical=classical)
+        embed = build_construction("rev-embed", classical=classical)
+        ctrl_u = build_construction("ctrl-u", n=3, u="h")
 
         def image(x):
             bits = classical.evaluate([(x >> i) & 1 for i in range(3)])
-            return ((x ^ (sum(b << j for j, b in enumerate(bits)) << 3), 1.0),)
-        c = built.circuit
+            return x ^ (sum(b << j for j, b in enumerate(bits)) << 3)
         results = []
-        for first in ((), (Layer((pauli_x(4), hadamard(3))),),
-                      (Layer(tuple(hadamard(q) for q in c.data_qubits)),)):
-            circuit = Circuit(c.width, c.roles, first + c.layers, c.discipline)
-            pair = [verify_construction(circuit, oracle)
-                    for oracle in (built.oracle, image)]
-            assert pair[0] == pair[1]
-            results.append(pair[0])
-        assert results[0][0] == 0.0 and results[1][0] == 1.0 and results[2][0] > 0.1
-        assert engine_used == [True] * 4 + [False] * 2
+        for built, u, mutant in (
+                (embed, np.eye(32, dtype=complex)[:, [image(x) for x in range(32)]],
+                 (Layer((pauli_x(4), hadamard(3))),) + embed.circuit.layers),
+                (ctrl_u, oracle_unitary(ctrl_u.oracle, 4), ctrl_u.circuit.layers[:-1])):
+            c = built.circuit
+            everywhere = Layer(tuple(hadamard(q) for q in c.data_qubits))
+            for layers in (c.layers, mutant, (everywhere,) + c.layers):
+                circuit = Circuit(c.width, c.roles, layers, c.discipline)
+                got = verify_construction(circuit, built.oracle)
+                assert got == _dense_loop(circuit, u), (built.name, len(results))
+                results.append(got)
+        assert [r[0] for r in results[:2]] == [0.0, 1.0] and results[2][0] > 0.1
+        assert results[3][0] <= 1e-12 and results[4][0] > 0.1 and results[5][0] > 0.1
+        assert engine_used == [True, True, False] * 2
+        assert len(merges) == 2  # ctrl-u's two sparse runs only
 
-    def test_image_function_superpositions_match_the_gate_oracle(self):
-        # the same oracle as a Gate and as an image function, on a circuit
-        # with its last layer dropped, must give the same verdict numbers,
-        # and the whole circuit must pass on superpositions. ctrl-u with H
-        # has two images of amplitude +-1/sqrt(2) per column, so a linear
-        # extension that drops or repeats amplitude weights fails there.
+    def test_array_oracle_superpositions_match_the_gate_oracle(self):
+        # the same oracle as a Gate and as an explicit array oracle, on a
+        # circuit with its last layer dropped, must give the same verdict
+        # numbers, and the whole circuit must pass on superpositions.
+        # ctrl-u with H has two images of amplitude +-1/sqrt(2) per column,
+        # so a linear extension that drops or repeats amplitude weights
+        # fails there.
         for built in (build_construction("parity-fanout", n=3),
                       build_construction("ctrl-u", n=3, u="h")):
             c = built.circuit
             broken = Circuit(c.width, c.roles, c.layers[:-1], c.discipline)
-            u = oracle_unitary(built.oracle, len(c.data_qubits))
-            image = lambda x: [(y, u[y, x]) for y in range(u.shape[0]) if u[y, x]]
-            results = [verify_construction(circuit, oracle, superpositions=4,
-                                           seed=3)
-                       for circuit in (broken, c) for oracle in (built.oracle, image)]
+            oracle = _matrix_oracle(oracle_unitary(built.oracle, len(c.data_qubits)))
+            results = [verify_construction(circuit, o, superpositions=4, seed=3)
+                       for circuit in (broken, c) for o in (built.oracle, oracle)]
             assert results[0][0] > 0.1
             assert results[0] == pytest.approx(results[1], rel=1e-12)
             assert results[2][0] <= 1e-12 and results[3][0] <= 1e-12
