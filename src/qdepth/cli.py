@@ -8,7 +8,8 @@ state dump prints basis indices in binary with qubit 0 rightmost. Exit
 codes: 0 success/pass, 1 verification failure, 2 usage error, 3 register
 too wide for a limit of the simulator (sim.WidthCapExceeded): the
 simulation cap (QDEPTH_SIM_CAP, default 22), a block-matrix gate oracle
-(ctrl-u), or the int64 key of the sparse engine's rows.
+(ctrl-u), or the int64 key of the sparse engine's rows; or a register
+too large to build at all (MemoryError).
 """
 from __future__ import annotations
 
@@ -201,6 +202,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except WidthCapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("error: out of memory: the register is too large to build",
+              file=sys.stderr)
         return EXIT_CAP
 
 

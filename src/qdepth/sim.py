@@ -9,9 +9,9 @@ keeps the input state. A layer of commuting gates is one time step, as in
 the paper, and the plan takes each layer's gates by class. Each step
 advances the state, reshaped to [2]*m, in one pass:
 
-- permutation gates (X, CNOT, Toffoli, fanout, MODQ): one out-of-place
-  copy, slab by slab over the settings of their controls, flipped on the
-  targets of the gates that fire there;
+- permutation gates (X, CNOT, Toffoli, fanout, MODQ), one gate at a time:
+  the slab where the controls fire, flipped on the targets, is staged in
+  scratch and copied back (for an uncontrolled gate the buffers swap);
 - diagonal gates (PHASE, diagonal u/cu): one in-place multiply by a
   factor tensor of at most 1/32 of the state (or 2^8 amplitudes, below
   13 qubits), which the plan keeps while its tensors stay within 1/8 of
@@ -23,16 +23,15 @@ advances the state, reshaped to [2]*m, in one pass:
 Affine permutation gates (X, CNOT, fanout, and MODQ with q=2, the parity)
 are held back as one GF(2) affine map of the basis index, and a diagonal
 gate that follows them is rewritten through the map into a factor over
-the qubits the map reads. The held-back gates run, in their own layers,
-only when a layer with a dense block or a non-affine permutation gate
-arrives, when a rewritten factor would outgrow its tensor, or at the
-end, and not at all when the map composes to the identity. So the
-paper's copy, diagonal, uncopy pattern costs only the diagonal.
+the qubits the map reads. The held-back gates run, one step each in
+circuit order, only when a layer with a dense block or a non-affine
+permutation gate arrives, when a rewritten factor would outgrow its
+tensor, or at the end, and not at all when the map composes to the
+identity. So the paper's copy, diagonal, uncopy pattern costs only the
+diagonal.
 
-A one-gate step keeps the gate's own kernel, which touches only the slab
-where its controls fire. Beyond the workspace pair a run allocates a few
-KiB of numpy bookkeeping, except that a lone MODQ builds its 2^inputs
-count and mask.
+Beyond the workspace pair a run allocates a few KiB of numpy
+bookkeeping, except that a MODQ step builds its 2^inputs count and mask.
 
 The sparse engine (run_basis) drives many basis inputs at once as rows of
 (input id, basis index, amplitude), with the same three gate classes: a
@@ -136,12 +135,6 @@ def _on(gate: Gate) -> int:
 _FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
                          GateKind.FANOUT, GateKind.MODQ})
 
-# A permutation group walks every setting of its gates' controls, one
-# numpy copy each; a gate whose controls would take it past this many
-# settings starts the next group.
-MAX_PATTERNS = 64
-
-
 # A plan keeps its factor tensors up to 1/8 of the state's amplitudes in
 # all, or this many (1 MiB) on fewer than 19 qubits.
 KEEP_AMPS = 1 << 16
@@ -162,42 +155,22 @@ def _affine(gate: Gate) -> bool:
             or (gate.kind in _FLIP_KINDS and len(gate.controls) == 1))
 
 
-def _flip(state: np.ndarray, scratch: np.ndarray, gates, w: int):
-    """Permutation gates (X, CNOT, Toffoli, fanout, MODQ) whose targets no
-    other gate of the group touches.
-
-    One gate works on its firing slab: the slab flipped on the target axes
-    is staged in scratch and copied back where it fires (everywhere, or
-    where MODQ's input count is not a multiple of q). An uncontrolled
-    gate's slab is the whole state, so the buffers swap instead.
-
-    A larger group takes one out-of-place pass: for each setting of the
-    union of their controls, that slab is copied into scratch, flipped on
-    the targets of the gates that fire there (an AND gate on its control
-    pattern, MODQ where its input count is not a multiple of q), and the
-    buffers swap.
-    """
+def _flip(state: np.ndarray, scratch: np.ndarray, gate: Gate, w: int):
+    """One permutation gate (X, CNOT, Toffoli, fanout, MODQ) on its firing
+    slab: the slab flipped on the target axes is staged in scratch and
+    copied back where it fires (everywhere, or where MODQ's input count is
+    not a multiple of q). An uncontrolled gate's slab is the whole state,
+    so the buffers swap instead."""
     psi, out = state.reshape([2] * w), scratch.reshape([2] * w)
-    if len(gates) == 1:
-        gate, = gates
-        modq = gate.kind is GateKind.MODQ
-        sel = _slab(_on(gate), () if modq else gate.controls, w)
-        view, staged = psi[sel], out[sel]
-        staged[...] = np.flip(view, [_axis(t, w) for t in gate.targets])
-        if not gate.controls:
-            return scratch, state
-        fires = _row_fires(gate, _grid(gate.controls, w)) if modq else True
-        np.copyto(view, staged, where=fires)
-        return state, scratch
-    controls = {c for gate in gates for c in gate.controls}
-    settings = _grid(controls, w).ravel()
-    fires = np.array([_row_fires(gate, settings) for gate in gates]).T
-    axes = [[_axis(t, w) for t in gate.targets] for gate in gates]
-    for index, hits in zip(settings.tolist(), fires.tolist()):
-        sel = _slab(index, controls, w)
-        out[sel] = np.flip(psi[sel], [a for hit, gate_axes in zip(hits, axes)
-                                      if hit for a in gate_axes])
-    return scratch, state
+    modq = gate.kind is GateKind.MODQ
+    sel = _slab(_on(gate), () if modq else gate.controls, w)
+    view, staged = psi[sel], out[sel]
+    staged[...] = np.flip(view, [_axis(t, w) for t in gate.targets])
+    if not gate.controls:
+        return scratch, state
+    fires = _row_fires(gate, _grid(gate.controls, w)) if modq else True
+    np.copyto(view, staged, where=fires)
+    return state, scratch
 
 
 def _scale_slab(state: np.ndarray, scratch: np.ndarray, pair, w: int):
@@ -279,31 +252,17 @@ def _dense_block(state: np.ndarray, scratch: np.ndarray, pair, w: int):
     return (state, scratch) if gate.controls else (scratch, state)
 
 
-def _flip_steps(gates) -> list:
-    """Permutation gates as _flip steps, packed into groups whose controls
-    take at most MAX_PATTERNS settings; a gate that would overflow its
-    group starts the next one."""
-    steps, group, held = [], [], set()
-    for gate in gates:
-        if group and 1 << len(held | set(gate.controls)) > MAX_PATTERNS:
-            steps.append((_flip, group))
-            group, held = [], set()
-        group.append(gate)
-        held |= set(gate.controls)
-    return steps + [(_flip, group)] if group else steps
-
-
 class _Pending:
     """Affine permutation gates that a plan holds back, kept as the map
     they compose to: basis index x goes to P(x), whose bit j is the parity
-    of x & src[j], flipped where bit j of off is set. `layers` keeps the
-    gates themselves, one tuple per circuit layer, for when they must run;
-    it empties whenever the map composes to the identity."""
+    of x & src[j], flipped where bit j of off is set. `gates` keeps the
+    gates themselves, in circuit order, for when they must run; it
+    empties whenever the map composes to the identity."""
 
     def __init__(self, w: int):
-        self.src, self.off, self.layers = [1 << j for j in range(w)], 0, []
+        self.src, self.off, self.gates = [1 << j for j in range(w)], 0, []
 
-    def push(self, gates: tuple) -> None:
+    def push(self, gates: list) -> None:
         """Compose one layer's affine gates onto the map. No gate of a
         layer reads another's target, so the order does not matter."""
         for gate in gates:
@@ -314,9 +273,9 @@ class _Pending:
             for t in gate.targets:
                 self.src[t] ^= mask
                 self.off ^= flip << t
-        self.layers.append(gates)
+        self.gates.extend(gates)
         if not self.off and all(m == 1 << j for j, m in enumerate(self.src)):
-            self.layers = []
+            self.gates = []
 
     def terms(self, gate: Gate) -> tuple:
         """(qubit, source mask, offset bit) for each qubit of the gate:
@@ -365,8 +324,8 @@ def _plan(layers, w: int) -> list:
     permutation gates (_affine) are held back in a _Pending map P, and a
     diagonal gate D that follows them is rewritten through P: D·P = P·D'
     with D'(x) = D(P(x)), a factor over the qubits that P reads on D's
-    qubits. Held-back gates run, as _flip steps in their own layers, only
-    when a dense block or a non-affine permutation arrives, when a
+    qubits. Held-back gates run, one _flip step each in circuit order,
+    only when a dense block or a non-affine permutation arrives, when a
     rewritten factor would span more than max(w - 5, 8) qubits, or at the
     end; when P composes to the identity they are dropped. So a copy
     tree, a diagonal and the uncopy cost only the diagonal.
@@ -378,8 +337,9 @@ def _plan(layers, w: int) -> list:
     only its firing slab. The plan keeps its tensors, built once, up to
     KEEP_AMPS or 1/8 of the state's amplitudes in all; a tensor past that
     is a _scale_built step, built on each run and freed after it, so a
-    deep circuit's plan does not grow with its depth. Dense blocks are
-    steps of their own.
+    deep circuit's plan does not grow with its depth. Every other gate
+    is a step of its own: a _flip for each permutation gate, then a
+    _dense_block for each dense block of the layer.
     """
     steps, pending = [], _Pending(w)
     group, held = [], set()  # the open factor: (gate, diagonal, terms)
@@ -403,8 +363,7 @@ def _plan(layers, w: int) -> list:
     def flush():
         nonlocal pending
         close()
-        for gates in pending.layers:
-            steps.extend(_flip_steps(gates))
+        steps.extend((_flip, gate) for gate in pending.gates)
         pending = _Pending(w)
 
     for gates in layers:
@@ -422,11 +381,11 @@ def _plan(layers, w: int) -> list:
         deferred = not blocks and all(map(_affine, flips))
         if not deferred:
             flush()
-            steps.extend(_flip_steps(flips))
+            steps.extend((_flip, gate) for gate in flips)
             steps.extend((_dense_block, pair) for pair in blocks)
         for gate, diag in diagonals:
             terms = pending.terms(gate)
-            if len(_reads(terms)) > limit and pending.layers:
+            if len(_reads(terms)) > limit and pending.gates:
                 flush()
                 terms = pending.terms(gate)
             reads = _reads(terms)
@@ -435,7 +394,7 @@ def _plan(layers, w: int) -> list:
             group.append((gate, diag, terms))
             held |= reads
         if deferred and flips:
-            pending.push(tuple(flips))
+            pending.push(flips)
     flush()
     return steps
 
@@ -446,11 +405,11 @@ def _apply(state: np.ndarray, scratch: np.ndarray, steps,
     for staging. Returns the (state, scratch) pair, swapped when the
     result landed in the scratch buffer.
 
-    Each step is one state pass: a group of permutation gates (_flip), a
-    factor tensor (_scale, or _scale_built for one the plan does not keep)
-    or a lone diagonal gate on its firing slab (_scale_slab), or one dense
+    Each step is one state pass: one permutation gate (_flip), a factor
+    tensor (_scale, or _scale_built for one the plan does not keep) or a
+    lone diagonal gate on its firing slab (_scale_slab), or one dense
     block (_dense_block). Beyond the pair, a step allocates a few KiB of
-    numpy bookkeeping, except that a lone MODQ builds its 2^inputs count
+    numpy bookkeeping, except that a MODQ gate builds its 2^inputs count
     and mask and _scale_built its tensor.
     """
     for kernel, arg in steps:
@@ -499,9 +458,10 @@ def run(circuit: Circuit, initial: np.ndarray,
     """Apply the circuit's layers in order; `initial` is left untouched.
 
     The state advances by the steps of the circuit's plan (dense_plan),
-    built on its first run. The plan takes each layer's gates by class,
-    holds copy trees back and pushes them through diagonal gates. That is
-    safe because Circuit validates every layer: a gate's target is
+    built on its first run. The plan takes each layer's gates by class:
+    one step per permutation gate and per dense block, and the diagonal
+    gates packed into factor tensors. It holds copy trees back and pushes
+    them through diagonal gates. That is safe because Circuit validates every layer: a gate's target is
     touched by no other gate of the layer, and under WITH_FANOUT gates
     share only controls, which no gate changes. So the gates of a layer
     commute, and any order or grouping gives the same state. Passing a

@@ -101,7 +101,7 @@ def random_layered_circuit(rng: np.random.Generator, width: int, depth: int,
     by side, with negated controls, and under WITH_FANOUT controls shared
     between gates; `kinds` narrows the draw. When the width allows, the
     first layer of a draw with Toffoli gates has permutation gates that read
-    seven controls, more than the dense engine walks in one group."""
+    seven controls between them."""
     layers = []
     for i in range(depth):
         free = [int(q) for q in rng.permutation(width)]  # touched by no gate yet

@@ -349,6 +349,22 @@ class TestNoHugeAllocation:
             3, "", "error: 56-qubit rows of 16384 inputs overflow an int64 "
                    "(id, index) key\n")
 
+    @pytest.mark.parametrize("command", [
+        ("verify",), ("verify", "--structural-only"), ("synth", "--out", "c.json"),
+    ], ids=["verify", "structural-only", "synth"])
+    @pytest.mark.parametrize("request_args", [
+        ("--construction", "fanout", "--n", "1000000000000"),
+        ("--construction", "rev-embed", "--classical", "classical.json"),
+    ], ids=["fanout-n1e12", "rev-embed-1e12-inputs"])
+    def test_huge_register_is_one_error_line(self, tmp_path, command, request_args):
+        # 10^12 qubits: the register's role tuple alone would take 8 TB, so
+        # its allocation fails at once, before anything is held
+        (tmp_path / "classical.json").write_text(json.dumps(
+            {"inputs": 10 ** 12, "layers": [[{"op": "and", "args": [0, 1]}]]}))
+        proc = run_cli_limited(tmp_path, *command, *request_args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", "error: out of memory: the register is too large to build\n")
+
     @pytest.mark.parametrize("argv", [
         # a permutation oracle needs no matrix: each input's image is one
         # basis state, and the sparse engine holds 2^15 rows

@@ -10,7 +10,10 @@ the code under test, as soon as tests are collected, go to a temporary
 directory removed at exit, not to a .hypothesis directory in the tree.
 """
 import cmath
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import configuration, given, settings
@@ -132,3 +135,29 @@ def _definition(gate: Gate, x: int) -> tuple[int, complex]:
         on = fires and (x >> gate.targets[0]) & 1
         return x, cmath.exp(1j * gate.theta) if on else 1
     return x ^ (sum(1 << t for t in gate.targets) if fires else 0), 1
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_a_failing_property_does_not_abort_the_run(tmp_path):
+    # under the project's warning filters, a failing property is reported
+    # as one failure and the test file after it still runs
+    (tmp_path / "test_a_property.py").write_text(FAILING_PROPERTY)
+    (tmp_path / "test_b_plain.py").write_text("def test_passes():\n    pass\n")
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider",
+         "-q", str(tmp_path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout

@@ -17,7 +17,8 @@ from qdepth.sim import (
     merge_rows, plus_at, random_state, relabel_qubits, run, run_basis,
     unitary_of, zero_state,
 )
-from qdepth.synth import cat_fanout, cat_log_depth, modq_constant_depth
+from qdepth.synth import (cat_fanout, cat_log_depth, modq_constant_depth,
+                          reversible_embed)
 from qdepth.verify import build_construction
 
 from common import (MOD2_3INPUT_MATRIX, random_circuit, random_layered_circuit,
@@ -275,6 +276,24 @@ class TestPlan:
         assert sum(arg.size for kernel, arg in plan if kernel is sim._scale) <= 48
         assert any(kernel is sim._scale_built for kernel, _ in plan)
         assert np.array_equal(run(c, state), kept)
+
+    @pytest.mark.parametrize("layer, w", [
+        # four CNOTs on distinct controls, all held back and then run
+        (cat_log_depth(8).layers[2], 8),
+        # and, or, xor: a Toffoli and two MODQ that share controls pairwise
+        (reversible_embed(ClassicalCircuit(3, ((
+            ClassicalGate("and", (0, 1)), ClassicalGate("or", (1, 2)),
+            ClassicalGate("xor", (0, 2))),))).layers[0], 6),
+    ], ids=["cat-doubling", "rev-embed-and-or-xor"])
+    def test_each_permutation_gate_is_one_step(self, layer, w):
+        c = Circuit(w, (Role.INPUT,) * w, (layer,), Discipline.WITH_FANOUT)
+        assert len(layer.gates) > 2
+        assert dense_plan(c) == [(sim._flip, gate) for gate in layer.gates]
+        state = random_state(w, np.random.default_rng(9))
+        apart = state
+        for g in layer.gates:
+            apart = apply_gate(apart, g)
+        assert np.array_equal(run(c, state), apart)
 
     def test_wide_rewrite_runs_the_copies_first(self):
         # a CNOT chain makes qubit 14's bit the parity of qubits 0..14,
@@ -539,9 +558,9 @@ class TestProperties:
             assert np.abs(run(shuffled, state) - base).max() <= 1e-12
 
     def test_layer_matches_its_gates_one_per_layer(self):
-        # A layer's permutation gates only copy amplitudes, so grouping them
-        # must not change a bit; diagonal factors multiplied together first
-        # may round differently in the last place.
+        # A layer's permutation gates only copy amplitudes, so running them
+        # as one layer must not change a bit; diagonal factors multiplied
+        # together first may round differently in the last place.
         rng = np.random.default_rng(18)
         for c in _layered_circuits():
             state = random_state(c.width, rng)
