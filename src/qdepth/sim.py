@@ -30,8 +30,20 @@ tensor, or at the end, and not at all when the map composes to the
 identity. So the paper's copy, diagonal, uncopy pattern costs only the
 diagonal.
 
+A run holds only the live qubits: those that the input sets, those that
+a step moves (permutation and dense-block targets), and negated MODQ
+controls, whose 0 counts. Every other qubit is idle and holds 0 for the
+whole run, since a diagonal step never changes a basis index. With at
+least MIN_IDLE idle qubits the plan, restricted to the live ones, runs
+on the 2^live amplitudes where the idle qubits are 0: factor tensors are
+sliced at 0 on the idle axes, a gate with a plain idle control is
+dropped and a negated idle control removed. A data-register
+superposition of modq-const n=4 q=5 runs on 8 of its 20 qubits.
+
 Beyond the workspace pair a run allocates a few KiB of numpy
-bookkeeping, except that a MODQ step builds its 2^inputs count and mask.
+bookkeeping, except that a MODQ step builds its 2^inputs count and mask,
+and the scan for live qubits a boolean chunk of 1/64 of the state (at
+least 2^12) and its int64 indices.
 
 The sparse engine (run_basis) drives many basis inputs at once as rows of
 (input id, basis index, amplitude), with the same three gate classes: a
@@ -46,6 +58,7 @@ states may be shared freely.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +131,14 @@ def _shape(qubits, width: int) -> list[int]:
     return shape
 
 
+def _cut(live, width: int) -> tuple:
+    """Index of the [2]*width view that holds each qubit not in `live` at
+    0 and drops its axis: a view of the live qubits alone, the i-th
+    lowest on axis len(live) - 1 - i, as _axis would put it."""
+    return tuple(slice(None) if width - 1 - a in live else 0
+                 for a in range(width)) + (...,)
+
+
 def _grid(qubits, width: int) -> np.ndarray:
     """The basis index of every setting of `qubits` (every other qubit 0),
     in _shape(qubits, width)."""
@@ -134,6 +155,13 @@ def _on(gate: Gate) -> int:
 
 _FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
                          GateKind.FANOUT, GateKind.MODQ})
+
+# A run is restricted to its live qubits (see run) only when at least this
+# many are idle: a restricted state of at most 1/16 of the state. With
+# three idle, the gather, zeroing and write-back cost more than they save:
+# a 21-qubit layer of three diagonal cu on 18 live qubits (modq-const n=6
+# q=4) took 17 ms restricted and 10 ms in full (2-vCPU host).
+MIN_IDLE = 4
 
 # A plan keeps its factor tensors up to 1/8 of the state's amplitudes in
 # all, or this many (1 MiB) on fewer than 19 qubits.
@@ -208,9 +236,9 @@ def _scale(state: np.ndarray, scratch: np.ndarray, factor: np.ndarray, w: int):
 
 
 def _scale_built(state: np.ndarray, scratch: np.ndarray, recipe, w: int):
-    """A factor tensor that the plan does not keep, as a (qubits, gates)
-    recipe for _factor: built for this step and freed after it."""
-    return _scale(state, scratch, _factor(*recipe, w), w)
+    """A factor tensor that the plan does not keep, as the arguments of
+    _factor: built for this step and freed after it."""
+    return _scale(state, scratch, _factor(*recipe), w)
 
 
 def _dense_block(state: np.ndarray, scratch: np.ndarray, pair, w: int):
@@ -305,15 +333,18 @@ def _image(index: np.ndarray, terms) -> np.ndarray:
     return out
 
 
-def _factor(qubits, group, w: int) -> np.ndarray:
+def _factor(qubits, group, w: int, live=None) -> np.ndarray:
     """The factor tensor over `qubits` of diagonal gates, given as (gate,
     diagonal, terms) triples: each gate is evaluated at the image of the
-    basis index under the map that its terms describe."""
-    factor = np.ones(_shape(qubits, w), dtype=complex)
+    basis index under the map that its terms describe. Given the `live`
+    qubits, every other qubit is taken at 0 and loses its axis: the
+    tensor is the full one sliced by _cut."""
+    live = range(w) if live is None else live
+    factor = np.ones(_shape(set(qubits).intersection(live), w), dtype=complex)
     for gate, diag, terms in group:
-        image = _image(_grid(_reads(terms), w), terms)
+        image = _image(_grid(_reads(terms).intersection(live), w), terms)
         factor *= np.where(_row_fires(gate, image), diag[_block(gate, image)], 1)
-    return factor
+    return factor[_cut(live, w)]
 
 
 def _plan(layers, w: int) -> list:
@@ -357,7 +388,7 @@ def _plan(layers, w: int) -> list:
                 factor.setflags(write=False)
                 steps.append((_scale, factor))
             else:
-                steps.append((_scale_built, (tuple(sorted(held)), tuple(group))))
+                steps.append((_scale_built, (tuple(sorted(held)), tuple(group), w)))
         group, held = [], set()
 
     def flush():
@@ -428,6 +459,119 @@ def dense_plan(circuit: Circuit) -> list:
     return plan
 
 
+def _pinned(circuit: Circuit) -> int:
+    """The qubits, as a bit mask, that every run of the circuit holds: the
+    targets of its plan's _flip and _dense_block steps, the only steps
+    that change a basis index, and the negated MODQ controls, whose 0
+    counts. Kept on the circuit beside its plan."""
+    pinned = vars(circuit).get("_dense_pinned")
+    if pinned is None:
+        pinned = 0
+        for kernel, arg in dense_plan(circuit):
+            if kernel is _flip or kernel is _dense_block:
+                gate = arg if kernel is _flip else arg[0]
+                pinned |= sum(1 << t for t in gate.targets)
+                if gate.kind is GateKind.MODQ:
+                    pinned |= sum(1 << c for c in gate.negated)
+        object.__setattr__(circuit, "_dense_pinned", pinned)
+    return pinned
+
+
+def _live_qubits(circuit: Circuit, initial: np.ndarray) -> tuple[int, ...]:
+    """The qubits, ascending, that a run of the circuit on `initial` holds:
+    the _pinned ones and those set in a nonzero amplitude of `initial`
+    (-0.0 is zero); all of them when fewer than MIN_IDLE are idle.
+
+    The scan reads chunks of 1/64 of the state (at least 2^12 amplitudes)
+    and stops once too few qubits are left to be idle: the last chunk
+    first, which a dense state fills, then the first, which holds a
+    data-register input, then the rest from the top. While a qubit inside
+    a chunk is idle, the nonzeros of each nonempty chunk are ORed into
+    one boolean chunk: np.flatnonzero over a 2^20-amplitude state costs
+    more than a restricted run.
+    """
+    w, n = circuit.width, initial.size
+    bits, most = _pinned(circuit), w - MIN_IDLE
+    size = 1 << max(w - 6, min(w, 12))
+    low = np.zeros(size, dtype=bool)  # where some nonempty chunk is nonzero
+    for start in dict.fromkeys((n - size, 0, *range(n - 2 * size, 0, -size))):
+        if bits.bit_count() > most:
+            break
+        chunk = initial[start:start + size]
+        if chunk.any():
+            bits |= start
+            if ~bits & (size - 1):
+                np.logical_or(low, chunk, out=low)
+                bits |= int(np.bitwise_or.reduce(np.flatnonzero(low)))
+    if bits.bit_count() > most:
+        return tuple(range(w))
+    return tuple(q for q in range(w) if bits >> q & 1)
+
+
+def _relabel(gate: Gate, pos: dict) -> Gate | None:
+    """A _flip or _dense_block gate on the live qubits, qubit q renumbered
+    pos[q]; None if it never fires. An idle qubit holds 0, so a plain
+    control there never fires the gate, which is dropped, while a negated
+    control, or a plain MODQ control that adds 0 to the count, is
+    removed. The gate is copied past Gate's validation: a CNOT that loses
+    its control has no kind of its own."""
+    modq = gate.kind is GateKind.MODQ
+    if not modq and any(c not in pos and c not in gate.negated for c in gate.controls):
+        return None
+    controls = tuple(pos[c] for c in gate.controls if c in pos)
+    if modq and not controls:
+        return None
+    moved = copy.copy(gate)
+    vars(moved).update(controls=controls, targets=tuple(pos[t] for t in gate.targets),
+                       negated=frozenset(pos[c] for c in gate.negated if c in pos))
+    return moved
+
+
+def _restrict(plan, live, w: int) -> list:
+    """The plan's steps on the live qubits alone, qubit live[i] as qubit
+    i. Kept factor tensors are sliced at 0 on the idle axes (_cut);
+    _scale_slab and _scale_built steps become such sliced factors, kept
+    within the plan's budget (KEEP_AMPS or 1/8 of the restricted state)
+    and built on each run past it; _flip and _dense_block gates are
+    relabelled, or dropped where they never fire (_relabel)."""
+    pos = {q: i for i, q in enumerate(live)}
+    steps, keep = [], max((1 << len(live)) >> 3, KEEP_AMPS)
+    for kernel, arg in plan:
+        if kernel is _scale:
+            steps.append((_scale, arg[_cut(pos, w)]))
+        elif kernel is _flip or kernel is _dense_block:
+            gate = _relabel(arg if kernel is _flip else arg[0], pos)
+            if gate is not None:
+                steps.append((kernel, gate if kernel is _flip else (gate, arg[1])))
+        else:
+            qubits, group = arg[:2] if kernel is _scale_built else (
+                arg[0].support, ((*arg, _Pending(w).terms(arg[0])),))
+            size = 1 << len(pos.keys() & set(qubits))
+            if size <= keep:
+                keep -= size
+                factor = _factor(qubits, group, w, live)
+                factor.setflags(write=False)
+                steps.append((_scale, factor))
+            else:
+                steps.append((_scale_built, (qubits, group, w, live)))
+    return steps
+
+
+def _restriction(circuit: Circuit, live: tuple[int, ...]) -> list:
+    """The plan restricted to `live` (_restrict), or the plan itself when
+    every qubit is live. The circuit keeps one restriction, for the last
+    live set, since unitary_of's 2^width columns have many live sets. It
+    is replaced whole, so concurrent runs each use one for their own."""
+    plan = dense_plan(circuit)
+    if len(live) == circuit.width:
+        return plan
+    kept = vars(circuit).get("_dense_restriction")
+    if kept is None or kept[0] != live:
+        kept = live, _restrict(plan, live, circuit.width)
+        object.__setattr__(circuit, "_dense_restriction", kept)
+    return kept[1]
+
+
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply one gate, as the plan of a one-gate layer; returns a new
     state, norm preserved."""
@@ -461,22 +605,39 @@ def run(circuit: Circuit, initial: np.ndarray,
     built on its first run. The plan takes each layer's gates by class:
     one step per permutation gate and per dense block, and the diagonal
     gates packed into factor tensors. It holds copy trees back and pushes
-    them through diagonal gates. That is safe because Circuit validates every layer: a gate's target is
-    touched by no other gate of the layer, and under WITH_FANOUT gates
-    share only controls, which no gate changes. So the gates of a layer
-    commute, and any order or grouping gives the same state. Passing a
-    `workspace` from make_workspace avoids per-call state allocations; the
-    returned state then aliases one of its buffers and is only valid until
-    the next run with the same workspace.
+    them through diagonal gates. That is safe because Circuit validates
+    every layer: a gate's target is touched by no other gate of the
+    layer, and under WITH_FANOUT gates share only controls, which no gate
+    changes. So the gates of a layer commute, and any order or grouping
+    gives the same state.
+
+    The plan runs on the live qubits (_live_qubits). When at least
+    MIN_IDLE are idle, the slab of `initial` where they are 0 is gathered
+    into the first 2^live amplitudes of the workspace and advanced there
+    by the restricted plan (_restriction); then the state is zeroed and
+    the result written back into that slab, both copies through
+    [2]*width views. Otherwise the plan runs on a copy of `initial`.
+    Passing a `workspace` from make_workspace avoids per-call state
+    allocations; the returned state then aliases one of its buffers and
+    is only valid until the next run with the same workspace.
     """
-    if state_width(initial) != circuit.width:
-        raise CircuitError(
-            f"state has {state_width(initial)} qubits, circuit {circuit.width}")
+    w = circuit.width
+    if state_width(initial) != w:
+        raise CircuitError(f"state has {state_width(initial)} qubits, circuit {w}")
     if workspace is None:
-        workspace = make_workspace(circuit.width)
+        workspace = make_workspace(w)
+    live = _live_qubits(circuit, initial)
+    steps, cut, n = _restriction(circuit, live), _cut(live, w), 1 << len(live)
     state, scratch = workspace
-    state[...] = initial
-    state, _ = _apply(state, scratch, dense_plan(circuit), circuit.width)
+    held, spare = state[:n], scratch[:n]
+    held.reshape([2] * len(live))[...] = initial.reshape([2] * w)[cut]
+    out, _ = _apply(held, spare, steps, len(live))
+    if n == state.size:
+        return out
+    if out is held:
+        spare[...] = held
+    state[...] = 0
+    state.reshape([2] * w)[cut] = spare.reshape([2] * len(live))
     return state
 
 

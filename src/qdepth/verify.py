@@ -19,7 +19,9 @@ exactly by the inputs 0 and 1, by linearity; rev-embed, a permutation,
 drives every (x, y) at one sparse row each. Superposition spot checks run
 on the dense engine with a fixed seed: a random superposition of the
 checked basis inputs is expected to map to the sum of their images,
-weighted by its amplitudes.
+weighted by its amplitudes. The dense engine holds only the qubits that
+such an input sets or the circuit moves: for modq-const n=4 q=5 the data
+register and the counter, 8 of its 20 qubits.
 """
 from __future__ import annotations
 

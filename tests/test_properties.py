@@ -1,4 +1,5 @@
-"""Property tests: the three engines agree on random circuits, and the
+"""Property tests: the three engines agree on random circuits, the dense
+engine agrees with the oracles on inputs that leave qubits idle, and the
 array oracle agrees with itself one int at a time.
 
 The dense engine (sim.run, through unitary_of), the sparse engine
@@ -13,15 +14,17 @@ import cmath
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
+from qdepth import sim
 from qdepth.ir import Circuit, Discipline, Gate, GateKind, compose, inverse
 from qdepth.oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
-from qdepth.sim import run_basis, unitary_of
+from qdepth.sim import dense_plan, embed_index, random_state, run, run_basis, unitary_of
 
 from common import AFFINE_KINDS, DIAGONAL_KINDS, random_layered_circuit
 
@@ -99,6 +102,67 @@ def test_dense_sparse_and_oracle_agree():
     agree()
     compared, total = map(sum, zip(*counts))
     assert compared >= 0.95 * total, (compared, total)
+
+
+# every layer kind and the parity, the kinds that move a qubit under
+# controls drawn three times as often as the others
+LIVE_KINDS = ("x", "h", "u", "fanout", "phase", "cu_diag") + (
+    "cnot", "toffoli", "modq", "parity", "cu") * 3
+
+
+def _idle_controls(c: Circuit, live, support) -> list[str]:
+    """How the idle qubits (not in `live`) control the steps that move a
+    qubit: "plain", or "negated <kind>". A negated MODQ control is always
+    live; it is listed when the input leaves it at 0 and no step moves
+    it, so that only this rule keeps it live."""
+    steps = [arg if kernel is sim._flip else arg[0] for kernel, arg in dense_plan(c)
+             if kernel is sim._flip or kernel is sim._dense_block]
+    moved = {t for gate in steps for t in gate.targets}
+    found = []
+    for gate in steps:
+        for q in gate.controls:
+            negated = q in gate.negated
+            if gate.kind is GateKind.MODQ and negated:
+                if q not in moved and q not in support:
+                    found.append("negated modq")
+            elif q not in live:
+                found.append(f"negated {gate.kind.value}" if negated else "plain")
+    return found
+
+
+def test_run_on_live_qubits_matches_the_oracle(monkeypatch):
+    # each draw: a layered circuit of one or two layers and an A·D·A⁻¹ or
+    # A·D·B circuit, each run on three inputs that set random subsets of
+    # the qubits; with MIN_IDLE at 1 every idle qubit is restricted away.
+    # The width, discipline and shapes come from the seed, since
+    # hypothesis draws its own small integers far more often than large
+    # ones. The draws must hold idle qubits as every kind of control that
+    # the restriction rewrites.
+    monkeypatch.setattr(sim, "MIN_IDLE", 1)
+    seen = Counter()
+
+    @PROFILE
+    @given(seed=st.integers(0, 2**32 - 1))
+    def agree(seed):
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(2, 9))
+        discipline = list(Discipline)[int(rng.integers(2))]
+        layered = random_layered_circuit(rng, width, int(rng.integers(1, 3)),
+                                         discipline, LIVE_KINDS)
+        shape = ("copy-uncopy", "copy-other")[int(rng.integers(2))]
+        for c in (layered, _shaped(rng, width, discipline, shape)):
+            want = _oracle_product(c)
+            for _ in range(3):
+                support = [q for q in range(width) if rng.random() < 0.3]
+                state = np.zeros(1 << width, dtype=complex)
+                state[embed_index(np.arange(1 << len(support)), support)] = (
+                    random_state(len(support), rng))
+                assert np.abs(run(c, state) - want @ state).max() <= TOL
+                seen.update(_idle_controls(c, sim._live_qubits(c, state), support))
+
+    agree()
+    wanted = ["plain", "negated cnot", "negated toffoli", "negated cu", "negated modq"]
+    assert all(seen[k] for k in wanted), seen
 
 
 @PROFILE

@@ -312,6 +312,126 @@ class TestPlan:
         assert np.array_equal(run(c, state), apart)
 
 
+def _data_superposition(c: Circuit, rng) -> np.ndarray:
+    """A random superposition of the data register's basis inputs, every
+    other qubit at |0>."""
+    d = c.data_qubits
+    state = np.zeros(1 << c.width, dtype=complex)
+    state[embed_index(np.arange(1 << len(d)), d)] = random_state(len(d), rng)
+    return state
+
+
+def _full_plan_run(c: Circuit, state: np.ndarray) -> np.ndarray:
+    """The state advanced by the circuit's whole plan, on every qubit."""
+    out, _ = sim._apply(state.copy(), np.empty_like(state), dense_plan(c), c.width)
+    return out
+
+
+class TestLiveQubits:
+    """run holds only the live qubits of its input (sim._live_qubits) and
+    runs the plan restricted to them (sim._restriction)."""
+
+    @pytest.mark.parametrize("discipline", list(Discipline))
+    def test_data_superposition_of_modq_const_runs_on_eight_qubits(self, discipline):
+        # the data register (inputs 0-3, target 4) and the counter (5-7),
+        # which H moves; the 12 copies stay at 0
+        c = modq_constant_depth(4, 5, discipline)
+        rng = np.random.default_rng(7)
+        state = _data_superposition(c, rng)
+        assert sim._live_qubits(c, state) == tuple(range(8))
+        want = _full_plan_run(c, state)
+        # -0.0 is zero, in the last chunk (read first) as in any other
+        state[[1 << 12, (1 << 19) | 3, (1 << c.width) - 1]] = complex(-0.0, -0.0)
+        assert sim._live_qubits(c, state) == tuple(range(8))
+        assert np.abs(run(c, state) - want).max() <= 1e-15
+        full = random_state(c.width, rng)
+        assert sim._live_qubits(c, full) == tuple(range(c.width))
+        assert np.abs(run(c, full) - _full_plan_run(c, full)).max() <= 1e-15
+
+    def test_too_few_idle_qubits_run_in_full(self):
+        # qubits 3, 4 and 5 idle, one fewer than MIN_IDLE
+        c = Circuit(6, (Role.INPUT,) * 6, (Layer((hadamard(0), cnot(1, 2))),))
+        state = plus_at(6, 1)
+        assert sim.MIN_IDLE == 4
+        assert sim._live_qubits(c, state) == tuple(range(6))
+        c = Circuit(7, (Role.INPUT,) * 7, c.layers)
+        assert sim._live_qubits(c, plus_at(7, 1)) == (0, 1, 2)
+
+    def test_toffoli_on_negated_idle_controls_acts_as_x(self):
+        w = 7
+        c = Circuit(w, (Role.INPUT,) * w,
+                    (Layer((toffoli((3, 4, 5, 6), 1, negated=(3, 4, 5, 6)),)),))
+        state = np.zeros(1 << w, dtype=complex)
+        state[[0b000, 0b001, 0b100, 0b101]] = random_state(2, np.random.default_rng(2))
+        assert sim._live_qubits(c, state) == (0, 1, 2)
+        [(kernel, gate)] = sim._restriction(c, (0, 1, 2))
+        assert kernel is sim._flip
+        assert (gate.controls, gate.targets, gate.negated) == ((), (1,), frozenset())
+        assert np.array_equal(run(c, state), apply_gate(state, pauli_x(1)))
+
+    def test_cnot_on_a_plain_idle_control_is_dropped(self):
+        w = 7
+        c = Circuit(w, (Role.INPUT,) * w, (Layer((cnot(6, 0), hadamard(1))),))
+        state = plus_at(w, 2)
+        assert sim._live_qubits(c, state) == (0, 1, 2)
+        assert [k for k, _ in sim._restriction(c, (0, 1, 2))] == [sim._dense_block]
+        assert np.array_equal(run(c, state), apply_gate(state, hadamard(1)))
+
+    def test_diagonal_steps_become_factors_on_the_live_qubits(self, monkeypatch):
+        # H on qubit 0 between phase layers over qubits 0-7 of 10, on inputs
+        # that leave 6-9 at 0: a lone phase (_scale_slab), kept factors
+        # (_scale) and, past a budget of 8 amplitudes for 64 live ones,
+        # factors built on each run (_scale_built)
+        monkeypatch.setattr(sim, "KEEP_AMPS", 8)
+        rng = np.random.default_rng(12)
+        w = 10
+        layers = [Layer((symmetric_phase(0.3, (1, 6), 7),))]
+        for _ in range(10):
+            a, b, c, d = rng.permutation(8)[:4].tolist()
+            layers += [Layer((hadamard(0),)),
+                       Layer((symmetric_phase(rng.uniform(0, 6), (a,), b),
+                              symmetric_phase(rng.uniform(0, 6), (c,), d)))]
+        c = Circuit(w, (Role.INPUT,) * w, tuple(layers))
+        kinds = {k for k, _ in dense_plan(c)}
+        assert {sim._scale_slab, sim._scale, sim._scale_built} <= kinds
+        live = tuple(range(6))
+        state = np.zeros(1 << w, dtype=complex)
+        state[:64] = random_state(6, rng)
+        assert sim._live_qubits(c, state) == live
+        assert {k for k, _ in sim._restriction(c, live)} == {
+            sim._dense_block, sim._scale, sim._scale_built}
+        assert np.abs(run(c, state) - _full_plan_run(c, state)).max() <= 1e-14
+
+    def test_no_live_qubit(self):
+        # diagonal gates only, on |0...0>: the restricted state is one
+        # amplitude
+        c = Circuit(5, (Role.INPUT,) * 5,
+                    (Layer((symmetric_phase(0.5, (), 0), symmetric_phase(0.2, (1,), 2))),))
+        state = 1j * basis_state(5, 0)
+        assert sim._live_qubits(c, state) == ()
+        assert np.array_equal(run(c, state), state)
+
+    def test_one_restriction_is_kept_per_circuit(self, monkeypatch):
+        builds = []
+        restrict = sim._restrict
+        monkeypatch.setattr(sim, "_restrict",
+                            lambda *args: builds.append(args[1]) or restrict(*args))
+        c = modq_constant_depth(4, 5)
+        rng = np.random.default_rng(5)
+        first, second = _data_superposition(c, rng), _data_superposition(c, rng)
+        workspace = make_workspace(c.width)
+        for state in (first, second):
+            assert np.abs(run(c, state, workspace) - _full_plan_run(c, state)).max() <= 1e-15
+        assert builds == [tuple(range(8))]
+        # input 0 alone, with the target at 0: its live set is the counter
+        # and the target, which the Toffoli moves
+        run(c, basis_state(c.width, 0), workspace)
+        assert builds == [tuple(range(8)), (4, 5, 6, 7)]
+        assert vars(c)["_dense_restriction"][0] == (4, 5, 6, 7)
+        run(c, first, workspace)
+        assert builds == [tuple(range(8)), (4, 5, 6, 7), tuple(range(8))]
+
+
 def _layered_circuits():
     """Random multi-gate-layer circuits over both disciplines: every
     width from 3 to 12, three circuits of four layers each."""
