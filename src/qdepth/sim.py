@@ -6,16 +6,19 @@ length 2^m, unit norm, in little-endian basis order: qubit 0 is the least
 significant bit of the basis index. It runs a plan (dense_plan), built
 for each circuit on its first run and kept with the circuit; the caller
 keeps the input state. A layer of commuting gates is one time step, as in
-the paper, and the plan takes each layer's gates by class. Each step
-advances the state, reshaped to [2]*m, in one pass:
+the paper, and the plan takes each layer's gates by class. A run binds
+the plan to its live qubits (see below) and each bound step advances the
+state, reshaped to [2]*m, in one pass:
 
 - permutation gates (X, CNOT, Toffoli, fanout, MODQ), one gate at a time:
   the slab where the controls fire, flipped on the targets, is staged in
   scratch and copied back (for an uncontrolled gate the buffers swap);
 - diagonal gates (PHASE, diagonal u/cu): one in-place multiply by a
   factor tensor of at most 1/32 of the state (or 2^8 amplitudes, below
-  13 qubits), which the plan keeps while its tensors stay within 1/8 of
-  the state (or 2^16 amplitudes) in all, and builds on each run past that;
+  13 qubits), or, for a lone gate, of its firing slab. A run's binding
+  keeps the tensors, built for its live qubits, while they stay within
+  1/8 of the state (or 2^16 amplitudes) in all, and builds any further
+  ones on each run;
 - dense blocks (H, u, cu), one gate at a time: one np.matmul of the slab
   where the controls fire, staged in scratch with the target axes last
   unless they already form a stack of block-sized matrices.
@@ -34,11 +37,11 @@ A run holds only the live qubits: those that the input sets, those that
 a step moves (permutation and dense-block targets), and negated MODQ
 controls, whose 0 counts. Every other qubit is idle and holds 0 for the
 whole run, since a diagonal step never changes a basis index. With at
-least MIN_IDLE idle qubits the plan, restricted to the live ones, runs
-on the 2^live amplitudes where the idle qubits are 0: factor tensors are
-sliced at 0 on the idle axes, a gate with a plain idle control is
-dropped and a negated idle control removed. A data-register
-superposition of modq-const n=4 q=5 runs on 8 of its 20 qubits.
+least MIN_IDLE idle qubits the plan, bound to the live ones, runs on the
+2^live amplitudes where the idle qubits are 0: factor tensors are built
+on the live axes alone, a gate with a plain idle control is dropped and
+a negated idle control removed. A data-register superposition of
+modq-const n=4 q=5 runs on 8 of its 20 qubits.
 
 Beyond the workspace pair a run allocates a few KiB of numpy
 bookkeeping, except that a MODQ step builds its 2^inputs count and mask,
@@ -163,8 +166,8 @@ _FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
 # q=4) took 17 ms restricted and 10 ms in full (2-vCPU host).
 MIN_IDLE = 4
 
-# A plan keeps its factor tensors up to 1/8 of the state's amplitudes in
-# all, or this many (1 MiB) on fewer than 19 qubits.
+# A bound plan keeps its factor tensors up to 1/8 of the (live) state's
+# amplitudes in all, or this many (1 MiB) on fewer than 19 live qubits.
 KEEP_AMPS = 1 << 16
 
 
@@ -203,42 +206,25 @@ def _flip(state: np.ndarray, scratch: np.ndarray, gate: Gate, w: int):
 
 def _scale_slab(state: np.ndarray, scratch: np.ndarray, pair, w: int):
     """One diagonal gate, as a (gate, diagonal) pair, in place: each target
-    bit pattern of its firing slab is scaled, skipping factors of 1, with
-    the small ufunc buffer that _scale explains."""
+    bit pattern of its firing slab is scaled, skipping factors of 1."""
     gate, diag = pair
     psi, qubits = state.reshape([2] * w), gate.controls + gate.targets
-    bufsize = np.setbufsize(512)
-    try:
-        for y, d in enumerate(diag):
-            if d != 1:
-                psi[_slab(_on(gate) | embed_index(y, gate.targets), qubits, w)] *= d
-    finally:
-        np.setbufsize(bufsize)
+    for y, d in enumerate(diag):
+        if d != 1:
+            psi[_slab(_on(gate) | embed_index(y, gate.targets), qubits, w)] *= d
     return state, scratch
 
 
-def _scale(state: np.ndarray, scratch: np.ndarray, factor: np.ndarray, w: int):
-    """One in-place multiply by a factor tensor that a plan built from
-    diagonal gates, broadcast over the qubits it does not span.
-
-    numpy stages a strided or broadcast operand in buffers of bufsize
-    elements, 128 KiB by default. 512 (8 KiB) keeps the allocations of a
-    step below 1/16 of a 16-qubit state, and it multiplied the 20-qubit
-    four-cu layer of modq-const n=4 q=5 in 1.5 ms rather than 2.0.
-    """
+def _scale(state: np.ndarray, scratch: np.ndarray, factor, w: int):
+    """One in-place multiply by a factor tensor built from diagonal gates,
+    broadcast over the qubits it does not span. A recipe, the arguments
+    of _factor, in place of the tensor is built for this step and freed
+    after it."""
+    if not isinstance(factor, np.ndarray):
+        factor = _factor(*factor)
     psi = state.reshape([2] * w)
-    bufsize = np.setbufsize(512)
-    try:
-        psi *= factor
-    finally:
-        np.setbufsize(bufsize)
+    psi *= factor
     return state, scratch
-
-
-def _scale_built(state: np.ndarray, scratch: np.ndarray, recipe, w: int):
-    """A factor tensor that the plan does not keep, as the arguments of
-    _factor: built for this step and freed after it."""
-    return _scale(state, scratch, _factor(*recipe), w)
 
 
 def _dense_block(state: np.ndarray, scratch: np.ndarray, pair, w: int):
@@ -333,13 +319,12 @@ def _image(index: np.ndarray, terms) -> np.ndarray:
     return out
 
 
-def _factor(qubits, group, w: int, live=None) -> np.ndarray:
+def _factor(qubits, group, w: int, live) -> np.ndarray:
     """The factor tensor over `qubits` of diagonal gates, given as (gate,
     diagonal, terms) triples: each gate is evaluated at the image of the
-    basis index under the map that its terms describe. Given the `live`
-    qubits, every other qubit is taken at 0 and loses its axis: the
-    tensor is the full one sliced by _cut."""
-    live = range(w) if live is None else live
+    basis index under the map that its terms describe. Every qubit not in
+    `live` is taken at 0 and loses its axis: the tensor is the one on all
+    w qubits sliced by _cut."""
     factor = np.ones(_shape(set(qubits).intersection(live), w), dtype=complex)
     for gate, diag, terms in group:
         image = _image(_grid(_reads(terms).intersection(live), w), terms)
@@ -349,7 +334,7 @@ def _factor(qubits, group, w: int, live=None) -> np.ndarray:
 
 def _plan(layers, w: int) -> list:
     """The kernel calls that advance a state by `layers` (each a tuple of
-    gates), as (kernel, argument) pairs.
+    gates), as (kernel, argument) pairs for _bind to bind to a run.
 
     A layer's gates commute, so the plan may take them by class. Affine
     permutation gates (_affine) are held back in a _Pending map P, and a
@@ -361,34 +346,22 @@ def _plan(layers, w: int) -> list:
     end; when P composes to the identity they are dropped. So a copy
     tree, a diagonal and the uncopy cost only the diagonal.
 
-    Diagonal gates, rewritten or not, are packed into factor tensors over
-    at most max(w - 5, 8) qubits, 1/32 of the state at 13 qubits or more;
-    a gate that would overflow the open tensor closes it. A tensor of one
-    gate that P leaves as it is becomes a _scale_slab step, which touches
-    only its firing slab. The plan keeps its tensors, built once, up to
-    KEEP_AMPS or 1/8 of the state's amplitudes in all; a tensor past that
-    is a _scale_built step, built on each run and freed after it, so a
-    deep circuit's plan does not grow with its depth. Every other gate
-    is a step of its own: a _flip for each permutation gate, then a
-    _dense_block for each dense block of the layer.
+    Diagonal gates, rewritten or not, are packed into factors over at
+    most max(w - 5, 8) qubits, 1/32 of the state at 13 qubits or more; a
+    gate that would overflow the open factor closes it. A factor is a
+    _scale step whose argument is its recipe, the (qubits, group) that
+    _factor reads; the plan builds no tensor. Every other gate is a step
+    of its own: a _flip for each permutation gate, then a _dense_block
+    for each dense block of the layer.
     """
     steps, pending = [], _Pending(w)
     group, held = [], set()  # the open factor: (gate, diagonal, terms)
-    limit, keep = max(w - 5, 8), max((1 << w) >> 3, KEEP_AMPS)
+    limit = max(w - 5, 8)
 
     def close():
-        nonlocal group, held, keep
-        if len(group) == 1 and all(source == 1 << q and not offset
-                                   for q, source, offset in group[0][2]):
-            steps.append((_scale_slab, group[0][:2]))
-        elif group:
-            if 1 << len(held) <= keep:
-                keep -= 1 << len(held)
-                factor = _factor(held, group, w)
-                factor.setflags(write=False)
-                steps.append((_scale, factor))
-            else:
-                steps.append((_scale_built, (tuple(sorted(held)), tuple(group), w)))
+        nonlocal group, held
+        if group:
+            steps.append((_scale, (tuple(sorted(held)), tuple(group))))
         group, held = [], set()
 
     def flush():
@@ -432,19 +405,27 @@ def _plan(layers, w: int) -> list:
 
 def _apply(state: np.ndarray, scratch: np.ndarray, steps,
            w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Advance `state` by the steps of a plan (see _plan), using `scratch`
-    for staging. Returns the (state, scratch) pair, swapped when the
-    result landed in the scratch buffer.
+    """Advance `state` by the steps of a bound plan (see _bind), using
+    `scratch` for staging. Returns the (state, scratch) pair, swapped when
+    the result landed in the scratch buffer.
 
     Each step is one state pass: one permutation gate (_flip), a factor
-    tensor (_scale, or _scale_built for one the plan does not keep) or a
-    lone diagonal gate on its firing slab (_scale_slab), or one dense
-    block (_dense_block). Beyond the pair, a step allocates a few KiB of
-    numpy bookkeeping, except that a MODQ gate builds its 2^inputs count
-    and mask and _scale_built its tensor.
+    tensor or its recipe (_scale), a lone diagonal gate on its firing
+    slab (_scale_slab), or one dense block (_dense_block). Beyond the
+    pair, a step allocates a few KiB of numpy bookkeeping, except that a
+    MODQ gate builds its 2^inputs count and mask and a recipe its tensor.
+
+    numpy stages a strided or broadcast operand in buffers of bufsize
+    elements, 128 KiB by default. 512 (8 KiB) keeps the allocations of a
+    step below 1/16 of a 16-qubit state, and it multiplied the 20-qubit
+    four-cu layer of modq-const n=4 q=5 in 1.5 ms rather than 2.0.
     """
-    for kernel, arg in steps:
-        state, scratch = kernel(state, scratch, arg, w)
+    bufsize = np.setbufsize(512)
+    try:
+        for kernel, arg in steps:
+            state, scratch = kernel(state, scratch, arg, w)
+    finally:
+        np.setbufsize(bufsize)
     return state, scratch
 
 
@@ -509,7 +490,7 @@ def _live_qubits(circuit: Circuit, initial: np.ndarray) -> tuple[int, ...]:
 
 
 def _relabel(gate: Gate, pos: dict) -> Gate | None:
-    """A _flip or _dense_block gate on the live qubits, qubit q renumbered
+    """A step's gate on the live qubits, qubit q renumbered
     pos[q]; None if it never fires. An idle qubit holds 0, so a plain
     control there never fires the gate, which is dropped, while a negated
     control, or a plain MODQ control that adds 0 to the count, is
@@ -527,59 +508,61 @@ def _relabel(gate: Gate, pos: dict) -> Gate | None:
     return moved
 
 
-def _restrict(plan, live, w: int) -> list:
-    """The plan's steps on the live qubits alone, qubit live[i] as qubit
-    i. Kept factor tensors are sliced at 0 on the idle axes (_cut);
-    _scale_slab and _scale_built steps become such sliced factors, kept
-    within the plan's budget (KEEP_AMPS or 1/8 of the restricted state)
-    and built on each run past it; _flip and _dense_block gates are
-    relabelled, or dropped where they never fire (_relabel)."""
+def _bind(plan, live, w: int) -> list:
+    """The plan's steps for a run on the live qubits, qubit live[i] as
+    qubit i: _flip and _dense_block gates are relabelled, or dropped where
+    they never fire (_relabel). A factor of one gate that the plan did not
+    rewrite, on live qubits only, becomes a _scale_slab step, which
+    touches only its firing slab. Every other factor is built on the live
+    qubits (_factor) and kept, within KEEP_AMPS or 1/8 of the live
+    state's amplitudes in all; past that its recipe stays, for _scale to
+    build on each run, so a deep circuit's binding does not grow with its
+    depth."""
     pos = {q: i for i, q in enumerate(live)}
     steps, keep = [], max((1 << len(live)) >> 3, KEEP_AMPS)
     for kernel, arg in plan:
-        if kernel is _scale:
-            steps.append((_scale, arg[_cut(pos, w)]))
-        elif kernel is _flip or kernel is _dense_block:
+        if kernel is not _scale:
             gate = _relabel(arg if kernel is _flip else arg[0], pos)
             if gate is not None:
                 steps.append((kernel, gate if kernel is _flip else (gate, arg[1])))
+            continue
+        qubits, group = arg
+        on = pos.keys() & set(qubits)
+        if len(group) == 1 and len(on) == len(qubits) and all(
+                source == 1 << q and not offset for q, source, offset in group[0][2]):
+            steps.append((_scale_slab, (_relabel(group[0][0], pos), group[0][1])))
+        elif 1 << len(on) <= keep:
+            keep -= 1 << len(on)
+            factor = _factor(qubits, group, w, live)
+            factor.setflags(write=False)
+            steps.append((_scale, factor))
         else:
-            qubits, group = arg[:2] if kernel is _scale_built else (
-                arg[0].support, ((*arg, _Pending(w).terms(arg[0])),))
-            size = 1 << len(pos.keys() & set(qubits))
-            if size <= keep:
-                keep -= size
-                factor = _factor(qubits, group, w, live)
-                factor.setflags(write=False)
-                steps.append((_scale, factor))
-            else:
-                steps.append((_scale_built, (qubits, group, w, live)))
+            steps.append((_scale, (qubits, group, w, live)))
     return steps
 
 
 def _restriction(circuit: Circuit, live: tuple[int, ...]) -> list:
-    """The plan restricted to `live` (_restrict), or the plan itself when
-    every qubit is live. The circuit keeps one restriction, for the last
-    live set, since unitary_of's 2^width columns have many live sets. It
-    is replaced whole, so concurrent runs each use one for their own."""
-    plan = dense_plan(circuit)
-    if len(live) == circuit.width:
-        return plan
-    kept = vars(circuit).get("_dense_restriction")
+    """The circuit's plan bound to `live` (_bind). The circuit keeps two
+    bindings: the one on every qubit, and one for the last smaller live
+    set, since unitary_of's 2^width columns have many live sets. Each is
+    replaced whole, so concurrent runs each use one for their own."""
+    key = "_dense_full" if len(live) == circuit.width else "_dense_restriction"
+    kept = vars(circuit).get(key)
     if kept is None or kept[0] != live:
-        kept = live, _restrict(plan, live, circuit.width)
-        object.__setattr__(circuit, "_dense_restriction", kept)
+        kept = live, _bind(dense_plan(circuit), live, circuit.width)
+        object.__setattr__(circuit, key, kept)
     return kept[1]
 
 
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate, as the plan of a one-gate layer; returns a new
-    state, norm preserved."""
+    """Apply one gate, as the plan of a one-gate layer bound to every
+    qubit; returns a new state, norm preserved."""
     w = state_width(state)
     high = [i for i in gate.support if i >= w]
     if high:
         raise CircuitError(f"gate touches qubit {high[0]} outside width {w}")
-    out, _ = _apply(state.copy(), np.empty_like(state), _plan([(gate,)], w), w)
+    steps = _bind(_plan([(gate,)], w), tuple(range(w)), w)
+    out, _ = _apply(state.copy(), np.empty_like(state), steps, w)
     return out
 
 
@@ -604,19 +587,19 @@ def run(circuit: Circuit, initial: np.ndarray,
     The state advances by the steps of the circuit's plan (dense_plan),
     built on its first run. The plan takes each layer's gates by class:
     one step per permutation gate and per dense block, and the diagonal
-    gates packed into factor tensors. It holds copy trees back and pushes
-    them through diagonal gates. That is safe because Circuit validates
-    every layer: a gate's target is touched by no other gate of the
-    layer, and under WITH_FANOUT gates share only controls, which no gate
-    changes. So the gates of a layer commute, and any order or grouping
-    gives the same state.
+    gates packed into factors. It holds copy trees back and pushes them
+    through diagonal gates. That is safe because Circuit validates every
+    layer: a gate's target is touched by no other gate of the layer, and
+    under WITH_FANOUT gates share only controls, which no gate changes.
+    So the gates of a layer commute, and any order or grouping gives the
+    same state.
 
-    The plan runs on the live qubits (_live_qubits). When at least
-    MIN_IDLE are idle, the slab of `initial` where they are 0 is gathered
-    into the first 2^live amplitudes of the workspace and advanced there
-    by the restricted plan (_restriction); then the state is zeroed and
-    the result written back into that slab, both copies through
-    [2]*width views. Otherwise the plan runs on a copy of `initial`.
+    Each run binds the plan to its live qubits (_live_qubits,
+    _restriction). When at least MIN_IDLE are idle, the slab of `initial`
+    where they are 0 is gathered into the first 2^live amplitudes of the
+    workspace and advanced there; then the state is zeroed and the result
+    written back into that slab, both copies through [2]*width views.
+    Otherwise the plan, bound to every qubit, runs on a copy of `initial`.
     Passing a `workspace` from make_workspace avoids per-call state
     allocations; the returned state then aliases one of its buffers and
     is only valid until the next run with the same workspace.

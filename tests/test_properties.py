@@ -1,6 +1,7 @@
 """Property tests: the three engines agree on random circuits, the dense
-engine agrees with the oracles on inputs that leave qubits idle, and the
-array oracle agrees with itself one int at a time.
+engine agrees with the oracles on inputs that leave qubits idle and binds
+its factors for them as the full ones cut down, and the array oracle
+agrees with itself one int at a time.
 
 The dense engine (sim.run, through unitary_of), the sparse engine
 (sim.run_basis on every basis input) and the product of the per-gate
@@ -163,6 +164,44 @@ def test_run_on_live_qubits_matches_the_oracle(monkeypatch):
     agree()
     wanted = ["plain", "negated cnot", "negated toffoli", "negated cu", "negated modq"]
     assert all(seen[k] for k in wanted), seen
+
+
+def test_bound_factors_are_the_full_ones_cut_to_the_live_qubits():
+    # each draw: a random circuit of every shape and a random live set
+    # that holds the qubits its steps move. Every tensor that _bind builds
+    # for it is the tensor on all qubits sliced by _cut, bit for bit; the
+    # draws must compare factors with idle axes, rewritten ones among them
+    seen = Counter()
+
+    @PROFILE
+    @given(seed=st.integers(0, 2**32 - 1))
+    def agree(seed):
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(2, 9))
+        discipline = list(Discipline)[int(rng.integers(2))]
+        shape = ("layered", "copy-uncopy", "copy-other")[int(rng.integers(3))]
+        c = _shaped(rng, width, discipline, shape)
+        pinned = sim._pinned(c)
+        live = tuple(q for q in range(width) if pinned >> q & 1 or rng.random() < 0.5)
+        plan = dense_plan(c)
+        recipes = [arg for kernel, arg in plan if kernel is sim._scale]
+        bound = [arg for kernel, arg in sim._bind(plan, live, width)
+                 if kernel is sim._scale or kernel is sim._scale_slab]
+        assert len(bound) == len(recipes)
+        for (qubits, group), tensor in zip(recipes, bound):
+            if isinstance(tensor, np.ndarray):
+                full = sim._factor(qubits, group, width, tuple(range(width)))
+                want = full[sim._cut(live, width)]
+                assert want.shape == tensor.shape
+                assert want.tobytes() == tensor.tobytes()
+                if not set(qubits) <= set(live):
+                    seen["cut"] += 1
+                    seen["cut rewritten"] += any(
+                        source != 1 << q or offset
+                        for _, _, terms in group for q, source, offset in terms)
+
+    agree()
+    assert seen["cut"] and seen["cut rewritten"], seen
 
 
 @PROFILE

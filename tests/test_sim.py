@@ -259,8 +259,8 @@ class TestPlan:
         assert np.abs(sparse - want).max() <= 1e-14
 
     def test_tensors_past_the_budget_are_built_on_each_run(self, monkeypatch):
-        # alternating H and two-gate phase layers, one factor tensor per
-        # phase layer: past the budget the plan keeps recipes, not tensors
+        # alternating H and two-gate phase layers, one factor per phase
+        # layer: past the budget the binding keeps recipes, not tensors
         rng = np.random.default_rng(6)
         layers = []
         for i in range(12):
@@ -272,9 +272,10 @@ class TestPlan:
         kept = run(Circuit(8, (Role.INPUT,) * 8, tuple(layers)), state).copy()
         monkeypatch.setattr(sim, "KEEP_AMPS", 48)
         c = Circuit(8, (Role.INPUT,) * 8, tuple(layers))
-        plan = dense_plan(c)
-        assert sum(arg.size for kernel, arg in plan if kernel is sim._scale) <= 48
-        assert any(kernel is sim._scale_built for kernel, _ in plan)
+        factors = [arg for kernel, arg in sim._restriction(c, tuple(range(8)))
+                   if kernel is sim._scale]
+        assert sum(f.size for f in factors if isinstance(f, np.ndarray)) <= 48
+        assert any(not isinstance(f, np.ndarray) for f in factors)
         assert np.array_equal(run(c, state), kept)
 
     @pytest.mark.parametrize("layer, w", [
@@ -303,7 +304,7 @@ class TestPlan:
         chain = tuple(Layer((cnot(q, q + 1),)) for q in range(14))
         c = Circuit(w, (Role.INPUT,) * w,
                     chain + (Layer((symmetric_phase(0.7, (15,), 14),)),))
-        kinds = [k.__name__ for k, _ in dense_plan(c)]
+        kinds = [k.__name__ for k, _ in sim._restriction(c, tuple(range(w)))]
         assert kinds == ["_flip"] * 14 + ["_scale_slab"]
         state = random_state(w, np.random.default_rng(4))
         apart = state
@@ -322,14 +323,25 @@ def _data_superposition(c: Circuit, rng) -> np.ndarray:
 
 
 def _full_plan_run(c: Circuit, state: np.ndarray) -> np.ndarray:
-    """The state advanced by the circuit's whole plan, on every qubit."""
-    out, _ = sim._apply(state.copy(), np.empty_like(state), dense_plan(c), c.width)
+    """The state advanced by the circuit's whole plan, bound to every
+    qubit afresh."""
+    everywhere = tuple(range(c.width))
+    steps = sim._bind(dense_plan(c), everywhere, c.width)
+    out, _ = sim._apply(state.copy(), np.empty_like(state), steps, c.width)
     return out
+
+
+def _forms(steps) -> set:
+    """The kernels of bound steps, a _scale step as "_scale tensor" or
+    "_scale recipe"."""
+    return {k.__name__ + ("" if k is not sim._scale else
+                          " tensor" if isinstance(a, np.ndarray) else " recipe")
+            for k, a in steps}
 
 
 class TestLiveQubits:
     """run holds only the live qubits of its input (sim._live_qubits) and
-    runs the plan restricted to them (sim._restriction)."""
+    runs the plan bound to them (sim._restriction)."""
 
     @pytest.mark.parametrize("discipline", list(Discipline))
     def test_data_superposition_of_modq_const_runs_on_eight_qubits(self, discipline):
@@ -379,9 +391,9 @@ class TestLiveQubits:
 
     def test_diagonal_steps_become_factors_on_the_live_qubits(self, monkeypatch):
         # H on qubit 0 between phase layers over qubits 0-7 of 10, on inputs
-        # that leave 6-9 at 0: a lone phase (_scale_slab), kept factors
-        # (_scale) and, past a budget of 8 amplitudes for 64 live ones,
-        # factors built on each run (_scale_built)
+        # that leave 6-9 at 0: a lone phase (_scale_slab on every qubit),
+        # kept factors and, past a budget of 8 amplitudes for 64 live ones,
+        # recipes built on each run
         monkeypatch.setattr(sim, "KEEP_AMPS", 8)
         rng = np.random.default_rng(12)
         w = 10
@@ -392,14 +404,16 @@ class TestLiveQubits:
                        Layer((symmetric_phase(rng.uniform(0, 6), (a,), b),
                               symmetric_phase(rng.uniform(0, 6), (c,), d)))]
         c = Circuit(w, (Role.INPUT,) * w, tuple(layers))
-        kinds = {k for k, _ in dense_plan(c)}
-        assert {sim._scale_slab, sim._scale, sim._scale_built} <= kinds
+        assert {"_scale_slab", "_scale tensor", "_scale recipe"} <= _forms(
+            sim._restriction(c, tuple(range(w))))
         live = tuple(range(6))
         state = np.zeros(1 << w, dtype=complex)
         state[:64] = random_state(6, rng)
         assert sim._live_qubits(c, state) == live
-        assert {k for k, _ in sim._restriction(c, live)} == {
-            sim._dense_block, sim._scale, sim._scale_built}
+        steps = sim._restriction(c, live)
+        assert _forms(steps) == {"_dense_block", "_scale tensor", "_scale recipe"}
+        assert all(a.ndim == 6 for k, a in steps
+                   if k is sim._scale and isinstance(a, np.ndarray))
         assert np.abs(run(c, state) - _full_plan_run(c, state)).max() <= 1e-14
 
     def test_no_live_qubit(self):
@@ -412,16 +426,16 @@ class TestLiveQubits:
         assert np.array_equal(run(c, state), state)
 
     def test_one_restriction_is_kept_per_circuit(self, monkeypatch):
-        builds = []
-        restrict = sim._restrict
-        monkeypatch.setattr(sim, "_restrict",
-                            lambda *args: builds.append(args[1]) or restrict(*args))
         c = modq_constant_depth(4, 5)
         rng = np.random.default_rng(5)
         first, second = _data_superposition(c, rng), _data_superposition(c, rng)
+        wants = [_full_plan_run(c, state) for state in (first, second)]
+        builds = []
+        bind = sim._bind
+        monkeypatch.setattr(sim, "_bind", lambda *args: builds.append(args[1]) or bind(*args))
         workspace = make_workspace(c.width)
-        for state in (first, second):
-            assert np.abs(run(c, state, workspace) - _full_plan_run(c, state)).max() <= 1e-15
+        for state, want in zip((first, second), wants):
+            assert np.abs(run(c, state, workspace) - want).max() <= 1e-15
         assert builds == [tuple(range(8))]
         # input 0 alone, with the target at 0: its live set is the counter
         # and the target, which the Toffoli moves
@@ -430,6 +444,34 @@ class TestLiveQubits:
         assert vars(c)["_dense_restriction"][0] == (4, 5, 6, 7)
         run(c, first, workspace)
         assert builds == [tuple(range(8)), (4, 5, 6, 7), tuple(range(8))]
+
+    def test_full_and_restricted_runs_keep_both_bindings(self, monkeypatch):
+        # alternating runs on every qubit and on the 6 live ones of a data
+        # superposition each bind once
+        c = modq_constant_depth(3, 3)
+        rng = np.random.default_rng(13)
+        inputs = [random_state(c.width, rng), _data_superposition(c, rng)] * 2
+        wants = [_full_plan_run(c, state) for state in inputs]
+        builds = []
+        bind = sim._bind
+        monkeypatch.setattr(sim, "_bind", lambda *args: builds.append(args[1]) or bind(*args))
+        workspace = make_workspace(c.width)
+        for state, want in zip(inputs, wants):
+            assert np.abs(run(c, state, workspace) - want).max() <= 1e-15
+        assert builds == [tuple(range(c.width)), tuple(range(6))]
+
+    def test_a_restricted_run_builds_factors_on_the_live_qubits_alone(self, monkeypatch):
+        # the plan holds recipes, and a data-superposition run builds its
+        # four factors on the 8 live qubits, never on all 20
+        lives = []
+        factor = sim._factor
+        monkeypatch.setattr(sim, "_factor", lambda *args: lives.append(args[3]) or factor(*args))
+        c = modq_constant_depth(4, 5)
+        assert not any(isinstance(arg, np.ndarray) for _, arg in dense_plan(c))
+        state = _data_superposition(c, np.random.default_rng(14))
+        out = run(c, state)
+        assert lives == [tuple(range(8))] * 4
+        assert np.abs(out - _full_plan_run(c, state)).max() <= 1e-15
 
 
 def _layered_circuits():
@@ -563,6 +605,18 @@ class TestRunBasis:
         assert [a.tolist() for a in merged] == [[0, 15], [3, 1], [1.0, 0.5 + 0.25j]]
         with pytest.raises(WidthCapExceeded):
             merge_rows(ids, index, amps, 60)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("modq-const", {"n": 3, "q": 3}), ("parity-cat", {"n": 3})])
+    def test_does_not_use_the_dense_plan(self, monkeypatch, name, kwargs):
+        # the sparse engine walks the gates, so it checks the plan that it
+        # is tested against without sharing it
+        def refuse(*args):
+            raise AssertionError("run_basis built a dense plan")
+        monkeypatch.setattr(sim, "_plan", refuse)
+        c = build_construction(name, **kwargs).circuit
+        ids, _, _ = run_basis(c, embed_index(np.arange(8), c.data_qubits[:3]))
+        assert set(ids.tolist()) == set(range(8))
 
     def test_gives_up_beyond_one_dense_state(self):
         w = 5
