@@ -15,10 +15,10 @@ state, reshaped to [2]*m, in one pass:
   scratch and copied back (for an uncontrolled gate the buffers swap);
 - diagonal gates (PHASE, diagonal u/cu): one in-place multiply by a
   factor tensor of at most 1/32 of the state (or 2^8 amplitudes, below
-  13 qubits), or, for a lone gate, of its firing slab. A run's binding
-  keeps the tensors, built for its live qubits, while they stay within
-  1/8 of the state (or 2^16 amplitudes) in all, and builds any further
-  ones on each run;
+  13 qubits), or, for a lone gate in a run on every qubit, of its
+  firing slab. A run's binding keeps the tensors, built for its live
+  qubits, while they stay within 1/8 of the state (or 2^16 amplitudes)
+  in all, and builds any further ones on each run;
 - dense blocks (H, u, cu), one gate at a time: one np.matmul of the slab
   where the controls fire, staged in scratch with the target axes last
   unless they already form a stack of block-sized matrices.
@@ -490,7 +490,7 @@ def _live_qubits(circuit: Circuit, initial: np.ndarray) -> tuple[int, ...]:
 
 
 def _relabel(gate: Gate, pos: dict) -> Gate | None:
-    """A step's gate on the live qubits, qubit q renumbered
+    """A _flip or _dense_block gate on the live qubits, qubit q renumbered
     pos[q]; None if it never fires. An idle qubit holds 0, so a plain
     control there never fires the gate, which is dropped, while a negated
     control, or a plain MODQ control that adds 0 to the count, is
@@ -511,8 +511,8 @@ def _relabel(gate: Gate, pos: dict) -> Gate | None:
 def _bind(plan, live, w: int) -> list:
     """The plan's steps for a run on the live qubits, qubit live[i] as
     qubit i: _flip and _dense_block gates are relabelled, or dropped where
-    they never fire (_relabel). A factor of one gate that the plan did not
-    rewrite, on live qubits only, becomes a _scale_slab step, which
+    they never fire (_relabel). In a run on every qubit, a factor of one
+    gate that the plan did not rewrite becomes a _scale_slab step, which
     touches only its firing slab. Every other factor is built on the live
     qubits (_factor) and kept, within KEEP_AMPS or 1/8 of the live
     state's amplitudes in all; past that its recipe stays, for _scale to
@@ -528,9 +528,9 @@ def _bind(plan, live, w: int) -> list:
             continue
         qubits, group = arg
         on = pos.keys() & set(qubits)
-        if len(group) == 1 and len(on) == len(qubits) and all(
+        if len(live) == w and len(group) == 1 and all(
                 source == 1 << q and not offset for q, source, offset in group[0][2]):
-            steps.append((_scale_slab, (_relabel(group[0][0], pos), group[0][1])))
+            steps.append((_scale_slab, group[0][:2]))
         elif 1 << len(on) <= keep:
             keep -= 1 << len(on)
             factor = _factor(qubits, group, w, live)

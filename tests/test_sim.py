@@ -212,12 +212,17 @@ class TestPlan:
     @pytest.mark.parametrize("discipline", list(Discipline))
     def test_copy_diagonal_uncopy_is_only_the_diagonal(self, discipline):
         # layers: basis change, copy, diagonal, uncopy, basis change, ...
-        kinds = [kernel.__name__ for kernel, _ in
-                 dense_plan(modq_constant_depth(4, 5, discipline))]
+        c = modq_constant_depth(4, 5, discipline)
+        kinds = [kernel.__name__ for kernel, _ in dense_plan(c)]
         first = kinds.index("_dense_block")
         second = kinds.index("_dense_block", first + 1)
         assert kinds[first + 1:second] == ["_scale", "_scale"]
         assert len(kinds) == 10
+        # bound to every qubit and to a data superposition's live qubits,
+        # both factors are kept tensors: neither a slab nor a recipe
+        for live in (tuple(range(c.width)), tuple(range(8))):
+            assert _forms(sim._restriction(c, live)) == {
+                "_flip", "_dense_block", "_scale tensor"}
 
     def test_second_run_reuses_the_plan(self, monkeypatch):
         builds = []
@@ -391,13 +396,15 @@ class TestLiveQubits:
 
     def test_diagonal_steps_become_factors_on_the_live_qubits(self, monkeypatch):
         # H on qubit 0 between phase layers over qubits 0-7 of 10, on inputs
-        # that leave 6-9 at 0: a lone phase (_scale_slab on every qubit),
-        # kept factors and, past a budget of 8 amplitudes for 64 live ones,
-        # recipes built on each run
+        # that leave 6-9 at 0: lone phases (_scale_slab on every qubit, a
+        # kept factor on the live ones, also where all their qubits are
+        # live), kept factors and, past a budget of 8 amplitudes for 64
+        # live ones, recipes built on each run
         monkeypatch.setattr(sim, "KEEP_AMPS", 8)
         rng = np.random.default_rng(12)
         w = 10
-        layers = [Layer((symmetric_phase(0.3, (1, 6), 7),))]
+        layers = [Layer((symmetric_phase(0.3, (1, 6), 7),)), Layer((hadamard(0),)),
+                  Layer((symmetric_phase(0.5, (2,), 3),))]
         for _ in range(10):
             a, b, c, d = rng.permutation(8)[:4].tolist()
             layers += [Layer((hadamard(0),)),
@@ -462,16 +469,18 @@ class TestLiveQubits:
 
     def test_a_restricted_run_builds_factors_on_the_live_qubits_alone(self, monkeypatch):
         # the plan holds recipes, and a data-superposition run builds its
-        # four factors on the 8 live qubits, never on all 20
-        lives = []
-        factor = sim._factor
-        monkeypatch.setattr(sim, "_factor", lambda *args: lives.append(args[3]) or factor(*args))
+        # four factors on the 8 live qubits, never on all 20; the binding
+        # keeps them, so a second run builds none
         c = modq_constant_depth(4, 5)
         assert not any(isinstance(arg, np.ndarray) for _, arg in dense_plan(c))
         state = _data_superposition(c, np.random.default_rng(14))
-        out = run(c, state)
+        want = _full_plan_run(c, state)
+        lives = []
+        factor = sim._factor
+        monkeypatch.setattr(sim, "_factor", lambda *args: lives.append(args[3]) or factor(*args))
+        for _ in range(2):
+            assert np.abs(run(c, state) - want).max() <= 1e-15
         assert lives == [tuple(range(8))] * 4
-        assert np.abs(out - _full_plan_run(c, state)).max() <= 1e-15
 
 
 def _layered_circuits():
