@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import as_int
+from .ir import as_int, json_object
 
 OPS = ("and", "or", "not", "xor")
 _BIT_OPS = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
@@ -110,9 +110,12 @@ def to_json(circuit: ClassicalCircuit, indent: int | None = None) -> str:
 
 def from_json(text: str) -> ClassicalCircuit:
     try:
-        doc = json.loads(text)
-        layers = tuple(tuple(ClassicalGate(g["op"], g["args"])
-                             for g in layer) for layer in doc["layers"])
+        doc = json_object(json.loads(text), ("inputs", "layers"),
+                          "classical circuit", ClassicalCircuitError)
+        layers = tuple(
+            tuple(ClassicalGate(**json_object(g, ("op", "args"), "classical gate",
+                                              ClassicalCircuitError)) for g in layer)
+            for layer in doc["layers"])
         return ClassicalCircuit(doc["inputs"], layers)
     except (json.JSONDecodeError, KeyError, TypeError) as e:
         raise ClassicalCircuitError(f"invalid classical circuit JSON: {e}") from e

@@ -82,6 +82,16 @@ def as_real(value, what: str):
     return value
 
 
+def json_object(value, keys, what: str, error: type[ValueError] = CircuitError) -> dict:
+    """`value` if it is a JSON object with no key outside `keys`, else `error`."""
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object, got {type(value).__name__}")
+    unknown = value.keys() - keys
+    if unknown:
+        raise error(f"unknown {what} key {min(unknown)!r}")
+    return value
+
+
 def _check_unitary(m: np.ndarray, dim: int) -> None:
     if m.shape != (dim, dim):
         raise CircuitError(f"matrix must be {dim}x{dim}, got {m.shape}")
@@ -428,7 +438,9 @@ def _gate_to_obj(g: Gate) -> dict:
     return obj
 
 
-def _gate_from_obj(obj: dict) -> Gate:
+def _gate_from_obj(obj) -> Gate:
+    obj = json_object(obj, ("kind", "controls", "neg", "targets", "theta", "q", "matrix"),
+                      "gate")
     matrix = None
     if "matrix" in obj:
         flat = np.array([complex(as_real(re, "matrix entry"), as_real(im, "matrix entry"))
@@ -455,6 +467,7 @@ def circuit_from_json(text: str) -> Circuit:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise CircuitError(f"invalid circuit JSON: {e}") from e
+    doc = json_object(doc, ("width", "discipline", "roles", "layers"), "circuit")
     try:
         roles = tuple(Role(r) for r in doc["roles"])
         layers = tuple(Layer(tuple(_gate_from_obj(o) for o in layer))

@@ -7,8 +7,8 @@ significant bit of the basis index. It runs a plan (dense_plan), built
 for each circuit on its first run and kept with the circuit; the caller
 keeps the input state. A layer of commuting gates is one time step, as in
 the paper, and the plan takes each layer's gates by class. A run binds
-the plan to its live qubits (see below) and each bound step advances the
-state, reshaped to [2]*m, in one pass:
+the plan to its live qubits (see below), the circuit keeps the last such
+binding, and each bound step advances the state, [2]*m, in one pass:
 
 - permutation gates (X, CNOT, Toffoli, fanout, MODQ), one gate at a time:
   the slab where the controls fire, flipped on the targets, is staged in
@@ -429,39 +429,31 @@ def _apply(state: np.ndarray, scratch: np.ndarray, steps,
     return state, scratch
 
 
-def dense_plan(circuit: Circuit) -> list:
-    """The circuit's plan for the dense engine (see _plan). It is built on
-    the first call and then kept on the circuit, so it is freed with it.
-    Two threads that ask at once may each build it; either plan serves."""
-    plan = vars(circuit).get("_dense_plan")
-    if plan is None:
-        plan = _plan([layer.gates for layer in circuit.layers], circuit.width)
-        object.__setattr__(circuit, "_dense_plan", plan)
-    return plan
-
-
-def _pinned(circuit: Circuit) -> int:
-    """The qubits, as a bit mask, that every run of the circuit holds: the
-    targets of its plan's _flip and _dense_block steps, the only steps
-    that change a basis index, and the negated MODQ controls, whose 0
-    counts. Kept on the circuit beside its plan."""
-    pinned = vars(circuit).get("_dense_pinned")
-    if pinned is None:
-        pinned = 0
-        for kernel, arg in dense_plan(circuit):
+def dense_plan(circuit: Circuit) -> tuple[list, int]:
+    """The circuit's plan for the dense engine (see _plan), and the qubits,
+    as a bit mask, that every run of it holds: the targets of the plan's
+    _flip and _dense_block steps, the only steps that change a basis index,
+    and the negated MODQ controls, whose 0 counts. Both are built on the
+    first call and then kept on the circuit, so they are freed with it.
+    Two threads that ask at once may each build them; either pair serves."""
+    kept = vars(circuit).get("_dense_plan")
+    if kept is None:
+        plan, pinned = _plan([layer.gates for layer in circuit.layers], circuit.width), 0
+        for kernel, arg in plan:
             if kernel is _flip or kernel is _dense_block:
                 gate = arg if kernel is _flip else arg[0]
                 pinned |= sum(1 << t for t in gate.targets)
                 if gate.kind is GateKind.MODQ:
                     pinned |= sum(1 << c for c in gate.negated)
-        object.__setattr__(circuit, "_dense_pinned", pinned)
-    return pinned
+        kept = plan, pinned
+        object.__setattr__(circuit, "_dense_plan", kept)
+    return kept
 
 
 def _live_qubits(circuit: Circuit, initial: np.ndarray) -> tuple[int, ...]:
     """The qubits, ascending, that a run of the circuit on `initial` holds:
-    the _pinned ones and those set in a nonzero amplitude of `initial`
-    (-0.0 is zero); all of them when fewer than MIN_IDLE are idle.
+    the pinned ones (dense_plan) and those set in a nonzero amplitude of
+    `initial` (-0.0 is zero); all of them when fewer than MIN_IDLE are idle.
 
     The scan reads chunks of 1/64 of the state (at least 2^12 amplitudes)
     and stops once too few qubits are left to be idle: the last chunk
@@ -472,7 +464,7 @@ def _live_qubits(circuit: Circuit, initial: np.ndarray) -> tuple[int, ...]:
     more than a restricted run.
     """
     w, n = circuit.width, initial.size
-    bits, most = _pinned(circuit), w - MIN_IDLE
+    bits, most = dense_plan(circuit)[1], w - MIN_IDLE
     size = 1 << max(w - 6, min(w, 12))
     low = np.zeros(size, dtype=bool)  # where some nonempty chunk is nonzero
     for start in dict.fromkeys((n - size, 0, *range(n - 2 * size, 0, -size))):
@@ -542,15 +534,13 @@ def _bind(plan, live, w: int) -> list:
 
 
 def _restriction(circuit: Circuit, live: tuple[int, ...]) -> list:
-    """The circuit's plan bound to `live` (_bind). The circuit keeps two
-    bindings: the one on every qubit, and one for the last smaller live
-    set, since unitary_of's 2^width columns have many live sets. Each is
-    replaced whole, so concurrent runs each use one for their own."""
-    key = "_dense_full" if len(live) == circuit.width else "_dense_restriction"
-    kept = vars(circuit).get(key)
+    """The circuit's plan bound to `live` (_bind). The circuit keeps one
+    binding, for the last live set it ran on; it is replaced whole, so
+    concurrent runs each use one of their own."""
+    kept = vars(circuit).get("_dense_binding")
     if kept is None or kept[0] != live:
-        kept = live, _bind(dense_plan(circuit), live, circuit.width)
-        object.__setattr__(circuit, key, kept)
+        kept = live, _bind(dense_plan(circuit)[0], live, circuit.width)
+        object.__setattr__(circuit, "_dense_binding", kept)
     return kept[1]
 
 
@@ -567,17 +557,8 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
 
 
 def make_workspace(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reusable buffer pair for repeated run() calls at one width.
-
-    The second buffer starts 2 KiB past a multiple of 4 KiB from the first:
-    kernels read one while writing the other, and a load that aliases a
-    recent store modulo 4 KiB stalls. Left to malloc, one 17-qubit circuit
-    took 1.34 or 1.81 ms per run (Intel Xeon), by the pair's offset.
-    """
-    n = 1 << width
-    first, second = np.empty(n, dtype=complex), np.empty(n + 256, dtype=complex)
-    skip = (first.ctypes.data - second.ctypes.data + 2048) % 4096 // 16
-    return first, second[skip:skip + n]
+    """Reusable buffer pair for repeated run() calls at one width."""
+    return np.empty(1 << width, dtype=complex), np.empty(1 << width, dtype=complex)
 
 
 def run(circuit: Circuit, initial: np.ndarray,
@@ -594,8 +575,9 @@ def run(circuit: Circuit, initial: np.ndarray,
     So the gates of a layer commute, and any order or grouping gives the
     same state.
 
-    Each run binds the plan to its live qubits (_live_qubits,
-    _restriction). When at least MIN_IDLE are idle, the slab of `initial`
+    Each run uses the plan bound to its live qubits (_live_qubits,
+    _restriction), which the circuit keeps until a run on another live
+    set binds afresh. When at least MIN_IDLE are idle, the slab of `initial`
     where they are 0 is gathered into the first 2^live amplitudes of the
     workspace and advanced there; then the state is zeroed and the result
     written back into that slab, both copies through [2]*width views.
@@ -698,18 +680,16 @@ def run_basis(circuit: Circuit, starts) -> Rows | None:
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Full matrix of the circuit; column j is the image of basis state j."""
-    if circuit.width > UNITARY_WIDTH_CAP:
+    """Full matrix of the circuit: column j is the image of basis state j,
+    run on the plan bound once, on every qubit (_restriction)."""
+    w = circuit.width
+    if w > UNITARY_WIDTH_CAP:
         raise WidthCapExceeded(f"unitary extraction capped at {UNITARY_WIDTH_CAP} "
-                               f"qubits, circuit has {circuit.width}")
-    dim = 1 << circuit.width
-    u = np.empty((dim, dim), dtype=complex)
-    workspace = make_workspace(circuit.width)
-    column = np.zeros(dim, dtype=complex)
-    for j in range(dim):
-        column[j] = 1.0
-        u[:, j] = run(circuit, column, workspace)
-        column[j] = 0.0
+                               f"qubits, circuit has {w}")
+    steps = _restriction(circuit, tuple(range(w)))
+    u, scratch = np.eye(1 << w, dtype=complex), np.empty(1 << w, dtype=complex)
+    for j in range(1 << w):
+        u[:, j] = _apply(u[:, j].copy(), scratch, steps, w)[0]
     return u
 
 

@@ -81,6 +81,13 @@ CAT_BUILDERS: dict[str, Callable[[int], Circuit]] = {
 }
 
 
+def cat_builder(name: str) -> Callable[[int], Circuit]:
+    """The CAT_BUILDERS entry called `name`."""
+    if name not in CAT_BUILDERS:
+        raise CircuitError(f"unknown cat builder {name!r}")
+    return CAT_BUILDERS[name]
+
+
 def fanout_gate(n: int) -> Circuit:
     """One fanout gate: |x; t_1..t_n> -> |x; t_1^x, ..., t_n^x>, depth 1."""
     if n < 1:
@@ -126,7 +133,7 @@ def fanout_from_parity(n: int) -> Circuit:
     return Circuit(n + 1, roles, (hs, mid, hs), Discipline.STRICT)
 
 
-def parity_via_catstate(n: int, builder: str | Callable[[int], Circuit] = "fanout") -> Circuit:
+def parity_via_catstate(n: int, builder: str = "fanout") -> Circuit:
     """Parity on inputs 0..n-1 into target n using n-1 copy ancillae.
 
     The parity gate is a product of controlled pi-shifts once the target
@@ -136,17 +143,12 @@ def parity_via_catstate(n: int, builder: str | Callable[[int], Circuit] = "fanou
     input i to copy i, uncopy, H. Depth is 2*depth(copy) + 3 and every
     copy ancilla returns to |0>.
 
-    `builder` produces the n-qubit copy circuit (source on qubit 0); any
-    circuit that maps a one-qubit state plus n-1 zeroed qubits onto the
-    corresponding cat state will do. Here those qubits are COPY ancillae.
+    `builder` names the CAT_BUILDERS entry that makes the n-qubit copy
+    circuit (source on qubit 0). Here its qubits 1..n-1 are COPY ancillae.
     """
     if n < 1:
         raise CircuitError("parity needs n >= 1 inputs")
-    build = CAT_BUILDERS[builder] if isinstance(builder, str) else builder
-    cat = build(n)
-    if cat.width != n:
-        raise CircuitError(
-            f"cat builder produced width {cat.width}, expected {n}")
+    cat = cat_builder(builder)(n)
     target = n
     block = (target,) + tuple(range(n + 1, 2 * n))  # target plus n-1 copies
     width = 2 * n

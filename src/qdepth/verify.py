@@ -335,7 +335,7 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
 
     if name == "cat":
         # |0...0> stays, |1 0...0> (index 1) becomes |1...1>
-        return built(synth.CAT_BUILDERS[builder](n),
+        return built(synth.cat_builder(builder)(n),
                      _one_each(lambda x: x * ((1 << n) - 1)), inputs=range(2))
     if name == "fanout":
         return built(synth.fanout_gate(n), fanout(0, tuple(range(1, n + 1))))

@@ -267,6 +267,19 @@ class TestBadCircuitJson:
         code, out, err = run_cli(capsys, "sim", str(path), "--input", "000")
         assert (code, out, err) == (2, "", message)
 
+    @pytest.mark.parametrize("doc, message", [
+        # the Gate field name in place of "neg" loaded as a plain CNOT
+        (_circuit_doc({"kind": "cnot", "controls": [0], "negated": [0],
+                       "targets": [1]}), "error: unknown gate key 'negated'\n"),
+        (_circuit_doc({"kind": "cnot", "controls": [0], "targets": [1]},
+                      comment="x"), "error: unknown circuit key 'comment'\n"),
+    ], ids=["gate", "document"])
+    def test_unknown_keys_are_usage_errors(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "sim", str(path), "--input", "00")
+        assert (code, out, err) == (2, "", message)
+
 
 class TestBadClassicalJson:
     @pytest.mark.parametrize("doc", [
@@ -281,6 +294,19 @@ class TestBadClassicalJson:
         code, out, err = run_cli(capsys, "verify", "--construction", "rev-embed",
                                  "--classical", str(path))
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"inputs": 2, "layers": [[{"op": "and", "args": [0, 1], "negate": True}]]},
+         "error: unknown classical gate key 'negate'\n"),
+        ({"inputs": 2, "layers": [[{"op": "and", "args": [0, 1]}]], "outputs": [2]},
+         "error: unknown classical circuit key 'outputs'\n"),
+    ], ids=["gate", "document"])
+    def test_unknown_keys_are_usage_errors(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "classical.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--construction", "rev-embed",
+                                 "--classical", str(path))
+        assert (code, out, err) == (2, "", message)
 
 
 def _limit_memory():

@@ -116,7 +116,7 @@ def _idle_controls(c: Circuit, live, support) -> list[str]:
     qubit: "plain", or "negated <kind>". A negated MODQ control is always
     live; it is listed when the input leaves it at 0 and no step moves
     it, so that only this rule keeps it live."""
-    steps = [arg if kernel is sim._flip else arg[0] for kernel, arg in dense_plan(c)
+    steps = [arg if kernel is sim._flip else arg[0] for kernel, arg in dense_plan(c)[0]
              if kernel is sim._flip or kernel is sim._dense_block]
     moved = {t for gate in steps for t in gate.targets}
     found = []
@@ -181,9 +181,8 @@ def test_bound_factors_are_the_full_ones_cut_to_the_live_qubits():
         discipline = list(Discipline)[int(rng.integers(2))]
         shape = ("layered", "copy-uncopy", "copy-other")[int(rng.integers(3))]
         c = _shaped(rng, width, discipline, shape)
-        pinned = sim._pinned(c)
+        plan, pinned = dense_plan(c)
         live = tuple(q for q in range(width) if pinned >> q & 1 or rng.random() < 0.5)
-        plan = dense_plan(c)
         recipes = [arg for kernel, arg in plan if kernel is sim._scale]
         bound = [arg for kernel, arg in sim._bind(plan, live, width)
                  if kernel is sim._scale or kernel is sim._scale_slab]

@@ -19,7 +19,7 @@ from qdepth.sim import (
 )
 from qdepth.synth import (cat_fanout, cat_log_depth, modq_constant_depth,
                           reversible_embed)
-from qdepth.verify import build_construction
+from qdepth.verify import build_construction, verify_built
 
 from common import (MOD2_3INPUT_MATRIX, random_circuit, random_layered_circuit,
                     random_unitary)
@@ -155,11 +155,6 @@ class TestRun:
         with pytest.raises(CircuitError):
             run(c, zero_state(2))
 
-    def test_workspace_buffers_are_half_a_page_apart(self):
-        first, second = make_workspace(12)
-        assert first.size == second.size == 1 << 12
-        assert (second.ctypes.data - first.ctypes.data) % 4096 == 2048
-
     @pytest.mark.parametrize("gate", [
         pauli_x(7), cnot(3, 12), toffoli((0, 9, 15), 4, negated=(9,)),
         modq_gate(3, (0, 2, 4, 6, 8, 10, 12, 14), 5, negated=(8,)),
@@ -213,7 +208,7 @@ class TestPlan:
     def test_copy_diagonal_uncopy_is_only_the_diagonal(self, discipline):
         # layers: basis change, copy, diagonal, uncopy, basis change, ...
         c = modq_constant_depth(4, 5, discipline)
-        kinds = [kernel.__name__ for kernel, _ in dense_plan(c)]
+        kinds = [kernel.__name__ for kernel, _ in dense_plan(c)[0]]
         first = kinds.index("_dense_block")
         second = kinds.index("_dense_block", first + 1)
         assert kinds[first + 1:second] == ["_scale", "_scale"]
@@ -239,7 +234,7 @@ class TestPlan:
         diagonal = Layer((symmetric_phase(0.3, (1,), 4),
                           controlled_u((0,), np.diag(np.exp(1j * np.arange(4))), (2, 3))))
         c = Circuit(5, (Role.INPUT,) * 5, (copy, diagonal, copy), Discipline.WITH_FANOUT)
-        assert [k.__name__ for k, _ in dense_plan(c)] == ["_scale"]
+        assert [k.__name__ for k, _ in dense_plan(c)[0]] == ["_scale"]
         want = np.eye(32, dtype=complex)
         for g in c.gates():
             want = oracle_unitary(g, 5) @ want
@@ -294,7 +289,7 @@ class TestPlan:
     def test_each_permutation_gate_is_one_step(self, layer, w):
         c = Circuit(w, (Role.INPUT,) * w, (layer,), Discipline.WITH_FANOUT)
         assert len(layer.gates) > 2
-        assert dense_plan(c) == [(sim._flip, gate) for gate in layer.gates]
+        assert dense_plan(c)[0] == [(sim._flip, gate) for gate in layer.gates]
         state = random_state(w, np.random.default_rng(9))
         apart = state
         for g in layer.gates:
@@ -331,9 +326,16 @@ def _full_plan_run(c: Circuit, state: np.ndarray) -> np.ndarray:
     """The state advanced by the circuit's whole plan, bound to every
     qubit afresh."""
     everywhere = tuple(range(c.width))
-    steps = sim._bind(dense_plan(c), everywhere, c.width)
+    steps = sim._bind(dense_plan(c)[0], everywhere, c.width)
     out, _ = sim._apply(state.copy(), np.empty_like(state), steps, c.width)
     return out
+
+
+def _spy_binds(monkeypatch) -> list:
+    """The live sets that sim._bind is called with from now on."""
+    builds, bind = [], sim._bind
+    monkeypatch.setattr(sim, "_bind", lambda *args: builds.append(args[1]) or bind(*args))
+    return builds
 
 
 def _forms(steps) -> set:
@@ -437,9 +439,7 @@ class TestLiveQubits:
         rng = np.random.default_rng(5)
         first, second = _data_superposition(c, rng), _data_superposition(c, rng)
         wants = [_full_plan_run(c, state) for state in (first, second)]
-        builds = []
-        bind = sim._bind
-        monkeypatch.setattr(sim, "_bind", lambda *args: builds.append(args[1]) or bind(*args))
+        builds = _spy_binds(monkeypatch)
         workspace = make_workspace(c.width)
         for state, want in zip((first, second), wants):
             assert np.abs(run(c, state, workspace) - want).max() <= 1e-15
@@ -448,31 +448,24 @@ class TestLiveQubits:
         # and the target, which the Toffoli moves
         run(c, basis_state(c.width, 0), workspace)
         assert builds == [tuple(range(8)), (4, 5, 6, 7)]
-        assert vars(c)["_dense_restriction"][0] == (4, 5, 6, 7)
+        assert vars(c)["_dense_binding"][0] == (4, 5, 6, 7)
         run(c, first, workspace)
         assert builds == [tuple(range(8)), (4, 5, 6, 7), tuple(range(8))]
 
-    def test_full_and_restricted_runs_keep_both_bindings(self, monkeypatch):
-        # alternating runs on every qubit and on the 6 live ones of a data
-        # superposition each bind once
-        c = modq_constant_depth(3, 3)
-        rng = np.random.default_rng(13)
-        inputs = [random_state(c.width, rng), _data_superposition(c, rng)] * 2
-        wants = [_full_plan_run(c, state) for state in inputs]
-        builds = []
-        bind = sim._bind
-        monkeypatch.setattr(sim, "_bind", lambda *args: builds.append(args[1]) or bind(*args))
-        workspace = make_workspace(c.width)
-        for state, want in zip(inputs, wants):
-            assert np.abs(run(c, state, workspace) - want).max() <= 1e-15
-        assert builds == [tuple(range(c.width)), tuple(range(6))]
+    def test_verify_binds_once(self, monkeypatch):
+        # the superpositions of modq-const n=3 q=3 share the live set of
+        # the data register and counter; its basis inputs run on rows
+        built = build_construction("modq-const", n=3, q=3)
+        builds = _spy_binds(monkeypatch)
+        assert verify_built(built, superpositions=4).passed
+        assert builds == [tuple(range(6))]
 
     def test_a_restricted_run_builds_factors_on_the_live_qubits_alone(self, monkeypatch):
         # the plan holds recipes, and a data-superposition run builds its
         # four factors on the 8 live qubits, never on all 20; the binding
         # keeps them, so a second run builds none
         c = modq_constant_depth(4, 5)
-        assert not any(isinstance(arg, np.ndarray) for _, arg in dense_plan(c))
+        assert not any(isinstance(arg, np.ndarray) for _, arg in dense_plan(c)[0])
         state = _data_superposition(c, np.random.default_rng(14))
         want = _full_plan_run(c, state)
         lives = []
@@ -662,6 +655,15 @@ class TestUnitaryOf:
             c = random_circuit(rng, width, 6)
             u = unitary_of(c)
             assert np.abs(u.conj().T @ u - np.eye(1 << width)).max() <= 1e-10
+
+    def test_binds_once_on_every_qubit(self, monkeypatch):
+        # every column runs on one binding, which the circuit keeps
+        c = modq_constant_depth(2, 3)
+        builds = _spy_binds(monkeypatch)
+        u = unitary_of(c)
+        assert builds == [tuple(range(c.width))]
+        assert np.array_equal(unitary_of(c), u)
+        assert builds == [tuple(range(c.width))]
 
     def test_width_cap(self):
         c = Circuit(13, (Role.INPUT,) * 13)

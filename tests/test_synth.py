@@ -17,7 +17,7 @@ from qdepth.synth import (
     fanout_from_parity, fanout_gate, modq_constant_depth, modq_plan,
     modq_sequential, parity_from_fanout, parity_via_catstate,
 )
-from qdepth.verify import verify_construction
+from qdepth.verify import build_construction, verify_construction
 
 from common import MOD2_3INPUT_MATRIX, random_unitary
 
@@ -157,9 +157,11 @@ class TestParityViaCatState:
             c, modq_gate(2, (0, 1, 2, 3, 4), 5))
         assert err <= 1e-12 and leak == 0.0 and checked == 64
 
-    def test_custom_builder_width_checked(self):
-        with pytest.raises(CircuitError):
-            parity_via_catstate(3, lambda n: cat_log_depth(n + 1))
+    def test_unknown_builder_name(self):
+        with pytest.raises(CircuitError, match="unknown cat builder 'nope'"):
+            parity_via_catstate(3, "nope")
+        with pytest.raises(CircuitError, match="unknown cat builder 'nope'"):
+            build_construction("cat", n=3, builder="nope")
 
 
 class TestControlledUConstantDepth:
