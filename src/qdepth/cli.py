@@ -9,7 +9,8 @@ codes: 0 success/pass, 1 verification failure, 2 usage error, 3 register
 too wide for a limit of the simulator (sim.WidthCapExceeded): the
 simulation cap (QDEPTH_SIM_CAP, default 22), a block-matrix gate oracle
 (ctrl-u), or the int64 key of the sparse engine's rows; or a register
-too large to build at all (MemoryError).
+too large to build at all (MemoryError, or OverflowError where its size
+does not fit an index).
 """
 from __future__ import annotations
 
@@ -31,9 +32,9 @@ from .verify import (
     Built,
     VerificationReport,
     build_construction,
+    check_sim_cap,
     depth_scaling_table,
     identity_checks,
-    sim_cap,
     verify_built,
 )
 
@@ -105,10 +106,7 @@ def cmd_synth(args) -> int:
 def cmd_sim(args) -> int:
     with open(args.circuit, encoding="utf-8") as f:
         circuit = circuit_from_json(f.read())
-    cap = sim_cap()
-    if circuit.width > cap:
-        raise WidthCapExceeded(
-            f"{circuit.width} qubits exceeds simulation cap {cap}")
+    check_sim_cap(circuit.width)
     state = _parse_input(args.input, circuit.width)
     out = run(circuit, state)
     print(dump_state(out))
@@ -203,7 +201,7 @@ def main(argv=None) -> int:
     except WidthCapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
-    except MemoryError:
+    except (MemoryError, OverflowError):
         print("error: out of memory: the register is too large to build",
               file=sys.stderr)
         return EXIT_CAP

@@ -15,10 +15,11 @@ binding, and each bound step advances the state, [2]*m, in one pass:
   scratch and copied back (for an uncontrolled gate the buffers swap);
 - diagonal gates (PHASE, diagonal u/cu): one in-place multiply by a
   factor tensor of at most 1/32 of the state (or 2^8 amplitudes, below
-  13 qubits), or, for a lone gate in a run on every qubit, of its
-  firing slab. A run's binding keeps the tensors, built for its live
-  qubits, while they stay within 1/8 of the state (or 2^16 amplitudes)
-  in all, and builds any further ones on each run;
+  13 qubits); in a run on every qubit, a lone gate's diagonal multiplies
+  only the slab where its controls fire. A run's binding keeps the
+  tensors, built for its live qubits, while they stay within 1/8 of the
+  state (or 2^16 amplitudes) in all, and builds any further ones on
+  each run;
 - dense blocks (H, u, cu), one gate at a time: one np.matmul of the slab
   where the controls fire, staged in scratch with the target axes last
   unless they already form a stack of block-sized matrices.
@@ -204,26 +205,16 @@ def _flip(state: np.ndarray, scratch: np.ndarray, gate: Gate, w: int):
     return state, scratch
 
 
-def _scale_slab(state: np.ndarray, scratch: np.ndarray, pair, w: int):
-    """One diagonal gate, as a (gate, diagonal) pair, in place: each target
-    bit pattern of its firing slab is scaled, skipping factors of 1."""
-    gate, diag = pair
-    psi, qubits = state.reshape([2] * w), gate.controls + gate.targets
-    for y, d in enumerate(diag):
-        if d != 1:
-            psi[_slab(_on(gate) | embed_index(y, gate.targets), qubits, w)] *= d
-    return state, scratch
-
-
-def _scale(state: np.ndarray, scratch: np.ndarray, factor, w: int):
-    """One in-place multiply by a factor tensor built from diagonal gates,
-    broadcast over the qubits it does not span. A recipe, the arguments
-    of _factor, in place of the tensor is built for this step and freed
-    after it."""
+def _scale(state: np.ndarray, scratch: np.ndarray, step, w: int):
+    """One in-place multiply of a slab of the [2]*w view by a factor
+    tensor built from diagonal gates, broadcast over the qubits it does not
+    span. A recipe, the arguments of _factor, in place of the tensor is
+    built for this step and freed after it."""
+    slab, factor = step
     if not isinstance(factor, np.ndarray):
         factor = _factor(*factor)
-    psi = state.reshape([2] * w)
-    psi *= factor
+    view = state.reshape([2] * w)[slab]
+    view *= factor  # psi[slab] *= factor would take a second pass to write back
     return state, scratch
 
 
@@ -410,10 +401,10 @@ def _apply(state: np.ndarray, scratch: np.ndarray, steps,
     the result landed in the scratch buffer.
 
     Each step is one state pass: one permutation gate (_flip), a factor
-    tensor or its recipe (_scale), a lone diagonal gate on its firing
-    slab (_scale_slab), or one dense block (_dense_block). Beyond the
-    pair, a step allocates a few KiB of numpy bookkeeping, except that a
-    MODQ gate builds its 2^inputs count and mask and a recipe its tensor.
+    tensor or its recipe on a slab (_scale), or one dense block
+    (_dense_block). Beyond the pair, a step allocates a few KiB of numpy
+    bookkeeping, except that a MODQ gate builds its 2^inputs count and
+    mask and a recipe its tensor.
 
     numpy stages a strided or broadcast operand in buffers of bufsize
     elements, 128 KiB by default. 512 (8 KiB) keeps the allocations of a
@@ -503,13 +494,14 @@ def _relabel(gate: Gate, pos: dict) -> Gate | None:
 def _bind(plan, live, w: int) -> list:
     """The plan's steps for a run on the live qubits, qubit live[i] as
     qubit i: _flip and _dense_block gates are relabelled, or dropped where
-    they never fire (_relabel). In a run on every qubit, a factor of one
-    gate that the plan did not rewrite becomes a _scale_slab step, which
-    touches only its firing slab. Every other factor is built on the live
-    qubits (_factor) and kept, within KEEP_AMPS or 1/8 of the live
-    state's amplitudes in all; past that its recipe stays, for _scale to
-    build on each run, so a deep circuit's binding does not grow with its
-    depth."""
+    they never fire (_relabel). Each factor is a _scale step on a (slab,
+    factor) pair. In a run on every qubit, a factor of one gate that the
+    plan did not rewrite is the gate's diagonal over its targets, on the
+    slab where its controls fire. Every other factor is built on the live
+    qubits (_factor), for the whole state, and kept, within KEEP_AMPS or
+    1/8 of the live state's amplitudes in all; past that its recipe stays,
+    for _scale to build on each run, so a deep circuit's binding does not
+    grow with its depth."""
     pos = {q: i for i, q in enumerate(live)}
     steps, keep = [], max((1 << len(live)) >> 3, KEEP_AMPS)
     for kernel, arg in plan:
@@ -520,16 +512,18 @@ def _bind(plan, live, w: int) -> list:
             continue
         qubits, group = arg
         on = pos.keys() & set(qubits)
+        slab, factor = ..., (qubits, group, w, live)
         if len(live) == w and len(group) == 1 and all(
                 source == 1 << q and not offset for q, source, offset in group[0][2]):
-            steps.append((_scale_slab, group[0][:2]))
+            gate, diag = group[0][:2]
+            slab = _slab(_on(gate), gate.controls, w)
+            factor = diag[_block(gate, _grid(gate.targets, w))]
         elif 1 << len(on) <= keep:
             keep -= 1 << len(on)
             factor = _factor(qubits, group, w, live)
+        if isinstance(factor, np.ndarray):
             factor.setflags(write=False)
-            steps.append((_scale, factor))
-        else:
-            steps.append((_scale, (qubits, group, w, live)))
+        steps.append((_scale, (slab, factor)))
     return steps
 
 

@@ -59,12 +59,15 @@ CONSTRUCTIONS = ("cat", "fanout", "parity-fanout", "parity-cat",
 Oracle = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def sim_cap() -> int:
-    """$QDEPTH_SIM_CAP, an integer >= 1, or the default."""
+def check_sim_cap(width: int) -> None:
+    """Raise WidthCapExceeded if a register of `width` qubits is wider than
+    the simulation cap: $QDEPTH_SIM_CAP, an integer >= 1, or the default."""
     raw = os.environ.get(SIM_CAP_ENV, str(DEFAULT_SIM_CAP))
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"{SIM_CAP_ENV} must be an integer >= 1, got {raw!r}")
-    return int(raw)
+    if width > int(raw):
+        raise WidthCapExceeded(
+            f"{width}-qubit register exceeds the {int(raw)}-qubit simulation cap")
 
 
 def error_tol(tol: float | None = None) -> float:
@@ -161,8 +164,8 @@ def _gate_oracle(gate: Gate, d: int) -> Oracle:
 
 def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
                         inputs: range | None = None,
-                        superpositions: int = 0, seed: int = 0,
-                        cap: int | None = None) -> tuple[float, float, int]:
+                        superpositions: int = 0,
+                        seed: int = 0) -> tuple[float, float, int]:
     """Compare the circuit with an oracle (a Gate or an Oracle) on its data
     register: each basis index in the `inputs` range (default all 2^d)
     runs with the ancillae at |0>, and the error is the max |amplitude| of
@@ -183,11 +186,7 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
     d, width = len(data_qubits), circuit.width
     if superpositions < 0:
         raise ValueError(f"superpositions must be >= 0, got {superpositions}")
-    cap = sim_cap() if cap is None else cap
-    if width > cap:
-        raise WidthCapExceeded(
-            f"{width}-qubit register exceeds the {cap}-qubit "
-            f"simulation cap; rerun structural-only")
+    check_sim_cap(width)
     oracle = _gate_oracle(oracle, d) if isinstance(oracle, Gate) else oracle
 
     inputs = range(1 << d) if inputs is None else inputs
@@ -360,7 +359,7 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
 
 def verify_built(built: Built, *, structural_only: bool = False,
                  tol_err: float | None = None, superpositions: int = 0,
-                 seed: int = 0, cap: int | None = None) -> VerificationReport:
+                 seed: int = 0) -> VerificationReport:
     """Check a built construction with verify_construction and fill the report."""
     report = VerificationReport.of(built, structural_only=structural_only,
                                    error_tol=error_tol(tol_err))
@@ -368,7 +367,7 @@ def verify_built(built: Built, *, structural_only: bool = False,
         return report
     err, leak, checked = verify_construction(
         built.circuit, built.oracle, inputs=built.inputs,
-        superpositions=superpositions, seed=seed, cap=cap)
+        superpositions=superpositions, seed=seed)
     report.max_error = err
     report.max_leakage = leak
     report.inputs_checked = checked

@@ -20,12 +20,11 @@ from qdepth.synth import (
     parity_via_catstate, reversible_embed,
 )
 from qdepth.verify import (
-    VerificationReport, build_construction, verify_built, verify_construction,
+    DEFAULT_SIM_CAP, SIM_CAP_ENV, VerificationReport, build_construction,
+    verify_built, verify_construction,
 )
 
 from common import MOD2_3INPUT_MATRIX, random_circuit, random_gate
-
-SIM_CAP = 22
 
 
 def _announce(criterion: int, text: str) -> None:
@@ -87,15 +86,15 @@ def test_criterion_3_parity_fanout_equivalences():
                  "semantics for n = 2..6 with exactly n-1 extra ancillae")
 
 
-def test_criterion_4_modq_correctness():
+def test_criterion_4_modq_correctness(monkeypatch):
+    monkeypatch.delenv(SIM_CAP_ENV, raising=False)
     checked = []
     for q in (2, 3, 4, 5):
         for n in range(2, 7):
             built = build_construction("modq-const", n=n, q=q)
-            if built.circuit.width > SIM_CAP:
+            if built.circuit.width > DEFAULT_SIM_CAP:
                 continue
-            report = verify_built(built, superpositions=10, seed=1234,
-                                  cap=SIM_CAP)
+            report = verify_built(built, superpositions=10, seed=1234)
             assert report.passed, report.to_text()
             assert report.max_error <= 1e-9
             assert report.max_leakage <= 1e-10
@@ -103,7 +102,7 @@ def test_criterion_4_modq_correctness():
     assert len(checked) >= 18
     _announce(4, f"mod-q circuits match the counting oracle on all basis "
                  f"inputs and 10 superpositions for {len(checked)} (q, n) "
-                 f"pairs under the {SIM_CAP}-qubit cap")
+                 f"pairs under the {DEFAULT_SIM_CAP}-qubit cap")
 
 
 def test_criterion_5_modq_resource_claims():

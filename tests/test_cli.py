@@ -117,7 +117,7 @@ class TestSim:
         monkeypatch.setenv("QDEPTH_SIM_CAP", "4")
         code, text, err = run_cli(capsys, "sim", str(out), "--input", "00000")
         assert (code, text, err) == (
-            3, "", "error: 5 qubits exceeds simulation cap 4\n")
+            3, "", "error: 5-qubit register exceeds the 4-qubit simulation cap\n")
 
     def test_unparseable_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -359,7 +359,13 @@ class TestNoHugeAllocation:
         (("scale", "--construction", "modq-seq", "--q", "1048576",
           "--n-min", "1", "--n-max", "2"), 2,
          "modulus 1048576 needs a 20-qubit block, cap is 4"),
-    ], ids=["block-oracle", "modq-const-modulus", "modq-seq-scale-modulus"])
+        # registers whose size does not fit an index
+        (("verify", "--construction", "modq-const", "--n", str(2 ** 64), "--q", "3",
+          "--structural-only"), 3, "out of memory: the register is too large to build"),
+        (("scale", "--construction", "cat", "--n-min", str(2 ** 64 - 1),
+          "--n-max", str(2 ** 64)), 3, "out of memory: the register is too large to build"),
+    ], ids=["block-oracle", "modq-const-modulus", "modq-seq-scale-modulus",
+            "modq-const-n2e64", "scale-cat-n2e64"])
     def test_one_error_line(self, tmp_path, argv, exit_code, message):
         proc = run_cli_limited(tmp_path, *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
@@ -380,13 +386,19 @@ class TestNoHugeAllocation:
     ], ids=["verify", "structural-only", "synth"])
     @pytest.mark.parametrize("request_args", [
         ("--construction", "fanout", "--n", "1000000000000"),
-        ("--construction", "rev-embed", "--classical", "classical.json"),
-    ], ids=["fanout-n1e12", "rev-embed-1e12-inputs"])
+        ("--construction", "rev-embed", "--classical", "classical-1e12.json"),
+        ("--construction", "fanout", "--n", str(2 ** 64)),
+        ("--construction", "rev-embed", "--classical", "classical-2e64.json"),
+    ], ids=["fanout-n1e12", "rev-embed-1e12-inputs", "fanout-n2e64",
+            "rev-embed-2e64-inputs"])
     def test_huge_register_is_one_error_line(self, tmp_path, command, request_args):
         # 10^12 qubits: the register's role tuple alone would take 8 TB, so
-        # its allocation fails at once, before anything is held
-        (tmp_path / "classical.json").write_text(json.dumps(
-            {"inputs": 10 ** 12, "layers": [[{"op": "and", "args": [0, 1]}]]}))
+        # its allocation fails at once, before anything is held; 2^64 does
+        # not even fit an index, and numpy or Python say so by OverflowError
+        for name, inputs in (("classical-1e12.json", 10 ** 12),
+                             ("classical-2e64.json", 2 ** 64)):
+            (tmp_path / name).write_text(json.dumps(
+                {"inputs": inputs, "layers": [[{"op": "and", "args": [0, 1]}]]}))
         proc = run_cli_limited(tmp_path, *command, *request_args)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             3, "", "error: out of memory: the register is too large to build\n")

@@ -169,8 +169,9 @@ def test_run_on_live_qubits_matches_the_oracle(monkeypatch):
 def test_bound_factors_are_the_full_ones_cut_to_the_live_qubits():
     # each draw: a random circuit of every shape and a random live set
     # that holds the qubits its steps move. Every tensor that _bind builds
-    # for it is the tensor on all qubits sliced by _cut, bit for bit; the
-    # draws must compare factors with idle axes, rewritten ones among them
+    # for it is the tensor on all qubits sliced by _cut, and by the slab
+    # it multiplies, bit for bit; the draws must compare factors with idle
+    # axes, rewritten ones among them, and lone gates on their slabs
     seen = Counter()
 
     @PROFILE
@@ -185,14 +186,15 @@ def test_bound_factors_are_the_full_ones_cut_to_the_live_qubits():
         live = tuple(q for q in range(width) if pinned >> q & 1 or rng.random() < 0.5)
         recipes = [arg for kernel, arg in plan if kernel is sim._scale]
         bound = [arg for kernel, arg in sim._bind(plan, live, width)
-                 if kernel is sim._scale or kernel is sim._scale_slab]
+                 if kernel is sim._scale]
         assert len(bound) == len(recipes)
-        for (qubits, group), tensor in zip(recipes, bound):
+        for (qubits, group), (slab, tensor) in zip(recipes, bound):
             if isinstance(tensor, np.ndarray):
                 full = sim._factor(qubits, group, width, tuple(range(width)))
-                want = full[sim._cut(live, width)]
+                want = full[sim._cut(live, width)][slab]
                 assert want.shape == tensor.shape
                 assert want.tobytes() == tensor.tobytes()
+                seen["slab"] += slab is not ...
                 if not set(qubits) <= set(live):
                     seen["cut"] += 1
                     seen["cut rewritten"] += any(
@@ -200,7 +202,7 @@ def test_bound_factors_are_the_full_ones_cut_to_the_live_qubits():
                         for _, _, terms in group for q, source, offset in terms)
 
     agree()
-    assert seen["cut"] and seen["cut rewritten"], seen
+    assert seen["cut"] and seen["cut rewritten"] and seen["slab"], seen
 
 
 @PROFILE

@@ -177,6 +177,26 @@ class TestRun:
             tracemalloc.stop()
         assert peak < initial.nbytes / 16, peak
 
+    @pytest.mark.parametrize("gate", [
+        symmetric_phase(0.7, tuple(range(15)), 15),
+        controlled_u(tuple(range(8)), np.diag(np.exp(1j * np.arange(8))), (9, 11, 14)),
+    ], ids=["phase-15-controls", "cu-8-controls-3-targets"])
+    def test_a_lone_diagonal_gate_allocates_little_on_its_first_run(self, gate):
+        # the plan and its binding are built inside the trace: the gate's
+        # diagonal multiplies its firing slab, and no factor over all its
+        # qubits (2^16 or 2^11 amplitudes) is ever built
+        w = 16
+        circuit = Circuit(w, (Role.INPUT,) * w, (Layer((gate,)),))
+        initial = random_state(w, np.random.default_rng(5))
+        workspace = make_workspace(w)
+        tracemalloc.start()
+        try:
+            run(circuit, initial, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < initial.nbytes / 16, peak
+
     @pytest.mark.parametrize("layers", [
         modq_constant_depth(3, 5).layers[1:2],  # three 3-way fanouts
         (Layer(tuple(cnot(c, c + 6) for c in range(4, 10))),),
@@ -272,7 +292,7 @@ class TestPlan:
         kept = run(Circuit(8, (Role.INPUT,) * 8, tuple(layers)), state).copy()
         monkeypatch.setattr(sim, "KEEP_AMPS", 48)
         c = Circuit(8, (Role.INPUT,) * 8, tuple(layers))
-        factors = [arg for kernel, arg in sim._restriction(c, tuple(range(8)))
+        factors = [arg[1] for kernel, arg in sim._restriction(c, tuple(range(8)))
                    if kernel is sim._scale]
         assert sum(f.size for f in factors if isinstance(f, np.ndarray)) <= 48
         assert any(not isinstance(f, np.ndarray) for f in factors)
@@ -299,13 +319,13 @@ class TestPlan:
     def test_wide_rewrite_runs_the_copies_first(self):
         # a CNOT chain makes qubit 14's bit the parity of qubits 0..14,
         # wider than a 16-qubit plan's 11-qubit factors: the chain runs
-        # before the phase, which then keeps its own slab kernel
+        # before the phase, which then multiplies only its firing slab
         w = 16
         chain = tuple(Layer((cnot(q, q + 1),)) for q in range(14))
         c = Circuit(w, (Role.INPUT,) * w,
                     chain + (Layer((symmetric_phase(0.7, (15,), 14),)),))
-        kinds = [k.__name__ for k, _ in sim._restriction(c, tuple(range(w)))]
-        assert kinds == ["_flip"] * 14 + ["_scale_slab"]
+        kinds = [_form(k, a) for k, a in sim._restriction(c, tuple(range(w)))]
+        assert kinds == ["_flip"] * 14 + ["_scale slab"]
         state = random_state(w, np.random.default_rng(4))
         apart = state
         for g in c.gates():
@@ -338,12 +358,19 @@ def _spy_binds(monkeypatch) -> list:
     return builds
 
 
+def _form(kernel, arg) -> str:
+    """The kernel of a bound step, a _scale step as "_scale slab" (a
+    gate's diagonal on its firing slab), "_scale tensor" or "_scale
+    recipe" (a factor on the whole state, kept or built on each run)."""
+    if kernel is not sim._scale:
+        return kernel.__name__
+    slab, factor = arg
+    return ("_scale recipe" if not isinstance(factor, np.ndarray)
+            else "_scale tensor" if slab is ... else "_scale slab")
+
+
 def _forms(steps) -> set:
-    """The kernels of bound steps, a _scale step as "_scale tensor" or
-    "_scale recipe"."""
-    return {k.__name__ + ("" if k is not sim._scale else
-                          " tensor" if isinstance(a, np.ndarray) else " recipe")
-            for k, a in steps}
+    return {_form(k, a) for k, a in steps}
 
 
 class TestLiveQubits:
@@ -398,7 +425,7 @@ class TestLiveQubits:
 
     def test_diagonal_steps_become_factors_on_the_live_qubits(self, monkeypatch):
         # H on qubit 0 between phase layers over qubits 0-7 of 10, on inputs
-        # that leave 6-9 at 0: lone phases (_scale_slab on every qubit, a
+        # that leave 6-9 at 0: lone phases (a slab on every qubit, a
         # kept factor on the live ones, also where all their qubits are
         # live), kept factors and, past a budget of 8 amplitudes for 64
         # live ones, recipes built on each run
@@ -413,7 +440,7 @@ class TestLiveQubits:
                        Layer((symmetric_phase(rng.uniform(0, 6), (a,), b),
                               symmetric_phase(rng.uniform(0, 6), (c,), d)))]
         c = Circuit(w, (Role.INPUT,) * w, tuple(layers))
-        assert {"_scale_slab", "_scale tensor", "_scale recipe"} <= _forms(
+        assert {"_scale slab", "_scale tensor", "_scale recipe"} <= _forms(
             sim._restriction(c, tuple(range(w))))
         live = tuple(range(6))
         state = np.zeros(1 << w, dtype=complex)
@@ -421,8 +448,8 @@ class TestLiveQubits:
         assert sim._live_qubits(c, state) == live
         steps = sim._restriction(c, live)
         assert _forms(steps) == {"_dense_block", "_scale tensor", "_scale recipe"}
-        assert all(a.ndim == 6 for k, a in steps
-                   if k is sim._scale and isinstance(a, np.ndarray))
+        assert all(a[1].ndim == 6 for k, a in steps
+                   if k is sim._scale and isinstance(a[1], np.ndarray))
         assert np.abs(run(c, state) - _full_plan_run(c, state)).max() <= 1e-14
 
     def test_no_live_qubit(self):
