@@ -8,7 +8,7 @@ for each circuit on its first run and kept with the circuit; the caller
 keeps the input state. A layer of commuting gates is one time step, as in
 the paper, and the plan takes each layer's gates by class. A run binds
 the plan to its live qubits (see below), the circuit keeps the last such
-binding, and each bound step advances the state, [2]*m, in one pass:
+binding, and each bound step advances the held state in one pass:
 
 - permutation gates (X, CNOT, Toffoli, fanout, MODQ), one gate at a time:
   the slab where the controls fire, flipped on the targets, is staged in
@@ -34,15 +34,15 @@ tensor, or at the end, and not at all when the map composes to the
 identity. So the paper's copy, diagonal, uncopy pattern costs only the
 diagonal.
 
-A run holds only the live qubits: those that the input sets, those that
-a step moves (permutation and dense-block targets), and negated MODQ
-controls, whose 0 counts. Every other qubit is idle and holds 0 for the
-whole run, since a diagonal step never changes a basis index. With at
-least MIN_IDLE idle qubits the plan, bound to the live ones, runs on the
-2^live amplitudes where the idle qubits are 0: factor tensors are built
-on the live axes alone, a gate with a plain idle control is dropped and
-a negated idle control removed. A data-register superposition of
-modq-const n=4 q=5 runs on 8 of its 20 qubits.
+A run holds only the live qubits: those that the input sets and those
+that a step moves (permutation and dense-block targets). Every other
+qubit is idle and holds 0 for the whole run, since a diagonal step never
+changes a basis index. With at least MIN_IDLE idle qubits the plan runs
+on the 2^live amplitudes where the idle qubits are 0, each on a length-1
+axis, with its own gates: an idle control's slab is empty when plain (the
+gate never fires) and whole when negated, and an idle MODQ input reads 0.
+Factor tensors are built on the live axes alone. A data-register
+superposition of modq-const n=4 q=5 runs on 8 of its 20 qubits.
 
 Beyond the workspace pair a run allocates a few KiB of numpy
 bookkeeping, except that a MODQ step builds its 2^inputs count and mask,
@@ -62,7 +62,6 @@ states may be shared freely.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,14 +134,6 @@ def _shape(qubits, width: int) -> list[int]:
     return shape
 
 
-def _cut(live, width: int) -> tuple:
-    """Index of the [2]*width view that holds each qubit not in `live` at
-    0 and drops its axis: a view of the live qubits alone, the i-th
-    lowest on axis len(live) - 1 - i, as _axis would put it."""
-    return tuple(slice(None) if width - 1 - a in live else 0
-                 for a in range(width)) + (...,)
-
-
 def _grid(qubits, width: int) -> np.ndarray:
     """The basis index of every setting of `qubits` (every other qubit 0),
     in _shape(qubits, width)."""
@@ -187,60 +178,65 @@ def _affine(gate: Gate) -> bool:
             or (gate.kind in _FLIP_KINDS and len(gate.controls) == 1))
 
 
-def _flip(state: np.ndarray, scratch: np.ndarray, gate: Gate, w: int):
+def _flip(state: np.ndarray, scratch: np.ndarray, gate: Gate, shape: list):
     """One permutation gate (X, CNOT, Toffoli, fanout, MODQ) on its firing
-    slab: the slab flipped on the target axes is staged in scratch and
-    copied back where it fires (everywhere, or where MODQ's input count is
-    not a multiple of q). An uncontrolled gate's slab is the whole state,
-    so the buffers swap instead."""
-    psi, out = state.reshape([2] * w), scratch.reshape([2] * w)
+    slab of the state viewed in `shape`: the slab flipped on the target
+    axes is staged in scratch and copied back where it fires (everywhere,
+    or where MODQ's input count, an idle input read as 0, is not a multiple
+    of q). A gate other than MODQ whose slab is the whole state swaps the
+    buffers instead."""
+    w = len(shape)
+    psi, out = state.reshape(shape), scratch.reshape(shape)
     modq = gate.kind is GateKind.MODQ
     sel = _slab(_on(gate), () if modq else gate.controls, w)
     view, staged = psi[sel], out[sel]
     staged[...] = np.flip(view, [_axis(t, w) for t in gate.targets])
-    if not gate.controls:
+    if view.size == state.size and not modq:
         return scratch, state
-    fires = _row_fires(gate, _grid(gate.controls, w)) if modq else True
+    held = [c for c in gate.controls if shape[_axis(c, w)] == 2]
+    fires = _row_fires(gate, _grid(held, w)) if modq else True
     np.copyto(view, staged, where=fires)
     return state, scratch
 
 
-def _scale(state: np.ndarray, scratch: np.ndarray, step, w: int):
-    """One in-place multiply of a slab of the [2]*w view by a factor
-    tensor built from diagonal gates, broadcast over the qubits it does not
-    span. A recipe, the arguments of _factor, in place of the tensor is
-    built for this step and freed after it."""
+def _scale(state: np.ndarray, scratch: np.ndarray, step, shape: list):
+    """One in-place multiply of a slab of the state viewed in `shape` by a
+    factor tensor built from diagonal gates, broadcast over the qubits it
+    does not span. A recipe, the arguments of _factor, in place of the
+    tensor is built for this step and freed after it."""
     slab, factor = step
     if not isinstance(factor, np.ndarray):
         factor = _factor(*factor)
-    view = state.reshape([2] * w)[slab]
+    view = state.reshape(shape)[slab]
     view *= factor  # psi[slab] *= factor would take a second pass to write back
     return state, scratch
 
 
-def _dense_block(state: np.ndarray, scratch: np.ndarray, pair, w: int):
-    """One (gate, u) pair: multiply the slab where the gate's controls
-    fire by u on its targets (bit j of the block index on target j), with
-    one np.matmul (BLAS). An uncontrolled result in scratch swaps the
-    buffers; a controlled one is copied back."""
+def _dense_block(state: np.ndarray, scratch: np.ndarray, pair, shape: list):
+    """One (gate, u) pair: multiply the slab of the state viewed in `shape`
+    where the gate's controls fire by u on its targets (bit j of the block
+    index on target j), with one np.matmul (BLAS). A result in scratch swaps
+    the buffers when the slab is the whole state, else it is copied back."""
     gate, u = pair
+    w = len(shape)
     sel = _slab(_on(gate), gate.controls, w)
-    view, staged = state.reshape([2] * w)[sel], scratch.reshape([2] * w)[sel]
+    view, staged = state.reshape(shape)[sel], scratch.reshape(shape)[sel]
+    whole = view.size == state.size
     k, lo = len(gate.targets), min(gate.targets)
-    if (gate.targets == tuple(range(lo, lo + k)) and lo + k >= 6
-            and min(gate.controls, default=w) > lo):
-        # The slab already is a stack of [2^k, 2^lo] matrices: one matmul
-        # multiplies each in place of staging. Below 64 amplitudes per
-        # matrix the per-matrix BLAS calls cost more than staging does.
-        shape = view.shape[:w - lo - k] + (1 << k, 1 << lo)
-        np.matmul(u, view.reshape(shape), out=staged.reshape(shape))
-        if not gate.controls:
+    if (gate.targets == tuple(range(lo, lo + k)) and min(gate.controls, default=w) > lo
+            and np.prod(shape[w - lo - k:]) >= 64):
+        # The slab already is a stack of [2^k, 2^lo] matrices, less idle
+        # axes: one matmul multiplies each in place of staging. Below 64
+        # held amplitudes per matrix, BLAS calls cost more than staging.
+        stack = view.shape[:w - lo - k] + (1 << k, -1)
+        np.matmul(u, view.reshape(stack), out=staged.reshape(stack))
+        if whole:
             return scratch, state
         view[...] = staged
         return state, scratch
     # Stage the slab into scratch with the targets innermost, bit 0 last,
     # so the product is one [rows, 2^k] x [2^k, 2^k] matmul. It lands in
-    # the half of scratch a controlled slab leaves free, or, for the whole
+    # the half of scratch a partial slab leaves free, or, for the whole
     # state, in the state itself, whose contents are staged already.
     # (a transpose that moves the target axes last, as np.moveaxis would,
     # without its argument checks)
@@ -250,11 +246,11 @@ def _dense_block(state: np.ndarray, scratch: np.ndarray, pair, w: int):
     m = moved.size
     rows = scratch[:m].reshape(moved.shape)
     rows[...] = moved
-    product = scratch[m:2 * m] if gate.controls else state
+    product = state if whole else scratch[m:2 * m]
     np.matmul(rows.reshape(-1, 1 << k), u.T, out=product.reshape(-1, 1 << k))
-    home = view if gate.controls else staged
+    home = staged if whole else view
     home.transpose(order)[...] = product.reshape(moved.shape)
-    return (state, scratch) if gate.controls else (scratch, state)
+    return (scratch, state) if whole else (state, scratch)
 
 
 class _Pending:
@@ -314,13 +310,13 @@ def _factor(qubits, group, w: int, live) -> np.ndarray:
     """The factor tensor over `qubits` of diagonal gates, given as (gate,
     diagonal, terms) triples: each gate is evaluated at the image of the
     basis index under the map that its terms describe. Every qubit not in
-    `live` is taken at 0 and loses its axis: the tensor is the one on all
-    w qubits sliced by _cut."""
+    `live` is taken at 0, on a length-1 axis: the tensor is the one on all
+    w qubits sliced to where the idle qubits are 0."""
     factor = np.ones(_shape(set(qubits).intersection(live), w), dtype=complex)
     for gate, diag, terms in group:
         image = _image(_grid(_reads(terms).intersection(live), w), terms)
         factor *= np.where(_row_fires(gate, image), diag[_block(gate, image)], 1)
-    return factor[_cut(live, w)]
+    return factor
 
 
 def _plan(layers, w: int) -> list:
@@ -395,10 +391,10 @@ def _plan(layers, w: int) -> list:
 
 
 def _apply(state: np.ndarray, scratch: np.ndarray, steps,
-           w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Advance `state` by the steps of a bound plan (see _bind), using
-    `scratch` for staging. Returns the (state, scratch) pair, swapped when
-    the result landed in the scratch buffer.
+           shape: list) -> tuple[np.ndarray, np.ndarray]:
+    """Advance `state`, viewed in `shape`, by the steps of a bound plan (see
+    _bind), using `scratch` for staging. Returns the (state, scratch) pair,
+    swapped when the result landed in the scratch buffer.
 
     Each step is one state pass: one permutation gate (_flip), a factor
     tensor or its recipe on a slab (_scale), or one dense block
@@ -414,7 +410,7 @@ def _apply(state: np.ndarray, scratch: np.ndarray, steps,
     bufsize = np.setbufsize(512)
     try:
         for kernel, arg in steps:
-            state, scratch = kernel(state, scratch, arg, w)
+            state, scratch = kernel(state, scratch, arg, shape)
     finally:
         np.setbufsize(bufsize)
     return state, scratch
@@ -423,19 +419,16 @@ def _apply(state: np.ndarray, scratch: np.ndarray, steps,
 def dense_plan(circuit: Circuit) -> tuple[list, int]:
     """The circuit's plan for the dense engine (see _plan), and the qubits,
     as a bit mask, that every run of it holds: the targets of the plan's
-    _flip and _dense_block steps, the only steps that change a basis index,
-    and the negated MODQ controls, whose 0 counts. Both are built on the
-    first call and then kept on the circuit, so they are freed with it.
-    Two threads that ask at once may each build them; either pair serves."""
+    _flip and _dense_block steps, the only steps that change a basis
+    index. Both are built on the first call and then kept on the circuit,
+    so they are freed with it. Two threads that ask at once may each build
+    them; either pair serves."""
     kept = vars(circuit).get("_dense_plan")
     if kept is None:
         plan, pinned = _plan([layer.gates for layer in circuit.layers], circuit.width), 0
         for kernel, arg in plan:
             if kernel is _flip or kernel is _dense_block:
-                gate = arg if kernel is _flip else arg[0]
-                pinned |= sum(1 << t for t in gate.targets)
-                if gate.kind is GateKind.MODQ:
-                    pinned |= sum(1 << c for c in gate.negated)
+                pinned |= sum(1 << t for t in (arg if kernel is _flip else arg[0]).targets)
         kept = plan, pinned
         object.__setattr__(circuit, "_dense_plan", kept)
     return kept
@@ -443,7 +436,7 @@ def dense_plan(circuit: Circuit) -> tuple[list, int]:
 
 def _live_qubits(circuit: Circuit, initial: np.ndarray) -> tuple[int, ...]:
     """The qubits, ascending, that a run of the circuit on `initial` holds:
-    the pinned ones (dense_plan) and those set in a nonzero amplitude of
+    the plan's targets (dense_plan) and those set in a nonzero amplitude of
     `initial` (-0.0 is zero); all of them when fewer than MIN_IDLE are idle.
 
     The scan reads chunks of 1/64 of the state (at least 2^12 amplitudes)
@@ -472,46 +465,27 @@ def _live_qubits(circuit: Circuit, initial: np.ndarray) -> tuple[int, ...]:
     return tuple(q for q in range(w) if bits >> q & 1)
 
 
-def _relabel(gate: Gate, pos: dict) -> Gate | None:
-    """A _flip or _dense_block gate on the live qubits, qubit q renumbered
-    pos[q]; None if it never fires. An idle qubit holds 0, so a plain
-    control there never fires the gate, which is dropped, while a negated
-    control, or a plain MODQ control that adds 0 to the count, is
-    removed. The gate is copied past Gate's validation: a CNOT that loses
-    its control has no kind of its own."""
-    modq = gate.kind is GateKind.MODQ
-    if not modq and any(c not in pos and c not in gate.negated for c in gate.controls):
-        return None
-    controls = tuple(pos[c] for c in gate.controls if c in pos)
-    if modq and not controls:
-        return None
-    moved = copy.copy(gate)
-    vars(moved).update(controls=controls, targets=tuple(pos[t] for t in gate.targets),
-                       negated=frozenset(pos[c] for c in gate.negated if c in pos))
-    return moved
-
-
 def _bind(plan, live, w: int) -> list:
-    """The plan's steps for a run on the live qubits, qubit live[i] as
-    qubit i: _flip and _dense_block gates are relabelled, or dropped where
-    they never fire (_relabel). Each factor is a _scale step on a (slab,
-    factor) pair. In a run on every qubit, a factor of one gate that the
-    plan did not rewrite is the gate's diagonal over its targets, on the
-    slab where its controls fire. Every other factor is built on the live
-    qubits (_factor), for the whole state, and kept, within KEEP_AMPS or
-    1/8 of the live state's amplitudes in all; past that its recipe stays,
-    for _scale to build on each run, so a deep circuit's binding does not
-    grow with its depth."""
-    pos = {q: i for i, q in enumerate(live)}
+    """The plan's steps for a run on the live qubits, held in _shape(live, w):
+    the plan's own _flip and _dense_block steps, less those with a plain
+    control on an idle qubit, which never fire (MODQ counts its inputs, so
+    its steps stay). Each factor is a _scale step on a (slab, factor) pair.
+    In a run on every qubit, a factor of one gate that the plan did not
+    rewrite is the gate's diagonal over its targets, on the slab where its
+    controls fire. Every other factor is built on the live qubits
+    (_factor), for the whole state, and kept, within KEEP_AMPS or 1/8 of the
+    live state's amplitudes in all; past that its recipe stays, for _scale
+    to build on each run, so a deep circuit's binding does not grow."""
     steps, keep = [], max((1 << len(live)) >> 3, KEEP_AMPS)
-    for kernel, arg in plan:
+    for step in plan:
+        kernel, arg = step
         if kernel is not _scale:
-            gate = _relabel(arg if kernel is _flip else arg[0], pos)
-            if gate is not None:
-                steps.append((kernel, gate if kernel is _flip else (gate, arg[1])))
+            gate = arg if kernel is _flip else arg[0]
+            if gate.kind is GateKind.MODQ or set(gate.controls) <= gate.negated.union(live):
+                steps.append(step)
             continue
         qubits, group = arg
-        on = pos.keys() & set(qubits)
+        on = set(live).intersection(qubits)
         slab, factor = ..., (qubits, group, w, live)
         if len(live) == w and len(group) == 1 and all(
                 source == 1 << q and not offset for q, source, offset in group[0][2]):
@@ -546,7 +520,7 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     if high:
         raise CircuitError(f"gate touches qubit {high[0]} outside width {w}")
     steps = _bind(_plan([(gate,)], w), tuple(range(w)), w)
-    out, _ = _apply(state.copy(), np.empty_like(state), steps, w)
+    out, _ = _apply(state.copy(), np.empty_like(state), steps, [2] * w)
     return out
 
 
@@ -573,9 +547,9 @@ def run(circuit: Circuit, initial: np.ndarray,
     _restriction), which the circuit keeps until a run on another live
     set binds afresh. When at least MIN_IDLE are idle, the slab of `initial`
     where they are 0 is gathered into the first 2^live amplitudes of the
-    workspace and advanced there; then the state is zeroed and the result
-    written back into that slab, both copies through [2]*width views.
-    Otherwise the plan, bound to every qubit, runs on a copy of `initial`.
+    workspace and advanced there, viewed in _shape(live, width); then the
+    state is zeroed and the result written back into that slab. Otherwise
+    the plan, bound to every qubit, runs on a copy of `initial`.
     Passing a `workspace` from make_workspace avoids per-call state
     allocations; the returned state then aliases one of its buffers and
     is only valid until the next run with the same workspace.
@@ -586,17 +560,18 @@ def run(circuit: Circuit, initial: np.ndarray,
     if workspace is None:
         workspace = make_workspace(w)
     live = _live_qubits(circuit, initial)
-    steps, cut, n = _restriction(circuit, live), _cut(live, w), 1 << len(live)
+    steps, shape, n = _restriction(circuit, live), _shape(live, w), 1 << len(live)
+    idle = _slab(0, set(range(w)).difference(live), w)
     state, scratch = workspace
     held, spare = state[:n], scratch[:n]
-    held.reshape([2] * len(live))[...] = initial.reshape([2] * w)[cut]
-    out, _ = _apply(held, spare, steps, len(live))
+    held.reshape(shape)[...] = initial.reshape([2] * w)[idle]
+    out, _ = _apply(held, spare, steps, shape)
     if n == state.size:
         return out
     if out is held:
         spare[...] = held
     state[...] = 0
-    state.reshape([2] * w)[cut] = spare.reshape([2] * len(live))
+    state.reshape([2] * w)[idle] = spare.reshape(shape)
     return state
 
 
@@ -683,7 +658,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     steps = _restriction(circuit, tuple(range(w)))
     u, scratch = np.eye(1 << w, dtype=complex), np.empty(1 << w, dtype=complex)
     for j in range(1 << w):
-        u[:, j] = _apply(u[:, j].copy(), scratch, steps, w)[0]
+        u[:, j] = _apply(u[:, j].copy(), scratch, steps, [2] * w)[0]
     return u
 
 

@@ -29,6 +29,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -184,8 +185,8 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
     """
     data_qubits, ancillae = circuit.data_qubits, circuit.ancillae
     d, width = len(data_qubits), circuit.width
-    if superpositions < 0:
-        raise ValueError(f"superpositions must be >= 0, got {superpositions}")
+    if not 0 <= superpositions <= sys.maxsize:
+        raise ValueError(f"superpositions must be in 0..{sys.maxsize}, got {superpositions}")
     check_sim_cap(width)
     oracle = _gate_oracle(oracle, d) if isinstance(oracle, Gate) else oracle
 

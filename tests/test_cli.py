@@ -364,8 +364,11 @@ class TestNoHugeAllocation:
           "--structural-only"), 3, "out of memory: the register is too large to build"),
         (("scale", "--construction", "cat", "--n-min", str(2 ** 64 - 1),
           "--n-max", str(2 ** 64)), 3, "out of memory: the register is too large to build"),
+        # a count of superpositions that no loop could finish
+        (("verify", "--construction", "fanout", "--n", "2", "--superpositions",
+          str(2 ** 64)), 2, f"superpositions must be in 0..{sys.maxsize}, got {2 ** 64}"),
     ], ids=["block-oracle", "modq-const-modulus", "modq-seq-scale-modulus",
-            "modq-const-n2e64", "scale-cat-n2e64"])
+            "modq-const-n2e64", "scale-cat-n2e64", "superpositions-2e64"])
     def test_one_error_line(self, tmp_path, argv, exit_code, message):
         proc = run_cli_limited(tmp_path, *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (

@@ -111,24 +111,13 @@ LIVE_KINDS = ("x", "h", "u", "fanout", "phase", "cu_diag") + (
     "cnot", "toffoli", "modq", "parity", "cu") * 3
 
 
-def _idle_controls(c: Circuit, live, support) -> list[str]:
+def _idle_controls(c: Circuit, live) -> list[str]:
     """How the idle qubits (not in `live`) control the steps that move a
-    qubit: "plain", or "negated <kind>". A negated MODQ control is always
-    live; it is listed when the input leaves it at 0 and no step moves
-    it, so that only this rule keeps it live."""
+    qubit: "plain", or "negated <kind>"."""
     steps = [arg if kernel is sim._flip else arg[0] for kernel, arg in dense_plan(c)[0]
              if kernel is sim._flip or kernel is sim._dense_block]
-    moved = {t for gate in steps for t in gate.targets}
-    found = []
-    for gate in steps:
-        for q in gate.controls:
-            negated = q in gate.negated
-            if gate.kind is GateKind.MODQ and negated:
-                if q not in moved and q not in support:
-                    found.append("negated modq")
-            elif q not in live:
-                found.append(f"negated {gate.kind.value}" if negated else "plain")
-    return found
+    return [f"negated {gate.kind.value}" if q in gate.negated else "plain"
+            for gate in steps for q in gate.controls if q not in live]
 
 
 def test_run_on_live_qubits_matches_the_oracle(monkeypatch):
@@ -159,7 +148,7 @@ def test_run_on_live_qubits_matches_the_oracle(monkeypatch):
                 state[embed_index(np.arange(1 << len(support)), support)] = (
                     random_state(len(support), rng))
                 assert np.abs(run(c, state) - want @ state).max() <= TOL
-                seen.update(_idle_controls(c, sim._live_qubits(c, state), support))
+                seen.update(_idle_controls(c, sim._live_qubits(c, state)))
 
     agree()
     wanted = ["plain", "negated cnot", "negated toffoli", "negated cu", "negated modq"]
@@ -169,7 +158,8 @@ def test_run_on_live_qubits_matches_the_oracle(monkeypatch):
 def test_bound_factors_are_the_full_ones_cut_to_the_live_qubits():
     # each draw: a random circuit of every shape and a random live set
     # that holds the qubits its steps move. Every tensor that _bind builds
-    # for it is the tensor on all qubits sliced by _cut, and by the slab
+    # for it is the tensor on all qubits sliced to where the idle qubits
+    # are 0, length-1 axes kept, and then by the slab
     # it multiplies, bit for bit; the draws must compare factors with idle
     # axes, rewritten ones among them, and lone gates on their slabs
     seen = Counter()
@@ -191,7 +181,8 @@ def test_bound_factors_are_the_full_ones_cut_to_the_live_qubits():
         for (qubits, group), (slab, tensor) in zip(recipes, bound):
             if isinstance(tensor, np.ndarray):
                 full = sim._factor(qubits, group, width, tuple(range(width)))
-                want = full[sim._cut(live, width)][slab]
+                idle = set(range(width)).difference(live)
+                want = full[sim._slab(0, idle, width)][slab]
                 assert want.shape == tensor.shape
                 assert want.tobytes() == tensor.tobytes()
                 seen["slab"] += slab is not ...

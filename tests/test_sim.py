@@ -347,7 +347,7 @@ def _full_plan_run(c: Circuit, state: np.ndarray) -> np.ndarray:
     qubit afresh."""
     everywhere = tuple(range(c.width))
     steps = sim._bind(dense_plan(c)[0], everywhere, c.width)
-    out, _ = sim._apply(state.copy(), np.empty_like(state), steps, c.width)
+    out, _ = sim._apply(state.copy(), np.empty_like(state), steps, [2] * c.width)
     return out
 
 
@@ -410,9 +410,10 @@ class TestLiveQubits:
         state = np.zeros(1 << w, dtype=complex)
         state[[0b000, 0b001, 0b100, 0b101]] = random_state(2, np.random.default_rng(2))
         assert sim._live_qubits(c, state) == (0, 1, 2)
+        # the plan's own Toffoli, unrenumbered: each negated control's slab
+        # is the whole length-1 axis of its idle qubit
         [(kernel, gate)] = sim._restriction(c, (0, 1, 2))
-        assert kernel is sim._flip
-        assert (gate.controls, gate.targets, gate.negated) == ((), (1,), frozenset())
+        assert kernel is sim._flip and gate is c.layers[0].gates[0]
         assert np.array_equal(run(c, state), apply_gate(state, pauli_x(1)))
 
     def test_cnot_on_a_plain_idle_control_is_dropped(self):
@@ -422,6 +423,49 @@ class TestLiveQubits:
         assert sim._live_qubits(c, state) == (0, 1, 2)
         assert [k for k, _ in sim._restriction(c, (0, 1, 2))] == [sim._dense_block]
         assert np.array_equal(run(c, state), apply_gate(state, hadamard(1)))
+
+    @pytest.mark.parametrize("negated", [(), (9,)], ids=["plain", "negated"])
+    def test_in_place_block_on_an_idle_control(self, negated):
+        # a 16x16 cu on targets 2-5 controlled by idle qubit 9, on inputs
+        # that set qubits 0 and 1: a stack of 64-amplitude matrices, the
+        # in-place layout. A plain control's slab is empty, so its two
+        # steps are dropped; a negated one's is the whole held state
+        w = 10
+        rng = np.random.default_rng(16)
+        block = controlled_u((9,), random_unitary(rng, 16), (2, 3, 4, 5), negated)
+        c = Circuit(w, (Role.INPUT,) * w, (Layer((block, hadamard(0))), Layer((block,))))
+        state = np.zeros(1 << w, dtype=complex)
+        state[:4] = random_state(2, rng)
+        assert sim._live_qubits(c, state) == tuple(range(6))
+        assert len(sim._restriction(c, tuple(range(6)))) == (3 if negated else 1)
+        apart = state
+        for g in c.gates():
+            apart = apply_gate(apart, g)
+        assert np.array_equal(run(c, state), apart)
+
+    def test_restricted_steps_are_the_plans_own(self):
+        # bound to a data superposition's live qubits, every permutation
+        # and dense-block step is the plan's step object itself
+        c = modq_constant_depth(4, 5)
+        moves = [s for s in sim._restriction(c, tuple(range(8))) if s[0] is not sim._scale]
+        plan = [s for s in dense_plan(c)[0] if s[0] is not sim._scale]
+        assert moves and len(moves) == len(plan)
+        assert all(s is p for s, p in zip(moves, plan))
+
+    def test_negated_modq_control_on_an_idle_qubit_counts(self):
+        # MODQ q=3 on inputs 0 and 1 and idle 5 and 6, 6 negated: nothing
+        # pins 6, and as an idle input it reads 0, so it adds 1 to the
+        # count, which is a multiple of 3 only where 0 and 1 are both set
+        w = 7
+        gate = modq_gate(3, (0, 1, 5, 6), 2, negated=(6,))
+        c = Circuit(w, (Role.INPUT,) * w, (Layer((gate,)),))
+        assert dense_plan(c)[1] == 1 << 2
+        state = np.zeros(1 << w, dtype=complex)
+        state[:4] = random_state(2, np.random.default_rng(17))
+        assert sim._live_qubits(c, state) == (0, 1, 2)
+        out = run(c, state)
+        assert np.array_equal(out, apply_gate(state, gate))
+        assert np.array_equal(out[[0b100, 0b101, 0b110, 0b011]], state[:4])
 
     def test_diagonal_steps_become_factors_on_the_live_qubits(self, monkeypatch):
         # H on qubit 0 between phase layers over qubits 0-7 of 10, on inputs
@@ -448,8 +492,9 @@ class TestLiveQubits:
         assert sim._live_qubits(c, state) == live
         steps = sim._restriction(c, live)
         assert _forms(steps) == {"_dense_block", "_scale tensor", "_scale recipe"}
-        assert all(a[1].ndim == 6 for k, a in steps
-                   if k is sim._scale and isinstance(a[1], np.ndarray))
+        # kept tensors span every axis, with length 1 on each idle one
+        assert all(a[1].ndim == w and a[1].shape[:w - 6] == (1,) * (w - 6)
+                   for k, a in steps if k is sim._scale and isinstance(a[1], np.ndarray))
         assert np.abs(run(c, state) - _full_plan_run(c, state)).max() <= 1e-14
 
     def test_no_live_qubit(self):
