@@ -34,20 +34,21 @@ tensor, or at the end, and not at all when the map composes to the
 identity. So the paper's copy, diagonal, uncopy pattern costs only the
 diagonal.
 
-A run holds only the live qubits: those that the input sets and those
+A run holds only the live qubits: those that the input holds and those
 that a step moves (permutation and dense-block targets). Every other
 qubit is idle and holds 0 for the whole run, since a diagonal step never
 changes a basis index. With at least MIN_IDLE idle qubits the plan runs
 on the 2^live amplitudes where the idle qubits are 0, each on a length-1
 axis, with its own gates: an idle control's slab is empty when plain (the
 gate never fires) and whole when negated, and an idle MODQ input reads 0.
-Factor tensors are built on the live axes alone. A data-register
-superposition of modq-const n=4 q=5 runs on 8 of its 20 qubits.
+Factor tensors are built on the live axes alone. run takes and returns
+states in this shaped form too, so a data-register superposition of
+modq-const n=4 q=5 touches 2^8 of its 2^20 amplitudes, input to output.
 
 Beyond the workspace pair a run allocates a few KiB of numpy
 bookkeeping, except that a MODQ step builds its 2^inputs count and mask,
-and the scan for live qubits a boolean chunk of 1/64 of the state (at
-least 2^12) and its int64 indices.
+and the scan of a flat input for live qubits a boolean chunk of 1/64 of
+the state (at least 2^12) and its int64 indices.
 
 The sparse engine (run_basis) drives many basis inputs at once as rows of
 (input id, basis index, amplitude), with the same three gate classes: a
@@ -85,6 +86,14 @@ def state_width(state: np.ndarray) -> int:
     if state.ndim != 1 or state.size != 1 << m:
         raise CircuitError(f"state length {state.size} is not a power of two")
     return m
+
+
+def _held_shape(state: np.ndarray) -> list[int]:
+    """The shape a state is viewed in: [2]*m for a flat 2^m vector, else its
+    own (run's shaped form), each axis of length 2 (held) or 1 (idle, at 0)."""
+    if state.ndim > 1 and not set(state.shape) <= {1, 2}:
+        raise CircuitError(f"state shape {state.shape} has an axis of length other than 1 or 2")
+    return list(state.shape) if state.ndim > 1 else [2] * state_width(state)
 
 
 def zero_state(width: int) -> np.ndarray:
@@ -436,11 +445,12 @@ def dense_plan(circuit: Circuit) -> tuple[list, int]:
 
 def _live_qubits(circuit: Circuit, initial: np.ndarray) -> tuple[int, ...]:
     """The qubits, ascending, that a run of the circuit on `initial` holds:
-    the plan's targets (dense_plan) and those set in a nonzero amplitude of
-    `initial` (-0.0 is zero); all of them when fewer than MIN_IDLE are idle.
+    the plan's targets (dense_plan), and those on an axis of length 2 of a
+    shaped `initial` (see run) or set in a nonzero amplitude of a flat one
+    (-0.0 is zero); all of them when fewer than MIN_IDLE are idle.
 
-    The scan reads chunks of 1/64 of the state (at least 2^12 amplitudes)
-    and stops once too few qubits are left to be idle: the last chunk
+    A flat state is scanned in chunks of 1/64 of it (at least 2^12
+    amplitudes), until too few qubits are left to be idle: the last chunk
     first, which a dense state fills, then the first, which holds a
     data-register input, then the rest from the top. While a qubit inside
     a chunk is idle, the nonzeros of each nonempty chunk are ORed into
@@ -449,17 +459,20 @@ def _live_qubits(circuit: Circuit, initial: np.ndarray) -> tuple[int, ...]:
     """
     w, n = circuit.width, initial.size
     bits, most = dense_plan(circuit)[1], w - MIN_IDLE
-    size = 1 << max(w - 6, min(w, 12))
-    low = np.zeros(size, dtype=bool)  # where some nonempty chunk is nonzero
-    for start in dict.fromkeys((n - size, 0, *range(n - 2 * size, 0, -size))):
-        if bits.bit_count() > most:
-            break
-        chunk = initial[start:start + size]
-        if chunk.any():
-            bits |= start
-            if ~bits & (size - 1):
-                np.logical_or(low, chunk, out=low)
-                bits |= int(np.bitwise_or.reduce(np.flatnonzero(low)))
+    if initial.ndim > 1:
+        bits |= sum(1 << q for q in range(w) if initial.shape[_axis(q, w)] == 2)
+    else:
+        size = 1 << max(w - 6, min(w, 12))
+        low = np.zeros(size, dtype=bool)  # where some nonempty chunk is nonzero
+        for start in dict.fromkeys((n - size, 0, *range(n - 2 * size, 0, -size))):
+            if bits.bit_count() > most:
+                break
+            chunk = initial[start:start + size]
+            if chunk.any():
+                bits |= start
+                if ~bits & (size - 1):
+                    np.logical_or(low, chunk, out=low)
+                    bits |= int(np.bitwise_or.reduce(np.flatnonzero(low)))
     if bits.bit_count() > most:
         return tuple(range(w))
     return tuple(q for q in range(w) if bits >> q & 1)
@@ -472,8 +485,9 @@ def _bind(plan, live, w: int) -> list:
     its steps stay). Each factor is a _scale step on a (slab, factor) pair.
     In a run on every qubit, a factor of one gate that the plan did not
     rewrite is the gate's diagonal over its targets, on the slab where its
-    controls fire. Every other factor is built on the live qubits
-    (_factor), for the whole state, and kept, within KEEP_AMPS or 1/8 of the
+    controls fire, and where its target is 1 for a one-target diagonal that
+    is 1 at 0. Every other factor is built on the live qubits (_factor),
+    for the whole state, and kept, within KEEP_AMPS or 1/8 of the
     live state's amplitudes in all; past that its recipe stays, for _scale
     to build on each run, so a deep circuit's binding does not grow."""
     steps, keep = [], max((1 << len(live)) >> 3, KEEP_AMPS)
@@ -490,8 +504,12 @@ def _bind(plan, live, w: int) -> list:
         if len(live) == w and len(group) == 1 and all(
                 source == 1 << q and not offset for q, source, offset in group[0][2]):
             gate, diag = group[0][:2]
-            slab = _slab(_on(gate), gate.controls, w)
+            on, fixed = _on(gate), gate.controls
             factor = diag[_block(gate, _grid(gate.targets, w))]
+            if diag.size == 2 and diag[0] == 1:  # PHASE, z, s: fix the target at 1
+                on, fixed = on | 1 << gate.targets[0], gate.support
+                factor = factor[_slab(on, gate.targets, w)]
+            slab = _slab(on, fixed, w)
         elif 1 << len(on) <= keep:
             keep -= 1 << len(on)
             factor = _factor(qubits, group, w, live)
@@ -525,7 +543,8 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
 
 
 def make_workspace(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reusable buffer pair for repeated run() calls at one width."""
+    """Reusable buffer pair for repeated run() calls that hold at most
+    `width` qubits: a flat input needs the circuit's whole width."""
     return np.empty(1 << width, dtype=complex), np.empty(1 << width, dtype=complex)
 
 
@@ -543,35 +562,38 @@ def run(circuit: Circuit, initial: np.ndarray,
     So the gates of a layer commute, and any order or grouping gives the
     same state.
 
-    Each run uses the plan bound to its live qubits (_live_qubits,
-    _restriction), which the circuit keeps until a run on another live
-    set binds afresh. When at least MIN_IDLE are idle, the slab of `initial`
-    where they are 0 is gathered into the first 2^live amplitudes of the
-    workspace and advanced there, viewed in _shape(live, width); then the
-    state is zeroed and the result written back into that slab. Otherwise
-    the plan, bound to every qubit, runs on a copy of `initial`.
+    `initial` is flat, 2^width amplitudes, or in the shaped form: width
+    axes, of length 2 for a held qubit and 1 for an idle one, at 0. A run
+    binds the plan to its live qubits (_live_qubits, _restriction), the
+    held ones and those the plan moves; the circuit keeps the binding
+    until a run on another live set. `initial` where the rest are 0, with
+    0 where it leaves a moved qubit idle, is copied into the first 2^live
+    amplitudes of the workspace and advanced there in _shape(live, width),
+    the shape a shaped input gets back. A flat one is scanned for its live
+    qubits, and its result written back into a zeroed flat state.
     Passing a `workspace` from make_workspace avoids per-call state
     allocations; the returned state then aliases one of its buffers and
     is only valid until the next run with the same workspace.
     """
-    w = circuit.width
-    if state_width(initial) != w:
-        raise CircuitError(f"state has {state_width(initial)} qubits, circuit {w}")
-    if workspace is None:
-        workspace = make_workspace(w)
+    w, shape = circuit.width, _held_shape(initial)
+    if len(shape) != w:
+        raise CircuitError(f"state has {len(shape)} qubits, circuit {w}")
+    flat = initial.ndim == 1
     live = _live_qubits(circuit, initial)
-    steps, shape, n = _restriction(circuit, live), _shape(live, w), 1 << len(live)
+    steps, core, n = _restriction(circuit, live), _shape(live, w), 1 << len(live)
     idle = _slab(0, set(range(w)).difference(live), w)
-    state, scratch = workspace
-    held, spare = state[:n], scratch[:n]
-    held.reshape(shape)[...] = initial.reshape([2] * w)[idle]
-    out, _ = _apply(held, spare, steps, shape)
-    if n == state.size:
-        return out
+    state, scratch = workspace or make_workspace(w if flat else len(live))
+    held, spare, src = state[:n], scratch[:n], initial.reshape(shape)[idle]
+    if src.size < n:  # moved qubits that the input leaves idle: pad at 0
+        held[...] = 0
+    held.reshape(core)[tuple(map(slice, src.shape))] = src
+    out, _ = _apply(held, spare, steps, core)
+    if not flat or n == state.size:
+        return out if flat else out.reshape(core)
     if out is held:
         spare[...] = held
     state[...] = 0
-    state.reshape([2] * w)[idle] = spare.reshape(shape)
+    state.reshape([2] * w)[idle] = spare.reshape(core)
     return state
 
 
@@ -672,18 +694,22 @@ def check_ancilla_purity(state: np.ndarray, ancillae) -> AncillaPurityResult:
     """Total probability of any ancilla being |1>; pure iff <= PURITY_TOL.
 
     Zero leakage means the state factors exactly as (data state) x |0...0>
-    on the ancilla block. The sum runs in place over disjoint slabs of the
-    [2]*w view (ancilla k at |1>, every higher one at |0>), which are
-    contiguous when the ancillae are the high qubits.
+    on the ancilla block. An ancilla on a length-1 axis of run's shaped
+    form is at 0 and adds nothing. The sum runs in place over disjoint
+    slabs of the [2]*w view (ancilla k at |1>, every higher one at |0>),
+    which are contiguous when the ancillae are the high qubits.
     """
-    w = state_width(state)
+    shape = _held_shape(state)
+    w = len(shape)
     # real view with a trailing (re, im) axis, so |amp|^2 is a sum of squares
-    psi = np.ascontiguousarray(state, dtype=complex).view(float).reshape([2] * w + [2])
+    psi = np.ascontiguousarray(state, dtype=complex).view(float).reshape(shape + [2])
     index = [slice(None)] * w
     leakage = 0.0
     for a in sorted(set(ancillae), reverse=True):
         if not 0 <= a < w:
             raise CircuitError(f"ancilla index {a} outside width {w}")
+        if shape[_axis(a, w)] == 1:
+            continue
         index[_axis(a, w)] = 1
         slab = psi[tuple(index)]
         axes = list(range(slab.ndim))

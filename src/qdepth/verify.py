@@ -19,9 +19,10 @@ exactly by the inputs 0 and 1, by linearity; rev-embed, a permutation,
 drives every (x, y) at one sparse row each. Superposition spot checks run
 on the dense engine with a fixed seed: a random superposition of the
 checked basis inputs is expected to map to the sum of their images,
-weighted by its amplitudes. The dense engine holds only the qubits that
-such an input sets or the circuit moves: for modq-const n=4 q=5 the data
-register and the counter, 8 of its 20 qubits.
+weighted by its amplitudes. Such an input goes to the dense engine in
+its shaped form, and its output comes back on only the qubits that the
+input sets or the circuit moves, the only ones not left at 0: for
+modq-const n=4 q=5 the data register and the counter, 8 of its 20 qubits.
 """
 from __future__ import annotations
 
@@ -43,8 +44,8 @@ from .ir import (
 )
 from .oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
 from .sim import (
-    PURITY_TOL, UNITARY_WIDTH_CAP, WidthCapExceeded, check_ancilla_purity,
-    embed_index, make_workspace, merge_rows, run, run_basis, unitary_of,
+    PURITY_TOL, UNITARY_WIDTH_CAP, WidthCapExceeded, _shape,
+    check_ancilla_purity, embed_index, merge_rows, run, run_basis, unitary_of,
 )
 
 SIM_CAP_ENV = "QDEPTH_SIM_CAP"
@@ -179,7 +180,9 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
     unless their rows would outnumber the 2^width amplitudes of one dense
     state; then each runs alone on the dense engine, sim.run. Either way
     the leakage is each input's probability mass on basis states with any
-    ancilla bit set. Superpositions always run on the dense engine. Sparse
+    ancilla bit set. Superpositions always run on the dense engine. A dense
+    run takes and returns run's shaped form, so its error and leakage are
+    taken over the qubits it holds; every other qubit stays at 0. Sparse
     rows meet the oracle's entries one to one when it gives every input
     one entry, else through a merge_rows residual.
     """
@@ -221,40 +224,40 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
         if not superpositions:
             return max_error, max_leak, xs.size
 
-    workspace = make_workspace(width)
-    initial = np.zeros(1 << width, dtype=complex)
+    v = np.zeros(_shape(data_qubits, width), dtype=complex)  # run's shaped form
+    at = None  # where each of the oracle's entries sits in a run's output
 
-    def drive(at, amplitudes) -> np.ndarray:
-        nonlocal max_leak
-        initial[at] = amplitudes
-        out = run(circuit, initial, workspace)
-        initial[at] = 0.0
+    def drive(entries, weights) -> np.ndarray:
+        """Run v and fold in its leakage. Returns the output, flat, less the
+        oracle's `entries`, each times its input's weight in v."""
+        nonlocal max_leak, at
+        out = run(circuit, v)
         leak = check_ancilla_purity(out, ancillae).leakage
         max_leak = float(np.maximum(max_leak, leak))
+        if at is None:
+            held = [q for q in range(width) if out.shape[-1 - q] == 2]
+            at = sum(((ys >> q) & 1) << k for k, q in enumerate(held))
+        out = out.reshape(-1)
+        np.add.at(out, at[entries], -amps[entries] * weights)
         return out
 
     if rows is None:
-        abs_buf = np.empty(1 << width, dtype=float)
         bounds = np.searchsorted(ids, np.arange(xs.size + 1))
-        for i, at in enumerate(starts):
-            out = drive(at, 1.0)
-            entries = slice(bounds[i], bounds[i + 1])
-            np.subtract.at(out, ys[entries], amps[entries])
-            np.abs(out, out=abs_buf)
-            max_error = float(np.maximum(max_error, abs_buf.max()))
+        for i, x in enumerate(xs):
+            v.flat[x] = 1.0
+            err = np.abs(drive(slice(bounds[i], bounds[i + 1]), 1.0)).max()
+            v.flat[x] = 0.0
+            max_error = float(np.maximum(max_error, err))
 
     if superpositions:
-        emb = embed_index(np.arange(1 << d), data_qubits)
-        v = np.zeros(1 << d, dtype=complex)
         rng = np.random.default_rng(seed)
         for _ in range(superpositions):
             psi = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
             psi /= np.linalg.norm(psi)
-            v[xs] = psi
-            out = drive(emb, v)
+            v.flat[xs] = psi
             # the linear extension of the image: each entry's amplitude
             # times its input's weight in v, added at the entry's index
-            np.add.at(out, ys, -amps * psi[ids])
+            out = drive(slice(None), psi[ids])
             err = math.sqrt(np.vdot(out, out).real)
             max_error = float(np.maximum(max_error, err))
 

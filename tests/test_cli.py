@@ -125,8 +125,30 @@ class TestSim:
         code, _, _ = run_cli(capsys, "sim", str(bad), "--input", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("spec, message", [
+        ("10000000", "error: input must be 9 bits (qubit 0 first) or plus@i, got '10000000'\n"),
+        ("plus@9", "error: qubit 9 outside width 9\n"),
+        ("1000x0000", "error: input must be 9 bits (qubit 0 first) or plus@i, got '1000x0000'\n"),
+    ])
+    def test_bad_input_on_a_restricted_circuit_is_one_error_line(
+            self, tmp_path, capsys, spec, message):
+        # modq-const n=2 q=3 on input 1 runs restricted, on 4 of its 9
+        # qubits, and prints the flat state; a bad input still ends in one
+        # error line and exit 2
+        out = tmp_path / "c.json"
+        run_cli(capsys, "synth", "--construction", "modq-const", "--n", "2",
+                "--q", "3", "--out", str(out))
+        code, text, _ = run_cli(capsys, "sim", str(out), "--input", "100000000")
+        assert (code, text.split()[0]) == (0, "000000101")
+        assert run_cli(capsys, "sim", str(out), "--input", spec) == (2, "", message)
+
 
 class TestVerify:
+    def test_width_one_superpositions(self, capsys):
+        code, text, _ = run_cli(capsys, "verify", "--construction", "cat", "--n", "1",
+                                "--superpositions", "3")
+        assert code == 0 and text.endswith(" inputs=5 pass\n")
+
     def test_pass_exit_zero(self, capsys):
         code, text, _ = run_cli(capsys, "verify", "--construction",
                                 "modq-const", "--n", "4", "--q", "3")

@@ -1,7 +1,7 @@
 """Property tests: the three engines agree on random circuits, the dense
-engine agrees with the oracles on inputs that leave qubits idle and binds
-its factors for them as the full ones cut down, and the array oracle
-agrees with itself one int at a time.
+engine agrees with the oracles on inputs that leave qubits idle, flat or
+in its shaped form, and binds its factors for them as the full ones cut
+down, and the array oracle agrees with itself one int at a time.
 
 The dense engine (sim.run, through unitary_of), the sparse engine
 (sim.run_basis on every basis input) and the product of the per-gate
@@ -153,6 +153,51 @@ def test_run_on_live_qubits_matches_the_oracle(monkeypatch):
     agree()
     wanted = ["plain", "negated cnot", "negated toffoli", "negated cu", "negated modq"]
     assert all(seen[k] for k in wanted), seen
+
+
+def test_shaped_and_flat_runs_agree(monkeypatch):
+    # each draw: a random circuit of every shape and a random input on a
+    # random subset of the qubits, with MIN_IDLE at 1 or 4. run on the
+    # input's shaped form returns the flat run's slab on the qubits it
+    # holds, the input's and those the plan moves; the flat run is 0
+    # everywhere else, and both match the oracle and the sparse engine.
+    # The draws must hold fewer qubits than the width and all of them
+    seen = Counter()
+
+    @PROFILE
+    @given(seed=st.integers(0, 2**32 - 1))
+    def agree(seed):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(sim, "MIN_IDLE", int(rng.choice([1, 4])))
+        width = int(rng.integers(2, 9))
+        discipline = list(Discipline)[int(rng.integers(2))]
+        shape = ("layered", "copy-uncopy", "copy-other")[int(rng.integers(3))]
+        c = _shaped(rng, width, discipline, shape)
+        support = [q for q in range(width) if rng.random() < 0.4]
+        values = random_state(len(support), rng)
+        starts = embed_index(np.arange(values.size), support)
+        flat = np.zeros(1 << width, dtype=complex)
+        flat[starts] = values
+        want = _oracle_product(c) @ flat
+        got = run(c, values.reshape(sim._shape(support, width)))
+        held = [q for q in range(width) if got.shape[width - 1 - q] == 2]
+        assert set(support) <= set(held)
+        slab = embed_index(np.arange(1 << len(held)), held)
+        out = run(c, flat)
+        assert np.abs(out - want).max() <= TOL
+        assert np.abs(got.reshape(-1) - out[slab]).max() <= TOL
+        assert not np.delete(out, slab).any()
+        rows = run_basis(c, starts)
+        if rows is not None:
+            ids, index, amps = rows
+            sparse = np.zeros(1 << width, dtype=complex)
+            np.add.at(sparse, index, amps * values[ids])
+            assert np.abs(sparse - want).max() <= TOL
+            seen["sparse"] += 1
+        seen["some held" if len(held) < width else "all held"] += 1
+
+    agree()
+    assert seen["some held"] and seen["all held"] and seen["sparse"], seen
 
 
 def test_bound_factors_are_the_full_ones_cut_to_the_live_qubits():

@@ -316,6 +316,23 @@ class TestPlan:
             apart = apply_gate(apart, g)
         assert np.array_equal(run(c, state), apart)
 
+    @pytest.mark.parametrize("gate, slab_size", [
+        (symmetric_phase(0.7, (0,), 5), 16),
+        (single_qubit(np.diag([1, -1]).astype(complex), 2), 32),
+        (controlled_u((1, 4), np.diag([1, 1j]), (3,), negated=(4,)), 8),
+        (controlled_u((1,), np.diag(np.exp(1j * np.arange(4))), (2, 3)), 32),
+    ], ids=["phase", "z", "s-2-controls", "cu-2-targets"])
+    def test_a_lone_diagonal_multiplies_only_where_it_is_not_1(self, gate, slab_size):
+        # in a run on every qubit, a one-target diagonal that is 1 where its
+        # target is 0 multiplies only the slab where the target is 1 too
+        w = 6
+        c = Circuit(w, (Role.INPUT,) * w, (Layer((gate,)),))
+        [(kernel, (slab, factor))] = sim._restriction(c, tuple(range(w)))
+        assert kernel is sim._scale
+        assert np.arange(1 << w).reshape([2] * w)[slab].size == slab_size
+        assert factor.size == (4 if len(gate.targets) == 2 else 1)
+        assert np.abs(unitary_of(c) - oracle_unitary(gate, w)).max() <= 1e-15
+
     def test_wide_rewrite_runs_the_copies_first(self):
         # a CNOT chain makes qubit 14's bit the parity of qubits 0..14,
         # wider than a 16-qubit plan's 11-qubit factors: the chain runs
@@ -546,6 +563,68 @@ class TestLiveQubits:
         for _ in range(2):
             assert np.abs(run(c, state) - want).max() <= 1e-15
         assert lives == [tuple(range(8))] * 4
+
+
+class TestShapedForm:
+    """run and check_ancilla_purity also take a state in the shaped form:
+    one axis per qubit, of length 2 where it is held and 1 where it is
+    idle, at 0 (sim._shape)."""
+
+    @staticmethod
+    def _pair(held, w, rng):
+        """A random state on the `held` qubits, shaped and flat."""
+        values = random_state(len(held), rng)
+        flat = np.zeros(1 << w, dtype=complex)
+        flat[embed_index(np.arange(values.size), held)] = values
+        return values.reshape(sim._shape(held, w)), flat
+
+    def test_run_holds_the_moved_qubits_and_returns_the_shaped_form(self):
+        # modq-const n=4 q=5 on a superposition of inputs 0-3 alone: the run
+        # also holds the target and the counter, which the plan moves, at
+        # 0 on input, and returns them, as a view of the workspace
+        c = modq_constant_depth(4, 5)
+        shaped, flat = self._pair(range(4), c.width, np.random.default_rng(23))
+        before = shaped.copy()
+        workspace = make_workspace(8)
+        out = run(c, shaped, workspace)
+        assert out.shape == tuple(sim._shape(range(8), c.width))
+        assert any(np.shares_memory(out, buf) for buf in workspace)
+        assert np.array_equal(shaped, before)
+        want = run(c, flat)
+        assert np.abs(out.reshape(-1) - want[:256]).max() <= 1e-15
+        assert not want[256:].any()
+        # without a workspace, a run allocates 2^8 amplitudes, not 2^20
+        assert np.array_equal(run(c, shaped), out)
+
+    def test_too_few_idle_qubits_hold_every_qubit(self):
+        # qubits 3, 4 and 5 idle, one fewer than MIN_IDLE: the run holds all
+        c = Circuit(6, (Role.INPUT,) * 6, (Layer((hadamard(0), cnot(1, 2))),))
+        shaped, flat = self._pair((0, 1), 6, np.random.default_rng(25))
+        out = run(c, shaped)
+        assert out.shape == (2,) * 6
+        assert np.abs(out.reshape(-1) - run(c, flat)).max() <= 1e-15
+
+    @pytest.mark.parametrize("ancillae", [
+        (5,), (1,), (4, 1), (2, 3), (1, 2, 4, 5), tuple(range(6)), (),
+    ])
+    def test_purity_is_that_of_the_flat_state(self, ancillae):
+        # qubits 1 and 4 idle: an ancilla on their length-1 axes adds 0
+        shaped, flat = self._pair((0, 2, 3, 5), 6, np.random.default_rng(24))
+        got, want = check_ancilla_purity(shaped, ancillae), check_ancilla_purity(flat, ancillae)
+        assert got.pure == want.pure
+        assert abs(got.leakage - want.leakage) <= 1e-15
+        assert check_ancilla_purity(shaped, (1, 4)).leakage == 0.0
+
+    @pytest.mark.parametrize("shape", [
+        (2, 3, 2), (4, 1, 2), (2, 2), (2, 1, 2, 2), (3,), (),
+    ], ids=["axis-3", "axis-4", "too-few-axes", "too-many-axes", "flat-3", "scalar"])
+    def test_a_malformed_state_raises(self, shape):
+        c = Circuit(3, (Role.INPUT,) * 3, (Layer((hadamard(0),)),))
+        with pytest.raises(CircuitError):
+            run(c, np.zeros(shape, dtype=complex))
+        if shape not in ((2, 2), (2, 1, 2, 2)):  # shaped states of other widths
+            with pytest.raises(CircuitError):
+                check_ancilla_purity(np.zeros(shape, dtype=complex), ())
 
 
 def _layered_circuits():

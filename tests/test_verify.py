@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -339,6 +340,60 @@ class TestSinglePath:
     def test_full_coverage_is_not_shown_in_text(self):
         report = verify_built(build_construction("fanout", n=2))
         assert report.coverage == 1 and "coverage" not in report.to_text()
+
+
+class TestShapedSuperpositions:
+    """Superpositions run on the data register in sim.run's shaped form:
+    the error and leakage are taken over the qubits the run holds."""
+
+    def test_a_dropped_unfan_gate_gives_the_errors_of_flat_runs(self):
+        # without one unfan gate of the compute half, copies of the counter
+        # stay set; the superpositions' l2 error and leakage must be those
+        # of flat runs of the same seeded inputs over the whole register
+        built = build_construction("modq-const", n=4, q=5)
+        c = built.circuit
+        layers = list(c.layers)
+        assert layers[3].gates[0].kind is GateKind.FANOUT
+        layers[3] = Layer(layers[3].gates[1:])
+        broken = Circuit(c.width, c.roles, tuple(layers), c.discipline)
+        err, leak, checked = verify_construction(broken, built.oracle, superpositions=10)
+        basis_err, basis_leak, _ = verify_construction(broken, built.oracle)
+        assert checked == 42 and err > 1e-9 and leak > PURITY_TOL
+        data = c.data_qubits
+        xs = np.arange(1 << len(data))
+        ids, ys, amps = verify._gate_oracle(built.oracle, len(data))(xs)
+        rng = np.random.default_rng(0)  # verify_construction's default seed
+        errs, leaks = [], []
+        for _ in range(10):
+            psi = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
+            psi /= np.linalg.norm(psi)
+            state = np.zeros(1 << c.width, dtype=complex)
+            state[embed_index(xs, data)] = psi
+            out = run(broken, state).copy()
+            leaks.append(check_ancilla_purity(out, c.ancillae).leakage)
+            np.add.at(out, embed_index(ys, data), -amps * psi[ids])
+            errs.append(float(np.linalg.norm(out)))
+        assert max(errs) > basis_err  # the superpositions decide max_error
+        assert abs(err - max(errs)) <= 1e-12
+        assert abs(leak - max(basis_leak, *leaks)) <= 1e-12
+
+    def test_superpositions_allocate_only_the_held_qubits(self):
+        # modq-const n=4 q=5 holds 8 of its 20 qubits: a check of ten
+        # superpositions, once the plan is built and bound, stays far below
+        # one 2^20-amplitude state (16 MiB)
+        built = build_construction("modq-const", n=4, q=5)
+        assert verify_built(built, superpositions=10).passed
+        tracemalloc.start()
+        try:
+            assert verify_built(built, superpositions=10).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_width_one(self):
+        report = verify_built(build_construction("cat", n=1), superpositions=3)
+        assert report.passed and report.inputs_checked == 5
 
 
 class TestScalingTables:
