@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classical as cc
 from .ir import CircuitError, Discipline, circuit_from_json, circuit_to_json
-from .sim import WidthCapExceeded, basis_state, dump_state, plus_at, run
+from .sim import WidthCapExceeded, _shape, dump_state, run
 from .synth import CAT_BUILDERS
 from .verify import (
     CONSTRUCTIONS,
@@ -72,15 +72,22 @@ def _build_from_args(args) -> Built:
 
 
 def _parse_input(spec: str, width: int) -> np.ndarray:
+    """The input state in run's shaped form: a basis string holds its set
+    qubits, each at index 1; plus@i holds qubit i at 1/sqrt(2) on both."""
+    usage = f"input must be {width} bits (qubit 0 first) or plus@i, got {spec!r}"
     if spec.startswith("plus@"):
-        qubit = int(spec[5:])
+        try:
+            qubit = int(spec[5:])
+        except ValueError:
+            raise CircuitError(usage) from None
         if not 0 <= qubit < width:
             raise CircuitError(f"qubit {qubit} outside width {width}")
-        return plus_at(width, qubit)
+        return np.full(_shape((qubit,), width), 1 / np.sqrt(2), dtype=complex)
     if len(spec) != width or set(spec) - {"0", "1"}:
-        raise CircuitError(
-            f"input must be {width} bits (qubit 0 first) or plus@i, got {spec!r}")
-    return basis_state(width, sum(1 << i for i, b in enumerate(spec) if b == "1"))
+        raise CircuitError(usage)
+    state = np.zeros(_shape([i for i, b in enumerate(spec) if b == "1"], width), dtype=complex)
+    state.flat[-1] = 1.0
+    return state
 
 
 def cmd_synth(args) -> int:

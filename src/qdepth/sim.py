@@ -37,18 +37,18 @@ diagonal.
 A run holds only the live qubits: those that the input holds and those
 that a step moves (permutation and dense-block targets). Every other
 qubit is idle and holds 0 for the whole run, since a diagonal step never
-changes a basis index. With at least MIN_IDLE idle qubits the plan runs
-on the 2^live amplitudes where the idle qubits are 0, each on a length-1
-axis, with its own gates: an idle control's slab is empty when plain (the
-gate never fires) and whole when negated, and an idle MODQ input reads 0.
-Factor tensors are built on the live axes alone. run takes and returns
-states in this shaped form too, so a data-register superposition of
-modq-const n=4 q=5 touches 2^8 of its 2^20 amplitudes, input to output.
+changes a basis index. The plan runs on the 2^live amplitudes where the
+idle qubits are 0, each on a length-1 axis, with its own gates: an idle
+control's slab is empty when plain (the gate never fires) and whole when
+negated, and an idle MODQ input reads 0. Factor tensors are built on the
+live axes alone. An input says which qubits it holds by its shape: in
+the shaped form, one axis per qubit, of length 1 where it is idle, run
+takes and returns the held slab alone, so a data-register superposition
+of modq-const n=4 q=5 touches 2^8 of its 2^20 amplitudes, input to
+output. A flat input of 2^m amplitudes holds every qubit.
 
 Beyond the workspace pair a run allocates a few KiB of numpy
-bookkeeping, except that a MODQ step builds its 2^inputs count and mask,
-and the scan of a flat input for live qubits a boolean chunk of 1/64 of
-the state (at least 2^12) and its int64 indices.
+bookkeeping, except that a MODQ step builds its 2^inputs count and mask.
 
 The sparse engine (run_basis) drives many basis inputs at once as rows of
 (input id, basis index, amplitude), with the same three gate classes: a
@@ -88,12 +88,23 @@ def state_width(state: np.ndarray) -> int:
     return m
 
 
-def _held_shape(state: np.ndarray) -> list[int]:
+def _held_shape(state: np.ndarray, width: int | None = None) -> list[int]:
     """The shape a state is viewed in: [2]*m for a flat 2^m vector, else its
-    own (run's shaped form), each axis of length 2 (held) or 1 (idle, at 0)."""
-    if state.ndim > 1 and not set(state.shape) <= {1, 2}:
+    own (run's shaped form), each axis of length 2 (held) or 1 (idle, at 0).
+    With its `width` known, a 1-D state is flat unless the width is 1,
+    where both forms are one axis; so a flat 0-qubit state, shape (1,),
+    stays flat. With none, a state is shaped when it has more than one
+    axis or shape (1,), read as one idle qubit: as a flat 0-qubit state it
+    would hold the same amplitude."""
+    if width is None:
+        shaped = state.ndim > 1 or state.shape == (1,)
+    else:
+        shaped = state.ndim != 1 or width == 1
+    if not shaped:
+        return [2] * state_width(state)
+    if not set(state.shape) <= {1, 2}:
         raise CircuitError(f"state shape {state.shape} has an axis of length other than 1 or 2")
-    return list(state.shape) if state.ndim > 1 else [2] * state_width(state)
+    return list(state.shape)
 
 
 def zero_state(width: int) -> np.ndarray:
@@ -159,13 +170,6 @@ def _on(gate: Gate) -> int:
 
 _FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
                          GateKind.FANOUT, GateKind.MODQ})
-
-# A run is restricted to its live qubits (see run) only when at least this
-# many are idle: a restricted state of at most 1/16 of the state. With
-# three idle, the gather, zeroing and write-back cost more than they save:
-# a 21-qubit layer of three diagonal cu on 18 live qubits (modq-const n=6
-# q=4) took 17 ms restricted and 10 ms in full (2-vCPU host).
-MIN_IDLE = 4
 
 # A bound plan keeps its factor tensors up to 1/8 of the (live) state's
 # amplitudes in all, or this many (1 MiB) on fewer than 19 live qubits.
@@ -443,41 +447,6 @@ def dense_plan(circuit: Circuit) -> tuple[list, int]:
     return kept
 
 
-def _live_qubits(circuit: Circuit, initial: np.ndarray) -> tuple[int, ...]:
-    """The qubits, ascending, that a run of the circuit on `initial` holds:
-    the plan's targets (dense_plan), and those on an axis of length 2 of a
-    shaped `initial` (see run) or set in a nonzero amplitude of a flat one
-    (-0.0 is zero); all of them when fewer than MIN_IDLE are idle.
-
-    A flat state is scanned in chunks of 1/64 of it (at least 2^12
-    amplitudes), until too few qubits are left to be idle: the last chunk
-    first, which a dense state fills, then the first, which holds a
-    data-register input, then the rest from the top. While a qubit inside
-    a chunk is idle, the nonzeros of each nonempty chunk are ORed into
-    one boolean chunk: np.flatnonzero over a 2^20-amplitude state costs
-    more than a restricted run.
-    """
-    w, n = circuit.width, initial.size
-    bits, most = dense_plan(circuit)[1], w - MIN_IDLE
-    if initial.ndim > 1:
-        bits |= sum(1 << q for q in range(w) if initial.shape[_axis(q, w)] == 2)
-    else:
-        size = 1 << max(w - 6, min(w, 12))
-        low = np.zeros(size, dtype=bool)  # where some nonempty chunk is nonzero
-        for start in dict.fromkeys((n - size, 0, *range(n - 2 * size, 0, -size))):
-            if bits.bit_count() > most:
-                break
-            chunk = initial[start:start + size]
-            if chunk.any():
-                bits |= start
-                if ~bits & (size - 1):
-                    np.logical_or(low, chunk, out=low)
-                    bits |= int(np.bitwise_or.reduce(np.flatnonzero(low)))
-    if bits.bit_count() > most:
-        return tuple(range(w))
-    return tuple(q for q in range(w) if bits >> q & 1)
-
-
 def _bind(plan, live, w: int) -> list:
     """The plan's steps for a run on the live qubits, held in _shape(live, w):
     the plan's own _flip and _dense_block steps, less those with a plain
@@ -544,7 +513,7 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
 
 def make_workspace(width: int) -> tuple[np.ndarray, np.ndarray]:
     """Reusable buffer pair for repeated run() calls that hold at most
-    `width` qubits: a flat input needs the circuit's whole width."""
+    `width` qubits: a flat input holds every qubit of the circuit."""
     return np.empty(1 << width, dtype=complex), np.empty(1 << width, dtype=complex)
 
 
@@ -563,38 +532,31 @@ def run(circuit: Circuit, initial: np.ndarray,
     same state.
 
     `initial` is flat, 2^width amplitudes, or in the shaped form: width
-    axes, of length 2 for a held qubit and 1 for an idle one, at 0. A run
-    binds the plan to its live qubits (_live_qubits, _restriction), the
-    held ones and those the plan moves; the circuit keeps the binding
-    until a run on another live set. `initial` where the rest are 0, with
-    0 where it leaves a moved qubit idle, is copied into the first 2^live
-    amplitudes of the workspace and advanced there in _shape(live, width),
-    the shape a shaped input gets back. A flat one is scanned for its live
-    qubits, and its result written back into a zeroed flat state.
-    Passing a `workspace` from make_workspace avoids per-call state
-    allocations; the returned state then aliases one of its buffers and
-    is only valid until the next run with the same workspace.
+    axes, of length 2 for a held qubit and 1 for an idle one, at 0; for a
+    1-qubit circuit both are one axis, and shape (1,) leaves it idle. A
+    flat input holds every qubit. A run binds the plan to its live
+    qubits (_restriction): the held ones and those the plan moves
+    (dense_plan's mask); the circuit keeps the binding until a run on
+    another live set. `initial`, with 0 where it leaves a moved qubit
+    idle, is copied into the first 2^live amplitudes of the workspace and
+    advanced there in _shape(live, width), and comes back in the form it
+    came in. Passing a `workspace` from make_workspace avoids per-call
+    state allocations; the returned state then aliases one of its buffers
+    and is only valid until the next run with the same workspace.
     """
-    w, shape = circuit.width, _held_shape(initial)
+    w, shape = circuit.width, _held_shape(initial, circuit.width)
     if len(shape) != w:
         raise CircuitError(f"state has {len(shape)} qubits, circuit {w}")
-    flat = initial.ndim == 1
-    live = _live_qubits(circuit, initial)
+    pinned = dense_plan(circuit)[1]
+    live = tuple(q for q in range(w) if shape[_axis(q, w)] == 2 or pinned >> q & 1)
     steps, core, n = _restriction(circuit, live), _shape(live, w), 1 << len(live)
-    idle = _slab(0, set(range(w)).difference(live), w)
-    state, scratch = workspace or make_workspace(w if flat else len(live))
-    held, spare, src = state[:n], scratch[:n], initial.reshape(shape)[idle]
+    state, scratch = workspace or make_workspace(len(live))
+    held, src = state[:n], initial.reshape(shape)
     if src.size < n:  # moved qubits that the input leaves idle: pad at 0
         held[...] = 0
     held.reshape(core)[tuple(map(slice, src.shape))] = src
-    out, _ = _apply(held, spare, steps, core)
-    if not flat or n == state.size:
-        return out if flat else out.reshape(core)
-    if out is held:
-        spare[...] = held
-    state[...] = 0
-    state.reshape([2] * w)[idle] = spare.reshape(core)
-    return state
+    out, _ = _apply(held, scratch[:n], steps, core)
+    return out.reshape(core) if initial.ndim == w else out
 
 
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray]  # (input id, basis index, amplitude)
@@ -719,13 +681,16 @@ def check_ancilla_purity(state: np.ndarray, ancillae) -> AncillaPurityResult:
 
 
 def dump_state(state: np.ndarray) -> str:
-    """One line per nonzero amplitude: index (binary, qubit 0 rightmost), re, im."""
-    w = state_width(state)
-    lines = []
-    for b in np.flatnonzero(np.abs(state) > DUMP_THRESHOLD):
-        amp = state[b]
-        lines.append(f"{b:0{w}b} {amp.real:.17g} {amp.imag:.17g}")
-    return "\n".join(lines)
+    """One line per nonzero amplitude: index (binary, qubit 0 rightmost), re, im.
+    A state in run's shaped form prints the lines of its flat form, in the
+    same ascending order: each held amplitude at its full basis index."""
+    shape = _held_shape(state)
+    w = len(shape)
+    amps = state.reshape(-1)
+    hits = np.flatnonzero(np.abs(amps) > DUMP_THRESHOLD)
+    index = embed_index(hits, [q for q in range(w) if shape[_axis(q, w)] == 2])
+    return "\n".join(f"{b:0{w}b} {amp.real:.17g} {amp.imag:.17g}"
+                     for b, amp in zip(index, amps[hits]))
 
 
 def relabel_qubits(array: np.ndarray, src: tuple[int, ...] | list[int]) -> np.ndarray:

@@ -1,15 +1,56 @@
+import cmath
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from qdepth.cli import main
 from qdepth.classical import ClassicalCircuit, ClassicalGate, to_json
-from qdepth.ir import circuit_from_json, circuit_to_json
+from qdepth.ir import (Circuit, Layer, Role, circuit_from_json, circuit_to_json,
+                       symmetric_phase)
 from qdepth.verify import build_construction
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# qdepth sim's output, byte for byte, as it was when the CLI ran a flat
+# input: construction arguments, then each input and its stdout
+SIM_OUTPUTS = {
+    ("modq-const", "--n", "2", "--q", "3", "--discipline", "strict"): {
+        "100000000": "000000101 1.0000000000000004 1.6510956406039898e-17\n",
+        "110000000": "000000111 1.0000000000000004 3.2919152429189317e-17\n",
+        "011101001": "100101010 1.0000000000000004 2.3461773124865072e-17\n",
+        "plus@1": "000000000 0.70710678118654768 0\n"
+                  "000000110 0.70710678118654779 -8.5692557257900968e-18\n",
+        "plus@5": "000000000 0.70710678118654768 0\n000100000 0.70710678118654768 0\n",
+    },
+    ("parity-cat", "--n", "3"): {
+        "101000": "000101 0.99999999999999978 -1.224646799147353e-16\n",
+        "111000": "001111 0.99999999999999978 -1.8369701987210294e-16\n",
+        "010110": "010010 -0.99999999999999978 6.1232339957367648e-17\n",
+        "plus@0": "000000 0.70710678118654735 0\n"
+                  "001001 0.70710678118654735 -4.3297802811774652e-17\n",
+        "plus@4": "000000 0.70710678118654735 0\n010000 0.70710678118654735 0\n",
+    },
+    ("ctrl-u", "--n", "3", "--u", "h"): {
+        "11100": "00111 0.70710678118654746 0\n01111 0.70710678118654746 0\n",
+        "11101": "10111 1 0\n",
+        "01110": "01110 1 0\n",
+        "plus@0": "00000 0.70710678118654746 0\n00001 0.70710678118654746 0\n",
+        "plus@3": "00000 0.70710678118654746 0\n01000 0.70710678118654746 0\n",
+    },
+    ("cat", "--n", "4"): {
+        "0000": "0000 1 0\n",
+        "1000": "1111 1 0\n",
+        "0110": "0110 1 0\n",
+        "plus@0": "0000 0.70710678118654746 0\n1111 0.70710678118654746 0\n",
+        "plus@2": "0000 0.70710678118654746 0\n0100 0.70710678118654746 0\n",
+    },
+}
 
 
 def run_cli(capsys, *argv):
@@ -125,16 +166,72 @@ class TestSim:
         code, _, _ = run_cli(capsys, "sim", str(bad), "--input", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("args, spec", [
+        (args, spec) for args, outputs in SIM_OUTPUTS.items() for spec in outputs])
+    def test_output_is_that_of_the_flat_run(self, tmp_path, capsys, args, spec):
+        out = tmp_path / "c.json"
+        run_cli(capsys, "synth", "--construction", *args, "--out", str(out))
+        assert run_cli(capsys, "sim", str(out), "--input", spec) == (
+            0, SIM_OUTPUTS[args][spec], "")
+
+    def test_a_wide_basis_input_allocates_little(self, tmp_path, capsys):
+        # modq-const n=4 q=5, 20 qubits, on inputs 1,1,0,1: the run holds
+        # the inputs it sets and the qubits the circuit moves, at most 2^8
+        # amplitudes, and never a 2^20-amplitude (16 MiB) state
+        out = tmp_path / "m.json"
+        run_cli(capsys, "synth", "--construction", "modq-const", "--n", "4",
+                "--q", "5", "--out", str(out))
+        tracemalloc.start()
+        try:
+            code = main(["sim", str(out), "--input", "1101" + "0" * 16])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = capsys.readouterr().out
+        assert code == 0 and text.split()[0] == "00000000000000011011"
+        assert peak < 1 << 20, peak
+
+    def test_one_qubit_circuit_with_its_qubit_idle(self, tmp_path, capsys):
+        # a lone phase on qubit 0: input 0 holds no qubit, a state of
+        # shape (1,)
+        c = Circuit(1, (Role.INPUT,), (Layer((symmetric_phase(0.3, (), 0),)),))
+        out = tmp_path / "c.json"
+        out.write_text(circuit_to_json(c))
+        assert run_cli(capsys, "sim", str(out), "--input", "0") == (0, "0 1 0\n", "")
+        code, text, _ = run_cli(capsys, "sim", str(out), "--input", "1")
+        index, re, im = text.split()
+        assert (code, index) == (0, "1")
+        assert abs(complex(float(re), float(im)) - cmath.exp(0.3j)) <= 1e-15
+
+    def test_readme_example(self, tmp_path, capsys, monkeypatch):
+        # the README's synth and sim pair, run as it shows them: the index
+        # it shows, at an amplitude within 1e-12 of 1
+        lines = README.read_text(encoding="utf-8").splitlines()
+        synth, sim = (next(i for i, line in enumerate(lines)
+                           if line.startswith(f"$ qdepth {cmd} ")) for cmd in ("synth", "sim"))
+        assert sim == synth + 2
+        monkeypatch.chdir(tmp_path)
+        assert main(lines[synth].split()[2:]) == 0
+        assert capsys.readouterr().out == lines[synth + 1] + "\n"
+        assert main(lines[sim].split("#")[0].split()[2:]) == 0
+        printed, shown = capsys.readouterr().out.split(), lines[sim + 1].split("#")[0].split()
+        assert printed[0] == shown[0]
+        for index, re, im in (printed, shown):
+            assert abs(complex(float(re), float(im)) - 1) <= 1e-12
+
     @pytest.mark.parametrize("spec, message", [
         ("10000000", "error: input must be 9 bits (qubit 0 first) or plus@i, got '10000000'\n"),
         ("plus@9", "error: qubit 9 outside width 9\n"),
         ("1000x0000", "error: input must be 9 bits (qubit 0 first) or plus@i, got '1000x0000'\n"),
+        ("plus@x", "error: input must be 9 bits (qubit 0 first) or plus@i, got 'plus@x'\n"),
+        ("plus@", "error: input must be 9 bits (qubit 0 first) or plus@i, got 'plus@'\n"),
+        ("plus@1.5", "error: input must be 9 bits (qubit 0 first) or plus@i, got 'plus@1.5'\n"),
     ])
     def test_bad_input_on_a_restricted_circuit_is_one_error_line(
             self, tmp_path, capsys, spec, message):
         # modq-const n=2 q=3 on input 1 runs restricted, on 4 of its 9
-        # qubits, and prints the flat state; a bad input still ends in one
-        # error line and exit 2
+        # qubits, and prints the full basis index; a bad input still ends
+        # in one error line and exit 2
         out = tmp_path / "c.json"
         run_cli(capsys, "synth", "--construction", "modq-const", "--n", "2",
                 "--q", "3", "--out", str(out))

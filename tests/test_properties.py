@@ -1,7 +1,8 @@
 """Property tests: the three engines agree on random circuits, the dense
-engine agrees with the oracles on inputs that leave qubits idle, flat or
-in its shaped form, and binds its factors for them as the full ones cut
-down, and the array oracle agrees with itself one int at a time.
+engine agrees with the oracles on inputs in its shaped form that leave
+qubits idle, and with its own flat runs, and binds its factors for them
+as the full ones cut down, and the array oracle agrees with itself one
+int at a time.
 
 The dense engine (sim.run, through unitary_of), the sparse engine
 (sim.run_basis on every basis input) and the product of the per-gate
@@ -120,15 +121,22 @@ def _idle_controls(c: Circuit, live) -> list[str]:
             for gate in steps for q in gate.controls if q not in live]
 
 
-def test_run_on_live_qubits_matches_the_oracle(monkeypatch):
+def _held_run(c: Circuit, support, values) -> tuple[np.ndarray, list[int]]:
+    """run on `values` held on the `support` qubits, in the shaped form:
+    the output, flattened, and the qubits it holds."""
+    got = run(c, values.reshape(sim._shape(support, c.width)))
+    held = [q for q in range(c.width) if got.shape[c.width - 1 - q] == 2]
+    return got.reshape(-1), held
+
+
+def test_run_on_live_qubits_matches_the_oracle():
     # each draw: a layered circuit of one or two layers and an A·D·A⁻¹ or
-    # A·D·B circuit, each run on three inputs that set random subsets of
-    # the qubits; with MIN_IDLE at 1 every idle qubit is restricted away.
-    # The width, discipline and shapes come from the seed, since
-    # hypothesis draws its own small integers far more often than large
-    # ones. The draws must hold idle qubits as every kind of control that
-    # the restriction rewrites.
-    monkeypatch.setattr(sim, "MIN_IDLE", 1)
+    # A·D·B circuit, each run on three shaped inputs that hold random
+    # subsets of the qubits, every other qubit restricted away. The
+    # width, discipline and shapes come from the seed, since hypothesis
+    # draws its own small integers far more often than large ones. The
+    # draws must hold idle qubits as every kind of control that the
+    # restriction rewrites.
     seen = Counter()
 
     @PROFILE
@@ -144,31 +152,34 @@ def test_run_on_live_qubits_matches_the_oracle(monkeypatch):
             want = _oracle_product(c)
             for _ in range(3):
                 support = [q for q in range(width) if rng.random() < 0.3]
+                values = random_state(len(support), rng)
                 state = np.zeros(1 << width, dtype=complex)
-                state[embed_index(np.arange(1 << len(support)), support)] = (
-                    random_state(len(support), rng))
-                assert np.abs(run(c, state) - want @ state).max() <= TOL
-                seen.update(_idle_controls(c, sim._live_qubits(c, state)))
+                state[embed_index(np.arange(values.size), support)] = values
+                got, held = _held_run(c, support, values)
+                slab = embed_index(np.arange(got.size), held)
+                expected = want @ state
+                assert np.abs(got - expected[slab]).max() <= TOL
+                assert np.abs(np.delete(expected, slab)).max(initial=0.0) <= TOL
+                seen.update(_idle_controls(c, held))
 
     agree()
     wanted = ["plain", "negated cnot", "negated toffoli", "negated cu", "negated modq"]
     assert all(seen[k] for k in wanted), seen
 
 
-def test_shaped_and_flat_runs_agree(monkeypatch):
+def test_shaped_and_flat_runs_agree():
     # each draw: a random circuit of every shape and a random input on a
-    # random subset of the qubits, with MIN_IDLE at 1 or 4. run on the
-    # input's shaped form returns the flat run's slab on the qubits it
-    # holds, the input's and those the plan moves; the flat run is 0
-    # everywhere else, and both match the oracle and the sparse engine.
-    # The draws must hold fewer qubits than the width and all of them
+    # random subset of the qubits. run on the input's shaped form returns
+    # the flat run's slab on the qubits it holds, the input's and those
+    # the plan moves; the flat run is 0 everywhere else, and both match
+    # the oracle and the sparse engine. The draws must hold fewer qubits
+    # than the width and all of them
     seen = Counter()
 
     @PROFILE
     @given(seed=st.integers(0, 2**32 - 1))
     def agree(seed):
         rng = np.random.default_rng(seed)
-        monkeypatch.setattr(sim, "MIN_IDLE", int(rng.choice([1, 4])))
         width = int(rng.integers(2, 9))
         discipline = list(Discipline)[int(rng.integers(2))]
         shape = ("layered", "copy-uncopy", "copy-other")[int(rng.integers(3))]
@@ -179,13 +190,12 @@ def test_shaped_and_flat_runs_agree(monkeypatch):
         flat = np.zeros(1 << width, dtype=complex)
         flat[starts] = values
         want = _oracle_product(c) @ flat
-        got = run(c, values.reshape(sim._shape(support, width)))
-        held = [q for q in range(width) if got.shape[width - 1 - q] == 2]
+        got, held = _held_run(c, support, values)
         assert set(support) <= set(held)
         slab = embed_index(np.arange(1 << len(held)), held)
         out = run(c, flat)
         assert np.abs(out - want).max() <= TOL
-        assert np.abs(got.reshape(-1) - out[slab]).max() <= TOL
+        assert np.abs(got - out[slab]).max() <= TOL
         assert not np.delete(out, slab).any()
         rows = run_basis(c, starts)
         if rows is not None:

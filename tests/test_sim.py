@@ -350,18 +350,30 @@ class TestPlan:
         assert np.array_equal(run(c, state), apart)
 
 
-def _data_superposition(c: Circuit, rng) -> np.ndarray:
+def _pair(held, w: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A state that holds `values` on the `held` qubits, every other qubit
+    at |0>: in run's shaped form, and flat."""
+    flat = np.zeros(1 << w, dtype=complex)
+    flat[embed_index(np.arange(values.size), held)] = values
+    return values.reshape(sim._shape(held, w)), flat
+
+
+def _flat(state: np.ndarray) -> np.ndarray:
+    """The flat form of a state in run's shaped form: 0 off its held slab."""
+    w = state.ndim
+    held = [q for q in range(w) if state.shape[w - 1 - q] == 2]
+    return _pair(held, w, state.reshape(-1))[1]
+
+
+def _data_superposition(c: Circuit, rng) -> tuple[np.ndarray, np.ndarray]:
     """A random superposition of the data register's basis inputs, every
-    other qubit at |0>."""
-    d = c.data_qubits
-    state = np.zeros(1 << c.width, dtype=complex)
-    state[embed_index(np.arange(1 << len(d)), d)] = random_state(len(d), rng)
-    return state
+    other qubit at |0>, shaped and flat."""
+    return _pair(c.data_qubits, c.width, random_state(len(c.data_qubits), rng))
 
 
 def _full_plan_run(c: Circuit, state: np.ndarray) -> np.ndarray:
-    """The state advanced by the circuit's whole plan, bound to every
-    qubit afresh."""
+    """The state, flat, advanced by the circuit's whole plan, bound to
+    every qubit afresh."""
     everywhere = tuple(range(c.width))
     steps = sim._bind(dense_plan(c)[0], everywhere, c.width)
     out, _ = sim._apply(state.copy(), np.empty_like(state), steps, [2] * c.width)
@@ -391,55 +403,50 @@ def _forms(steps) -> set:
 
 
 class TestLiveQubits:
-    """run holds only the live qubits of its input (sim._live_qubits) and
-    runs the plan bound to them (sim._restriction)."""
+    """run holds only the live qubits of a shaped input, those it holds and
+    those the plan moves, and runs the plan bound to them
+    (sim._restriction); a flat input holds every qubit."""
 
     @pytest.mark.parametrize("discipline", list(Discipline))
-    def test_data_superposition_of_modq_const_runs_on_eight_qubits(self, discipline):
+    def test_data_superposition_of_modq_const_runs_on_eight_qubits(self, discipline, monkeypatch):
         # the data register (inputs 0-3, target 4) and the counter (5-7),
         # which H moves; the 12 copies stay at 0
         c = modq_constant_depth(4, 5, discipline)
         rng = np.random.default_rng(7)
-        state = _data_superposition(c, rng)
-        assert sim._live_qubits(c, state) == tuple(range(8))
-        want = _full_plan_run(c, state)
-        # -0.0 is zero, in the last chunk (read first) as in any other
-        state[[1 << 12, (1 << 19) | 3, (1 << c.width) - 1]] = complex(-0.0, -0.0)
-        assert sim._live_qubits(c, state) == tuple(range(8))
-        assert np.abs(run(c, state) - want).max() <= 1e-15
+        shaped, flat = _data_superposition(c, rng)
         full = random_state(c.width, rng)
-        assert sim._live_qubits(c, full) == tuple(range(c.width))
-        assert np.abs(run(c, full) - _full_plan_run(c, full)).max() <= 1e-15
-
-    def test_too_few_idle_qubits_run_in_full(self):
-        # qubits 3, 4 and 5 idle, one fewer than MIN_IDLE
-        c = Circuit(6, (Role.INPUT,) * 6, (Layer((hadamard(0), cnot(1, 2))),))
-        state = plus_at(6, 1)
-        assert sim.MIN_IDLE == 4
-        assert sim._live_qubits(c, state) == tuple(range(6))
-        c = Circuit(7, (Role.INPUT,) * 7, c.layers)
-        assert sim._live_qubits(c, plus_at(7, 1)) == (0, 1, 2)
+        wants = [_full_plan_run(c, state) for state in (flat, full)]
+        builds = _spy_binds(monkeypatch)
+        out = run(c, shaped)
+        assert out.shape == tuple(sim._shape(range(8), c.width))
+        assert np.abs(_flat(out) - wants[0]).max() <= 1e-15
+        # the same superposition, flat, and a dense state run on every
+        # qubit, on one binding
+        for state, want in zip((flat, full), wants):
+            assert np.array_equal(run(c, state), want)
+            assert builds == [tuple(range(8)), tuple(range(c.width))]
 
     def test_toffoli_on_negated_idle_controls_acts_as_x(self):
         w = 7
         c = Circuit(w, (Role.INPUT,) * w,
                     (Layer((toffoli((3, 4, 5, 6), 1, negated=(3, 4, 5, 6)),)),))
-        state = np.zeros(1 << w, dtype=complex)
-        state[[0b000, 0b001, 0b100, 0b101]] = random_state(2, np.random.default_rng(2))
-        assert sim._live_qubits(c, state) == (0, 1, 2)
+        shaped, flat = _pair((0, 2), w, random_state(2, np.random.default_rng(2)))
+        out = run(c, shaped)
+        assert out.shape == tuple(sim._shape((0, 1, 2), w))
         # the plan's own Toffoli, unrenumbered: each negated control's slab
         # is the whole length-1 axis of its idle qubit
         [(kernel, gate)] = sim._restriction(c, (0, 1, 2))
         assert kernel is sim._flip and gate is c.layers[0].gates[0]
-        assert np.array_equal(run(c, state), apply_gate(state, pauli_x(1)))
+        assert np.array_equal(_flat(out), apply_gate(flat, pauli_x(1)))
 
     def test_cnot_on_a_plain_idle_control_is_dropped(self):
         w = 7
         c = Circuit(w, (Role.INPUT,) * w, (Layer((cnot(6, 0), hadamard(1))),))
-        state = plus_at(w, 2)
-        assert sim._live_qubits(c, state) == (0, 1, 2)
+        shaped, flat = _pair((2,), w, np.full(2, 1 / np.sqrt(2), dtype=complex))
+        out = run(c, shaped)
+        assert out.shape == tuple(sim._shape((0, 1, 2), w))
         assert [k for k, _ in sim._restriction(c, (0, 1, 2))] == [sim._dense_block]
-        assert np.array_equal(run(c, state), apply_gate(state, hadamard(1)))
+        assert np.array_equal(_flat(out), apply_gate(flat, hadamard(1)))
 
     @pytest.mark.parametrize("negated", [(), (9,)], ids=["plain", "negated"])
     def test_in_place_block_on_an_idle_control(self, negated):
@@ -451,14 +458,14 @@ class TestLiveQubits:
         rng = np.random.default_rng(16)
         block = controlled_u((9,), random_unitary(rng, 16), (2, 3, 4, 5), negated)
         c = Circuit(w, (Role.INPUT,) * w, (Layer((block, hadamard(0))), Layer((block,))))
-        state = np.zeros(1 << w, dtype=complex)
-        state[:4] = random_state(2, rng)
-        assert sim._live_qubits(c, state) == tuple(range(6))
+        shaped, flat = _pair((0, 1), w, random_state(2, rng))
+        out = run(c, shaped)
+        assert out.shape == tuple(sim._shape(range(6), w))
         assert len(sim._restriction(c, tuple(range(6)))) == (3 if negated else 1)
-        apart = state
+        apart = flat
         for g in c.gates():
             apart = apply_gate(apart, g)
-        assert np.array_equal(run(c, state), apart)
+        assert np.array_equal(_flat(out), apart)
 
     def test_restricted_steps_are_the_plans_own(self):
         # bound to a data superposition's live qubits, every permutation
@@ -477,12 +484,12 @@ class TestLiveQubits:
         gate = modq_gate(3, (0, 1, 5, 6), 2, negated=(6,))
         c = Circuit(w, (Role.INPUT,) * w, (Layer((gate,)),))
         assert dense_plan(c)[1] == 1 << 2
-        state = np.zeros(1 << w, dtype=complex)
-        state[:4] = random_state(2, np.random.default_rng(17))
-        assert sim._live_qubits(c, state) == (0, 1, 2)
-        out = run(c, state)
-        assert np.array_equal(out, apply_gate(state, gate))
-        assert np.array_equal(out[[0b100, 0b101, 0b110, 0b011]], state[:4])
+        values = random_state(2, np.random.default_rng(17))
+        shaped, flat = _pair((0, 1), w, values)
+        out = run(c, shaped)
+        assert out.shape == tuple(sim._shape((0, 1, 2), w))
+        assert np.array_equal(_flat(out), apply_gate(flat, gate))
+        assert np.array_equal(out.reshape(-1)[[0b100, 0b101, 0b110, 0b011]], values)
 
     def test_diagonal_steps_become_factors_on_the_live_qubits(self, monkeypatch):
         # H on qubit 0 between phase layers over qubits 0-7 of 10, on inputs
@@ -504,41 +511,42 @@ class TestLiveQubits:
         assert {"_scale slab", "_scale tensor", "_scale recipe"} <= _forms(
             sim._restriction(c, tuple(range(w))))
         live = tuple(range(6))
-        state = np.zeros(1 << w, dtype=complex)
-        state[:64] = random_state(6, rng)
-        assert sim._live_qubits(c, state) == live
+        shaped, flat = _pair(live, w, random_state(6, rng))
+        out = run(c, shaped)
+        assert out.shape == tuple(sim._shape(live, w))
         steps = sim._restriction(c, live)
         assert _forms(steps) == {"_dense_block", "_scale tensor", "_scale recipe"}
         # kept tensors span every axis, with length 1 on each idle one
         assert all(a[1].ndim == w and a[1].shape[:w - 6] == (1,) * (w - 6)
                    for k, a in steps if k is sim._scale and isinstance(a[1], np.ndarray))
-        assert np.abs(run(c, state) - _full_plan_run(c, state)).max() <= 1e-14
+        assert np.abs(_flat(out) - _full_plan_run(c, flat)).max() <= 1e-14
 
     def test_no_live_qubit(self):
         # diagonal gates only, on |0...0>: the restricted state is one
         # amplitude
         c = Circuit(5, (Role.INPUT,) * 5,
                     (Layer((symmetric_phase(0.5, (), 0), symmetric_phase(0.2, (1,), 2))),))
-        state = 1j * basis_state(5, 0)
-        assert sim._live_qubits(c, state) == ()
-        assert np.array_equal(run(c, state), state)
+        state = np.full((1,) * 5, 1j)
+        out = run(c, state)
+        assert out.shape == (1,) * 5
+        assert np.array_equal(out, state)
 
     def test_one_restriction_is_kept_per_circuit(self, monkeypatch):
         c = modq_constant_depth(4, 5)
         rng = np.random.default_rng(5)
-        first, second = _data_superposition(c, rng), _data_superposition(c, rng)
-        wants = [_full_plan_run(c, state) for state in (first, second)]
+        pairs = _data_superposition(c, rng), _data_superposition(c, rng)
+        wants = [_full_plan_run(c, flat) for _, flat in pairs]
         builds = _spy_binds(monkeypatch)
-        workspace = make_workspace(c.width)
-        for state, want in zip((first, second), wants):
-            assert np.abs(run(c, state, workspace) - want).max() <= 1e-15
+        workspace = make_workspace(8)
+        for (shaped, _), want in zip(pairs, wants):
+            assert np.abs(_flat(run(c, shaped, workspace)) - want).max() <= 1e-15
         assert builds == [tuple(range(8))]
-        # input 0 alone, with the target at 0: its live set is the counter
-        # and the target, which the Toffoli moves
-        run(c, basis_state(c.width, 0), workspace)
+        # |0...0>, with the target at 0: its live set is the counter and
+        # the target, which the Toffoli moves
+        run(c, np.ones((1,) * c.width, dtype=complex), workspace)
         assert builds == [tuple(range(8)), (4, 5, 6, 7)]
         assert vars(c)["_dense_binding"][0] == (4, 5, 6, 7)
-        run(c, first, workspace)
+        run(c, pairs[0][0], workspace)
         assert builds == [tuple(range(8)), (4, 5, 6, 7), tuple(range(8))]
 
     def test_verify_binds_once(self, monkeypatch):
@@ -555,13 +563,13 @@ class TestLiveQubits:
         # keeps them, so a second run builds none
         c = modq_constant_depth(4, 5)
         assert not any(isinstance(arg, np.ndarray) for _, arg in dense_plan(c)[0])
-        state = _data_superposition(c, np.random.default_rng(14))
-        want = _full_plan_run(c, state)
+        shaped, flat = _data_superposition(c, np.random.default_rng(14))
+        want = _full_plan_run(c, flat)
         lives = []
         factor = sim._factor
         monkeypatch.setattr(sim, "_factor", lambda *args: lives.append(args[3]) or factor(*args))
         for _ in range(2):
-            assert np.abs(run(c, state) - want).max() <= 1e-15
+            assert np.abs(_flat(run(c, shaped)) - want).max() <= 1e-15
         assert lives == [tuple(range(8))] * 4
 
 
@@ -570,20 +578,12 @@ class TestShapedForm:
     one axis per qubit, of length 2 where it is held and 1 where it is
     idle, at 0 (sim._shape)."""
 
-    @staticmethod
-    def _pair(held, w, rng):
-        """A random state on the `held` qubits, shaped and flat."""
-        values = random_state(len(held), rng)
-        flat = np.zeros(1 << w, dtype=complex)
-        flat[embed_index(np.arange(values.size), held)] = values
-        return values.reshape(sim._shape(held, w)), flat
-
     def test_run_holds_the_moved_qubits_and_returns_the_shaped_form(self):
         # modq-const n=4 q=5 on a superposition of inputs 0-3 alone: the run
         # also holds the target and the counter, which the plan moves, at
         # 0 on input, and returns them, as a view of the workspace
         c = modq_constant_depth(4, 5)
-        shaped, flat = self._pair(range(4), c.width, np.random.default_rng(23))
+        shaped, flat = _pair(range(4), c.width, random_state(4, np.random.default_rng(23)))
         before = shaped.copy()
         workspace = make_workspace(8)
         out = run(c, shaped, workspace)
@@ -596,24 +596,46 @@ class TestShapedForm:
         # without a workspace, a run allocates 2^8 amplitudes, not 2^20
         assert np.array_equal(run(c, shaped), out)
 
-    def test_too_few_idle_qubits_hold_every_qubit(self):
-        # qubits 3, 4 and 5 idle, one fewer than MIN_IDLE: the run holds all
+    def test_a_single_idle_qubit_keeps_its_axis(self):
+        # qubit 5 alone idle: the run holds the other five and returns
+        # qubit 5 on its length-1 axis
         c = Circuit(6, (Role.INPUT,) * 6, (Layer((hadamard(0), cnot(1, 2))),))
-        shaped, flat = self._pair((0, 1), 6, np.random.default_rng(25))
+        shaped, flat = _pair((0, 1, 3, 4), 6, random_state(4, np.random.default_rng(25)))
         out = run(c, shaped)
-        assert out.shape == (2,) * 6
-        assert np.abs(out.reshape(-1) - run(c, flat)).max() <= 1e-15
+        assert out.shape == (1,) + (2,) * 5
+        want = oracle_unitary(cnot(1, 2), 6) @ oracle_unitary(hadamard(0), 6) @ flat
+        assert np.abs(_flat(out) - want).max() <= 1e-15
 
     @pytest.mark.parametrize("ancillae", [
         (5,), (1,), (4, 1), (2, 3), (1, 2, 4, 5), tuple(range(6)), (),
     ])
     def test_purity_is_that_of_the_flat_state(self, ancillae):
         # qubits 1 and 4 idle: an ancilla on their length-1 axes adds 0
-        shaped, flat = self._pair((0, 2, 3, 5), 6, np.random.default_rng(24))
+        shaped, flat = _pair((0, 2, 3, 5), 6, random_state(4, np.random.default_rng(24)))
         got, want = check_ancilla_purity(shaped, ancillae), check_ancilla_purity(flat, ancillae)
         assert got.pure == want.pure
         assert abs(got.leakage - want.leakage) <= 1e-15
         assert check_ancilla_purity(shaped, (1, 4)).leakage == 0.0
+
+    def test_dump_is_that_of_the_flat_state(self):
+        shaped, flat = _pair((0, 2, 3, 5), 6, random_state(4, np.random.default_rng(26)))
+        assert dump_state(shaped) == dump_state(flat)
+        assert len(dump_state(shaped).splitlines()) == 16
+
+    def test_one_qubit_with_its_qubit_idle(self):
+        # shape (1,) is a 1-qubit state with its qubit idle, or, for a
+        # circuit of no qubit, the flat 0-qubit state
+        c = Circuit(1, (Role.INPUT,), (Layer((symmetric_phase(0.3, (), 0),)),))
+        out = run(c, np.ones(1, dtype=complex))
+        assert out.shape == (1,) and out[0] == 1
+        assert dump_state(out) == "0 1 0"
+        res = check_ancilla_purity(out, (0,))
+        assert res.pure and res.leakage == 0.0
+        with pytest.raises(CircuitError, match="outside width 1"):
+            check_ancilla_purity(out, (1,))
+        assert np.allclose(run(c, np.array([0, 1], dtype=complex)), [0, np.exp(0.3j)])
+        empty = Circuit(0, (), ())
+        assert np.array_equal(run(empty, np.ones(1, dtype=complex)), [1])
 
     @pytest.mark.parametrize("shape", [
         (2, 3, 2), (4, 1, 2), (2, 2), (2, 1, 2, 2), (3,), (),
