@@ -7,10 +7,10 @@ Input bitstrings are qubit-0-first ("110" sets qubit 0 and qubit 1); the
 state dump prints basis indices in binary with qubit 0 rightmost. Exit
 codes: 0 success/pass, 1 verification failure, 2 usage error, 3 register
 too wide for a limit of the simulator (sim.WidthCapExceeded): the
-simulation cap (QDEPTH_SIM_CAP, default 22), a block-matrix gate oracle
-(ctrl-u), or the int64 key of the sparse engine's rows; or a register
-too large to build at all (MemoryError, or OverflowError where its size
-does not fit an index).
+simulation cap (QDEPTH_SIM_CAP, default 22), the 64 axes of a numpy
+array, a block-matrix gate oracle (ctrl-u), or the int64 key of the
+sparse engine's rows; or a register too large to build at all
+(MemoryError, or OverflowError where its size does not fit an index).
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classical as cc
 from .ir import CircuitError, Discipline, circuit_from_json, circuit_to_json
-from .sim import WidthCapExceeded, _shape, dump_state, run
+from .sim import WidthCapExceeded, dump_state, held_shape, run
 from .synth import CAT_BUILDERS
 from .verify import (
     CONSTRUCTIONS,
@@ -82,11 +82,11 @@ def _parse_input(spec: str, width: int) -> np.ndarray:
             raise CircuitError(usage) from None
         if not 0 <= qubit < width:
             raise CircuitError(f"qubit {qubit} outside width {width}")
-        return np.full(_shape((qubit,), width), 1 / np.sqrt(2), dtype=complex)
+        return np.full(held_shape((qubit,), width), 1 / np.sqrt(2), dtype=complex)
     if len(spec) != width or set(spec) - {"0", "1"}:
         raise CircuitError(usage)
-    state = np.zeros(_shape([i for i, b in enumerate(spec) if b == "1"], width), dtype=complex)
-    state.flat[-1] = 1.0
+    state = np.zeros(held_shape([i for i, b in enumerate(spec) if b == "1"], width), dtype=complex)
+    state.reshape(-1)[-1] = 1.0  # a view; state.flat takes at most 32 axes
     return state
 
 

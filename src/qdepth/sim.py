@@ -1,14 +1,16 @@
 """
 State-vector simulation on two engines, and ancilla-purity analysis.
 
-The dense engine (run) holds a state as a plain complex128 numpy array of
+The dense engine holds a state as a plain complex128 numpy array of
 length 2^m, unit norm, in little-endian basis order: qubit 0 is the least
-significant bit of the basis index. It runs a plan (dense_plan), built
-for each circuit on its first run and kept with the circuit; the caller
-keeps the input state. A layer of commuting gates is one time step, as in
-the paper, and the plan takes each layer's gates by class. A run binds
-the plan to its live qubits (see below), the circuit keeps the last such
-binding, and each bound step advances the held state in one pass:
+significant bit of the basis index. run is its one entry: apply_gate runs
+a circuit of one gate through it, and unitary_of one column per basis
+state. It runs a plan (_dense_plan), built for each circuit on its first
+run and kept with the circuit; the caller keeps the input state. A layer
+of commuting gates is one time step, as in the paper, and the plan takes
+each layer's gates by class. A run binds the plan to its live qubits (see
+below), the circuit keeps the last such binding, and each bound step
+advances the held state in one pass:
 
 - permutation gates (X, CNOT, Toffoli, fanout, MODQ), one gate at a time:
   the slab where the controls fire, flipped on the targets, is staged in
@@ -67,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit, CircuitError, Gate, GateKind, block_matrix
+from .ir import Circuit, CircuitError, Discipline, Gate, GateKind, Role, block_matrix
 
 UNITARY_WIDTH_CAP = 12
 PURITY_TOL = 1e-10
@@ -76,9 +78,9 @@ DUMP_THRESHOLD = 1e-14
 
 class WidthCapExceeded(RuntimeError):
     """A register is too wide for a limit of the simulator: the simulation
-    cap, the width of unitary extraction, or the int64 (id, index) key of
-    the sparse rows. This is not a malformed request, so it is no
-    CircuitError; the CLI exits 3 on it."""
+    cap, the 64 axes of a numpy array, the width of unitary extraction, or
+    the int64 (id, index) key of the sparse rows. This is not a malformed
+    request, so it is no CircuitError; the CLI exits 3 on it."""
 
 
 def state_width(state: np.ndarray) -> int:
@@ -88,7 +90,7 @@ def state_width(state: np.ndarray) -> int:
     return m
 
 
-def _held_shape(state: np.ndarray, width: int | None = None) -> list[int]:
+def _view_shape(state: np.ndarray, width: int | None = None) -> list[int]:
     """The shape a state is viewed in: [2]*m for a flat 2^m vector, else its
     own (run's shaped form), each axis of length 2 (held) or 1 (idle, at 0).
     With its `width` known, a 1-D state is flat unless the width is 1,
@@ -145,9 +147,9 @@ def _slab(index: int, qubits, width: int) -> tuple:
     return tuple(sel)
 
 
-def _shape(qubits, width: int) -> list[int]:
-    """A shape that broadcasts against the [2]*width view: length 2 on the
-    axes of `qubits`, 1 on the others."""
+def held_shape(qubits, width: int) -> list[int]:
+    """The shape of run's shaped form for a state that holds `qubits`: 2 on
+    their axes, 1 on the others. It broadcasts against the [2]*width view."""
     shape = [1] * width
     for q in qubits:
         shape[_axis(q, width)] = 2
@@ -156,10 +158,10 @@ def _shape(qubits, width: int) -> list[int]:
 
 def _grid(qubits, width: int) -> np.ndarray:
     """The basis index of every setting of `qubits` (every other qubit 0),
-    in _shape(qubits, width)."""
+    in held_shape(qubits, width)."""
     qubits = sorted(qubits)
     return embed_index(np.arange(1 << len(qubits)), qubits).reshape(
-        _shape(qubits, width))
+        held_shape(qubits, width))
 
 
 def _on(gate: Gate) -> int:
@@ -325,7 +327,7 @@ def _factor(qubits, group, w: int, live) -> np.ndarray:
     basis index under the map that its terms describe. Every qubit not in
     `live` is taken at 0, on a length-1 axis: the tensor is the one on all
     w qubits sliced to where the idle qubits are 0."""
-    factor = np.ones(_shape(set(qubits).intersection(live), w), dtype=complex)
+    factor = np.ones(held_shape(set(qubits).intersection(live), w), dtype=complex)
     for gate, diag, terms in group:
         image = _image(_grid(_reads(terms).intersection(live), w), terms)
         factor *= np.where(_row_fires(gate, image), diag[_block(gate, image)], 1)
@@ -429,7 +431,7 @@ def _apply(state: np.ndarray, scratch: np.ndarray, steps,
     return state, scratch
 
 
-def dense_plan(circuit: Circuit) -> tuple[list, int]:
+def _dense_plan(circuit: Circuit) -> tuple[list, int]:
     """The circuit's plan for the dense engine (see _plan), and the qubits,
     as a bit mask, that every run of it holds: the targets of the plan's
     _flip and _dense_block steps, the only steps that change a basis
@@ -448,17 +450,18 @@ def dense_plan(circuit: Circuit) -> tuple[list, int]:
 
 
 def _bind(plan, live, w: int) -> list:
-    """The plan's steps for a run on the live qubits, held in _shape(live, w):
-    the plan's own _flip and _dense_block steps, less those with a plain
-    control on an idle qubit, which never fire (MODQ counts its inputs, so
-    its steps stay). Each factor is a _scale step on a (slab, factor) pair.
-    In a run on every qubit, a factor of one gate that the plan did not
-    rewrite is the gate's diagonal over its targets, on the slab where its
-    controls fire, and where its target is 1 for a one-target diagonal that
-    is 1 at 0. Every other factor is built on the live qubits (_factor),
-    for the whole state, and kept, within KEEP_AMPS or 1/8 of the
-    live state's amplitudes in all; past that its recipe stays, for _scale
-    to build on each run, so a deep circuit's binding does not grow."""
+    """The plan's steps for a run on the live qubits, held in
+    held_shape(live, w): the plan's own _flip and _dense_block steps, less
+    those with a plain control on an idle qubit, which never fire (MODQ
+    counts its inputs, so its steps stay). Each factor is a _scale step on
+    a (slab, factor) pair. In a run on every qubit, a factor of one gate
+    that the plan did not rewrite is the gate's diagonal over its targets,
+    on the slab where its controls fire, and where its target is 1 for a
+    one-target diagonal that is 1 at 0. Every other factor is built on the
+    live qubits (_factor), for the whole state, and kept, within KEEP_AMPS
+    or 1/8 of the live state's amplitudes in all; past that its recipe
+    stays, for _scale to build on each run, so a deep circuit's binding
+    does not grow."""
     steps, keep = [], max((1 << len(live)) >> 3, KEEP_AMPS)
     for step in plan:
         kernel, arg = step
@@ -488,27 +491,11 @@ def _bind(plan, live, w: int) -> list:
     return steps
 
 
-def _restriction(circuit: Circuit, live: tuple[int, ...]) -> list:
-    """The circuit's plan bound to `live` (_bind). The circuit keeps one
-    binding, for the last live set it ran on; it is replaced whole, so
-    concurrent runs each use one of their own."""
-    kept = vars(circuit).get("_dense_binding")
-    if kept is None or kept[0] != live:
-        kept = live, _bind(dense_plan(circuit)[0], live, circuit.width)
-        object.__setattr__(circuit, "_dense_binding", kept)
-    return kept[1]
-
-
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate, as the plan of a one-gate layer bound to every
-    qubit; returns a new state, norm preserved."""
+    """Apply one gate to a flat state: run on a circuit of that one gate;
+    returns a new state, norm preserved."""
     w = state_width(state)
-    high = [i for i in gate.support if i >= w]
-    if high:
-        raise CircuitError(f"gate touches qubit {high[0]} outside width {w}")
-    steps = _bind(_plan([(gate,)], w), tuple(range(w)), w)
-    out, _ = _apply(state.copy(), np.empty_like(state), steps, [2] * w)
-    return out
+    return run(Circuit(w, (Role.INPUT,) * w, ((gate,),), Discipline.WITH_FANOUT), state)
 
 
 def make_workspace(width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -520,8 +507,10 @@ def make_workspace(width: int) -> tuple[np.ndarray, np.ndarray]:
 def run(circuit: Circuit, initial: np.ndarray,
         workspace: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Apply the circuit's layers in order; `initial` is left untouched.
+    This is the dense engine's one entry: apply_gate is one gate through
+    it, and unitary_of one column per basis state.
 
-    The state advances by the steps of the circuit's plan (dense_plan),
+    The state advances by the steps of the circuit's plan (_dense_plan),
     built on its first run. The plan takes each layer's gates by class:
     one step per permutation gate and per dense block, and the diagonal
     gates packed into factors. It holds copy trees back and pushes them
@@ -531,31 +520,36 @@ def run(circuit: Circuit, initial: np.ndarray,
     So the gates of a layer commute, and any order or grouping gives the
     same state.
 
-    `initial` is flat, 2^width amplitudes, or in the shaped form: width
-    axes, of length 2 for a held qubit and 1 for an idle one, at 0; for a
-    1-qubit circuit both are one axis, and shape (1,) leaves it idle. A
-    flat input holds every qubit. A run binds the plan to its live
-    qubits (_restriction): the held ones and those the plan moves
-    (dense_plan's mask); the circuit keeps the binding until a run on
-    another live set. `initial`, with 0 where it leaves a moved qubit
+    `initial` is flat, 2^width amplitudes, or in the shaped form
+    (held_shape): width axes, of length 2 for a held qubit and 1 for an
+    idle one, at 0; for a 1-qubit circuit both are one axis, and shape
+    (1,) leaves it idle. A flat input holds every qubit. A run binds the
+    plan to its live qubits (_bind): the held ones and those the plan
+    moves (_dense_plan's mask). The circuit keeps one binding, for the
+    last live set it ran on; it is replaced whole, so concurrent runs each
+    use one of their own. `initial`, with 0 where it leaves a moved qubit
     idle, is copied into the first 2^live amplitudes of the workspace and
-    advanced there in _shape(live, width), and comes back in the form it
-    came in. Passing a `workspace` from make_workspace avoids per-call
+    advanced there in held_shape(live, width), and comes back in the form
+    it came in. Passing a `workspace` from make_workspace avoids per-call
     state allocations; the returned state then aliases one of its buffers
     and is only valid until the next run with the same workspace.
     """
-    w, shape = circuit.width, _held_shape(initial, circuit.width)
+    w, shape = circuit.width, _view_shape(initial, circuit.width)
     if len(shape) != w:
         raise CircuitError(f"state has {len(shape)} qubits, circuit {w}")
-    pinned = dense_plan(circuit)[1]
+    plan, pinned = _dense_plan(circuit)
     live = tuple(q for q in range(w) if shape[_axis(q, w)] == 2 or pinned >> q & 1)
-    steps, core, n = _restriction(circuit, live), _shape(live, w), 1 << len(live)
+    kept = vars(circuit).get("_dense_binding")
+    if kept is None or kept[0] != live:
+        kept = live, _bind(plan, live, w)
+        object.__setattr__(circuit, "_dense_binding", kept)
+    core, n = held_shape(live, w), 1 << len(live)
     state, scratch = workspace or make_workspace(len(live))
     held, src = state[:n], initial.reshape(shape)
     if src.size < n:  # moved qubits that the input leaves idle: pad at 0
         held[...] = 0
     held.reshape(core)[tuple(map(slice, src.shape))] = src
-    out, _ = _apply(held, scratch[:n], steps, core)
+    out, _ = _apply(held, scratch[:n], kept[1], core)
     return out.reshape(core) if initial.ndim == w else out
 
 
@@ -633,16 +627,17 @@ def run_basis(circuit: Circuit, starts) -> Rows | None:
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Full matrix of the circuit: column j is the image of basis state j,
-    run on the plan bound once, on every qubit (_restriction)."""
+    """Full matrix of the circuit: column j is run on basis state j. Every
+    column holds every qubit, so all run on one binding and one workspace."""
     w = circuit.width
     if w > UNITARY_WIDTH_CAP:
         raise WidthCapExceeded(f"unitary extraction capped at {UNITARY_WIDTH_CAP} "
                                f"qubits, circuit has {w}")
-    steps = _restriction(circuit, tuple(range(w)))
-    u, scratch = np.eye(1 << w, dtype=complex), np.empty(1 << w, dtype=complex)
+    u, workspace = np.empty((1 << w, 1 << w), dtype=complex), make_workspace(w)
+    column = zero_state(w)
     for j in range(1 << w):
-        u[:, j] = _apply(u[:, j].copy(), scratch, steps, [2] * w)[0]
+        column[j - 1], column[j] = 0, 1  # basis state j
+        u[:, j] = run(circuit, column, workspace)
     return u
 
 
@@ -661,7 +656,7 @@ def check_ancilla_purity(state: np.ndarray, ancillae) -> AncillaPurityResult:
     slabs of the [2]*w view (ancilla k at |1>, every higher one at |0>),
     which are contiguous when the ancillae are the high qubits.
     """
-    shape = _held_shape(state)
+    shape = _view_shape(state)
     w = len(shape)
     # real view with a trailing (re, im) axis, so |amp|^2 is a sum of squares
     psi = np.ascontiguousarray(state, dtype=complex).view(float).reshape(shape + [2])
@@ -684,7 +679,7 @@ def dump_state(state: np.ndarray) -> str:
     """One line per nonzero amplitude: index (binary, qubit 0 rightmost), re, im.
     A state in run's shaped form prints the lines of its flat form, in the
     same ascending order: each held amplitude at its full basis index."""
-    shape = _held_shape(state)
+    shape = _view_shape(state)
     w = len(shape)
     amps = state.reshape(-1)
     hits = np.flatnonzero(np.abs(amps) > DUMP_THRESHOLD)

@@ -44,8 +44,8 @@ from .ir import (
 )
 from .oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
 from .sim import (
-    PURITY_TOL, UNITARY_WIDTH_CAP, WidthCapExceeded, _shape,
-    check_ancilla_purity, embed_index, merge_rows, run, run_basis, unitary_of,
+    PURITY_TOL, UNITARY_WIDTH_CAP, WidthCapExceeded, check_ancilla_purity,
+    embed_index, held_shape, merge_rows, run, run_basis, unitary_of,
 )
 
 SIM_CAP_ENV = "QDEPTH_SIM_CAP"
@@ -63,13 +63,15 @@ Oracle = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 def check_sim_cap(width: int) -> None:
     """Raise WidthCapExceeded if a register of `width` qubits is wider than
-    the simulation cap: $QDEPTH_SIM_CAP, an integer >= 1, or the default."""
+    the simulation cap ($QDEPTH_SIM_CAP, an integer >= 1, or the default) or 64."""
     raw = os.environ.get(SIM_CAP_ENV, str(DEFAULT_SIM_CAP))
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"{SIM_CAP_ENV} must be an integer >= 1, got {raw!r}")
     if width > int(raw):
         raise WidthCapExceeded(
             f"{width}-qubit register exceeds the {int(raw)}-qubit simulation cap")
+    if width > 64:  # run's shaped form has an axis per qubit; numpy 2 allows 64
+        raise WidthCapExceeded(f"{width}-qubit register exceeds the 64 axes of a numpy array")
 
 
 def error_tol(tol: float | None = None) -> float:
@@ -224,7 +226,8 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
         if not superpositions:
             return max_error, max_leak, xs.size
 
-    v = np.zeros(_shape(data_qubits, width), dtype=complex)  # run's shaped form
+    v = np.zeros(held_shape(data_qubits, width), dtype=complex)  # run's shaped form
+    cells = v.reshape(-1)  # a view; v.flat takes at most 32 axes
     at = None  # where each of the oracle's entries sits in a run's output
 
     def drive(entries, weights) -> np.ndarray:
@@ -244,9 +247,9 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
     if rows is None:
         bounds = np.searchsorted(ids, np.arange(xs.size + 1))
         for i, x in enumerate(xs):
-            v.flat[x] = 1.0
+            cells[x] = 1.0
             err = np.abs(drive(slice(bounds[i], bounds[i + 1]), 1.0)).max()
-            v.flat[x] = 0.0
+            cells[x] = 0.0
             max_error = float(np.maximum(max_error, err))
 
     if superpositions:
@@ -254,7 +257,7 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
         for _ in range(superpositions):
             psi = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
             psi /= np.linalg.norm(psi)
-            v.flat[xs] = psi
+            cells[xs] = psi
             # the linear extension of the image: each entry's amplitude
             # times its input's weight in v, added at the entry's index
             out = drive(slice(None), psi[ids])

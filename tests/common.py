@@ -8,6 +8,7 @@ from qdepth.ir import (
     cnot, controlled_u, fanout, hadamard, modq_gate, pauli_x, single_qubit,
     symmetric_phase, toffoli,
 )
+from qdepth.sim import embed_index, held_shape
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -31,6 +32,26 @@ def block_diag_gate_matrix(blocks) -> np.ndarray:
 # input-weight patterns, X blocks on odd ones.
 MOD2_3INPUT_MATRIX = block_diag_gate_matrix([I2, X2, X2, I2, X2, I2, I2, X2])
 TOFFOLI_3INPUT_MATRIX = block_diag_gate_matrix([I2] * 7 + [X2])
+
+
+def shaped_and_flat(held, w: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A state that holds `values` on the `held` qubits, in ascending order,
+    every other qubit at |0>: in run's shaped form (held_shape), and flat."""
+    flat = np.zeros(1 << w, dtype=complex)
+    flat[embed_index(np.arange(values.size), held)] = values
+    return values.reshape(held_shape(held, w)), flat
+
+
+def held_qubits(state: np.ndarray) -> list[int]:
+    """The qubits that a state in run's shaped form holds: those whose axis
+    has length 2 (qubit 0's axis is the last)."""
+    w = state.ndim
+    return [q for q in range(w) if state.shape[w - 1 - q] == 2]
+
+
+def flat_form(state: np.ndarray) -> np.ndarray:
+    """The flat form of a state in run's shaped form: 0 off its held slab."""
+    return shaped_and_flat(held_qubits(state), state.ndim, state.reshape(-1))[1]
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

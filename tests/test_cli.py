@@ -160,6 +160,28 @@ class TestSim:
         assert (code, text, err) == (
             3, "", "error: 5-qubit register exceeds the 4-qubit simulation cap\n")
 
+    def test_a_33_qubit_basis_input(self, tmp_path, monkeypatch, capsys):
+        # one numpy axis per qubit of the shaped form: 33, past the 32 that
+        # an array's .flat takes
+        out = tmp_path / "m.json"
+        run_cli(capsys, "synth", "--construction", "modq-const", "--n", "10", "--q", "3",
+                "--out", str(out))
+        monkeypatch.setenv("QDEPTH_SIM_CAP", "40")
+        code, text, err = run_cli(capsys, "sim", str(out), "--input", "1" * 10 + "0" * 23)
+        assert (code, err) == (0, "")
+        index, re, im = text.split()
+        assert index == "0" * 22 + "1" * 11  # 10 is no multiple of 3: the target flips
+        assert abs(complex(float(re), float(im)) - 1) <= 1e-12
+
+    def test_past_64_qubits_exits_three(self, tmp_path, monkeypatch, capsys):
+        # whatever the cap, the shaped form has one axis per qubit, and a
+        # numpy array at most 64
+        out = tmp_path / "c.json"
+        run_cli(capsys, "synth", "--construction", "cat", "--n", "70", "--out", str(out))
+        monkeypatch.setenv("QDEPTH_SIM_CAP", "80")
+        assert run_cli(capsys, "sim", str(out), "--input", "1" + "0" * 69) == (
+            3, "", "error: 70-qubit register exceeds the 64 axes of a numpy array\n")
+
     def test_unparseable_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -245,6 +267,13 @@ class TestVerify:
         code, text, _ = run_cli(capsys, "verify", "--construction", "cat", "--n", "1",
                                 "--superpositions", "3")
         assert code == 0 and text.endswith(" inputs=5 pass\n")
+
+    def test_a_33_qubit_superposition(self, monkeypatch, capsys):
+        # the superposition is written into a 33-axis shaped state
+        monkeypatch.setenv("QDEPTH_SIM_CAP", "40")
+        code, text, _ = run_cli(capsys, "verify", "--construction", "modq-const",
+                                "--n", "10", "--q", "3", "--superpositions", "1")
+        assert code == 0 and text.endswith(" inputs=2049 pass\n")
 
     def test_pass_exit_zero(self, capsys):
         code, text, _ = run_cli(capsys, "verify", "--construction",

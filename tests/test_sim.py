@@ -1,9 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qdepth import sim
+from qdepth import sim, verify
 from qdepth.classical import ClassicalCircuit, ClassicalGate
 from qdepth.ir import (
     Circuit, CircuitError, Discipline, Gate, GateKind, Layer, Role, cnot,
@@ -13,7 +14,7 @@ from qdepth.ir import (
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
     WidthCapExceeded, apply_gate, basis_state, check_ancilla_purity,
-    data_block_unitary, dense_plan, dump_state, embed_index, make_workspace,
+    data_block_unitary, dump_state, embed_index, held_shape, make_workspace,
     merge_rows, plus_at, random_state, relabel_qubits, run, run_basis,
     unitary_of, zero_state,
 )
@@ -21,8 +22,8 @@ from qdepth.synth import (cat_fanout, cat_log_depth, modq_constant_depth,
                           reversible_embed)
 from qdepth.verify import build_construction, verify_built
 
-from common import (MOD2_3INPUT_MATRIX, random_circuit, random_layered_circuit,
-                    random_unitary)
+from common import (MOD2_3INPUT_MATRIX, flat_form, random_circuit,
+                    random_layered_circuit, random_unitary, shaped_and_flat)
 
 U2, U4, U8 = (random_unitary(np.random.default_rng(31), d) for d in (2, 4, 8))
 
@@ -36,6 +37,18 @@ def _in_wide_register(place):
     want = np.einsum("ij,ajb->aib", oracle_unitary(local, k),
                      state.reshape(-1, 1 << k, 4)).ravel()
     return apply_gate(state, gate), want
+
+
+def _traced(f):
+    """f() under tracemalloc: its result, the bytes left allocated after it
+    and the peak."""
+    tracemalloc.start()
+    try:
+        out = f()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, current, peak
 
 
 class TestApplyGate:
@@ -169,12 +182,7 @@ class TestRun:
         initial = random_state(w, np.random.default_rng(5))
         workspace = make_workspace(w)
         run(circuit, initial, workspace)
-        tracemalloc.start()
-        try:
-            run(circuit, initial, workspace)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = _traced(lambda: run(circuit, initial, workspace))
         assert peak < initial.nbytes / 16, peak
 
     @pytest.mark.parametrize("gate", [
@@ -189,12 +197,7 @@ class TestRun:
         circuit = Circuit(w, (Role.INPUT,) * w, (Layer((gate,)),))
         initial = random_state(w, np.random.default_rng(5))
         workspace = make_workspace(w)
-        tracemalloc.start()
-        try:
-            run(circuit, initial, workspace)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = _traced(lambda: run(circuit, initial, workspace))
         assert peak < initial.nbytes / 16, peak
 
     @pytest.mark.parametrize("layers", [
@@ -212,53 +215,96 @@ class TestRun:
         initial = random_state(w, np.random.default_rng(5))
         workspace = make_workspace(w)
         run(circuit, initial, workspace)
-        tracemalloc.start()
-        try:
-            run(circuit, initial, workspace)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = _traced(lambda: run(circuit, initial, workspace))
         assert peak < initial.nbytes / 16, peak
 
 
+def _fresh(c: Circuit) -> Circuit:
+    """The same circuit, with no plan or binding kept from earlier runs."""
+    return dataclasses.replace(c)
+
+
+def _signed_zeros(w: int) -> np.ndarray:
+    """A flat state of 0-0j amplitudes. A permutation keeps their signs; a
+    multiply by any factor, 1+0j too, clears the sign of the real or the
+    imaginary part."""
+    return np.full(1 << w, complex(-0.0, -0.0))
+
+
+def _multiplied(state: np.ndarray) -> int:
+    """How many amplitudes of a run from _signed_zeros were multiplied."""
+    return int(np.count_nonzero(~(np.signbit(state.real) & np.signbit(state.imag))))
+
+
+def _phase_ladder(rng, w: int, rungs: int, span: int) -> Circuit:
+    """`rungs` pairs of layers on w qubits: H on one qubit, then two phase
+    gates on `span` random qubits between them. Each phase layer is one
+    factor over its `span` qubits."""
+    layers, half = [], span // 2
+    for i in range(rungs):
+        q = rng.permutation(w).tolist()
+        layers += [Layer((hadamard(i % w),)),
+                   Layer((symmetric_phase(rng.uniform(0, 6), q[:half - 1], q[half - 1]),
+                          symmetric_phase(rng.uniform(0, 6), q[half:span - 1], q[span - 1])))]
+    return Circuit(w, (Role.INPUT,) * w, tuple(layers))
+
+
+def _data_superposition(c: Circuit, rng) -> tuple[np.ndarray, np.ndarray]:
+    """A random superposition of the data register's basis inputs, every
+    other qubit at |0>, shaped and flat."""
+    return shaped_and_flat(c.data_qubits, c.width, random_state(len(c.data_qubits), rng))
+
+
 class TestPlan:
-    """The dense engine's per-circuit plan (sim.dense_plan)."""
+    """The dense engine's per-circuit plan, seen through run: what a run
+    moves, multiplies, allocates and keeps."""
 
     @pytest.mark.parametrize("discipline", list(Discipline))
     def test_copy_diagonal_uncopy_is_only_the_diagonal(self, discipline):
         # layers: basis change, copy, diagonal, uncopy, basis change, ...
+        # The copies of the counter cancel, so a data superposition leaves
+        # their 12 qubits on length-1 axes. A run on every qubit keeps its
+        # factor tensors (two of 512 KiB), so a second run builds none
         c = modq_constant_depth(4, 5, discipline)
-        kinds = [kernel.__name__ for kernel, _ in dense_plan(c)[0]]
-        first = kinds.index("_dense_block")
-        second = kinds.index("_dense_block", first + 1)
-        assert kinds[first + 1:second] == ["_scale", "_scale"]
-        assert len(kinds) == 10
-        # bound to every qubit and to a data superposition's live qubits,
-        # both factors are kept tensors: neither a slab nor a recipe
-        for live in (tuple(range(c.width)), tuple(range(8))):
-            assert _forms(sim._restriction(c, live)) == {
-                "_flip", "_dense_block", "_scale tensor"}
+        rng = np.random.default_rng(29)
+        shaped, flat = _data_superposition(c, rng)
+        out = run(c, shaped)
+        assert out.shape == tuple(held_shape(range(8), c.width))
+        assert np.abs(flat_form(out) - run(_fresh(c), flat)).max() <= 1e-15
+        full, workspace = random_state(c.width, rng), make_workspace(c.width)
+        first = run(c, full, workspace).copy()
+        again, _, peak = _traced(lambda: run(c, full, workspace))
+        assert np.array_equal(again, first)
+        assert peak < full.nbytes / 64, peak
 
-    def test_second_run_reuses_the_plan(self, monkeypatch):
-        builds = []
-        build = sim._plan
-        monkeypatch.setattr(sim, "_plan", lambda *args: builds.append(args) or build(*args))
-        c = modq_constant_depth(2, 3)
-        state = random_state(c.width, np.random.default_rng(3))
-        first = run(c, state).copy()
-        assert np.array_equal(run(c, state), first)
-        assert len(builds) == 1
+    def test_second_run_reuses_the_plan(self):
+        # the first run builds the plan and its binding, 24 factors of
+        # 2^8 amplitudes (4 KiB) among them, and the circuit keeps them; a
+        # second run keeps nothing new
+        rng = np.random.default_rng(3)
+        c = _phase_ladder(rng, 8, 24, 8)
+        state, workspace = random_state(8, rng), make_workspace(8)
+        first, kept, _ = _traced(lambda: run(c, state, workspace))
+        first = first.copy()
+        again, more, _ = _traced(lambda: run(c, state, workspace))
+        assert np.array_equal(again, first)
+        assert more < 1 << 14 < 24 << 12 < kept, (more, kept)
 
     def test_cancelled_copies_leave_only_factors(self):
+        # the copy layer runs twice, so it cancels: a run on inputs that
+        # hold qubits 0 and 3 never moves the copies' targets 1, 2 and 4
         copy = Layer((cnot(0, 1, negated=(0,)), pauli_x(2), modq_gate(2, (0, 3), 4)))
         diagonal = Layer((symmetric_phase(0.3, (1,), 4),
                           controlled_u((0,), np.diag(np.exp(1j * np.arange(4))), (2, 3))))
         c = Circuit(5, (Role.INPUT,) * 5, (copy, diagonal, copy), Discipline.WITH_FANOUT)
-        assert [k.__name__ for k, _ in dense_plan(c)[0]] == ["_scale"]
         want = np.eye(32, dtype=complex)
         for g in c.gates():
             want = oracle_unitary(g, 5) @ want
         assert np.abs(unitary_of(c) - want).max() <= 1e-14
+        shaped, flat = shaped_and_flat((0, 3), 5, random_state(2, np.random.default_rng(30)))
+        out = run(c, shaped)
+        assert out.shape == tuple(held_shape((0, 3), 5))
+        assert np.abs(flat_form(out) - want @ flat).max() <= 1e-14
 
     def test_q_on_a_toffoli_is_not_a_parity(self):
         # Gate rejects a q on a Toffoli, but the plan must not rely on that:
@@ -278,25 +324,24 @@ class TestPlan:
         sparse[index, ids] = amps
         assert np.abs(sparse - want).max() <= 1e-14
 
-    def test_tensors_past_the_budget_are_built_on_each_run(self, monkeypatch):
-        # alternating H and two-gate phase layers, one factor per phase
-        # layer: past the budget the binding keeps recipes, not tensors
+    def test_tensors_past_the_budget_are_built_on_each_run(self):
+        # 80 phase layers on 16 qubits, each one factor of 2^11 amplitudes
+        # (32 KiB): the circuit keeps them within sim.KEEP_AMPS amplitudes
+        # (1 MiB, where all would take 2.5 MiB), and a second run builds
+        # the others again
         rng = np.random.default_rng(6)
-        layers = []
-        for i in range(12):
-            a, b, c, d = rng.permutation(8)[:4].tolist()
-            layers += [Layer((hadamard(i % 8),)),
-                       Layer((symmetric_phase(rng.uniform(0, 6), (a,), b),
-                              symmetric_phase(rng.uniform(0, 6), (c,), d)))]
-        state = random_state(8, rng)
-        kept = run(Circuit(8, (Role.INPUT,) * 8, tuple(layers)), state).copy()
-        monkeypatch.setattr(sim, "KEEP_AMPS", 48)
-        c = Circuit(8, (Role.INPUT,) * 8, tuple(layers))
-        factors = [arg[1] for kernel, arg in sim._restriction(c, tuple(range(8)))
-                   if kernel is sim._scale]
-        assert sum(f.size for f in factors if isinstance(f, np.ndarray)) <= 48
-        assert any(not isinstance(f, np.ndarray) for f in factors)
-        assert np.array_equal(run(c, state), kept)
+        c = _phase_ladder(rng, 16, 80, 11)
+        state, workspace = random_state(16, rng), make_workspace(16)
+        first, kept, _ = _traced(lambda: run(c, state, workspace))
+        first = first.copy()
+        again, _, peak = _traced(lambda: run(c, state, workspace))
+        assert kept <= 1.5 * sim.KEEP_AMPS * 16, kept
+        assert peak >= (1 << 11) * 16, peak
+        assert np.array_equal(again, first)
+        apart = state
+        for g in c.gates():
+            apart = apply_gate(apart, g)
+        assert np.abs(first - apart).max() <= 1e-12
 
     @pytest.mark.parametrize("layer, w", [
         # four CNOTs on distinct controls, all held back and then run
@@ -307,14 +352,20 @@ class TestPlan:
             ClassicalGate("xor", (0, 2))),))).layers[0], 6),
     ], ids=["cat-doubling", "rev-embed-and-or-xor"])
     def test_each_permutation_gate_is_one_step(self, layer, w):
+        # the layer gives, bit for bit, what its gates give one at a time,
+        # on a flat input and on one that holds half the qubits, and it
+        # only moves amplitudes: it multiplies none
         c = Circuit(w, (Role.INPUT,) * w, (layer,), Discipline.WITH_FANOUT)
         assert len(layer.gates) > 2
-        assert dense_plan(c)[0] == [(sim._flip, gate) for gate in layer.gates]
-        state = random_state(w, np.random.default_rng(9))
-        apart = state
-        for g in layer.gates:
-            apart = apply_gate(apart, g)
-        assert np.array_equal(run(c, state), apart)
+        rng = np.random.default_rng(9)
+        shaped, half = shaped_and_flat(range(0, w, 2), w, random_state(w // 2, rng))
+        for state in (random_state(w, rng), half):
+            apart = state
+            for g in layer.gates:
+                apart = apply_gate(apart, g)
+            assert np.array_equal(run(c, state), apart)
+        assert np.array_equal(flat_form(run(c, shaped)), apart)  # `half` run shaped
+        assert _multiplied(run(c, _signed_zeros(w))) == 0
 
     @pytest.mark.parametrize("gate, slab_size", [
         (symmetric_phase(0.7, (0,), 5), 16),
@@ -327,199 +378,129 @@ class TestPlan:
         # target is 0 multiplies only the slab where the target is 1 too
         w = 6
         c = Circuit(w, (Role.INPUT,) * w, (Layer((gate,)),))
-        [(kernel, (slab, factor))] = sim._restriction(c, tuple(range(w)))
-        assert kernel is sim._scale
-        assert np.arange(1 << w).reshape([2] * w)[slab].size == slab_size
-        assert factor.size == (4 if len(gate.targets) == 2 else 1)
+        assert _multiplied(run(c, _signed_zeros(w))) == slab_size
         assert np.abs(unitary_of(c) - oracle_unitary(gate, w)).max() <= 1e-15
 
     def test_wide_rewrite_runs_the_copies_first(self):
         # a CNOT chain makes qubit 14's bit the parity of qubits 0..14,
         # wider than a 16-qubit plan's 11-qubit factors: the chain runs
-        # before the phase, which then multiplies only its firing slab
+        # before the phase, which then multiplies only its firing slab, a
+        # quarter of the state, and no 2^15-amplitude factor is built
         w = 16
         chain = tuple(Layer((cnot(q, q + 1),)) for q in range(14))
         c = Circuit(w, (Role.INPUT,) * w,
                     chain + (Layer((symmetric_phase(0.7, (15,), 14),)),))
-        kinds = [_form(k, a) for k, a in sim._restriction(c, tuple(range(w)))]
-        assert kinds == ["_flip"] * 14 + ["_scale slab"]
         state = random_state(w, np.random.default_rng(4))
         apart = state
         for g in c.gates():
             apart = apply_gate(apart, g)
-        assert np.array_equal(run(c, state), apart)
-
-
-def _pair(held, w: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A state that holds `values` on the `held` qubits, every other qubit
-    at |0>: in run's shaped form, and flat."""
-    flat = np.zeros(1 << w, dtype=complex)
-    flat[embed_index(np.arange(values.size), held)] = values
-    return values.reshape(sim._shape(held, w)), flat
-
-
-def _flat(state: np.ndarray) -> np.ndarray:
-    """The flat form of a state in run's shaped form: 0 off its held slab."""
-    w = state.ndim
-    held = [q for q in range(w) if state.shape[w - 1 - q] == 2]
-    return _pair(held, w, state.reshape(-1))[1]
-
-
-def _data_superposition(c: Circuit, rng) -> tuple[np.ndarray, np.ndarray]:
-    """A random superposition of the data register's basis inputs, every
-    other qubit at |0>, shaped and flat."""
-    return _pair(c.data_qubits, c.width, random_state(len(c.data_qubits), rng))
-
-
-def _full_plan_run(c: Circuit, state: np.ndarray) -> np.ndarray:
-    """The state, flat, advanced by the circuit's whole plan, bound to
-    every qubit afresh."""
-    everywhere = tuple(range(c.width))
-    steps = sim._bind(dense_plan(c)[0], everywhere, c.width)
-    out, _ = sim._apply(state.copy(), np.empty_like(state), steps, [2] * c.width)
-    return out
-
-
-def _spy_binds(monkeypatch) -> list:
-    """The live sets that sim._bind is called with from now on."""
-    builds, bind = [], sim._bind
-    monkeypatch.setattr(sim, "_bind", lambda *args: builds.append(args[1]) or bind(*args))
-    return builds
-
-
-def _form(kernel, arg) -> str:
-    """The kernel of a bound step, a _scale step as "_scale slab" (a
-    gate's diagonal on its firing slab), "_scale tensor" or "_scale
-    recipe" (a factor on the whole state, kept or built on each run)."""
-    if kernel is not sim._scale:
-        return kernel.__name__
-    slab, factor = arg
-    return ("_scale recipe" if not isinstance(factor, np.ndarray)
-            else "_scale tensor" if slab is ... else "_scale slab")
-
-
-def _forms(steps) -> set:
-    return {_form(k, a) for k, a in steps}
+        workspace = make_workspace(w)
+        got, _, peak = _traced(lambda: run(c, state, workspace))
+        assert np.array_equal(got, apart)
+        assert peak < state.nbytes / 16, peak
+        assert _multiplied(run(c, _signed_zeros(w))) == 1 << 14
 
 
 class TestLiveQubits:
     """run holds only the live qubits of a shaped input, those it holds and
-    those the plan moves, and runs the plan bound to them
-    (sim._restriction); a flat input holds every qubit."""
+    those the plan moves, and returns them in the shaped form; a flat input
+    holds every qubit. The circuit keeps the plan's binding to the last
+    live set it ran on."""
 
     @pytest.mark.parametrize("discipline", list(Discipline))
-    def test_data_superposition_of_modq_const_runs_on_eight_qubits(self, discipline, monkeypatch):
+    def test_data_superposition_of_modq_const_runs_on_eight_qubits(self, discipline):
         # the data register (inputs 0-3, target 4) and the counter (5-7),
         # which H moves; the 12 copies stay at 0
         c = modq_constant_depth(4, 5, discipline)
         rng = np.random.default_rng(7)
         shaped, flat = _data_superposition(c, rng)
         full = random_state(c.width, rng)
-        wants = [_full_plan_run(c, state) for state in (flat, full)]
-        builds = _spy_binds(monkeypatch)
+        wants = [run(_fresh(c), state) for state in (flat, full)]
         out = run(c, shaped)
-        assert out.shape == tuple(sim._shape(range(8), c.width))
-        assert np.abs(_flat(out) - wants[0]).max() <= 1e-15
+        assert out.shape == tuple(held_shape(range(8), c.width))
+        assert np.abs(flat_form(out) - wants[0]).max() <= 1e-15
         # the same superposition, flat, and a dense state run on every
-        # qubit, on one binding
-        for state, want in zip((flat, full), wants):
-            assert np.array_equal(run(c, state), want)
-            assert builds == [tuple(range(8)), tuple(range(c.width))]
+        # qubit, on one binding: the second run builds none of its factors
+        workspace = make_workspace(c.width)
+        assert np.array_equal(run(c, flat, workspace), wants[0])
+        got, _, peak = _traced(lambda: run(c, full, workspace))
+        assert np.array_equal(got, wants[1])
+        assert peak < full.nbytes / 64, peak
 
     def test_toffoli_on_negated_idle_controls_acts_as_x(self):
+        # each negated control's slab is the whole length-1 axis of its idle
+        # qubit
         w = 7
         c = Circuit(w, (Role.INPUT,) * w,
                     (Layer((toffoli((3, 4, 5, 6), 1, negated=(3, 4, 5, 6)),)),))
-        shaped, flat = _pair((0, 2), w, random_state(2, np.random.default_rng(2)))
+        shaped, flat = shaped_and_flat((0, 2), w, random_state(2, np.random.default_rng(2)))
         out = run(c, shaped)
-        assert out.shape == tuple(sim._shape((0, 1, 2), w))
-        # the plan's own Toffoli, unrenumbered: each negated control's slab
-        # is the whole length-1 axis of its idle qubit
-        [(kernel, gate)] = sim._restriction(c, (0, 1, 2))
-        assert kernel is sim._flip and gate is c.layers[0].gates[0]
-        assert np.array_equal(_flat(out), apply_gate(flat, pauli_x(1)))
+        assert out.shape == tuple(held_shape((0, 1, 2), w))
+        assert np.array_equal(flat_form(out), apply_gate(flat, pauli_x(1)))
 
     def test_cnot_on_a_plain_idle_control_is_dropped(self):
+        # qubit 6 is idle, so the CNOT never fires; its target 0 is held
         w = 7
         c = Circuit(w, (Role.INPUT,) * w, (Layer((cnot(6, 0), hadamard(1))),))
-        shaped, flat = _pair((2,), w, np.full(2, 1 / np.sqrt(2), dtype=complex))
+        shaped, flat = shaped_and_flat((2,), w, np.full(2, 1 / np.sqrt(2), dtype=complex))
         out = run(c, shaped)
-        assert out.shape == tuple(sim._shape((0, 1, 2), w))
-        assert [k for k, _ in sim._restriction(c, (0, 1, 2))] == [sim._dense_block]
-        assert np.array_equal(_flat(out), apply_gate(flat, hadamard(1)))
+        assert out.shape == tuple(held_shape((0, 1, 2), w))
+        assert np.array_equal(flat_form(out), apply_gate(flat, hadamard(1)))
 
     @pytest.mark.parametrize("negated", [(), (9,)], ids=["plain", "negated"])
     def test_in_place_block_on_an_idle_control(self, negated):
         # a 16x16 cu on targets 2-5 controlled by idle qubit 9, on inputs
         # that set qubits 0 and 1: a stack of 64-amplitude matrices, the
-        # in-place layout. A plain control's slab is empty, so its two
-        # steps are dropped; a negated one's is the whole held state
+        # in-place layout. A plain control's slab is empty, so the block
+        # never fires; a negated one's is the whole held state
         w = 10
         rng = np.random.default_rng(16)
         block = controlled_u((9,), random_unitary(rng, 16), (2, 3, 4, 5), negated)
         c = Circuit(w, (Role.INPUT,) * w, (Layer((block, hadamard(0))), Layer((block,))))
-        shaped, flat = _pair((0, 1), w, random_state(2, rng))
+        shaped, flat = shaped_and_flat((0, 1), w, random_state(2, rng))
         out = run(c, shaped)
-        assert out.shape == tuple(sim._shape(range(6), w))
-        assert len(sim._restriction(c, tuple(range(6)))) == (3 if negated else 1)
+        assert out.shape == tuple(held_shape(range(6), w))
         apart = flat
         for g in c.gates():
             apart = apply_gate(apart, g)
-        assert np.array_equal(_flat(out), apart)
-
-    def test_restricted_steps_are_the_plans_own(self):
-        # bound to a data superposition's live qubits, every permutation
-        # and dense-block step is the plan's step object itself
-        c = modq_constant_depth(4, 5)
-        moves = [s for s in sim._restriction(c, tuple(range(8))) if s[0] is not sim._scale]
-        plan = [s for s in dense_plan(c)[0] if s[0] is not sim._scale]
-        assert moves and len(moves) == len(plan)
-        assert all(s is p for s, p in zip(moves, plan))
+        assert np.array_equal(flat_form(out), apart)
 
     def test_negated_modq_control_on_an_idle_qubit_counts(self):
         # MODQ q=3 on inputs 0 and 1 and idle 5 and 6, 6 negated: nothing
-        # pins 6, and as an idle input it reads 0, so it adds 1 to the
+        # moves 6, and as an idle input it reads 0, so it adds 1 to the
         # count, which is a multiple of 3 only where 0 and 1 are both set
         w = 7
         gate = modq_gate(3, (0, 1, 5, 6), 2, negated=(6,))
         c = Circuit(w, (Role.INPUT,) * w, (Layer((gate,)),))
-        assert dense_plan(c)[1] == 1 << 2
         values = random_state(2, np.random.default_rng(17))
-        shaped, flat = _pair((0, 1), w, values)
+        shaped, flat = shaped_and_flat((0, 1), w, values)
         out = run(c, shaped)
-        assert out.shape == tuple(sim._shape((0, 1, 2), w))
-        assert np.array_equal(_flat(out), apply_gate(flat, gate))
+        assert out.shape == tuple(held_shape((0, 1, 2), w))
+        assert np.array_equal(flat_form(out), apply_gate(flat, gate))
         assert np.array_equal(out.reshape(-1)[[0b100, 0b101, 0b110, 0b011]], values)
 
-    def test_diagonal_steps_become_factors_on_the_live_qubits(self, monkeypatch):
-        # H on qubit 0 between phase layers over qubits 0-7 of 10, on inputs
-        # that leave 6-9 at 0: lone phases (a slab on every qubit, a
-        # kept factor on the live ones, also where all their qubits are
-        # live), kept factors and, past a budget of 8 amplitudes for 64
-        # live ones, recipes built on each run
-        monkeypatch.setattr(sim, "KEEP_AMPS", 8)
+    def test_diagonal_steps_become_factors_on_the_live_qubits(self):
+        # H on qubit 0 between phase layers over qubits 0-14 of 20, on
+        # inputs that leave 6-19 at 0: the first run, plan and binding built
+        # inside the trace, builds its factors on the 6 live qubits, and
+        # peaks under half of one factor over the 14 qubits that each of
+        # the last ten phase layers reads
         rng = np.random.default_rng(12)
-        w = 10
+        w = 20
         layers = [Layer((symmetric_phase(0.3, (1, 6), 7),)), Layer((hadamard(0),)),
                   Layer((symmetric_phase(0.5, (2,), 3),))]
         for _ in range(10):
-            a, b, c, d = rng.permutation(8)[:4].tolist()
+            a = rng.permutation(15).tolist()
             layers += [Layer((hadamard(0),)),
-                       Layer((symmetric_phase(rng.uniform(0, 6), (a,), b),
-                              symmetric_phase(rng.uniform(0, 6), (c,), d)))]
+                       Layer((symmetric_phase(rng.uniform(0, 6), a[:6], a[6]),
+                              symmetric_phase(rng.uniform(0, 6), a[7:13], a[13])))]
         c = Circuit(w, (Role.INPUT,) * w, tuple(layers))
-        assert {"_scale slab", "_scale tensor", "_scale recipe"} <= _forms(
-            sim._restriction(c, tuple(range(w))))
         live = tuple(range(6))
-        shaped, flat = _pair(live, w, random_state(6, rng))
-        out = run(c, shaped)
-        assert out.shape == tuple(sim._shape(live, w))
-        steps = sim._restriction(c, live)
-        assert _forms(steps) == {"_dense_block", "_scale tensor", "_scale recipe"}
-        # kept tensors span every axis, with length 1 on each idle one
-        assert all(a[1].ndim == w and a[1].shape[:w - 6] == (1,) * (w - 6)
-                   for k, a in steps if k is sim._scale and isinstance(a[1], np.ndarray))
-        assert np.abs(_flat(out) - _full_plan_run(c, flat)).max() <= 1e-14
+        shaped, flat = shaped_and_flat(live, w, random_state(6, rng))
+        out, _, peak = _traced(lambda: run(c, shaped))
+        assert out.shape == tuple(held_shape(live, w))
+        assert peak < (1 << 14) * 16 / 2, peak
+        assert np.abs(flat_form(out) - run(_fresh(c), flat)).max() <= 1e-14
 
     def test_no_live_qubit(self):
         # diagonal gates only, on |0...0>: the restricted state is one
@@ -531,63 +512,91 @@ class TestLiveQubits:
         assert out.shape == (1,) * 5
         assert np.array_equal(out, state)
 
-    def test_one_restriction_is_kept_per_circuit(self, monkeypatch):
+    def test_one_restriction_is_kept_per_circuit(self):
+        # the circuit keeps the binding of the last live set it ran on: a
+        # run on every qubit builds its factors (two of 512 KiB) again
+        # after a run on fewer qubits, and not after one on every qubit
         c = modq_constant_depth(4, 5)
         rng = np.random.default_rng(5)
-        pairs = _data_superposition(c, rng), _data_superposition(c, rng)
-        wants = [_full_plan_run(c, flat) for _, flat in pairs]
-        builds = _spy_binds(monkeypatch)
-        workspace = make_workspace(8)
-        for (shaped, _), want in zip(pairs, wants):
-            assert np.abs(_flat(run(c, shaped, workspace)) - want).max() <= 1e-15
-        assert builds == [tuple(range(8))]
+        (shaped, flat), full = _data_superposition(c, rng), random_state(c.width, rng)
+        wants = run(_fresh(c), flat), run(_fresh(c), full)
+        workspace = make_workspace(c.width)
+
+        def two_full_runs_bind_once():
+            peaks = []
+            for _ in range(2):
+                got, _, peak = _traced(lambda: run(c, full, workspace))
+                assert np.array_equal(got, wants[1])
+                peaks.append(peak)
+            assert peaks[0] > full.nbytes / 64 > peaks[1], peaks
+
+        two_full_runs_bind_once()
+        assert np.abs(flat_form(run(c, shaped, workspace)) - wants[0]).max() <= 1e-15
+        two_full_runs_bind_once()
         # |0...0>, with the target at 0: its live set is the counter and
         # the target, which the Toffoli moves
-        run(c, np.ones((1,) * c.width, dtype=complex), workspace)
-        assert builds == [tuple(range(8)), (4, 5, 6, 7)]
-        assert vars(c)["_dense_binding"][0] == (4, 5, 6, 7)
-        run(c, pairs[0][0], workspace)
-        assert builds == [tuple(range(8)), (4, 5, 6, 7), tuple(range(8))]
+        out = run(c, np.ones((1,) * c.width, dtype=complex), workspace)
+        assert out.shape == tuple(held_shape((4, 5, 6, 7), c.width))
+        two_full_runs_bind_once()
 
     def test_verify_binds_once(self, monkeypatch):
-        # the superpositions of modq-const n=3 q=3 share the live set of
-        # the data register and counter; its basis inputs run on rows
+        # the superpositions of modq-const n=3 q=3 share one live set, the
+        # data register and the counter (the shape of each output), so only
+        # the first run binds (run keeps the binding of a repeated live
+        # set: test_one_restriction_is_kept_per_circuit), and only the first
+        # builds the plan, so each later one peaks lower. Its basis inputs
+        # run on rows
         built = build_construction("modq-const", n=3, q=3)
-        builds = _spy_binds(monkeypatch)
-        assert verify_built(built, superpositions=4).passed
-        assert builds == [tuple(range(6))]
+        runs, dense = [], verify.run
 
-    def test_a_restricted_run_builds_factors_on_the_live_qubits_alone(self, monkeypatch):
-        # the plan holds recipes, and a data-superposition run builds its
-        # four factors on the 8 live qubits, never on all 20; the binding
-        # keeps them, so a second run builds none
+        def traced(circuit, state, workspace=None):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = dense(circuit, state, workspace)
+            runs.append((out.shape, tracemalloc.get_traced_memory()[1] - before))
+            return out
+
+        monkeypatch.setattr(verify, "run", traced)
+        tracemalloc.start()
+        try:
+            assert verify_built(built, superpositions=4).passed
+        finally:
+            tracemalloc.stop()
+        shapes, peaks = zip(*runs)
+        assert shapes == (tuple(held_shape(range(6), built.circuit.width)),) * 4
+        assert max(peaks[1:]) < 0.75 * peaks[0], peaks
+
+    def test_a_restricted_run_builds_factors_on_the_live_qubits_alone(self):
+        # a data-superposition run of modq-const n=4 q=5 builds its plan,
+        # its binding and its four factors on the 8 live qubits inside the
+        # trace, and peaks under 64 KiB; on all 20 qubits two of them span
+        # 15 qubits, 512 KiB each
         c = modq_constant_depth(4, 5)
-        assert not any(isinstance(arg, np.ndarray) for _, arg in dense_plan(c)[0])
         shaped, flat = _data_superposition(c, np.random.default_rng(14))
-        want = _full_plan_run(c, flat)
-        lives = []
-        factor = sim._factor
-        monkeypatch.setattr(sim, "_factor", lambda *args: lives.append(args[3]) or factor(*args))
-        for _ in range(2):
-            assert np.abs(_flat(run(c, shaped)) - want).max() <= 1e-15
-        assert lives == [tuple(range(8))] * 4
+        want = run(_fresh(c), flat)
+        workspace = make_workspace(8)
+        out, _, peak = _traced(lambda: run(c, shaped, workspace))
+        assert peak < 1 << 16, peak
+        assert np.abs(flat_form(out) - want).max() <= 1e-15
+        assert np.abs(flat_form(run(c, shaped, workspace)) - want).max() <= 1e-15
 
 
 class TestShapedForm:
     """run and check_ancilla_purity also take a state in the shaped form:
     one axis per qubit, of length 2 where it is held and 1 where it is
-    idle, at 0 (sim._shape)."""
+    idle, at 0 (held_shape)."""
 
     def test_run_holds_the_moved_qubits_and_returns_the_shaped_form(self):
         # modq-const n=4 q=5 on a superposition of inputs 0-3 alone: the run
         # also holds the target and the counter, which the plan moves, at
         # 0 on input, and returns them, as a view of the workspace
         c = modq_constant_depth(4, 5)
-        shaped, flat = _pair(range(4), c.width, random_state(4, np.random.default_rng(23)))
+        shaped, flat = shaped_and_flat(range(4), c.width,
+                                       random_state(4, np.random.default_rng(23)))
         before = shaped.copy()
         workspace = make_workspace(8)
         out = run(c, shaped, workspace)
-        assert out.shape == tuple(sim._shape(range(8), c.width))
+        assert out.shape == tuple(held_shape(range(8), c.width))
         assert any(np.shares_memory(out, buf) for buf in workspace)
         assert np.array_equal(shaped, before)
         want = run(c, flat)
@@ -600,25 +609,25 @@ class TestShapedForm:
         # qubit 5 alone idle: the run holds the other five and returns
         # qubit 5 on its length-1 axis
         c = Circuit(6, (Role.INPUT,) * 6, (Layer((hadamard(0), cnot(1, 2))),))
-        shaped, flat = _pair((0, 1, 3, 4), 6, random_state(4, np.random.default_rng(25)))
+        shaped, flat = shaped_and_flat((0, 1, 3, 4), 6, random_state(4, np.random.default_rng(25)))
         out = run(c, shaped)
         assert out.shape == (1,) + (2,) * 5
         want = oracle_unitary(cnot(1, 2), 6) @ oracle_unitary(hadamard(0), 6) @ flat
-        assert np.abs(_flat(out) - want).max() <= 1e-15
+        assert np.abs(flat_form(out) - want).max() <= 1e-15
 
     @pytest.mark.parametrize("ancillae", [
         (5,), (1,), (4, 1), (2, 3), (1, 2, 4, 5), tuple(range(6)), (),
     ])
     def test_purity_is_that_of_the_flat_state(self, ancillae):
         # qubits 1 and 4 idle: an ancilla on their length-1 axes adds 0
-        shaped, flat = _pair((0, 2, 3, 5), 6, random_state(4, np.random.default_rng(24)))
+        shaped, flat = shaped_and_flat((0, 2, 3, 5), 6, random_state(4, np.random.default_rng(24)))
         got, want = check_ancilla_purity(shaped, ancillae), check_ancilla_purity(flat, ancillae)
         assert got.pure == want.pure
         assert abs(got.leakage - want.leakage) <= 1e-15
         assert check_ancilla_purity(shaped, (1, 4)).leakage == 0.0
 
     def test_dump_is_that_of_the_flat_state(self):
-        shaped, flat = _pair((0, 2, 3, 5), 6, random_state(4, np.random.default_rng(26)))
+        shaped, flat = shaped_and_flat((0, 2, 3, 5), 6, random_state(4, np.random.default_rng(26)))
         assert dump_state(shaped) == dump_state(flat)
         assert len(dump_state(shaped).splitlines()) == 16
 
@@ -783,15 +792,17 @@ class TestRunBasis:
 
     @pytest.mark.parametrize("name, kwargs", [
         ("modq-const", {"n": 3, "q": 3}), ("parity-cat", {"n": 3})])
-    def test_does_not_use_the_dense_plan(self, monkeypatch, name, kwargs):
+    def test_keeps_nothing_of_the_dense_engine(self, name, kwargs):
         # the sparse engine walks the gates, so it checks the plan that it
-        # is tested against without sharing it
-        def refuse(*args):
-            raise AssertionError("run_basis built a dense plan")
-        monkeypatch.setattr(sim, "_plan", refuse)
+        # is tested against without sharing it: it leaves nothing on the
+        # circuit, where a dense run keeps the plan it builds
         c = build_construction(name, **kwargs).circuit
+        attributes = set(vars(c))
         ids, _, _ = run_basis(c, embed_index(np.arange(8), c.data_qubits[:3]))
         assert set(ids.tolist()) == set(range(8))
+        assert set(vars(c)) == attributes
+        run(c, zero_state(c.width))
+        assert set(vars(c)) > attributes
 
     def test_gives_up_beyond_one_dense_state(self):
         w = 5
@@ -829,14 +840,20 @@ class TestUnitaryOf:
             u = unitary_of(c)
             assert np.abs(u.conj().T @ u - np.eye(1 << width)).max() <= 1e-10
 
-    def test_binds_once_on_every_qubit(self, monkeypatch):
-        # every column runs on one binding, which the circuit keeps
-        c = modq_constant_depth(2, 3)
-        builds = _spy_binds(monkeypatch)
+    def test_binds_once_on_every_qubit(self):
+        # every column runs on one binding to every qubit, which the
+        # circuit keeps: after unitary_of a run on a flat input keeps
+        # nothing new, where on a fresh copy of the circuit it keeps the
+        # plan and its binding, 24 factors of 4 KiB among them
+        rng = np.random.default_rng(32)
+        c = _phase_ladder(rng, 8, 24, 8)
         u = unitary_of(c)
-        assert builds == [tuple(range(c.width))]
+        state, workspace, fresh = random_state(8, rng), make_workspace(8), _fresh(c)
+        _, fresh_kept, _ = _traced(lambda: run(fresh, state, workspace))
+        got, kept, _ = _traced(lambda: run(c, state, workspace))
+        assert kept < 1 << 14 < 24 << 12 < fresh_kept, (kept, fresh_kept)
+        assert np.abs(got - u @ state).max() <= 1e-13
         assert np.array_equal(unitary_of(c), u)
-        assert builds == [tuple(range(c.width))]
 
     def test_width_cap(self):
         c = Circuit(13, (Role.INPUT,) * 13)
