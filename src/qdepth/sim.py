@@ -4,13 +4,13 @@ State-vector simulation on two engines, and ancilla-purity analysis.
 The dense engine holds a state as a plain complex128 numpy array of
 length 2^m, unit norm, in little-endian basis order: qubit 0 is the least
 significant bit of the basis index. run is its one entry: apply_gate runs
-a circuit of one gate through it, and unitary_of one column per basis
-state. It runs a plan (_dense_plan), built for each circuit on its first
-run and kept with the circuit; the caller keeps the input state. A layer
-of commuting gates is one time step, as in the paper, and the plan takes
-each layer's gates by class. A run binds the plan to its live qubits (see
-below), the circuit keeps the last such binding, and each bound step
-advances the held state in one pass:
+a circuit of one gate through it, and unitary_of its basis states, a
+batch at a time. It runs a plan (_dense_plan), built for each circuit on
+its first run and kept with the circuit; the caller keeps the input
+state. A layer of commuting gates is one time step, as in the paper, and
+the plan takes each layer's gates by class. A run binds the plan to its
+live qubits (see below), the circuit keeps the last such binding, and
+each bound step advances the held state in one pass:
 
 - permutation gates (X, CNOT, Toffoli, fanout, MODQ), one gate at a time:
   the slab where the controls fire, flipped on the targets, is staged in
@@ -47,7 +47,10 @@ live axes alone. An input says which qubits it holds by its shape: in
 the shaped form, one axis per qubit, of length 1 where it is idle, run
 takes and returns the held slab alone, so a data-register superposition
 of modq-const n=4 q=5 touches 2^8 of its 2^20 amplitudes, input to
-output. A flat input of 2^m amplitudes holds every qubit.
+output. A flat input of 2^m amplitudes holds every qubit. A batch of
+shaped states that hold the same qubits, stacked on one more leading
+axis, is one run: a kernel finds a qubit's axis counting from the last,
+so each step acts on every state of the batch at once.
 
 Beyond the workspace pair a run allocates a few KiB of numpy
 bookkeeping, except that a MODQ step builds its 2^inputs count and mask.
@@ -90,21 +93,22 @@ def state_width(state: np.ndarray) -> int:
     return m
 
 
-def _view_shape(state: np.ndarray, width: int | None = None) -> list[int]:
+def _view_shape(state: np.ndarray, width: int | None = None, lead: int = 0) -> list[int]:
     """The shape a state is viewed in: [2]*m for a flat 2^m vector, else its
-    own (run's shaped form), each axis of length 2 (held) or 1 (idle, at 0).
-    With its `width` known, a 1-D state is flat unless the width is 1,
-    where both forms are one axis; so a flat 0-qubit state, shape (1,),
-    stays flat. With none, a state is shaped when it has more than one
-    axis or shape (1,), read as one idle qubit: as a flat 0-qubit state it
-    would hold the same amplitude."""
+    own (run's shaped form), each axis of length 2 (held) or 1 (idle, at 0),
+    after `lead` leading axes of any length (a batch). With its `width`
+    known, a 1-D state is flat unless the width is 1, where both forms are
+    one axis; so a flat 0-qubit state, shape (1,), stays flat. With none, a
+    state is shaped when it has more than one axis or shape (1,), read as
+    one idle qubit: as a flat 0-qubit state it would hold the same
+    amplitude."""
     if width is None:
         shaped = state.ndim > 1 or state.shape == (1,)
     else:
         shaped = state.ndim != 1 or width == 1
     if not shaped:
         return [2] * state_width(state)
-    if not set(state.shape) <= {1, 2}:
+    if not set(state.shape[lead:]) <= {1, 2}:
         raise CircuitError(f"state shape {state.shape} has an axis of length other than 1 or 2")
     return list(state.shape)
 
@@ -174,7 +178,10 @@ _FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
                          GateKind.FANOUT, GateKind.MODQ})
 
 # A bound plan keeps its factor tensors up to 1/8 of the (live) state's
-# amplitudes in all, or this many (1 MiB) on fewer than 19 live qubits.
+# amplitudes in all, or this many (1 MiB) on fewer than 19 live qubits. A
+# batch of states in one run (verify's superpositions and dense fallback,
+# unitary_of's columns) holds this many amplitudes, or one state where
+# that is more: more per run measured slower, as the batch leaves cache.
 KEEP_AMPS = 1 << 16
 
 
@@ -481,7 +488,7 @@ def _bind(plan, live, w: int) -> list:
             if diag.size == 2 and diag[0] == 1:  # PHASE, z, s: fix the target at 1
                 on, fixed = on | 1 << gate.targets[0], gate.support
                 factor = factor[_slab(on, gate.targets, w)]
-            slab = _slab(on, fixed, w)
+            slab = (..., *_slab(on, fixed, w))  # after any batch axis
         elif 1 << len(on) <= keep:
             keep -= 1 << len(on)
             factor = _factor(qubits, group, w, live)
@@ -499,16 +506,24 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
 
 
 def make_workspace(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reusable buffer pair for repeated run() calls that hold at most
-    `width` qubits: a flat input holds every qubit of the circuit."""
+    """Reusable buffer pair of 2^width amplitudes each, for repeated run()
+    calls that hold at most that many: 2^live for each state of a batch,
+    and a flat input holds every qubit of the circuit."""
     return np.empty(1 << width, dtype=complex), np.empty(1 << width, dtype=complex)
+
+
+def live_qubits(circuit: Circuit, held) -> tuple[int, ...]:
+    """The qubits that a run of the circuit holds when its input holds
+    `held`: those, and the qubits that its plan moves (_dense_plan's mask)."""
+    pinned, held = _dense_plan(circuit)[1], set(held)
+    return tuple(q for q in range(circuit.width) if q in held or pinned >> q & 1)
 
 
 def run(circuit: Circuit, initial: np.ndarray,
         workspace: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Apply the circuit's layers in order; `initial` is left untouched.
     This is the dense engine's one entry: apply_gate is one gate through
-    it, and unitary_of one column per basis state.
+    it, and unitary_of runs the basis states through it in batches.
 
     The state advances by the steps of the circuit's plan (_dense_plan),
     built on its first run. The plan takes each layer's gates by class:
@@ -523,34 +538,49 @@ def run(circuit: Circuit, initial: np.ndarray,
     `initial` is flat, 2^width amplitudes, or in the shaped form
     (held_shape): width axes, of length 2 for a held qubit and 1 for an
     idle one, at 0; for a 1-qubit circuit both are one axis, and shape
-    (1,) leaves it idle. A flat input holds every qubit. A run binds the
-    plan to its live qubits (_bind): the held ones and those the plan
-    moves (_dense_plan's mask). The circuit keeps one binding, for the
+    (1,) leaves it idle. A flat input holds every qubit. A batch of B
+    states is the shaped form with one more leading axis, of length B:
+    (B, *held_shape(qubits, width)), every state holding the same qubits
+    (for a 1-qubit circuit, (B, 2) or (B, 1)). The states share one
+    binding and advance together, each kernel acting on all of them, and
+    come back as (B, *held_shape(live, width)).
+
+    A run binds the plan to its live qubits (_bind, live_qubits): the held
+    ones and those the plan moves. The circuit keeps one binding, for the
     last live set it ran on; it is replaced whole, so concurrent runs each
     use one of their own. `initial`, with 0 where it leaves a moved qubit
-    idle, is copied into the first 2^live amplitudes of the workspace and
-    advanced there in held_shape(live, width), and comes back in the form
-    it came in. Passing a `workspace` from make_workspace avoids per-call
-    state allocations; the returned state then aliases one of its buffers
-    and is only valid until the next run with the same workspace.
+    idle, is copied into the first B * 2^live amplitudes of the workspace
+    and advanced there in held_shape(live, width), and comes back in the
+    form it came in. Passing a `workspace` from make_workspace avoids
+    per-call state allocations; the returned state then aliases one of its
+    buffers and is only valid until the next run with the same workspace.
+    A workspace too small for the run raises CircuitError.
     """
-    w, shape = circuit.width, _view_shape(initial, circuit.width)
-    if len(shape) != w:
+    w = circuit.width
+    lead = int(w > 0 and initial.ndim == w + 1)  # 1 for a batch on axis 0
+    shape = _view_shape(initial, w, lead)
+    if len(shape) != w + lead:
         raise CircuitError(f"state has {len(shape)} qubits, circuit {w}")
-    plan, pinned = _dense_plan(circuit)
-    live = tuple(q for q in range(w) if shape[_axis(q, w)] == 2 or pinned >> q & 1)
+    if not initial.size:
+        raise CircuitError("a batch of no state")
+    plan = _dense_plan(circuit)[0]
+    live = live_qubits(circuit, [q for q in range(w) if shape[_axis(q, len(shape))] == 2])
     kept = vars(circuit).get("_dense_binding")
     if kept is None or kept[0] != live:
         kept = live, _bind(plan, live, w)
         object.__setattr__(circuit, "_dense_binding", kept)
-    core, n = held_shape(live, w), 1 << len(live)
-    state, scratch = workspace or make_workspace(len(live))
+    batch = shape[0] if lead else 1
+    core, n = shape[:lead] + held_shape(live, w), batch << len(live)
+    state, scratch = workspace or make_workspace(len(live) + (batch - 1).bit_length())
+    if min(state.size, scratch.size) < n:
+        raise CircuitError(f"workspace of {min(state.size, scratch.size)} amplitudes "
+                           f"cannot hold the run's {n}")
     held, src = state[:n], initial.reshape(shape)
     if src.size < n:  # moved qubits that the input leaves idle: pad at 0
         held[...] = 0
     held.reshape(core)[tuple(map(slice, src.shape))] = src
     out, _ = _apply(held, scratch[:n], kept[1], core)
-    return out.reshape(core) if initial.ndim == w else out
+    return out.reshape(core) if initial.ndim == w + lead else out
 
 
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray]  # (input id, basis index, amplitude)
@@ -628,16 +658,18 @@ def run_basis(circuit: Circuit, starts) -> Rows | None:
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Full matrix of the circuit: column j is run on basis state j. Every
-    column holds every qubit, so all run on one binding and one workspace."""
+    column holds every qubit, so all run on one binding, a batch of
+    KEEP_AMPS amplitudes at a time, one run each."""
     w = circuit.width
     if w > UNITARY_WIDTH_CAP:
         raise WidthCapExceeded(f"unitary extraction capped at {UNITARY_WIDTH_CAP} "
                                f"qubits, circuit has {w}")
-    u, workspace = np.empty((1 << w, 1 << w), dtype=complex), make_workspace(w)
-    column = zero_state(w)
-    for j in range(1 << w):
-        column[j - 1], column[j] = 0, 1  # basis state j
-        u[:, j] = run(circuit, column, workspace)
+    u, step = np.empty((1 << w, 1 << w), dtype=complex), max(KEEP_AMPS >> w, 1)
+    workspace = make_workspace(w + (step - 1).bit_length())
+    for j in range(0, 1 << w, step):
+        columns = np.eye(min(step, (1 << w) - j), 1 << w, j, dtype=complex)
+        out = run(circuit, columns.reshape(-1, *[2] * w), workspace)
+        u[:, j:j + len(columns)] = out.reshape(len(columns), -1).T
     return u
 
 

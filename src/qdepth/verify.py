@@ -23,6 +23,9 @@ weighted by its amplitudes. Such an input goes to the dense engine in
 its shaped form, and its output comes back on only the qubits that the
 input sets or the circuit moves, the only ones not left at 0: for
 modq-const n=4 q=5 the data register and the counter, 8 of its 20 qubits.
+The dense engine takes these inputs, superpositions and fallback basis
+inputs alike, as batches of sim.KEEP_AMPS amplitudes, one run each, and
+the leakage of each state of a batch is its own.
 """
 from __future__ import annotations
 
@@ -44,8 +47,9 @@ from .ir import (
 )
 from .oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
 from .sim import (
-    PURITY_TOL, UNITARY_WIDTH_CAP, WidthCapExceeded, check_ancilla_purity,
-    embed_index, held_shape, merge_rows, run, run_basis, unitary_of,
+    KEEP_AMPS, PURITY_TOL, UNITARY_WIDTH_CAP, WidthCapExceeded,
+    check_ancilla_purity, embed_index, held_shape, live_qubits, merge_rows,
+    run, run_basis, unitary_of,
 )
 
 SIM_CAP_ENV = "QDEPTH_SIM_CAP"
@@ -166,6 +170,17 @@ def _gate_oracle(gate: Gate, d: int) -> Oracle:
     return oracle
 
 
+def _superpositions(rng: np.random.Generator, count: int, size: int) -> np.ndarray:
+    """`count` random unit vectors of `size` amplitudes, one a row, each
+    drawn and normed as a lone draw would be, so a seed gives the same
+    vectors however they are batched."""
+    psi = np.empty((count, size), dtype=complex)
+    for row in psi:
+        row[...] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        row /= np.linalg.norm(row)
+    return psi
+
+
 def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
                         inputs: range | None = None,
                         superpositions: int = 0,
@@ -180,13 +195,17 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
 
     The basis inputs run together on the sparse engine, sim.run_basis,
     unless their rows would outnumber the 2^width amplitudes of one dense
-    state; then each runs alone on the dense engine, sim.run. Either way
-    the leakage is each input's probability mass on basis states with any
+    state; then they run on the dense engine, sim.run. Either way the
+    leakage is each input's probability mass on basis states with any
     ancilla bit set. Superpositions always run on the dense engine. A dense
     run takes and returns run's shaped form, so its error and leakage are
-    taken over the qubits it holds; every other qubit stays at 0. Sparse
-    rows meet the oracle's entries one to one when it gives every input
-    one entry, else through a merge_rows residual.
+    taken over the qubits it holds; every other qubit stays at 0. It takes
+    a batch of inputs at once, as many as fit KEEP_AMPS amplitudes on the
+    qubits the run holds (one from 16 of them on); each superposition is
+    drawn in its turn, batch by batch, so the seed gives the same states
+    however they are batched, and a large count holds one batch at a
+    time. Sparse rows meet the oracle's entries one to one when it gives
+    every input one entry, else through a merge_rows residual.
     """
     data_qubits, ancillae = circuit.data_qubits, circuit.ancillae
     d, width = len(data_qubits), circuit.width
@@ -226,43 +245,51 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
         if not superpositions:
             return max_error, max_leak, xs.size
 
-    v = np.zeros(held_shape(data_qubits, width), dtype=complex)  # run's shaped form
-    cells = v.reshape(-1)  # a view; v.flat takes at most 32 axes
+    if width > 63:  # a batch of run's shaped form: an axis per qubit and one more
+        raise WidthCapExceeded(f"{width}-qubit register exceeds the 63 qubits of a batch "
+                               f"of dense runs in the 64 axes of a numpy array")
+    shape = held_shape(data_qubits, width)  # run's shaped form
+    batch = max(KEEP_AMPS >> len(live_qubits(circuit, data_qubits)), 1)
     at = None  # where each of the oracle's entries sits in a run's output
 
-    def drive(entries, weights) -> np.ndarray:
-        """Run v and fold in its leakage. Returns the output, flat, less the
-        oracle's `entries`, each times its input's weight in v."""
+    def drive(weights, whose, entries, norm) -> float:
+        """Run a batch of data-register states, row i of `weights` the
+        amplitudes of state i on the inputs xs, in one run, and fold in
+        each state's leakage. Returns the largest `norm` of a state's
+        output less its image: the oracle's `entries`, entry j times its
+        input's weight in state whose[j]."""
         nonlocal max_leak, at
-        out = run(circuit, v)
-        leak = check_ancilla_purity(out, ancillae).leakage
-        max_leak = float(np.maximum(max_leak, leak))
+        v = np.zeros((len(weights), 1 << d), dtype=complex)
+        v[:, xs] = weights
+        out = run(circuit, v.reshape(-1, *shape))
+        for state in out:
+            leak = check_ancilla_purity(state, ancillae).leakage
+            max_leak = float(np.maximum(max_leak, leak))
         if at is None:
             held = [q for q in range(width) if out.shape[-1 - q] == 2]
             at = sum(((ys >> q) & 1) << k for k, q in enumerate(held))
-        out = out.reshape(-1)
-        np.add.at(out, at[entries], -amps[entries] * weights)
-        return out
+        out = out.reshape(len(v), -1)
+        np.add.at(out, (whose, at[entries]), -amps[entries] * weights[whose, ids[entries]])
+        return float(np.max([norm(row) for row in out]))
 
     if rows is None:
         bounds = np.searchsorted(ids, np.arange(xs.size + 1))
-        for i, x in enumerate(xs):
-            cells[x] = 1.0
-            err = np.abs(drive(slice(bounds[i], bounds[i + 1]), 1.0)).max()
-            cells[x] = 0.0
+        for lo in range(0, xs.size, batch):
+            hi = min(lo + batch, xs.size)
+            entries = slice(bounds[lo], bounds[hi])
+            err = drive(np.eye(hi - lo, xs.size, lo, dtype=complex), ids[entries] - lo,
+                        entries, lambda row: np.abs(row).max())
             max_error = float(np.maximum(max_error, err))
 
-    if superpositions:
-        rng = np.random.default_rng(seed)
-        for _ in range(superpositions):
-            psi = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
-            psi /= np.linalg.norm(psi)
-            cells[xs] = psi
-            # the linear extension of the image: each entry's amplitude
-            # times its input's weight in v, added at the entry's index
-            out = drive(slice(None), psi[ids])
-            err = math.sqrt(np.vdot(out, out).real)
-            max_error = float(np.maximum(max_error, err))
+    rng = np.random.default_rng(seed)
+    for lo in range(0, superpositions, batch):
+        count = min(batch, superpositions - lo)
+        # the linear extension of the image: each entry's amplitude times
+        # its input's weight in the state, added at the entry's index
+        err = drive(_superpositions(rng, count, xs.size), np.arange(count).repeat(ids.size),
+                    np.tile(np.arange(ids.size), count),
+                    lambda row: math.sqrt(np.vdot(row, row).real))
+        max_error = float(np.maximum(max_error, err))
 
     return max_error, max_leak, xs.size + superpositions
 

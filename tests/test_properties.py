@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from qdepth.ir import Circuit, Discipline, Gate, GateKind, block_matrix, compose, inverse
 from qdepth.oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
 from qdepth.sim import embed_index, random_state, run, run_basis, unitary_of
+from qdepth.synth import modq_constant_depth
 
 from common import (AFFINE_KINDS, DIAGONAL_KINDS, held_qubits, random_layered_circuit,
                     shaped_and_flat)
@@ -104,6 +105,17 @@ def test_dense_sparse_and_oracle_agree():
     agree()
     compared, total = map(sum, zip(*counts))
     assert compared >= 0.95 * total, (compared, total)
+
+
+def test_unitary_of_in_several_batches_matches_the_oracle():
+    # unitary_of runs its columns 2^16 amplitudes a run: 128 columns a
+    # batch at 9 qubits (4 batches), 64 at 10 (16), each batch one run
+    rng = np.random.default_rng(9)
+    circuits = [random_layered_circuit(rng, 9, 3, discipline) for discipline in Discipline]
+    circuits += [random_layered_circuit(rng, 10, 2, Discipline.WITH_FANOUT),
+                 modq_constant_depth(2, 3)]
+    for c in circuits:
+        assert np.abs(unitary_of(c) - _oracle_product(c)).max() <= TOL
 
 
 # every layer kind and the parity, the kinds that move a qubit under

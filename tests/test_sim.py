@@ -14,9 +14,9 @@ from qdepth.ir import (
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
     WidthCapExceeded, apply_gate, basis_state, check_ancilla_purity,
-    data_block_unitary, dump_state, embed_index, held_shape, make_workspace,
-    merge_rows, plus_at, random_state, relabel_qubits, run, run_basis,
-    unitary_of, zero_state,
+    data_block_unitary, dump_state, embed_index, held_shape, live_qubits,
+    make_workspace, merge_rows, plus_at, random_state, relabel_qubits, run,
+    run_basis, unitary_of, zero_state,
 )
 from qdepth.synth import (cat_fanout, cat_log_depth, modq_constant_depth,
                           reversible_embed)
@@ -540,31 +540,21 @@ class TestLiveQubits:
         two_full_runs_bind_once()
 
     def test_verify_binds_once(self, monkeypatch):
-        # the superpositions of modq-const n=3 q=3 share one live set, the
-        # data register and the counter (the shape of each output), so only
-        # the first run binds (run keeps the binding of a repeated live
-        # set: test_one_restriction_is_kept_per_circuit), and only the first
-        # builds the plan, so each later one peaks lower. Its basis inputs
-        # run on rows
+        # the four superpositions of modq-const n=3 q=3 are one batch: one
+        # run, on one binding, of the data register (inputs 0-2, target 3)
+        # that returns it and the counter (4, 5), which H moves. Its basis
+        # inputs run on rows
         built = build_construction("modq-const", n=3, q=3)
-        runs, dense = [], verify.run
+        w, runs, dense = built.circuit.width, [], verify.run
 
         def traced(circuit, state, workspace=None):
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
             out = dense(circuit, state, workspace)
-            runs.append((out.shape, tracemalloc.get_traced_memory()[1] - before))
+            runs.append((state.shape, out.shape))
             return out
 
         monkeypatch.setattr(verify, "run", traced)
-        tracemalloc.start()
-        try:
-            assert verify_built(built, superpositions=4).passed
-        finally:
-            tracemalloc.stop()
-        shapes, peaks = zip(*runs)
-        assert shapes == (tuple(held_shape(range(6), built.circuit.width)),) * 4
-        assert max(peaks[1:]) < 0.75 * peaks[0], peaks
+        assert verify_built(built, superpositions=4).passed
+        assert runs == [((4, *held_shape(range(4), w)), (4, *held_shape(range(6), w)))]
 
     def test_a_restricted_run_builds_factors_on_the_live_qubits_alone(self):
         # a data-superposition run of modq-const n=4 q=5 builds its plan,
@@ -647,15 +637,114 @@ class TestShapedForm:
         assert np.array_equal(run(empty, np.ones(1, dtype=complex)), [1])
 
     @pytest.mark.parametrize("shape", [
-        (2, 3, 2), (4, 1, 2), (2, 2), (2, 1, 2, 2), (3,), (),
+        (2, 3, 2), (4, 1, 2), (2, 2), (2, 2, 1, 2, 2), (3,), (),
     ], ids=["axis-3", "axis-4", "too-few-axes", "too-many-axes", "flat-3", "scalar"])
     def test_a_malformed_state_raises(self, shape):
+        # one leading axis more than the width is a batch; two are too many
         c = Circuit(3, (Role.INPUT,) * 3, (Layer((hadamard(0),)),))
         with pytest.raises(CircuitError):
             run(c, np.zeros(shape, dtype=complex))
-        if shape not in ((2, 2), (2, 1, 2, 2)):  # shaped states of other widths
+        if shape not in ((2, 2), (2, 2, 1, 2, 2)):  # shaped states of other widths
             with pytest.raises(CircuitError):
                 check_ancilla_purity(np.zeros(shape, dtype=complex), ())
+
+
+class TestBatch:
+    """run also takes a batch: the shaped form with one more leading axis,
+    of any length B >= 1, each state holding the same qubits. The states
+    share one binding and one run, and come back as (B, *held_shape(live,
+    width)). numpy may round a BLAS product over more rows apart in the
+    last bit, so a batch matches its single runs to 1e-15, not bitwise."""
+
+    @pytest.mark.parametrize("discipline", list(Discipline))
+    def test_a_batch_is_the_stack_of_its_single_runs(self, discipline):
+        # random layered circuits of widths 1-12, on batches of 1, 3 and 8
+        # random states that hold every qubit or a random subset of them
+        rng = np.random.default_rng(2026)
+        for width in range(1, 13):
+            c = random_layered_circuit(rng, width, 4, discipline)
+            for b in (1, 3, 8):
+                for held in (range(width), [q for q in range(width) if rng.random() < 0.5]):
+                    shape = held_shape(held, width)
+                    states = np.stack([random_state(len(held), rng).reshape(shape)
+                                       for _ in range(b)])
+                    before = states.copy()
+                    got = run(c, states)
+                    want = np.stack([run(c, state) for state in states])
+                    assert got.shape == want.shape and got.shape[0] == b
+                    assert np.abs(got - want).max() <= 1e-15
+                    assert np.array_equal(states, before)
+
+    def test_a_negated_modq_control_on_an_idle_qubit_counts_in_each_state(self):
+        # test_negated_modq_control_on_an_idle_qubit_counts on a batch of
+        # three: the gate fires where inputs 0 and 1 are not both set
+        w = 7
+        gate = modq_gate(3, (0, 1, 5, 6), 2, negated=(6,))
+        c = Circuit(w, (Role.INPUT,) * w, (Layer((gate,)),))
+        rng = np.random.default_rng(17)
+        pairs = [shaped_and_flat((0, 1), w, random_state(2, rng)) for _ in range(3)]
+        out = run(c, np.stack([shaped for shaped, _ in pairs]))
+        assert out.shape == (3, *held_shape((0, 1, 2), w))
+        for got, (_, flat) in zip(out, pairs):
+            assert np.array_equal(flat_form(got), apply_gate(flat, gate))
+
+    def test_copy_trees_cancel_on_a_batch(self):
+        # data-register superpositions of modq-const n=4 q=5, both
+        # disciplines: a batch of five holds the 8 live qubits, as each
+        # state alone does
+        rng = np.random.default_rng(27)
+        for discipline in Discipline:
+            c = modq_constant_depth(4, 5, discipline)
+            assert live_qubits(c, c.data_qubits) == tuple(range(8))
+            states = np.stack([_data_superposition(c, rng)[0] for _ in range(5)])
+            got = run(c, states)
+            assert got.shape == (5, *held_shape(range(8), c.width))
+            want = np.stack([run(_fresh(c), state) for state in states])
+            assert np.abs(got - want).max() <= 1e-15
+
+    def test_one_qubit_batches_and_the_empty_circuit(self):
+        # a 1-qubit batch is (B, 2), or (B, 1) with the qubit idle unless
+        # the plan moves it; for a circuit of no qubit, (1,) stays the flat
+        # state and (2,) is not a batch of two
+        phase = Circuit(1, (Role.INPUT,), (Layer((symmetric_phase(0.3, (), 0),)),))
+        states = np.array([[1, 0], [0, 1], [0.6, 0.8j]], dtype=complex)
+        out = run(phase, states)
+        assert out.shape == (3, 2)
+        assert np.abs(out - states * [1, np.exp(0.3j)]).max() <= 1e-15
+        assert np.array_equal(run(phase, np.ones((4, 1), dtype=complex)), np.ones((4, 1)))
+        flip = Circuit(1, (Role.INPUT,), (Layer((pauli_x(0),)),))
+        assert np.array_equal(run(flip, np.ones((2, 1), dtype=complex)), [[0, 1], [0, 1]])
+        empty = Circuit(0, (), ())
+        out = run(empty, np.full(1, 1j))
+        assert out.shape == (1,) and out[0] == 1j
+        with pytest.raises(CircuitError, match="state has 1 qubits, circuit 0"):
+            run(empty, np.ones(2, dtype=complex))
+
+    def test_an_empty_batch_raises(self):
+        c = Circuit(3, (Role.INPUT,) * 3, (Layer((hadamard(0),)),))
+        with pytest.raises(CircuitError, match="no state"):
+            run(c, np.zeros((0, 2, 2, 2), dtype=complex))
+
+    def test_a_workspace_too_small_for_the_batch_raises(self):
+        # three 4-qubit states need 48 amplitudes a buffer: a pair of 32,
+        # or one buffer of 32, is refused before either is written, and a
+        # pair of 64 serves, the output a view of one of its buffers
+        c = Circuit(4, (Role.INPUT,) * 4, (Layer((hadamard(0), cnot(1, 2))),))
+        rng = np.random.default_rng(28)
+        states = np.stack([random_state(4, rng).reshape([2] * 4) for _ in range(3)])
+        small, big = make_workspace(5), make_workspace(6)
+        for buf in small + big:
+            buf[...] = 7
+        for workspace in (small, (big[0], small[1]), (small[0], big[1])):
+            with pytest.raises(CircuitError, match="workspace of 32 amplitudes"):
+                run(c, states, workspace)
+        assert all((buf == 7).all() for buf in small + big)
+        with pytest.raises(CircuitError, match="workspace"):
+            run(c, states[0].reshape(-1), make_workspace(3))
+        out = run(c, states, big)
+        assert any(np.shares_memory(out, buf) for buf in big)
+        want = np.stack([run(c, state) for state in states])
+        assert np.abs(out - want).max() <= 1e-15
 
 
 def _layered_circuits():

@@ -10,12 +10,12 @@ import numpy as np
 from qdepth import verify
 from qdepth.classical import ClassicalCircuit, ClassicalGate
 from qdepth.ir import (
-    Circuit, Discipline, GateKind, Layer, hadamard, modq_gate, pauli_x, toffoli,
+    Circuit, Discipline, GateKind, Layer, Role, hadamard, modq_gate, pauli_x, toffoli,
 )
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
     PURITY_TOL, WidthCapExceeded, basis_state, check_ancilla_purity,
-    embed_index, run,
+    embed_index, held_shape, run,
 )
 from qdepth.synth import parity_via_catstate
 from qdepth.verify import (
@@ -377,6 +377,59 @@ class TestShapedSuperpositions:
         assert abs(err - max(errs)) <= 1e-12
         assert abs(leak - max(basis_leak, *leaks)) <= 1e-12
 
+    def test_superpositions_run_in_batches_that_do_not_grow_with_the_count(self):
+        # the mutant above holds every qubit, so each of its batches is one
+        # state; without the uncompute phase of input 0 (layer 9), copies
+        # still cancel, so runs hold 8 qubits and a batch is 256 states:
+        # 300 superpositions are batches of 256 and 44. Their max_error and
+        # max_leakage are those of lone runs of the same seeded inputs, in
+        # the shaped form, and at the first and last state of each batch
+        # also of flat runs over the whole register. What a check of 1,200
+        # (five batches) allocates peaks where one of 300 does, below what
+        # 1,200 outputs of 2^8 amplitudes would take
+        built = build_construction("modq-const", n=4, q=5)
+        c = built.circuit
+        layers = list(c.layers)
+        layers[9] = Layer(layers[9].gates[1:])
+        broken = Circuit(c.width, c.roles, tuple(layers), c.discipline)
+        err, leak, checked = verify_construction(broken, built.oracle, superpositions=300)
+        basis_err, basis_leak, _ = verify_construction(broken, built.oracle)
+        assert checked == 332 and err > 1e-9 and leak > PURITY_TOL
+        data = c.data_qubits
+        assert list(data) == list(range(5))  # a data index is a register index
+        xs = np.arange(1 << len(data))
+        ids, ys, amps = verify._gate_oracle(built.oracle, len(data))(xs)
+        rng = np.random.default_rng(0)  # verify_construction's default seed
+        errs, leaks = [], []
+        for i in range(300):
+            psi = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
+            psi /= np.linalg.norm(psi)
+            out = run(broken, psi.reshape(held_shape(data, c.width)))
+            assert out.shape == tuple(held_shape(range(8), c.width))
+            leaks.append(check_ancilla_purity(out, c.ancillae).leakage)
+            out = out.reshape(-1).copy()
+            np.add.at(out, ys, -amps * psi[ids])
+            errs.append(float(np.linalg.norm(out)))
+            if i in (0, 255, 256, 299):
+                flat = np.zeros(1 << c.width, dtype=complex)
+                flat[xs] = psi
+                full = run(broken, flat)
+                assert abs(check_ancilla_purity(full, c.ancillae).leakage - leaks[-1]) <= 1e-12
+                np.add.at(full, ys, -amps * psi[ids])
+                assert abs(float(np.linalg.norm(full)) - errs[-1]) <= 1e-12
+        assert max(errs) > basis_err  # the superpositions decide max_error
+        assert abs(err - max(errs)) <= 1e-12
+        assert abs(leak - max(basis_leak, *leaks)) <= 1e-12
+        peaks = []
+        for count in (300, 1200):
+            tracemalloc.start()
+            try:
+                verify_construction(broken, built.oracle, superpositions=count)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + (1 << 12) < 1200 << 12, peaks
+
     def test_superpositions_allocate_only_the_held_qubits(self):
         # modq-const n=4 q=5 holds 8 of its 20 qubits: a check of ten
         # superpositions, once the plan is built and bound, stays far below
@@ -394,6 +447,22 @@ class TestShapedSuperpositions:
     def test_width_one(self):
         report = verify_built(build_construction("cat", n=1), superpositions=3)
         assert report.passed and report.inputs_checked == 5
+
+    def test_a_batch_takes_one_axis_more_than_the_register(self, monkeypatch):
+        # X on qubit 0 of a wide register whose data register is qubits 0
+        # and width-1: its basis inputs run on rows, its superpositions as a
+        # batch, which takes an axis more than the width; numpy allows 64,
+        # so width 64 exits as a cap
+        monkeypatch.setenv("QDEPTH_SIM_CAP", "64")
+        for width in (63, 64):
+            c = Circuit(width, (Role.INPUT,) + (Role.ANCILLA,) * (width - 2) + (Role.INPUT,),
+                        (Layer((pauli_x(0),)),))
+            assert verify_construction(c, pauli_x(0)) == (0, 0, 4)
+            if width == 63:
+                assert verify_construction(c, pauli_x(0), superpositions=2) == (0, 0, 6)
+            else:
+                with pytest.raises(WidthCapExceeded, match="64-qubit register"):
+                    verify_construction(c, pauli_x(0), superpositions=2)
 
 
 class TestScalingTables:
