@@ -7,10 +7,10 @@ Input bitstrings are qubit-0-first ("110" sets qubit 0 and qubit 1); the
 state dump prints basis indices in binary with qubit 0 rightmost. Exit
 codes: 0 success/pass, 1 verification failure, 2 usage error, 3 register
 too wide for a limit of the simulator (sim.WidthCapExceeded): the
-simulation cap (QDEPTH_SIM_CAP, default 22), the 64 axes of a numpy
-array, a block-matrix gate oracle (ctrl-u), or the int64 key of the
-sparse engine's rows; or a register too large to build at all
-(MemoryError, or OverflowError where its size does not fit an index).
+simulation cap (QDEPTH_SIM_CAP, default 22), the 63-qubit ceiling, a
+dense matrix's width (ctrl-u's gate oracle), or numpy's largest array;
+or a register too large to build at all (MemoryError, or OverflowError
+where its size does not fit an index).
 """
 from __future__ import annotations
 

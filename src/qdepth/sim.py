@@ -80,10 +80,16 @@ DUMP_THRESHOLD = 1e-14
 
 
 class WidthCapExceeded(RuntimeError):
-    """A register is too wide for a limit of the simulator: the simulation
-    cap, the 64 axes of a numpy array, the width of unitary extraction, or
-    the int64 (id, index) key of the sparse rows. This is not a malformed
-    request, so it is no CircuitError; the CLI exits 3 on it."""
+    """A register is too wide for a limit of the simulator (the simulation
+    cap, the 63-qubit ceiling, unitary extraction's or the dense gate
+    oracle's width), or an array would outgrow numpy's largest (check_size).
+    Not a malformed request, so no CircuitError; the CLI exits 3 on it."""
+
+
+def check_size(count: int, dtype, what: str) -> None:
+    """Raise WidthCapExceeded if `count` entries of `dtype` outgrow the largest numpy array."""
+    if count * np.dtype(dtype).itemsize > np.iinfo(np.intp).max:
+        raise WidthCapExceeded(f"{what} exceeds the largest numpy array")
 
 
 def state_width(state: np.ndarray) -> int:
@@ -508,7 +514,8 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
 def make_workspace(width: int) -> tuple[np.ndarray, np.ndarray]:
     """Reusable buffer pair of 2^width amplitudes each, for repeated run()
     calls that hold at most that many: 2^live for each state of a batch,
-    and a flat input holds every qubit of the circuit."""
+    and a flat input holds every qubit of the circuit (see check_size)."""
+    check_size(1 << width, complex, f"a workspace of 2^{width} amplitudes")
     return np.empty(1 << width, dtype=complex), np.empty(1 << width, dtype=complex)
 
 
@@ -586,18 +593,17 @@ def run(circuit: Circuit, initial: np.ndarray,
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray]  # (input id, basis index, amplitude)
 
 
-def merge_rows(ids: np.ndarray, index: np.ndarray, amps: np.ndarray,
-               width: int) -> Rows:
+def merge_rows(ids: np.ndarray, index: np.ndarray, amps: np.ndarray) -> Rows:
     """Sum the amplitudes of rows with equal (id, index) into one row each,
-    sorted by id, then index. Nothing is dropped, not even a zero. The
-    rows are keyed by (id << width) | index, which must fit an int64."""
-    if width + int(ids.max(initial=0)).bit_length() > 63:
-        raise WidthCapExceeded(f"{width}-qubit rows of {int(ids.max()) + 1} "
-                               f"inputs overflow an int64 (id, index) key")
-    keys, inverse = np.unique((ids << width) | index, return_inverse=True)
-    re = np.bincount(inverse, amps.real, keys.size)
-    im = np.bincount(inverse, amps.imag, keys.size)
-    return keys >> width, keys & ((1 << width) - 1), re + 1j * im
+    sorted by id, then index. Nothing is dropped, not even a zero. The sort
+    is stable, so each sum adds its rows in the order given."""
+    order = np.lexsort((index, ids))
+    ids, index, amps = ids[order], index[order], amps[order]
+    first = np.ones(ids.size, dtype=bool)
+    first[1:] = (ids[1:] != ids[:-1]) | (index[1:] != index[:-1])
+    group = np.cumsum(first) - 1  # dense, so bincount gives one sum per group
+    return (ids[first], index[first],
+            np.bincount(group, amps.real) + 1j * np.bincount(group, amps.imag))
 
 
 def _row_fires(gate: Gate, index: np.ndarray) -> np.ndarray:
@@ -628,7 +634,7 @@ def run_basis(circuit: Circuit, starts) -> Rows | None:
     Returns None as soon as the rows would outnumber the 2^width
     amplitudes of one dense state: run is then the cheaper engine.
     """
-    w, budget = circuit.width, 1 << circuit.width
+    budget = 1 << circuit.width
     index = np.array(starts, dtype=np.int64)
     ids, amps = np.arange(index.size), np.ones(index.size, dtype=complex)
     for gate in circuit.gates():
@@ -649,7 +655,7 @@ def run_basis(circuit: Circuit, starts) -> Rows | None:
         spread = embed_index(np.arange(1 << k), gate.targets)
         new = merge_rows(np.repeat(ids[hit], 1 << k),
                          ((index[hit] & ~mask)[:, None] | spread).ravel(),
-                         (amps[hit, None] * u.T[block[hit]]).ravel(), w)
+                         (amps[hit, None] * u.T[block[hit]]).ravel())
         nonzero, rest = new[2] != 0, ~fires
         ids, index, amps = (np.concatenate((old[rest], fresh[nonzero]))
                             for old, fresh in zip((ids, index, amps), new))

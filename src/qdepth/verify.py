@@ -48,8 +48,8 @@ from .ir import (
 from .oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
 from .sim import (
     KEEP_AMPS, PURITY_TOL, UNITARY_WIDTH_CAP, WidthCapExceeded,
-    check_ancilla_purity, embed_index, held_shape, live_qubits, merge_rows,
-    run, run_basis, unitary_of,
+    check_ancilla_purity, check_size, embed_index, held_shape, live_qubits,
+    merge_rows, run, run_basis, unitary_of,
 )
 
 SIM_CAP_ENV = "QDEPTH_SIM_CAP"
@@ -67,15 +67,16 @@ Oracle = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 def check_sim_cap(width: int) -> None:
     """Raise WidthCapExceeded if a register of `width` qubits is wider than
-    the simulation cap ($QDEPTH_SIM_CAP, an integer >= 1, or the default) or 64."""
+    the 63-qubit ceiling, the bits of an int64 basis index (a batch then has
+    its axis in numpy's 64), or the simulation cap ($QDEPTH_SIM_CAP, >= 1)."""
     raw = os.environ.get(SIM_CAP_ENV, str(DEFAULT_SIM_CAP))
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"{SIM_CAP_ENV} must be an integer >= 1, got {raw!r}")
+    if width > 63:
+        raise WidthCapExceeded(f"{width}-qubit register exceeds the simulator's 63-qubit ceiling")
     if width > int(raw):
         raise WidthCapExceeded(
             f"{width}-qubit register exceeds the {int(raw)}-qubit simulation cap")
-    if width > 64:  # run's shaped form has an axis per qubit; numpy 2 allows 64
-        raise WidthCapExceeded(f"{width}-qubit register exceeds the 64 axes of a numpy array")
 
 
 def error_tol(tol: float | None = None) -> float:
@@ -206,6 +207,8 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
     however they are batched, and a large count holds one batch at a
     time. Sparse rows meet the oracle's entries one to one when it gives
     every input one entry, else through a merge_rows residual.
+    It raises WidthCapExceeded past check_sim_cap, or for an array past
+    numpy's largest (check_size): the inputs, or a batch of dense states.
     """
     data_qubits, ancillae = circuit.data_qubits, circuit.ancillae
     d, width = len(data_qubits), circuit.width
@@ -215,6 +218,8 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
     oracle = _gate_oracle(oracle, d) if isinstance(oracle, Gate) else oracle
 
     inputs = range(1 << d) if inputs is None else inputs
+    count = -((inputs.start - inputs.stop) // inputs.step)  # len(), which stops at 2^63
+    check_size(count, np.int64, f"a range of {count} inputs")
     xs = np.arange(inputs.start, inputs.stop, inputs.step, dtype=np.int64)
     ids, ys, amps = oracle(xs)
     ys = embed_index(ys, data_qubits)
@@ -236,7 +241,7 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
         else:
             residual = merge_rows(np.concatenate((out_ids, ids)),
                                   np.concatenate((out_index, ys)),
-                                  np.concatenate((out, -amps)), width)[2]
+                                  np.concatenate((out, -amps)))[2]
             max_error = float(np.abs(residual).max(initial=0.0))
         dirty = (out_index & sum(1 << a for a in ancillae)) != 0
         leak = np.bincount(out_ids[dirty], out[dirty].real ** 2
@@ -245,11 +250,9 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
         if not superpositions:
             return max_error, max_leak, xs.size
 
-    if width > 63:  # a batch of run's shaped form: an axis per qubit and one more
-        raise WidthCapExceeded(f"{width}-qubit register exceeds the 63 qubits of a batch "
-                               f"of dense runs in the 64 axes of a numpy array")
     shape = held_shape(data_qubits, width)  # run's shaped form
     batch = max(KEEP_AMPS >> len(live_qubits(circuit, data_qubits)), 1)
+    check_size(batch << d, complex, f"a batch of {batch} x 2^{d} amplitudes")
     at = None  # where each of the oracle's entries sits in a run's output
 
     def drive(weights, whose, entries, norm) -> float:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from qdepth.classical import random_circuit as random_classical
-from qdepth.ir import Discipline, cnot, modq_gate
+from qdepth.ir import Circuit, Discipline, GateKind, Layer, cnot, modq_gate
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
     apply_gate, basis_state, check_ancilla_purity, data_block_unitary,
@@ -121,6 +121,30 @@ def test_criterion_5_modq_resource_claims():
     _announce(5, "copy ancillae = n*ceil(log2 q) exactly; constant-form "
                  "depth is one integer for n = 2..16 while the sequential "
                  "form strictly grows")
+
+
+def test_criterion_5_modq_amplitudes_at_n16(monkeypatch):
+    # the n=16 end of criterion 5's grid, width 51, checked by amplitudes
+    # on all 2^17 data-register inputs
+    monkeypatch.setenv(SIM_CAP_ENV, "51")
+    for q, discipline in ((3, Discipline.WITH_FANOUT), (4, Discipline.STRICT)):
+        built = build_construction("modq-const", n=16, q=q, discipline=discipline)
+        report = verify_built(built)
+        assert report.passed and report.inputs_checked == 1 << 17, report.to_text()
+        assert report.max_error <= 1e-9 and report.max_leakage <= 1e-10
+        # a mutant drops one gate of the first uncopy layer, the layer after
+        # the diagonal one: a copy stays entangled with the counter
+        c = built.circuit
+        layers = list(c.layers)
+        at = 1 + next(i for i, layer in enumerate(layers) if all(
+            g.kind is GateKind.CONTROLLED_U and g.controls for g in layer.gates))
+        layers[at] = Layer(layers[at].gates[1:])
+        _, leak, _ = verify_construction(Circuit(c.width, c.roles, tuple(layers), discipline),
+                                         built.oracle, inputs=range(0, 1 << 17, 97))
+        assert leak > 1e-10, (q, leak)
+    _announce(5, "modq-const n=16 matches the counting oracle on all 2^17 "
+                 "basis inputs (q=3 wf, q=4 strict), and a dropped uncopy "
+                 "gate fails on leakage")
 
 
 def test_criterion_6_counting_plan_algebra():

@@ -173,14 +173,17 @@ class TestSim:
         assert index == "0" * 22 + "1" * 11  # 10 is no multiple of 3: the target flips
         assert abs(complex(float(re), float(im)) - 1) <= 1e-12
 
-    def test_past_64_qubits_exits_three(self, tmp_path, monkeypatch, capsys):
-        # whatever the cap, the shaped form has one axis per qubit, and a
-        # numpy array at most 64
-        out = tmp_path / "c.json"
-        run_cli(capsys, "synth", "--construction", "cat", "--n", "70", "--out", str(out))
+    def test_past_63_qubits_exits_three(self, tmp_path, monkeypatch, capsys):
+        # whatever the cap, a basis index is one int64: 63 qubits at most
         monkeypatch.setenv("QDEPTH_SIM_CAP", "80")
-        assert run_cli(capsys, "sim", str(out), "--input", "1" + "0" * 69) == (
-            3, "", "error: 70-qubit register exceeds the 64 axes of a numpy array\n")
+        for n in (64, 70):
+            out = tmp_path / f"c{n}.json"
+            run_cli(capsys, "synth", "--construction", "cat", "--n", str(n), "--out", str(out))
+            message = f"error: {n}-qubit register exceeds the simulator's 63-qubit ceiling\n"
+            assert run_cli(capsys, "sim", str(out), "--input", "1" + "0" * (n - 1)) == (
+                3, "", message)
+            assert run_cli(capsys, "verify", "--construction", "cat", "--n", str(n)) == (
+                3, "", message)
 
     def test_unparseable_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -522,15 +525,40 @@ class TestNoHugeAllocation:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             exit_code, "", f"error: {message}\n")
 
-    def test_row_key_overflow_exits_as_a_cap(self, tmp_path, monkeypatch):
-        # with the cap raised, 2^14 inputs at width 56 would need a 70-bit
-        # (id, index) row key: a limit of the simulator, not a usage error
+    def test_rows_past_an_int64_key_pass(self, tmp_path, monkeypatch):
+        # with the cap raised, 2^14 inputs at width 56 run on rows whose
+        # (id, index) pairs would take 70 bits as one key: the merge sorts
+        # on the pair and needs none
         monkeypatch.setenv("QDEPTH_SIM_CAP", "63")
         proc = run_cli_limited(tmp_path, "verify", "--construction", "modq-const",
                                "--n", "13", "--q", "5")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "width=56" in proc.stdout and proc.stdout.endswith(" inputs=16384 pass\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        # a 63-qubit data register: np.arange gave its 2^63 inputs as none,
+        # and the verdict passed on zero inputs
+        (("verify", "--construction", "fanout", "--n", "62", "--json"),
+         f"a range of {2 ** 63} inputs exceeds the largest numpy array"),
+        (("verify", "--construction", "fanout", "--n", "61"),
+         f"a range of {2 ** 62} inputs exceeds the largest numpy array"),
+        # cat's two inputs fit, but a superposition of them fills 63 qubits
+        (("verify", "--construction", "cat", "--n", "63", "--superpositions", "2"),
+         "a batch of 1 x 2^63 amplitudes exceeds the largest numpy array"),
+    ], ids=["fanout-n62", "fanout-n61", "cat-n63-superpositions"])
+    def test_past_the_largest_array_exits_three(self, tmp_path, monkeypatch, argv, message):
+        monkeypatch.setenv("QDEPTH_SIM_CAP", "63")
+        proc = run_cli_limited(tmp_path, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+
+    def test_a_workspace_past_the_largest_array_exits_three(self, tmp_path, monkeypatch):
+        # plus@0 on a 62-qubit cat holds every qubit: 2^62 amplitudes
+        monkeypatch.setenv("QDEPTH_SIM_CAP", "63")
+        run_cli_limited(tmp_path, "synth", "--construction", "cat", "--n", "62",
+                        "--out", "c.json").check_returncode()
+        proc = run_cli_limited(tmp_path, "sim", "c.json", "--input", "plus@0")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            3, "", "error: 56-qubit rows of 16384 inputs overflow an int64 "
-                   "(id, index) key\n")
+            3, "", "error: a workspace of 2^62 amplitudes exceeds the largest numpy array\n")
 
     @pytest.mark.parametrize("command", [
         ("verify",), ("verify", "--structural-only"), ("synth", "--out", "c.json"),

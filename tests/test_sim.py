@@ -871,13 +871,22 @@ class TestRunBasis:
         assert (ids.tolist(), index.tolist()) == ([0], [1])
         assert abs(amps[0] - 1) <= 1e-15
 
-    def test_merge_key_must_fit_int64(self):
-        ids, index = np.array([0, 15, 15]), np.array([3, 1, 1])
-        amps = np.array([1.0, 0.5, 0.25j])
-        merged = merge_rows(ids, index, amps, 59)
-        assert [a.tolist() for a in merged] == [[0, 15], [3, 1], [1.0, 0.5 + 0.25j]]
-        with pytest.raises(WidthCapExceeded):
-            merge_rows(ids, index, amps, 60)
+    def test_merge_needs_no_int64_key(self):
+        # ids up to 2^20 and indices near 2^62: an (id << width) | index key
+        # would take 83 bits. Each sum adds its rows in the order given, as
+        # a dict does, so the sums match exactly
+        rng = np.random.default_rng(5)
+        ids = rng.choice([0, 1, (1 << 20) - 1, 1 << 20], 300)
+        index = rng.choice([0, 5, (1 << 62) - 1, 1 << 62, (1 << 62) + 3], 300)
+        amps = rng.normal(size=300) + 1j * rng.normal(size=300)
+        want = {}
+        for row, amp in zip(zip(ids.tolist(), index.tolist()), amps.tolist()):
+            want[row] = want.get(row, 0) + amp
+        got_ids, got_index, got_amps = merge_rows(ids, index, amps)
+        assert list(zip(got_ids.tolist(), got_index.tolist())) == sorted(want)
+        assert got_amps.tolist() == [want[row] for row in sorted(want)]
+        empty = merge_rows(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))
+        assert [a.size for a in empty] == [0, 0, 0]
 
     @pytest.mark.parametrize("name, kwargs", [
         ("modq-const", {"n": 3, "q": 3}), ("parity-cat", {"n": 3})])

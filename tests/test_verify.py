@@ -448,21 +448,26 @@ class TestShapedSuperpositions:
         report = verify_built(build_construction("cat", n=1), superpositions=3)
         assert report.passed and report.inputs_checked == 5
 
-    def test_a_batch_takes_one_axis_more_than_the_register(self, monkeypatch):
+    def test_a_batch_fits_under_the_ceiling(self, monkeypatch, engine_used):
         # X on qubit 0 of a wide register whose data register is qubits 0
         # and width-1: its basis inputs run on rows, its superpositions as a
-        # batch, which takes an axis more than the width; numpy allows 64,
-        # so width 64 exits as a cap
+        # batch, which takes an axis more than the width. At the 63-qubit
+        # ceiling that is numpy's 64; width 64 exits before any run
         monkeypatch.setenv("QDEPTH_SIM_CAP", "64")
-        for width in (63, 64):
-            c = Circuit(width, (Role.INPUT,) + (Role.ANCILLA,) * (width - 2) + (Role.INPUT,),
-                        (Layer((pauli_x(0),)),))
-            assert verify_construction(c, pauli_x(0)) == (0, 0, 4)
-            if width == 63:
-                assert verify_construction(c, pauli_x(0), superpositions=2) == (0, 0, 6)
-            else:
-                with pytest.raises(WidthCapExceeded, match="64-qubit register"):
-                    verify_construction(c, pauli_x(0), superpositions=2)
+        c63, c64 = (Circuit(width, (Role.INPUT,) + (Role.ANCILLA,) * (width - 2)
+                            + (Role.INPUT,), (Layer((pauli_x(0),)),)) for width in (63, 64))
+        assert verify_construction(c63, pauli_x(0)) == (0, 0, 4)
+        assert verify_construction(c63, pauli_x(0), superpositions=2) == (0, 0, 6)
+        assert engine_used == [True, True]
+
+        def no_run(*args):
+            raise AssertionError("ran past the ceiling")
+        monkeypatch.setattr(verify, "run", no_run)
+        for superpositions in (0, 2):
+            with pytest.raises(WidthCapExceeded, match="^64-qubit register exceeds "
+                                                       "the simulator's 63-qubit ceiling$"):
+                verify_construction(c64, pauli_x(0), superpositions=superpositions)
+        assert engine_used == [True, True]
 
 
 class TestScalingTables:
