@@ -8,20 +8,18 @@ a circuit of one gate through it, and unitary_of its basis states, a
 batch at a time. It runs a plan (_dense_plan), built for each circuit on
 its first run and kept with the circuit; the caller keeps the input
 state. A layer of commuting gates is one time step, as in the paper, and
-the plan takes each layer's gates by class. A run binds the plan to its
-live qubits (see below), the circuit keeps the last such binding, and
-each bound step advances the held state in one pass:
+the plan takes each layer's gates by class. A run applies the plan to its
+live qubits (see below), and each step advances the held state in one
+pass:
 
 - permutation gates (X, CNOT, Toffoli, fanout, MODQ), one gate at a time:
   the slab where the controls fire, flipped on the targets, is staged in
   scratch and copied back (for an uncontrolled gate the buffers swap);
 - diagonal gates (PHASE, diagonal u/cu): one in-place multiply by a
   factor tensor of at most 1/32 of the state (or 2^8 amplitudes, below
-  13 qubits); in a run on every qubit, a lone gate's diagonal multiplies
-  only the slab where its controls fire. A run's binding keeps the
-  tensors, built for its live qubits, while they stay within 1/8 of the
-  state (or 2^16 amplitudes) in all, and builds any further ones on
-  each run;
+  13 qubits), built on the run's live qubits for its step and freed
+  after it; in a run on every qubit, a lone gate's diagonal multiplies
+  only the slab where its controls fire;
 - dense blocks (H, u, cu), one gate at a time: one np.matmul of the slab
   where the controls fire, staged in scratch with the target axes last
   unless they already form a stack of block-sized matrices.
@@ -53,7 +51,8 @@ axis, is one run: a kernel finds a qubit's axis counting from the last,
 so each step acts on every state of the batch at once.
 
 Beyond the workspace pair a run allocates a few KiB of numpy
-bookkeeping, except that a MODQ step builds its 2^inputs count and mask.
+bookkeeping, except that a MODQ step builds its 2^inputs count and mask
+and a diagonal step its factor tensor.
 
 The sparse engine (run_basis) drives many basis inputs at once as rows of
 (input id, basis index, amplitude), with the same three gate classes: a
@@ -84,6 +83,13 @@ class WidthCapExceeded(RuntimeError):
     cap, the 63-qubit ceiling, unitary extraction's or the dense gate
     oracle's width), or an array would outgrow numpy's largest (check_size).
     Not a malformed request, so no CircuitError; the CLI exits 3 on it."""
+
+
+def check_ceiling(width: int) -> None:
+    """Raise WidthCapExceeded past the simulator's 63-qubit ceiling, the
+    bits of an int64 basis index (a batch then has its axis in numpy's 64)."""
+    if width > 63:
+        raise WidthCapExceeded(f"{width}-qubit register exceeds the simulator's 63-qubit ceiling")
 
 
 def check_size(count: int, dtype, what: str) -> None:
@@ -183,11 +189,10 @@ def _on(gate: Gate) -> int:
 _FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
                          GateKind.FANOUT, GateKind.MODQ})
 
-# A bound plan keeps its factor tensors up to 1/8 of the (live) state's
-# amplitudes in all, or this many (1 MiB) on fewer than 19 live qubits. A
-# batch of states in one run (verify's superpositions and dense fallback,
-# unitary_of's columns) holds this many amplitudes, or one state where
-# that is more: more per run measured slower, as the batch leaves cache.
+# A batch of states in one run (verify's superpositions and dense
+# fallback, unitary_of's columns) holds this many amplitudes (1 MiB), or
+# one state where that is more: more per run measured slower, as the
+# batch leaves cache.
 KEEP_AMPS = 1 << 16
 
 
@@ -228,13 +233,26 @@ def _flip(state: np.ndarray, scratch: np.ndarray, gate: Gate, shape: list):
 
 
 def _scale(state: np.ndarray, scratch: np.ndarray, step, shape: list):
-    """One in-place multiply of a slab of the state viewed in `shape` by a
-    factor tensor built from diagonal gates, broadcast over the qubits it
-    does not span. A recipe, the arguments of _factor, in place of the
-    tensor is built for this step and freed after it."""
-    slab, factor = step
-    if not isinstance(factor, np.ndarray):
-        factor = _factor(*factor)
+    """One in-place multiply of the state viewed in `shape` by the factor
+    tensor that the step's recipe (qubits, group, w) builds on the live
+    qubits, those on an axis of length 2 counted from the last (past any
+    batch axis), freed after the step. In a run on every qubit, a lone
+    gate that the plan did not rewrite multiplies its diagonal on its
+    firing slab only, and a one-target diagonal that is 1 at 0 (PHASE, z,
+    s) only where its target is 1 too."""
+    qubits, group, w = step
+    live = [q for q in range(w) if shape[-1 - q] == 2]
+    if len(live) == w and len(group) == 1 and all(
+            source == 1 << q and not offset for q, source, offset in group[0][2]):
+        gate, diag = group[0][:2]
+        on, fixed = _on(gate), gate.controls
+        factor = diag[_block(gate, _grid(gate.targets, w))]
+        if diag.size == 2 and diag[0] == 1:  # fix the target at 1
+            on, fixed = on | 1 << gate.targets[0], gate.support
+            factor = factor[_slab(on, gate.targets, w)]
+        slab = (..., *_slab(on, fixed, w))  # after any batch axis
+    else:
+        slab, factor = ..., _factor(qubits, group, w, live)
     view = state.reshape(shape)[slab]
     view *= factor  # psi[slab] *= factor would take a second pass to write back
     return state, scratch
@@ -249,6 +267,8 @@ def _dense_block(state: np.ndarray, scratch: np.ndarray, pair, shape: list):
     w = len(shape)
     sel = _slab(_on(gate), gate.controls, w)
     view, staged = state.reshape(shape)[sel], scratch.reshape(shape)[sel]
+    if not view.size:  # a plain control on an idle qubit: the gate never fires
+        return state, scratch
     whole = view.size == state.size
     k, lo = len(gate.targets), min(gate.targets)
     if (gate.targets == tuple(range(lo, lo + k)) and min(gate.controls, default=w) > lo
@@ -349,7 +369,7 @@ def _factor(qubits, group, w: int, live) -> np.ndarray:
 
 def _plan(layers, w: int) -> list:
     """The kernel calls that advance a state by `layers` (each a tuple of
-    gates), as (kernel, argument) pairs for _bind to bind to a run.
+    gates), as (kernel, argument) pairs for _apply.
 
     A layer's gates commute, so the plan may take them by class. Affine
     permutation gates (_affine) are held back in a _Pending map P, and a
@@ -365,7 +385,8 @@ def _plan(layers, w: int) -> list:
     most max(w - 5, 8) qubits, 1/32 of the state at 13 qubits or more; a
     gate that would overflow the open factor closes it. A factor is a
     _scale step whose argument is its recipe, the (qubits, group) that
-    _factor reads; the plan builds no tensor. Every other gate is a step
+    _factor reads and the width w; the plan builds no tensor, and a run
+    builds each on its own live qubits. Every other gate is a step
     of its own: a _flip for each permutation gate, then a _dense_block
     for each dense block of the layer.
     """
@@ -376,7 +397,7 @@ def _plan(layers, w: int) -> list:
     def close():
         nonlocal group, held
         if group:
-            steps.append((_scale, (tuple(sorted(held)), tuple(group))))
+            steps.append((_scale, (tuple(sorted(held)), tuple(group), w)))
         group, held = [], set()
 
     def flush():
@@ -420,15 +441,15 @@ def _plan(layers, w: int) -> list:
 
 def _apply(state: np.ndarray, scratch: np.ndarray, steps,
            shape: list) -> tuple[np.ndarray, np.ndarray]:
-    """Advance `state`, viewed in `shape`, by the steps of a bound plan (see
-    _bind), using `scratch` for staging. Returns the (state, scratch) pair,
-    swapped when the result landed in the scratch buffer.
+    """Advance `state`, viewed in `shape`, by the steps of a plan (_plan),
+    using `scratch` for staging; a step with a plain control on an idle
+    qubit (a length-1 axis) has an empty slab and does nothing. Returns
+    the (state, scratch) pair, swapped when the result landed in scratch.
 
     Each step is one state pass: one permutation gate (_flip), a factor
-    tensor or its recipe on a slab (_scale), or one dense block
-    (_dense_block). Beyond the pair, a step allocates a few KiB of numpy
-    bookkeeping, except that a MODQ gate builds its 2^inputs count and
-    mask and a recipe its tensor.
+    on a slab (_scale), or one dense block (_dense_block). Beyond the
+    pair, a step allocates a few KiB of numpy bookkeeping, except that a
+    MODQ gate builds its 2^inputs count and mask and a factor its tensor.
 
     numpy stages a strided or broadcast operand in buffers of bufsize
     elements, 128 KiB by default. 512 (8 KiB) keeps the allocations of a
@@ -460,48 +481,6 @@ def _dense_plan(circuit: Circuit) -> tuple[list, int]:
         kept = plan, pinned
         object.__setattr__(circuit, "_dense_plan", kept)
     return kept
-
-
-def _bind(plan, live, w: int) -> list:
-    """The plan's steps for a run on the live qubits, held in
-    held_shape(live, w): the plan's own _flip and _dense_block steps, less
-    those with a plain control on an idle qubit, which never fire (MODQ
-    counts its inputs, so its steps stay). Each factor is a _scale step on
-    a (slab, factor) pair. In a run on every qubit, a factor of one gate
-    that the plan did not rewrite is the gate's diagonal over its targets,
-    on the slab where its controls fire, and where its target is 1 for a
-    one-target diagonal that is 1 at 0. Every other factor is built on the
-    live qubits (_factor), for the whole state, and kept, within KEEP_AMPS
-    or 1/8 of the live state's amplitudes in all; past that its recipe
-    stays, for _scale to build on each run, so a deep circuit's binding
-    does not grow."""
-    steps, keep = [], max((1 << len(live)) >> 3, KEEP_AMPS)
-    for step in plan:
-        kernel, arg = step
-        if kernel is not _scale:
-            gate = arg if kernel is _flip else arg[0]
-            if gate.kind is GateKind.MODQ or set(gate.controls) <= gate.negated.union(live):
-                steps.append(step)
-            continue
-        qubits, group = arg
-        on = set(live).intersection(qubits)
-        slab, factor = ..., (qubits, group, w, live)
-        if len(live) == w and len(group) == 1 and all(
-                source == 1 << q and not offset for q, source, offset in group[0][2]):
-            gate, diag = group[0][:2]
-            on, fixed = _on(gate), gate.controls
-            factor = diag[_block(gate, _grid(gate.targets, w))]
-            if diag.size == 2 and diag[0] == 1:  # PHASE, z, s: fix the target at 1
-                on, fixed = on | 1 << gate.targets[0], gate.support
-                factor = factor[_slab(on, gate.targets, w)]
-            slab = (..., *_slab(on, fixed, w))  # after any batch axis
-        elif 1 << len(on) <= keep:
-            keep -= 1 << len(on)
-            factor = _factor(qubits, group, w, live)
-        if isinstance(factor, np.ndarray):
-            factor.setflags(write=False)
-        steps.append((_scale, (slab, factor)))
-    return steps
 
 
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
@@ -548,20 +527,20 @@ def run(circuit: Circuit, initial: np.ndarray,
     (1,) leaves it idle. A flat input holds every qubit. A batch of B
     states is the shaped form with one more leading axis, of length B:
     (B, *held_shape(qubits, width)), every state holding the same qubits
-    (for a 1-qubit circuit, (B, 2) or (B, 1)). The states share one
-    binding and advance together, each kernel acting on all of them, and
-    come back as (B, *held_shape(live, width)).
+    (for a 1-qubit circuit, (B, 2) or (B, 1)). The states advance
+    together, each kernel acting on all of them, and come back as (B,
+    *held_shape(live, width)).
 
-    A run binds the plan to its live qubits (_bind, live_qubits): the held
-    ones and those the plan moves. The circuit keeps one binding, for the
-    last live set it ran on; it is replaced whole, so concurrent runs each
-    use one of their own. `initial`, with 0 where it leaves a moved qubit
-    idle, is copied into the first B * 2^live amplitudes of the workspace
-    and advanced there in held_shape(live, width), and comes back in the
-    form it came in. Passing a `workspace` from make_workspace avoids
-    per-call state allocations; the returned state then aliases one of its
-    buffers and is only valid until the next run with the same workspace.
-    A workspace too small for the run raises CircuitError.
+    A run holds its live qubits (live_qubits): the held ones and those the
+    plan moves. The circuit keeps its plan alone, for every live set; each
+    factor is built on the run's live qubits for its step and freed after
+    it. `initial`, with 0 where it leaves a moved qubit idle, is copied
+    into the first B * 2^live amplitudes of the workspace and advanced
+    there in held_shape(live, width), and comes back in the form it came
+    in. Passing a `workspace` from make_workspace avoids per-call state
+    allocations; the returned state then aliases one of its buffers and is
+    only valid until the next run with the same workspace. A workspace too
+    small for the run raises CircuitError.
     """
     w = circuit.width
     lead = int(w > 0 and initial.ndim == w + 1)  # 1 for a batch on axis 0
@@ -572,10 +551,6 @@ def run(circuit: Circuit, initial: np.ndarray,
         raise CircuitError("a batch of no state")
     plan = _dense_plan(circuit)[0]
     live = live_qubits(circuit, [q for q in range(w) if shape[_axis(q, len(shape))] == 2])
-    kept = vars(circuit).get("_dense_binding")
-    if kept is None or kept[0] != live:
-        kept = live, _bind(plan, live, w)
-        object.__setattr__(circuit, "_dense_binding", kept)
     batch = shape[0] if lead else 1
     core, n = shape[:lead] + held_shape(live, w), batch << len(live)
     state, scratch = workspace or make_workspace(len(live) + (batch - 1).bit_length())
@@ -586,7 +561,7 @@ def run(circuit: Circuit, initial: np.ndarray,
     if src.size < n:  # moved qubits that the input leaves idle: pad at 0
         held[...] = 0
     held.reshape(core)[tuple(map(slice, src.shape))] = src
-    out, _ = _apply(held, scratch[:n], kept[1], core)
+    out, _ = _apply(held, scratch[:n], plan, core)
     return out.reshape(core) if initial.ndim == w + lead else out
 
 
@@ -632,8 +607,10 @@ def run_basis(circuit: Circuit, starts) -> Rows | None:
     block expands each firing row into 2^k rows and merges duplicates with
     merge_rows. Only exact zeros are pruned, so no amplitude is lost.
     Returns None as soon as the rows would outnumber the 2^width
-    amplitudes of one dense state: run is then the cheaper engine.
+    amplitudes of one dense state: run is then the cheaper engine. Past
+    the 63-qubit ceiling (check_ceiling) it raises WidthCapExceeded.
     """
+    check_ceiling(circuit.width)
     budget = 1 << circuit.width
     index = np.array(starts, dtype=np.int64)
     ids, amps = np.arange(index.size), np.ones(index.size, dtype=complex)
@@ -664,8 +641,8 @@ def run_basis(circuit: Circuit, starts) -> Rows | None:
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Full matrix of the circuit: column j is run on basis state j. Every
-    column holds every qubit, so all run on one binding, a batch of
-    KEEP_AMPS amplitudes at a time, one run each."""
+    column holds every qubit; the columns run a batch of KEEP_AMPS
+    amplitudes at a time, one run each, and each run builds its factors."""
     w = circuit.width
     if w > UNITARY_WIDTH_CAP:
         raise WidthCapExceeded(f"unitary extraction capped at {UNITARY_WIDTH_CAP} "

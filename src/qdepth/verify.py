@@ -48,8 +48,8 @@ from .ir import (
 from .oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
 from .sim import (
     KEEP_AMPS, PURITY_TOL, UNITARY_WIDTH_CAP, WidthCapExceeded,
-    check_ancilla_purity, check_size, embed_index, held_shape, live_qubits,
-    merge_rows, run, run_basis, unitary_of,
+    check_ancilla_purity, check_ceiling, check_size, embed_index, held_shape,
+    live_qubits, merge_rows, run, run_basis, unitary_of,
 )
 
 SIM_CAP_ENV = "QDEPTH_SIM_CAP"
@@ -67,13 +67,11 @@ Oracle = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 def check_sim_cap(width: int) -> None:
     """Raise WidthCapExceeded if a register of `width` qubits is wider than
-    the 63-qubit ceiling, the bits of an int64 basis index (a batch then has
-    its axis in numpy's 64), or the simulation cap ($QDEPTH_SIM_CAP, >= 1)."""
+    the 63-qubit ceiling (check_ceiling) or the cap ($QDEPTH_SIM_CAP >= 1)."""
     raw = os.environ.get(SIM_CAP_ENV, str(DEFAULT_SIM_CAP))
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"{SIM_CAP_ENV} must be an integer >= 1, got {raw!r}")
-    if width > 63:
-        raise WidthCapExceeded(f"{width}-qubit register exceeds the simulator's 63-qubit ceiling")
+    check_ceiling(width)
     if width > int(raw):
         raise WidthCapExceeded(
             f"{width}-qubit register exceeds the {int(raw)}-qubit simulation cap")

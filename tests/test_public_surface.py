@@ -78,7 +78,7 @@ def test_no_module_reaches_past_the_public_names():
 
 
 @pytest.mark.parametrize("source", [
-    "from qdepth import sim\nsim." + "_bind",
+    "from qdepth import sim\nsim." + "_dense_plan",
     "from qdepth import sim as engine\nengine._plan([], 1)",
     "import qdepth.sim\nqdepth.sim." + "_apply",
     "import qdepth.sim as engine\nx = engine._factor",

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdepth import sim, verify
+from qdepth import verify
 from qdepth.classical import ClassicalCircuit, ClassicalGate
 from qdepth.ir import (
     Circuit, CircuitError, Discipline, Gate, GateKind, Layer, Role, cnot,
@@ -190,9 +190,9 @@ class TestRun:
         controlled_u(tuple(range(8)), np.diag(np.exp(1j * np.arange(8))), (9, 11, 14)),
     ], ids=["phase-15-controls", "cu-8-controls-3-targets"])
     def test_a_lone_diagonal_gate_allocates_little_on_its_first_run(self, gate):
-        # the plan and its binding are built inside the trace: the gate's
-        # diagonal multiplies its firing slab, and no factor over all its
-        # qubits (2^16 or 2^11 amplitudes) is ever built
+        # the plan is built inside the trace: the gate's diagonal
+        # multiplies its firing slab, and no factor over all its qubits
+        # (2^16 or 2^11 amplitudes) is ever built
         w = 16
         circuit = Circuit(w, (Role.INPUT,) * w, (Layer((gate,)),))
         initial = random_state(w, np.random.default_rng(5))
@@ -220,7 +220,7 @@ class TestRun:
 
 
 def _fresh(c: Circuit) -> Circuit:
-    """The same circuit, with no plan or binding kept from earlier runs."""
+    """The same circuit, with no plan kept from earlier runs."""
     return dataclasses.replace(c)
 
 
@@ -263,8 +263,10 @@ class TestPlan:
     def test_copy_diagonal_uncopy_is_only_the_diagonal(self, discipline):
         # layers: basis change, copy, diagonal, uncopy, basis change, ...
         # The copies of the counter cancel, so a data superposition leaves
-        # their 12 qubits on length-1 axes. A run on every qubit keeps its
-        # factor tensors (two of 512 KiB), so a second run builds none
+        # their 12 qubits on length-1 axes. A run on every qubit builds each
+        # factor tensor (two of 512 KiB) for its step and frees it after,
+        # so each run peaks under 1/16 of the state, and a repeat gives the
+        # same state
         c = modq_constant_depth(4, 5, discipline)
         rng = np.random.default_rng(29)
         shaped, flat = _data_superposition(c, rng)
@@ -272,23 +274,38 @@ class TestPlan:
         assert out.shape == tuple(held_shape(range(8), c.width))
         assert np.abs(flat_form(out) - run(_fresh(c), flat)).max() <= 1e-15
         full, workspace = random_state(c.width, rng), make_workspace(c.width)
-        first = run(c, full, workspace).copy()
+        first, _, peak = _traced(lambda: run(c, full, workspace))
+        first = first.copy()
+        assert peak < full.nbytes / 16, peak
         again, _, peak = _traced(lambda: run(c, full, workspace))
         assert np.array_equal(again, first)
-        assert peak < full.nbytes / 64, peak
+        assert peak < full.nbytes / 16, peak
+
+    def test_a_run_leaves_only_the_plan_on_the_circuit(self):
+        # the first run of modq-const n=4 q=5 on every qubit builds the
+        # plan, which the circuit keeps, and two factors over 15 qubits
+        # (512 KiB each), which it frees after their steps
+        c = modq_constant_depth(4, 5)
+        full = random_state(c.width, np.random.default_rng(33))
+        workspace = make_workspace(c.width)
+        _, kept, peak = _traced(lambda: run(c, full, workspace))
+        assert kept < 1 << 16, kept
+        assert peak < full.nbytes / 16, peak
 
     def test_second_run_reuses_the_plan(self):
-        # the first run builds the plan and its binding, 24 factors of
-        # 2^8 amplitudes (4 KiB) among them, and the circuit keeps them; a
-        # second run keeps nothing new
+        # the first run builds the plan, which the circuit keeps; a second
+        # run keeps nothing new and gives the same state. Each run builds
+        # its 24 factors of 2^8 amplitudes (4 KiB), the whole state, one
+        # step at a time, so the second peaks under four of them
         rng = np.random.default_rng(3)
         c = _phase_ladder(rng, 8, 24, 8)
         state, workspace = random_state(8, rng), make_workspace(8)
         first, kept, _ = _traced(lambda: run(c, state, workspace))
         first = first.copy()
-        again, more, _ = _traced(lambda: run(c, state, workspace))
+        again, more, peak = _traced(lambda: run(c, state, workspace))
         assert np.array_equal(again, first)
-        assert more < 1 << 14 < 24 << 12 < kept, (more, kept)
+        assert more < 1 << 12 < kept, (more, kept)
+        assert peak < 4 << 12, peak
 
     def test_cancelled_copies_leave_only_factors(self):
         # the copy layer runs twice, so it cancels: a run on inputs that
@@ -326,16 +343,15 @@ class TestPlan:
 
     def test_tensors_past_the_budget_are_built_on_each_run(self):
         # 80 phase layers on 16 qubits, each one factor of 2^11 amplitudes
-        # (32 KiB): the circuit keeps them within sim.KEEP_AMPS amplitudes
-        # (1 MiB, where all would take 2.5 MiB), and a second run builds
-        # the others again
+        # (32 KiB): the circuit keeps its plan, under eight of them, where
+        # all would take 2.5 MiB, and a second run builds them again
         rng = np.random.default_rng(6)
         c = _phase_ladder(rng, 16, 80, 11)
         state, workspace = random_state(16, rng), make_workspace(16)
         first, kept, _ = _traced(lambda: run(c, state, workspace))
         first = first.copy()
         again, _, peak = _traced(lambda: run(c, state, workspace))
-        assert kept <= 1.5 * sim.KEEP_AMPS * 16, kept
+        assert kept < 8 * (1 << 11) * 16, kept
         assert peak >= (1 << 11) * 16, peak
         assert np.array_equal(again, first)
         apart = state
@@ -404,8 +420,7 @@ class TestPlan:
 class TestLiveQubits:
     """run holds only the live qubits of a shaped input, those it holds and
     those the plan moves, and returns them in the shaped form; a flat input
-    holds every qubit. The circuit keeps the plan's binding to the last
-    live set it ran on."""
+    holds every qubit."""
 
     @pytest.mark.parametrize("discipline", list(Discipline))
     def test_data_superposition_of_modq_const_runs_on_eight_qubits(self, discipline):
@@ -420,12 +435,14 @@ class TestLiveQubits:
         assert out.shape == tuple(held_shape(range(8), c.width))
         assert np.abs(flat_form(out) - wants[0]).max() <= 1e-15
         # the same superposition, flat, and a dense state run on every
-        # qubit, on one binding: the second run builds none of its factors
+        # qubit: each run builds its factors one step at a time, so it
+        # peaks under 1/16 of the state, and a repeat gives the same state
         workspace = make_workspace(c.width)
         assert np.array_equal(run(c, flat, workspace), wants[0])
-        got, _, peak = _traced(lambda: run(c, full, workspace))
-        assert np.array_equal(got, wants[1])
-        assert peak < full.nbytes / 64, peak
+        for _ in range(2):
+            got, _, peak = _traced(lambda: run(c, full, workspace))
+            assert np.array_equal(got, wants[1])
+            assert peak < full.nbytes / 16, peak
 
     def test_toffoli_on_negated_idle_controls_acts_as_x(self):
         # each negated control's slab is the whole length-1 axis of its idle
@@ -481,10 +498,10 @@ class TestLiveQubits:
 
     def test_diagonal_steps_become_factors_on_the_live_qubits(self):
         # H on qubit 0 between phase layers over qubits 0-14 of 20, on
-        # inputs that leave 6-19 at 0: the first run, plan and binding built
-        # inside the trace, builds its factors on the 6 live qubits, and
-        # peaks under half of one factor over the 14 qubits that each of
-        # the last ten phase layers reads
+        # inputs that leave 6-19 at 0: the first run, plan built inside the
+        # trace, builds its factors on the 6 live qubits, and peaks under
+        # half of one factor over the 14 qubits that each of the last ten
+        # phase layers reads
         rng = np.random.default_rng(12)
         w = 20
         layers = [Layer((symmetric_phase(0.3, (1, 6), 7),)), Layer((hadamard(0),)),
@@ -512,38 +529,37 @@ class TestLiveQubits:
         assert out.shape == (1,) * 5
         assert np.array_equal(out, state)
 
-    def test_one_restriction_is_kept_per_circuit(self):
-        # the circuit keeps the binding of the last live set it ran on: a
-        # run on every qubit builds its factors (two of 512 KiB) again
-        # after a run on fewer qubits, and not after one on every qubit
+    def test_runs_alternate_between_live_sets(self):
+        # the circuit keeps its plan alone, for every live set: runs on
+        # every qubit, between runs on fewer, give the same state, each
+        # builds its factors (two of 512 KiB) one step at a time and peaks
+        # under 1/16 of the state, and none leaves anything on the circuit
         c = modq_constant_depth(4, 5)
         rng = np.random.default_rng(5)
         (shaped, flat), full = _data_superposition(c, rng), random_state(c.width, rng)
         wants = run(_fresh(c), flat), run(_fresh(c), full)
         workspace = make_workspace(c.width)
 
-        def two_full_runs_bind_once():
-            peaks = []
+        def two_full_runs():
             for _ in range(2):
-                got, _, peak = _traced(lambda: run(c, full, workspace))
+                got, kept, peak = _traced(lambda: run(c, full, workspace))
                 assert np.array_equal(got, wants[1])
-                peaks.append(peak)
-            assert peaks[0] > full.nbytes / 64 > peaks[1], peaks
+                assert kept < 1 << 16 and peak < full.nbytes / 16, (kept, peak)
 
-        two_full_runs_bind_once()
+        two_full_runs()
         assert np.abs(flat_form(run(c, shaped, workspace)) - wants[0]).max() <= 1e-15
-        two_full_runs_bind_once()
+        two_full_runs()
         # |0...0>, with the target at 0: its live set is the counter and
         # the target, which the Toffoli moves
         out = run(c, np.ones((1,) * c.width, dtype=complex), workspace)
         assert out.shape == tuple(held_shape((4, 5, 6, 7), c.width))
-        two_full_runs_bind_once()
+        two_full_runs()
 
     def test_verify_binds_once(self, monkeypatch):
         # the four superpositions of modq-const n=3 q=3 are one batch: one
-        # run, on one binding, of the data register (inputs 0-2, target 3)
-        # that returns it and the counter (4, 5), which H moves. Its basis
-        # inputs run on rows
+        # run of the data register (inputs 0-2, target 3) that returns it
+        # and the counter (4, 5), which H moves. Its basis inputs run on
+        # rows
         built = build_construction("modq-const", n=3, q=3)
         w, runs, dense = built.circuit.width, [], verify.run
 
@@ -557,10 +573,10 @@ class TestLiveQubits:
         assert runs == [((4, *held_shape(range(4), w)), (4, *held_shape(range(6), w)))]
 
     def test_a_restricted_run_builds_factors_on_the_live_qubits_alone(self):
-        # a data-superposition run of modq-const n=4 q=5 builds its plan,
-        # its binding and its four factors on the 8 live qubits inside the
-        # trace, and peaks under 64 KiB; on all 20 qubits two of them span
-        # 15 qubits, 512 KiB each
+        # a data-superposition run of modq-const n=4 q=5 builds its plan
+        # and its four factors on the 8 live qubits inside the trace, and
+        # peaks under 64 KiB; on all 20 qubits two of them span 15 qubits,
+        # 512 KiB each
         c = modq_constant_depth(4, 5)
         shaped, flat = _data_superposition(c, np.random.default_rng(14))
         want = run(_fresh(c), flat)
@@ -652,9 +668,9 @@ class TestShapedForm:
 class TestBatch:
     """run also takes a batch: the shaped form with one more leading axis,
     of any length B >= 1, each state holding the same qubits. The states
-    share one binding and one run, and come back as (B, *held_shape(live,
-    width)). numpy may round a BLAS product over more rows apart in the
-    last bit, so a batch matches its single runs to 1e-15, not bitwise."""
+    share one run, and come back as (B, *held_shape(live, width)). numpy
+    may round a BLAS product over more rows apart in the last bit, so a
+    batch matches its single runs to 1e-15, not bitwise."""
 
     @pytest.mark.parametrize("discipline", list(Discipline))
     def test_a_batch_is_the_stack_of_its_single_runs(self, discipline):
@@ -888,6 +904,20 @@ class TestRunBasis:
         empty = merge_rows(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))
         assert [a.size for a in empty] == [0, 0, 0]
 
+    @pytest.mark.parametrize("gate", [cnot(0, 63), cnot(63, 0)],
+                             ids=["target-63", "control-63"])
+    def test_past_63_qubits_raises(self, gate):
+        # bit 63 of an int64 basis index is its sign: on input 1, cnot(0,
+        # 63) would wrap the index negative and cnot(63, 0) overflow its
+        # mask. 63 qubits fit
+        c = Circuit(64, (Role.INPUT,) * 64, (Layer((gate,)),))
+        with pytest.raises(WidthCapExceeded, match="64-qubit register exceeds the "
+                                                   "simulator's 63-qubit ceiling"):
+            run_basis(c, [1])
+        c = Circuit(63, (Role.INPUT,) * 63, (Layer((cnot(0, 62),)),))
+        ids, index, amps = run_basis(c, [1])
+        assert (ids.tolist(), index.tolist(), amps.tolist()) == ([0], [1 + (1 << 62)], [1])
+
     @pytest.mark.parametrize("name, kwargs", [
         ("modq-const", {"n": 3, "q": 3}), ("parity-cat", {"n": 3})])
     def test_keeps_nothing_of_the_dense_engine(self, name, kwargs):
@@ -938,18 +968,18 @@ class TestUnitaryOf:
             u = unitary_of(c)
             assert np.abs(u.conj().T @ u - np.eye(1 << width)).max() <= 1e-10
 
-    def test_binds_once_on_every_qubit(self):
-        # every column runs on one binding to every qubit, which the
-        # circuit keeps: after unitary_of a run on a flat input keeps
-        # nothing new, where on a fresh copy of the circuit it keeps the
-        # plan and its binding, 24 factors of 4 KiB among them
+    def test_keeps_only_the_plan(self):
+        # every column runs on every qubit, a batch at a time, and each run
+        # builds its 24 factors of 4 KiB and frees them: unitary_of leaves
+        # the plan on the circuit and no factor, so a run on a flat input
+        # after it keeps nothing new and agrees with the matrix
         rng = np.random.default_rng(32)
         c = _phase_ladder(rng, 8, 24, 8)
-        u = unitary_of(c)
-        state, workspace, fresh = random_state(8, rng), make_workspace(8), _fresh(c)
-        _, fresh_kept, _ = _traced(lambda: run(fresh, state, workspace))
-        got, kept, _ = _traced(lambda: run(c, state, workspace))
-        assert kept < 1 << 14 < 24 << 12 < fresh_kept, (kept, fresh_kept)
+        u, kept, _ = _traced(lambda: unitary_of(c))
+        assert kept - u.nbytes < 1 << 15 < 24 << 12, kept - u.nbytes
+        state, workspace = random_state(8, rng), make_workspace(8)
+        got, more, _ = _traced(lambda: run(c, state, workspace))
+        assert more < 1 << 12, more
         assert np.abs(got - u @ state).max() <= 1e-13
         assert np.array_equal(unitary_of(c), u)
 
