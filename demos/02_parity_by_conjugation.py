@@ -31,7 +31,7 @@ print(f"H . parity . H: matches the fanout gate: "
 
 for builder in ("fanout", "log-cat"):
     c = parity_via_catstate(n, builder)
-    block = data_block_unitary(unitary_of(c), c.width, tuple(range(n + 1)))
+    block = data_block_unitary(unitary_of(c), tuple(range(n + 1)))
     err = np.abs(block - parity_matrix).max()
     print(f"pi-shift route with {builder} copies: depth {c.depth}, "
           f"{c.ancilla_count} ancillae, max error {err:.2e}")

@@ -41,9 +41,9 @@ def test_criterion_1_parity_matrix_reproduction():
     routes = {
         "fanout-conjugation": unitary_of(parity_from_fanout(3)),
         "catstate-fanout": data_block_unitary(
-            unitary_of(parity_via_catstate(3, "fanout")), 6, (0, 1, 2, 3)),
+            unitary_of(parity_via_catstate(3, "fanout")), (0, 1, 2, 3)),
         "catstate-log": data_block_unitary(
-            unitary_of(parity_via_catstate(3, "log-cat")), 6, (0, 1, 2, 3)),
+            unitary_of(parity_via_catstate(3, "log-cat")), (0, 1, 2, 3)),
     }
     for name, u in routes.items():
         err = np.abs(_to_displayed_order(u) - MOD2_3INPUT_MATRIX).max()

@@ -1,7 +1,8 @@
-"""The tests and the other modules reach the dense engine only through the
-public names of qdepth.sim: none that starts with an underscore, not the
-retired plan accessor, and no monkeypatch of a qdepth.sim attribute. So
-the engine's plan can change without a test to rewrite.
+"""The tests, the demos and the other modules reach the dense engine only
+through the public names of qdepth.sim: none that starts with an
+underscore, not the retired plan accessor, and no monkeypatch of a
+qdepth.sim attribute. So the engine's plan can change without a test to
+rewrite.
 
 The banned spellings below are split in two pieces, so that a text search
 of tests/ for them finds only real uses."""
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "tests").glob("*.py"),
+SOURCES = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py"),
                   *(p for p in (ROOT / "src" / "qdepth").glob("*.py") if p.name != "sim.py")])
 RETIRED = "dense" + "_plan"  # the name the plan's accessor had while it was public
 
@@ -69,6 +70,10 @@ def violations(source: str) -> list[str]:
         if name == RETIRED:
             found.append(f"{line}: {name}")
     return found
+
+
+def test_the_demos_are_checked():
+    assert {p.name for p in SOURCES} >= {"02_parity_by_conjugation.py", "common.py", "cli.py"}
 
 
 def test_no_module_reaches_past_the_public_names():

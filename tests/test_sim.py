@@ -1107,7 +1107,24 @@ class TestDumpAndRelabel:
     def test_data_block_unitary_picks_zero_ancilla_block(self):
         c = Circuit(3, (Role.INPUT, Role.ANCILLA, Role.INPUT),
                     (Layer((cnot(0, 2),)),))
-        block = data_block_unitary(unitary_of(c), 3, (0, 2))
+        block = data_block_unitary(unitary_of(c), (0, 2))
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[3, 1] = expected[2, 2] = expected[1, 3] = 1
         assert np.array_equal(block, expected)
+
+    @pytest.mark.parametrize("src", [(0, 0, 2), (0, 1, 3)], ids=["duplicate", "out-of-range"])
+    def test_relabel_refuses_a_non_permutation(self, src):
+        with pytest.raises(CircuitError, match="src must be a permutation of 0..w-1"):
+            relabel_qubits(zero_state(3), src)
+
+    def test_embed_index_keeps_the_callers_qubit_order(self):
+        # bit j goes to qubits[j], not to the j-th smallest qubit
+        assert embed_index(0b01, (2, 0)) == 0b100
+        assert embed_index(0b10, (2, 0)) == 0b001
+        assert embed_index(np.arange(4), (2, 0)).tolist() == [0b000, 0b100, 0b001, 0b101]
+
+    def test_data_block_unitary_keeps_the_callers_qubit_order(self):
+        u = unitary_of(random_circuit(np.random.default_rng(26), 3, 4))
+        swapped = relabel_qubits(data_block_unitary(u, (0, 2)), (1, 0))
+        assert np.array_equal(data_block_unitary(u, (2, 0)), swapped)
+        assert not np.array_equal(data_block_unitary(u, (2, 0)), data_block_unitary(u, (0, 2)))

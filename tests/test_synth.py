@@ -134,7 +134,7 @@ class TestParityConjugations:
 class TestParityViaCatState:
     def test_three_inputs_fanout_builder_matches_displayed_matrix(self):
         c = parity_via_catstate(3, "fanout")
-        block = data_block_unitary(unitary_of(c), c.width, (0, 1, 2, 3))
+        block = data_block_unitary(unitary_of(c), (0, 1, 2, 3))
         assert np.abs(relabel_qubits(block, (3, 0, 1, 2)) - MOD2_3INPUT_MATRIX).max() <= 1e-12
 
     def test_single_input_reduces_to_cnot(self):
@@ -167,14 +167,14 @@ class TestParityViaCatState:
 class TestControlledUConstantDepth:
     def test_controlled_x_on_two_controls_is_toffoli(self):
         c = controlled_u_constant_depth((0, 1), X, 2)
-        block = data_block_unitary(unitary_of(c), c.width, (0, 1, 2))
+        block = data_block_unitary(unitary_of(c), (0, 1, 2))
         from qdepth.ir import toffoli
         assert np.abs(block - oracle_unitary(toffoli((0, 1), 2), 3)).max() <= 1e-12
 
     def test_controlled_phase_pi_matches_symmetric_phase(self):
         u = np.diag([1, np.exp(1j * np.pi)])
         c = controlled_u_constant_depth((0, 1, 2), u, 3)
-        block = data_block_unitary(unitary_of(c), c.width, (0, 1, 2, 3))
+        block = data_block_unitary(unitary_of(c), (0, 1, 2, 3))
         want = oracle_unitary(symmetric_phase(np.pi, (0, 1, 2), 3), 4)
         assert np.abs(block - want).max() <= 1e-12
 
@@ -249,7 +249,7 @@ class TestModSequential:
     def test_q2_matches_parity_circuit(self):
         for n in (2, 3, 4):
             c = modq_sequential(n, 2)
-            block = data_block_unitary(unitary_of(c), c.width, tuple(range(n + 1)))
+            block = data_block_unitary(unitary_of(c), tuple(range(n + 1)))
             assert np.abs(block - parity_oracle_unitary(n)).max() <= 1e-10
 
     def test_depth_grows_linearly(self):
