@@ -101,11 +101,11 @@ class ClassicalCircuit:
         return tuple(values[-self.n_outputs:])
 
 
-def to_json(circuit: ClassicalCircuit, indent: int | None = None) -> str:
+def to_json(circuit: ClassicalCircuit) -> str:
     doc = {"inputs": circuit.n_inputs,
            "layers": [[{"op": g.op, "args": list(g.args)} for g in layer]
                       for layer in circuit.layers]}
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc)
 
 
 def from_json(text: str) -> ClassicalCircuit:
@@ -122,8 +122,8 @@ def from_json(text: str) -> ClassicalCircuit:
 
 
 def random_circuit(rng: np.random.Generator, n_inputs: int, depth: int,
-                   width: int, max_fanin: int = 4) -> ClassicalCircuit:
-    """A random well-formed circuit within the given size bounds."""
+                   width: int) -> ClassicalCircuit:
+    """A random well-formed circuit within the given size bounds, fan-in at most 4."""
     layers = []
     available = n_inputs
     for _ in range(depth):
@@ -132,7 +132,7 @@ def random_circuit(rng: np.random.Generator, n_inputs: int, depth: int,
         for _ in range(count):
             op = OPS[rng.integers(len(OPS))]
             fanin = 1 if op == "not" else int(
-                rng.integers(1, min(max_fanin, available) + 1))
+                rng.integers(1, min(4, available) + 1))
             args = rng.choice(available, size=fanin, replace=False)
             layer.append(ClassicalGate(op, tuple(int(a) for a in args)))
         layers.append(tuple(layer))

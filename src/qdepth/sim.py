@@ -15,11 +15,11 @@ pass:
 - permutation gates (X, CNOT, Toffoli, fanout, MODQ), one gate at a time:
   the slab where the controls fire, flipped on the targets, is staged in
   scratch and copied back (for an uncontrolled gate the buffers swap);
-- diagonal gates (PHASE, diagonal u/cu): one in-place multiply by a
-  factor tensor of at most 1/32 of the state (or 2^8 amplitudes, below
-  13 qubits), built on the run's live qubits for its step and freed
-  after it; in a run on every qubit, a lone gate's diagonal multiplies
-  only the slab where its controls fire;
+- diagonal gates (PHASE, diagonal u/cu): one in-place multiply of a
+  slab by a factor tensor of at most 1/32 of the state (or 2^8
+  amplitudes, below 13 qubits), built on the run's live qubits for its
+  step and freed after it; a lone gate's slab is where it fires, and
+  its factor its diagonal on its other targets;
 - dense blocks (H, u, cu), one gate at a time: one np.matmul of the slab
   where the controls fire, staged in scratch with the target axes last
   unless they already form a stack of block-sized matrices.
@@ -113,11 +113,11 @@ def _view_shape(state: np.ndarray, width: int | None = None, lead: int = 0) -> l
     after `lead` leading axes of any length (a batch). With its `width`
     known, a 1-D state is flat unless the width is 1, where both forms are
     one axis; so a flat 0-qubit state, shape (1,), stays flat. With none, a
-    state is shaped when it has more than one axis or shape (1,), read as
-    one idle qubit: as a flat 0-qubit state it would hold the same
-    amplitude."""
+    state is shaped unless it has one axis of length other than 1: shape
+    (1,) is read as one idle qubit, since as a flat 0-qubit state it would
+    hold the same amplitude, and shape () as 0 qubits."""
     if width is None:
-        shaped = state.ndim > 1 or state.shape == (1,)
+        shaped = state.ndim != 1 or state.shape == (1,)
     else:
         shaped = state.ndim != 1 or width == 1
     if not shaped:
@@ -233,27 +233,15 @@ def _flip(state: np.ndarray, scratch: np.ndarray, gate: Gate, shape: list):
 
 
 def _scale(state: np.ndarray, scratch: np.ndarray, step, shape: list):
-    """One in-place multiply of the state viewed in `shape` by the factor
-    tensor that the step's recipe (qubits, group, w) builds on the live
-    qubits, those on an axis of length 2 counted from the last (past any
-    batch axis), freed after the step. In a run on every qubit, a lone
-    gate that the plan did not rewrite (its terms are the identity map's)
-    multiplies its diagonal on its firing slab only, and a one-target
-    diagonal that is 1 at 0 (PHASE, z, s) only where its target is 1 too."""
-    qubits, group, w = step
+    """One in-place multiply of the step's slab of the state viewed in
+    `shape`, where its `fixed` qubits hold their bits in `on` (empty where
+    an idle one is at 1), by the factor tensor that its recipe (qubits,
+    group, w) builds on the live qubits, those on an axis of length 2
+    counted from the last (past any batch axis), freed after the step."""
+    qubits, group, w, on, fixed = step
     live = [q for q in range(w) if shape[-1 - q] == 2]
-    if len(live) == w and len(group) == 1 and group[0][2] == _Pending(w).terms(group[0][0]):
-        gate, diag = group[0][:2]
-        on, fixed = _on(gate), gate.controls
-        factor = diag[_block(gate, _grid(gate.targets, w))]
-        if diag.size == 2 and diag[0] == 1:  # fix the target at 1
-            on, fixed = on | 1 << gate.targets[0], gate.support
-            factor = factor[_slab(on, gate.targets, w)]
-        slab = (..., *_slab(on, fixed, w))  # after any batch axis
-    else:
-        slab, factor = ..., _factor(qubits, group, w, live)
-    view = state.reshape(shape)[slab]
-    view *= factor  # psi[slab] *= factor would take a second pass to write back
+    view = state.reshape(shape)[(..., *_slab(on, fixed, w))]  # after any batch axis
+    view *= _factor(qubits, group, w, live)  # psi[slab] *= would write back in a second pass
     return state, scratch
 
 
@@ -354,7 +342,7 @@ def _factor(qubits, group, w: int, live) -> np.ndarray:
     spanned from the offset over the columns of the live qubits it reads.
     Every qubit not in `live` is taken at 0, on a length-1 axis: the
     tensor is the one on all w qubits sliced to where the idle qubits are
-    0."""
+    0. A lone gate's terms hold its firing bits in the offset (_plan)."""
     factor = np.ones(held_shape(set(qubits).intersection(live), w), dtype=complex)
     for gate, diag, (off, cols) in group:
         cols = [(r, col) for r, col in cols if r in live]
@@ -382,10 +370,13 @@ def _plan(layers, w: int) -> list:
     most max(w - 5, 8) qubits, 1/32 of the state at 13 qubits or more; a
     gate that would overflow the open factor closes it. A factor is a
     _scale step whose argument is its recipe, the (qubits, group) that
-    _factor reads, each gate with its terms, and the width w; the plan
-    builds no tensor, and a run builds each on its own live qubits. Every
-    other gate is a step of its own: a _flip for each permutation gate,
-    then a _dense_block for each dense block of the layer.
+    _factor reads, each gate with its terms, the width w, and its slab:
+    its `fixed` qubits at their bits in `on`. A factor of one gate that P
+    leaves alone fixes the bits where that gate fires, its controls and
+    the target at 1 of PHASE, z or s, in its terms' offset. The plan builds
+    no tensor, and a run builds each on its own live qubits. Every other
+    gate is a step of its own: a _flip for each permutation gate, then a
+    _dense_block for each dense block of the layer.
     """
     steps, pending = [], _Pending(w)
     group, held = [], set()  # the open factor: (gate, diagonal, terms)
@@ -393,8 +384,15 @@ def _plan(layers, w: int) -> list:
 
     def close():
         nonlocal group, held
+        on, fixed = 0, ()
+        if len(group) == 1 and group[0][2] == (0, tuple((q, 1 << q) for q in sorted(held))):
+            gate, diag, _ = group[0]  # a lone gate that P leaves alone
+            fixed = gate.controls + (gate.targets if diag.size == 2 and diag[0] == 1 else ())
+            on = sum(1 << q for q in fixed if q not in gate.negated)  # where it fires
+            held -= set(fixed)
+            group = [(gate, diag, (on, tuple((t, 1 << t) for t in sorted(held))))]
         if group:
-            steps.append((_scale, (tuple(sorted(held)), tuple(group), w)))
+            steps.append((_scale, (tuple(sorted(held)), tuple(group), w, on, fixed)))
         group, held = [], set()
 
     def flush():

@@ -50,6 +50,97 @@ SIM_OUTPUTS = {
         "plus@0": "0000 0.70710678118654746 0\n1111 0.70710678118654746 0\n",
         "plus@2": "0000 0.70710678118654746 0\n0100 0.70710678118654746 0\n",
     },
+    ("modq-const", "--n", "10", "--q", "2"): {
+        "1011001110100000000000": "0000000000010111001101 0.99999999999999967 "
+                                  "2.4980931727906038e-32\n",
+        "plus@3": "0000000000000000000000 0.70710678118654724 0\n"
+                  "0000000000010000001000 0.70710678118654724 -2.0898406490967821e-33\n",
+    },
+}
+
+# qdepth verify's and identities' stdout, byte for byte: a change to the
+# engines that moves the last bit of an error shows here. The superpositions
+# of ctrl-u with z and with phase hold every qubit and run a lone diagonal gate
+VERIFY = ("verify", "--json", "--superpositions", "10", "--construction")
+OUTPUTS = {
+    (*VERIFY, "modq-const", "--n", "4", "--q", "5"): (
+        '{"construction": "modq-const", "n": 4, "q": 5, "discipline": "wf", "depth": 12'
+        ', "width": 20, "copy_ancillae": 12, "work_qubits": 3'
+        ', "max_error": 3.609444140986297e-16, "max_leakage": 1.7699296188918697e-31'
+        ', "pass": true, "inputs_checked": 42, "coverage": 1.0, "structural_only": false'
+        ', "error_tol": 1e-09, "leakage_tol": 1e-10}\n'),
+    (*VERIFY, "modq-const", "--n", "4", "--q", "5", "--discipline", "strict"): (
+        '{"construction": "modq-const", "n": 4, "q": 5, "discipline": "strict"'
+        ', "depth": 20, "width": 20, "copy_ancillae": 12, "work_qubits": 3'
+        ', "max_error": 3.609444140986297e-16, "max_leakage": 1.7699296188918697e-31'
+        ', "pass": true, "inputs_checked": 42, "coverage": 1.0, "structural_only": false'
+        ', "error_tol": 1e-09, "leakage_tol": 1e-10}\n'),
+    (*VERIFY, "modq-const", "--n", "6", "--q", "4", "--discipline", "strict"): (
+        '{"construction": "modq-const", "n": 6, "q": 4, "discipline": "strict"'
+        ', "depth": 24, "width": 21, "copy_ancillae": 12, "work_qubits": 2'
+        ', "max_error": 3.5892263697634707e-16, "max_leakage": 2.108321078449431e-31'
+        ', "pass": true, "inputs_checked": 138, "coverage": 1.0, "structural_only": false'
+        ', "error_tol": 1e-09, "leakage_tol": 1e-10}\n'),
+    (*VERIFY, "modq-const", "--n", "3", "--q", "16"): (
+        '{"construction": "modq-const", "n": 3, "q": 16, "discipline": "wf", "depth": 12'
+        ', "width": 20, "copy_ancillae": 12, "work_qubits": 4'
+        ', "max_error": 3.3498855919713264e-15, "max_leakage": 1.2483001885521511e-29'
+        ', "pass": true, "inputs_checked": 26, "coverage": 1.0, "structural_only": false'
+        ', "error_tol": 1e-09, "leakage_tol": 1e-10}\n'),
+    (*VERIFY, "ctrl-u", "--n", "5", "--u", "h"): (
+        '{"construction": "ctrl-u", "n": 5, "q": null, "discipline": "strict", "depth": 3'
+        ', "width": 7, "copy_ancillae": 0, "work_qubits": 1'
+        ', "max_error": 1.9968166761095518e-17, "max_leakage": 0.0, "pass": true'
+        ', "inputs_checked": 74, "coverage": 1.0, "structural_only": false'
+        ', "error_tol": 1e-09, "leakage_tol": 1e-10}\n'),
+    (*VERIFY, "ctrl-u", "--n", "6", "--u", "s"): (
+        '{"construction": "ctrl-u", "n": 6, "q": null, "discipline": "strict", "depth": 3'
+        ', "width": 8, "copy_ancillae": 0, "work_qubits": 1, "max_error": 0.0'
+        ', "max_leakage": 0.0, "pass": true, "inputs_checked": 138, "coverage": 1.0'
+        ', "structural_only": false, "error_tol": 1e-09, "leakage_tol": 1e-10}\n'),
+    (*VERIFY, "parity-fanout", "--n", "6"): (
+        '{"construction": "parity-fanout", "n": 6, "q": 2, "discipline": "wf", "depth": 3'
+        ', "width": 7, "copy_ancillae": 0, "work_qubits": 0'
+        ', "max_error": 1.2986745805193028e-15, "max_leakage": 0.0, "pass": true'
+        ', "inputs_checked": 138, "coverage": 1.0, "structural_only": false'
+        ', "error_tol": 1e-09, "leakage_tol": 1e-10}\n'),
+    (*VERIFY, "modq-seq", "--n", "5", "--q", "3"): (
+        '{"construction": "modq-seq", "n": 5, "q": 3, "discipline": "strict", "depth": 12'
+        ', "width": 8, "copy_ancillae": 0, "work_qubits": 2, "max_error": 0.0'
+        ', "max_leakage": 0.0, "pass": true, "inputs_checked": 74, "coverage": 1.0'
+        ', "structural_only": false, "error_tol": 1e-09, "leakage_tol": 1e-10}\n'),
+    (*VERIFY, "cat", "--n", "12"): (
+        '{"construction": "cat", "n": 12, "q": null, "discipline": "wf", "depth": 1'
+        ', "width": 12, "copy_ancillae": 0, "work_qubits": 0, "max_error": 0.0'
+        ', "max_leakage": 0.0, "pass": true, "inputs_checked": 12, "coverage": 1.0'
+        ', "structural_only": false, "error_tol": 1e-09, "leakage_tol": 1e-10}\n'),
+    (*VERIFY, "fanout", "--n", "6"): (
+        '{"construction": "fanout", "n": 6, "q": null, "discipline": "wf", "depth": 1'
+        ', "width": 7, "copy_ancillae": 0, "work_qubits": 0, "max_error": 0.0'
+        ', "max_leakage": 0.0, "pass": true, "inputs_checked": 138, "coverage": 1.0'
+        ', "structural_only": false, "error_tol": 1e-09, "leakage_tol": 1e-10}\n'),
+    (*VERIFY, "parity-cat", "--n", "5", "--builder", "log-cat"): (
+        '{"construction": "parity-cat", "n": 5, "q": 2, "discipline": "strict"'
+        ', "depth": 9, "width": 10, "copy_ancillae": 4, "work_qubits": 0'
+        ', "max_error": 3.7820469721128436e-16, "max_leakage": 0.0, "pass": true'
+        ', "inputs_checked": 74, "coverage": 1.0, "structural_only": false'
+        ', "error_tol": 1e-09, "leakage_tol": 1e-10}\n'),
+    (*VERIFY, "ctrl-u", "--n", "5", "--u", "z"): (
+        '{"construction": "ctrl-u", "n": 5, "q": null, "discipline": "strict", "depth": 3'
+        ', "width": 7, "copy_ancillae": 0, "work_qubits": 1, "max_error": 0.0'
+        ', "max_leakage": 0.0, "pass": true, "inputs_checked": 74, "coverage": 1.0'
+        ', "structural_only": false, "error_tol": 1e-09, "leakage_tol": 1e-10}\n'),
+    (*VERIFY, "ctrl-u", "--n", "5", "--u", "phase", "--theta", "0.7"): (
+        '{"construction": "ctrl-u", "n": 5, "q": null, "discipline": "strict", "depth": 3'
+        ', "width": 7, "copy_ancillae": 0, "work_qubits": 1'
+        ', "max_error": 1.3877787807814457e-17, "max_leakage": 0.0, "pass": true'
+        ', "inputs_checked": 74, "coverage": 1.0, "structural_only": false'
+        ', "error_tol": 1e-09, "leakage_tol": 1e-10}\n'),
+    ("identities", "--json"): (
+        '[{"identity": "cnot-h-conjugation-is-controlled-pi-shift"'
+        ', "max_error": 2.535772158592562e-16, "pass": true}'
+        ', {"identity": "fanout-h-conjugation-is-parity"'
+        ', "max_error": 6.661338147750939e-16, "pass": true}]\n'),
 }
 
 
@@ -199,6 +290,13 @@ class TestSim:
         assert run_cli(capsys, "sim", str(out), "--input", spec) == (
             0, SIM_OUTPUTS[args][spec], "")
 
+    def test_a_circuit_of_no_qubit(self, tmp_path, capsys):
+        # input "" is the shaped state of 0 qubits, a 0-d array: one
+        # amplitude, at index 0
+        out = tmp_path / "c.json"
+        out.write_text(circuit_to_json(Circuit(0, (), ())))
+        assert run_cli(capsys, "sim", str(out), "--input", "") == (0, "0 1 0\n", "")
+
     def test_a_wide_basis_input_allocates_little(self, tmp_path, capsys):
         # modq-const n=4 q=5, 20 qubits, on inputs 1,1,0,1: the run holds
         # the inputs it sets and the qubits the circuit moves, at most 2^8
@@ -312,6 +410,12 @@ class TestVerify:
         code, text, _ = run_cli(capsys, "verify", "--construction", "rev-embed",
                                 "--classical", str(path))
         assert code == 0 and "pass" in text and "depth=3" in text
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("argv", OUTPUTS, ids=" ".join)
+    def test_stdout_is_unchanged(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (0, OUTPUTS[argv], "")
 
 
 class TestBadSettings:

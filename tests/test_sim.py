@@ -388,7 +388,8 @@ class TestPlan:
         (single_qubit(np.diag([1, -1]).astype(complex), 2), 32),
         (controlled_u((1, 4), np.diag([1, 1j]), (3,), negated=(4,)), 8),
         (controlled_u((1,), np.diag(np.exp(1j * np.arange(4))), (2, 3)), 32),
-    ], ids=["phase", "z", "s-2-controls", "cu-2-targets"])
+        (controlled_u((1,), np.diag(np.exp(1j * np.arange(4))), (3, 0)), 32),
+    ], ids=["phase", "z", "s-2-controls", "cu-2-targets", "cu-targets-descending"])
     def test_a_lone_diagonal_multiplies_only_where_it_is_not_1(self, gate, slab_size):
         # in a run on every qubit, a one-target diagonal that is 1 where its
         # target is 0 multiplies only the slab where the target is 1 too
@@ -586,6 +587,24 @@ class TestLiveQubits:
         assert np.abs(flat_form(out) - want).max() <= 1e-15
         assert np.abs(flat_form(run(c, shaped, workspace)) - want).max() <= 1e-15
 
+    @pytest.mark.parametrize("gate, slab_size", [
+        (symmetric_phase(0.7, tuple(range(15)), 15), 1),
+        (controlled_u(tuple(range(8)), np.diag(np.exp(1j * np.arange(8))), (9, 11, 14)), 256),
+    ], ids=["phase-15-controls", "cu-8-controls-3-targets"])
+    def test_a_lone_diagonal_gate_multiplies_its_slab_of_a_shaped_input(self, gate, slab_size):
+        # 20 qubits, on an input that holds qubits 0-15 (1 MiB), alone and
+        # as a batch of 2: the first run of each multiplies only the
+        # gate's firing slab, with the target fixed at 1 for the phase,
+        # and peaks under 1/16 of one state
+        w, held = 20, held_shape(range(16), 20)
+        for shape in (held, [2, *held]):
+            c = Circuit(w, (Role.INPUT,) * w, (Layer((gate,)),))
+            zeros = np.full(shape, complex(-0.0, -0.0))
+            workspace = make_workspace(16 + len(shape) - w)
+            out, _, peak = _traced(lambda: run(c, zeros, workspace))
+            assert peak < 1 << 16, peak  # 1/16 of 2^16 amplitudes
+            assert _multiplied(out) == slab_size * (out.size >> 16)
+
 
 class TestShapedForm:
     """run and check_ancilla_purity also take a state in the shaped form:
@@ -660,7 +679,7 @@ class TestShapedForm:
         c = Circuit(3, (Role.INPUT,) * 3, (Layer((hadamard(0),)),))
         with pytest.raises(CircuitError):
             run(c, np.zeros(shape, dtype=complex))
-        if shape not in ((2, 2), (2, 2, 1, 2, 2)):  # shaped states of other widths
+        if shape not in ((2, 2), (2, 2, 1, 2, 2), ()):  # shaped states of other widths
             with pytest.raises(CircuitError):
                 check_ancilla_purity(np.zeros(shape, dtype=complex), ())
 
