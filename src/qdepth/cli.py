@@ -76,10 +76,9 @@ def _parse_input(spec: str, width: int) -> np.ndarray:
     qubits, each at index 1; plus@i holds qubit i at 1/sqrt(2) on both."""
     usage = f"input must be {width} bits (qubit 0 first) or plus@i, got {spec!r}"
     if spec.startswith("plus@"):
-        try:
-            qubit = int(spec[5:])
-        except ValueError:
-            raise CircuitError(usage) from None
+        if not (spec.isascii() and spec[5:].removeprefix("-").isdigit()):
+            raise CircuitError(usage)
+        qubit = int(spec[5:])
         if not 0 <= qubit < width:
             raise CircuitError(f"qubit {qubit} outside width {width}")
         return np.full(held_shape((qubit,), width), 1 / np.sqrt(2), dtype=complex)

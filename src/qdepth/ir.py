@@ -394,11 +394,15 @@ def compose(a: Circuit, b: Circuit) -> Circuit:
     return Circuit(a.width, a.roles, a.layers + b.layers, disc)
 
 
-def inverse(c: Circuit) -> Circuit:
+def undo(layers) -> tuple[Layer, ...]:
     """Reverse the layer order and replace each gate by its adjoint."""
-    layers = tuple(Layer(tuple(g.adjoint() for g in layer.gates))
-                   for layer in reversed(c.layers))
-    return Circuit(c.width, c.roles, layers, c.discipline)
+    return tuple(Layer(tuple(g.adjoint() for g in layer.gates))
+                 for layer in reversed(layers))
+
+
+def inverse(c: Circuit) -> Circuit:
+    """The circuit whose layers undo c's."""
+    return Circuit(c.width, c.roles, undo(c.layers), c.discipline)
 
 
 def remap_qubits(c: Circuit, mapping, width: int, roles, discipline=None) -> Circuit:

@@ -5,11 +5,15 @@ of classical Boolean circuits into reversible form.
 
 Layer counts are the interesting output here. The parity and mod-q
 builders come in two flavors: a sequential reference whose depth grows
-with the input count, and a parallelized form whose depth does not,
-obtained by copying shared qubits cat-style so that diagonal gates can
-fire simultaneously. Under the strict layering discipline the cat copies
-cost an extra ceil(log2 n) layers per copy phase; with the fanout
-primitive they cost one.
+with the input count, and a parallelized form whose depth does not.
+Every gadget is made of three moves, each built once:
+- a cat-style copy of a shared qubit, so that diagonal gates on it can
+  fire simultaneously: cat_fanout, one fanout gate, or cat_log_depth, a
+  controlled-not doubling tree that costs ceil(log2 n) layers per copy
+  phase under the strict discipline; _on_blocks lays either on qubits;
+- Hadamards on every qubit around one gate, which turn a fanout into a
+  parity gate and back: _h_conjugate;
+- compute, act, uncompute, on layer lists: _conjugate.
 
 All builders are pure functions returning validated, immutable circuits.
 """
@@ -28,22 +32,26 @@ from .ir import (
     CircuitError,
     Discipline,
     Gate,
-    GateKind,
     Layer,
     Role,
     cnot,
     controlled_u,
     fanout,
     hadamard,
-    inverse,
     modq_gate,
     pauli_x,
-    remap_qubits,
     symmetric_phase,
     toffoli,
+    undo,
 )
 
 PLAN_TOL = 1e-10
+
+
+def _conjugate(compute, middle) -> tuple[Layer, ...]:
+    """compute, then middle, then compute undone: whatever compute wrote
+    to its ancillae for middle to read, the last part erases."""
+    return (*compute, *middle, *undo(compute))
 
 
 # --- cat states and fanout ---
@@ -88,19 +96,28 @@ def cat_builder(name: str) -> Callable[[int], Circuit]:
     return CAT_BUILDERS[name]
 
 
+def _on_blocks(cat: Circuit, blocks) -> list[Layer]:
+    # cat's layers run on every block at once, qubit i of cat on qubit
+    # block[i]; each layer lists its gates in cat's order, then by block
+    return [Layer(tuple(Gate(g.kind, tuple(b[c] for c in g.controls),
+                             tuple(b[t] for t in g.targets))
+                        for g in layer.gates for b in blocks))
+            for layer in cat.layers]
+
+
 def fanout_gate(n: int) -> Circuit:
     """One fanout gate: |x; t_1..t_n> -> |x; t_1^x, ..., t_n^x>, depth 1."""
     if n < 1:
         raise CircuitError("fanout needs n >= 1 targets")
-    roles = (Role.INPUT,) + (Role.TARGET,) * n
-    layer = Layer((fanout(0, tuple(range(1, n + 1))),))
-    return Circuit(n + 1, roles, (layer,), Discipline.WITH_FANOUT)
+    return cat_fanout(n + 1)
 
 
 # --- parity ---
 
-def _h_layer(qubits) -> Layer:
-    return Layer(tuple(hadamard(q) for q in qubits))
+def _h_conjugate(gate: Gate, roles, discipline: Discipline) -> Circuit:
+    """`gate` between two layers of H on every qubit; depth 3."""
+    hs = (Layer(tuple(hadamard(q) for q in range(len(roles)))),)
+    return Circuit(len(roles), roles, _conjugate(hs, (Layer((gate,)),)), discipline)
 
 
 def parity_from_fanout(n: int) -> Circuit:
@@ -113,10 +130,8 @@ def parity_from_fanout(n: int) -> Circuit:
     """
     if n < 1:
         raise CircuitError("parity needs n >= 1 inputs")
-    roles = (Role.INPUT,) * n + (Role.TARGET,)
-    hs = _h_layer(range(n + 1))
-    mid = Layer((fanout(n, tuple(range(n))),))
-    return Circuit(n + 1, roles, (hs, mid, hs), Discipline.WITH_FANOUT)
+    return _h_conjugate(fanout(n, tuple(range(n))),
+                        (Role.INPUT,) * n + (Role.TARGET,), Discipline.WITH_FANOUT)
 
 
 def fanout_from_parity(n: int) -> Circuit:
@@ -127,10 +142,8 @@ def fanout_from_parity(n: int) -> Circuit:
     """
     if n < 1:
         raise CircuitError("fanout needs n >= 1 targets")
-    roles = (Role.INPUT,) + (Role.TARGET,) * n
-    hs = _h_layer(range(n + 1))
-    mid = Layer((modq_gate(2, tuple(range(1, n + 1)), 0),))
-    return Circuit(n + 1, roles, (hs, mid, hs), Discipline.STRICT)
+    return _h_conjugate(modq_gate(2, tuple(range(1, n + 1)), 0),
+                        (Role.INPUT,) + (Role.TARGET,) * n, Discipline.STRICT)
 
 
 def parity_via_catstate(n: int, builder: str = "fanout") -> Circuit:
@@ -153,14 +166,10 @@ def parity_via_catstate(n: int, builder: str = "fanout") -> Circuit:
     block = (target,) + tuple(range(n + 1, 2 * n))  # target plus n-1 copies
     width = 2 * n
     roles = (Role.INPUT,) * n + (Role.TARGET,) + (Role.COPY,) * (n - 1)
-    uses_fanout = any(g.kind is GateKind.FANOUT for g in cat.gates())
-    disc = Discipline.WITH_FANOUT if uses_fanout else Discipline.STRICT
-    copy = remap_qubits(cat, block, width, roles, discipline=disc)
     shifts = Layer(tuple(symmetric_phase(math.pi, (i,), block[i]) for i in range(n)))
-    layers = ((Layer((hadamard(target),)),)
-              + copy.layers + (shifts,) + inverse(copy).layers
-              + (Layer((hadamard(target),)),))
-    return Circuit(width, roles, layers, disc)
+    layers = _conjugate((Layer((hadamard(target),)), *_on_blocks(cat, [block])), (shifts,))
+    # an empty copy (n = 1) needs no fanout
+    return Circuit(width, roles, layers, cat.discipline if cat.layers else Discipline.STRICT)
 
 
 # --- wide controlled-U via one ancilla ---
@@ -176,11 +185,11 @@ def controlled_u_constant_depth(controls, u, target: int) -> Circuit:
     if not controls:
         raise CircuitError("need at least one control")
     ancilla = max(controls + (target,)) + 1
-    compute = Layer((toffoli(controls, ancilla),))
     roles = [Role.INPUT] * (ancilla + 1)
     roles[target] = Role.TARGET
     roles[ancilla] = Role.ANCILLA
-    layers = (compute, Layer((controlled_u((ancilla,), u, (target,)),)), compute)
+    layers = _conjugate((Layer((toffoli(controls, ancilla),)),),
+                        (Layer((controlled_u((ancilla,), u, (target,)),)),))
     return Circuit(ancilla + 1, tuple(roles), layers, Discipline.STRICT)
 
 
@@ -270,27 +279,9 @@ def modq_sequential(n: int, q: int) -> Circuit:
     then return the counter to |0>. Depth grows linearly with n.
     """
     plan, target, work, roles = _modq_register(n, q)
-    width = n + 1 + plan.k
     steps = [Layer((controlled_u((i,), plan.step, work),)) for i in range(n)]
-    compute = Circuit(width, roles, tuple(steps), Discipline.STRICT)
-    layers = compute.layers + _or_detect_layers(work, target) + inverse(compute).layers
-    return Circuit(width, roles, layers, Discipline.STRICT)
-
-
-def _strict_copy_layers(work, copies) -> list[Layer]:
-    # Fan each work qubit onto its n copies with controlled-nots: one seed
-    # layer, then doubling confined to the copy block, so the phase costs
-    # exactly 1 + ceil(log2 n) layers.
-    n = len(copies)
-    layers = [Layer(tuple(cnot(w, copies[0][j]) for j, w in enumerate(work)))]
-    written = 1
-    while written < n:
-        fresh = min(written, n - written)
-        layers.append(Layer(tuple(
-            cnot(copies[i][j], copies[written + i][j])
-            for i in range(fresh) for j in range(len(work)))))
-        written += fresh
-    return layers
+    layers = _conjugate(steps, _or_detect_layers(work, target))
+    return Circuit(n + 1 + plan.k, roles, layers, Discipline.STRICT)
 
 
 def modq_constant_depth(n: int, q: int,
@@ -318,23 +309,19 @@ def modq_constant_depth(n: int, q: int,
     width = base + n * k
     roles = roles + (Role.COPY,) * (n * k)
 
+    columns = [tuple(c[j] for c in copies) for j in range(k)]  # copies of work[j]
     if discipline is Discipline.WITH_FANOUT:
-        copy_layers = [Layer(tuple(
-            fanout(w, tuple(copies[i][j] for i in range(n)))
-            for j, w in enumerate(work)))]
+        copy_layers = _on_blocks(cat_fanout(n + 1), [(w, *col) for w, col in zip(work, columns)])
     else:
-        copy_layers = _strict_copy_layers(work, copies)
+        # a seed layer, then the doubling within the copy blocks
+        copy_layers = [Layer(tuple(cnot(w, col[0]) for w, col in zip(work, columns))),
+                       *_on_blocks(cat_log_depth(n), columns)]
 
     diag_layer = Layer(tuple(
         controlled_u((i,), plan.diagonal_matrix, copies[i]) for i in range(n)))
     to_eigen = Layer((controlled_u((), plan.basis_change, work),))
-    from_eigen = Layer((controlled_u((), plan.basis_change.conj().T, work),))
-
-    compute = Circuit(width, roles,
-                      (to_eigen, *copy_layers, diag_layer,
-                       *reversed(copy_layers), from_eigen),
-                      discipline)
-    layers = compute.layers + _or_detect_layers(work, target) + inverse(compute).layers
+    count = _conjugate((to_eigen, *copy_layers), (diag_layer,))
+    layers = _conjugate(count, _or_detect_layers(work, target))
     return Circuit(width, roles, layers, discipline)
 
 
@@ -380,5 +367,5 @@ def reversible_embed(c: ClassicalCircuit) -> Circuit:
             wire_qubit.append(tq)
         quantum_layers.append(Layer(tuple(gates)))
 
-    layers = tuple(quantum_layers) + tuple(reversed(quantum_layers[:-1]))
+    layers = _conjugate(quantum_layers[:-1], quantum_layers[-1:])
     return Circuit(width, roles, layers, Discipline.WITH_FANOUT)

@@ -36,6 +36,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -437,12 +438,19 @@ class ScalingTable:
 def _classify_depths(ns, depths) -> str:
     if len(set(depths)) == 1:
         return "constant"
-    logs = [d - math.ceil(math.log2(n)) for n, d in zip(ns, depths)]
-    if len(set(logs)) == 1:
+    # does one line depth = a + slope*ceil(log2 n) fit every row?
+    logs = [math.ceil(math.log2(n)) for n in ns]
+    lo, hi = logs.index(min(logs)), logs.index(max(logs))
+    slope = Fraction(depths[hi] - depths[lo], logs[hi] - logs[lo] or 1)
+    fits = all(d - slope * l == depths[lo] - slope * logs[lo] for d, l in zip(depths, logs))
+    if fits and slope == 1:
         return "logarithmic"
     diffs = [b - a for a, b in zip(depths, depths[1:])]
     if len(set(diffs)) == 1 and diffs[0] > 0:
         return "linear"
+    # other slopes (one per copy phase) come after the linear test
+    if fits and slope > 0:
+        return "logarithmic"
     if all(d > 0 for d in diffs):
         return "increasing"
     return "irregular"

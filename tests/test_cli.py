@@ -349,6 +349,10 @@ class TestSim:
         ("plus@x", "error: input must be 9 bits (qubit 0 first) or plus@i, got 'plus@x'\n"),
         ("plus@", "error: input must be 9 bits (qubit 0 first) or plus@i, got 'plus@'\n"),
         ("plus@1.5", "error: input must be 9 bits (qubit 0 first) or plus@i, got 'plus@1.5'\n"),
+        ("plus@1_0", "error: input must be 9 bits (qubit 0 first) or plus@i, got 'plus@1_0'\n"),
+        ("plus@ 3", "error: input must be 9 bits (qubit 0 first) or plus@i, got 'plus@ 3'\n"),
+        ("plus@+3", "error: input must be 9 bits (qubit 0 first) or plus@i, got 'plus@+3'\n"),
+        ("plus@\u0663", "error: input must be 9 bits (qubit 0 first) or plus@i, got 'plus@\u0663'\n"),
     ])
     def test_bad_input_on_a_restricted_circuit_is_one_error_line(
             self, tmp_path, capsys, spec, message):
@@ -716,6 +720,14 @@ class TestScaleAndIdentities:
                   for line in text.strip().splitlines()[1:-1]]
         assert depths == [1, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4]
         assert text.strip().endswith("verdict: logarithmic")
+
+    @pytest.mark.parametrize("args", [
+        ("--construction", "parity-cat", "--builder", "log-cat"),
+        ("--construction", "modq-const", "--q", "3", "--discipline", "strict"),
+    ], ids=["parity-cat-log-cat", "modq-const-strict"])
+    def test_several_log_phases_read_logarithmic(self, capsys, args):
+        code, text, _ = run_cli(capsys, "scale", *args, "--n-min", "1", "--n-max", "9")
+        assert code == 0 and text.strip().endswith("verdict: logarithmic")
 
     def test_bad_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

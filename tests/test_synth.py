@@ -1,11 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from qdepth.classical import random_circuit as random_classical
 from qdepth.ir import (
-    Circuit, CircuitError, Discipline, GateKind, Layer, Role, cnot,
-    hadamard, modq_gate, symmetric_phase,
+    Circuit, CircuitError, Discipline, GateKind, Layer, Role, circuit_to_json,
+    cnot, hadamard, modq_gate, symmetric_phase,
 )
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
@@ -15,7 +17,7 @@ from qdepth.sim import (
 from qdepth.synth import (
     CAT_BUILDERS, cat_fanout, cat_log_depth, controlled_u_constant_depth,
     fanout_from_parity, fanout_gate, modq_constant_depth, modq_plan,
-    modq_sequential, parity_from_fanout, parity_via_catstate,
+    modq_sequential, parity_from_fanout, parity_via_catstate, reversible_embed,
 )
 from qdepth.verify import build_construction, verify_construction
 
@@ -331,3 +333,55 @@ class TestIdentities:
         for n in (2, 3, 4):
             u = unitary_of(parity_from_fanout(n))
             assert np.abs(u - parity_oracle_unitary(n)).max() <= 1e-12
+
+
+# One sha256 of circuit_to_json per construction family over a fixed grid.
+# A refactor of synth that changes any gate, order, matrix entry or role of
+# any circuit here changes its family's digest.
+DIGEST_NS = (1, 2, 3, 4, 5, 8, 16)
+DIGEST_QS = (2, 3, 5, 16)
+H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def _embedded_random(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    return reversible_embed(random_classical(
+        rng, n, int(rng.integers(1, 6)), int(rng.integers(1, 5))))
+
+
+DIGEST_FAMILIES = {
+    "cat": lambda: [b(n) for b in (cat_fanout, cat_log_depth) for n in DIGEST_NS],
+    "fanout": lambda: [fanout_gate(n) for n in DIGEST_NS],
+    "parity-fanout": lambda: [parity_from_fanout(n) for n in DIGEST_NS],
+    "fanout-from-parity": lambda: [fanout_from_parity(n) for n in DIGEST_NS],
+    "parity-cat": lambda: [parity_via_catstate(n, b)
+                           for b in ("fanout", "log-cat") for n in DIGEST_NS],
+    "ctrl-u": lambda: [controlled_u_constant_depth(tuple(range(n)), u, n)
+                       for u in (X, H) for n in DIGEST_NS],
+    "modq-seq": lambda: [modq_sequential(n, q) for q in DIGEST_QS for n in DIGEST_NS],
+    "modq-const": lambda: [modq_constant_depth(n, q, d)
+                           for d in Discipline for q in DIGEST_QS for n in DIGEST_NS],
+    "rev-embed": lambda: [_embedded_random(seed) for seed in range(20)],
+}
+
+DIGESTS = {
+    "cat": "8635c34f0f191d7973cdeabcdafa8f1cbe58bfa5e9476d655bb98c4be9e79d5f",
+    "ctrl-u": "0fa2bdf50b211d2dae4d4ea11c7108b043decd43cf2f6ed197e0becdf7727765",
+    "fanout": "57511dec0d8ec9a1a647ed9a1c57a4099d8835195efeea6f27e8c7ed2ac2bffb",
+    "fanout-from-parity": "7ed4506c18cc4bdd5730590e3702c6329071ff9babe165629abb562222b56393",
+    "modq-const": "2538607b93c50a3c540dbdbb533d491b23c205657fa86017b84ff0caba7b2e10",
+    "modq-seq": "b1f9d161367629c0c2b699d7e15f72241ac3a96a4e0c0a84b0774834ef3b5126",
+    "parity-cat": "1673e92a9147b5cbccc78bfa2e024160ad91bc44a536edd25bfd0f219049ea21",
+    "parity-fanout": "fcdce00db3ddd0ead4cdb17ee60905e1093220eb0bbc81ce75e593af558c68f7",
+    "rev-embed": "c2daff8b6c781fb17cd1cb154ad857529efac07da10832e6a2aeda824022bcbd",
+}
+
+
+class TestCircuitDigests:
+    @pytest.mark.parametrize("family", sorted(DIGEST_FAMILIES))
+    def test_every_gate_is_unchanged(self, family):
+        h = hashlib.sha256()
+        for c in DIGEST_FAMILIES[family]():
+            h.update(circuit_to_json(c).encode() + b"\n")
+        assert h.hexdigest() == DIGESTS[family], family

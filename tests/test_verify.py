@@ -488,6 +488,34 @@ class TestScalingTables:
         depths = [d for _, d, _, _, _ in table.rows]
         assert all(b > a for a, b in zip(depths, depths[1:]))
 
+    @pytest.mark.parametrize("name,q,kw,slope,offset", [
+        ("parity-cat", None, {"builder": "log-cat"}, 2, 3),
+        ("modq-const", 3, {"discipline": Discipline.STRICT}, 4, 12),
+    ], ids=["parity-cat-log-cat", "modq-const-strict"])
+    def test_a_log_slope_above_one_is_logarithmic(self, name, q, kw, slope, offset):
+        # two copy phases, or four, each cost ceil(log2 n) layers
+        table = depth_scaling_table(name, q, range(1, 10), **kw)
+        assert [d for _, d, _, _, _ in table.rows] == [
+            offset + slope * math.ceil(math.log2(n)) for n in range(1, 10)]
+        assert table.verdict == "logarithmic"
+
+    def test_a_falling_range_is_logarithmic(self):
+        # the fitted line runs from a row at the smallest ceil(log2 n) to
+        # one at the largest, wherever they stand in the range
+        for name, builder in (("cat", "log-cat"), ("parity-cat", "log-cat")):
+            table = depth_scaling_table(name, None, range(9, 1, -1), builder=builder)
+            assert table.verdict == "logarithmic", name
+
+    def test_growth_at_uneven_steps_is_increasing(self):
+        table = depth_scaling_table("modq-seq", 3, [1, 2, 4])
+        assert [d for _, d, _, _, _ in table.rows] == [4, 6, 10]
+        assert table.verdict == "increasing"
+
+    def test_a_depth_that_stalls_is_irregular(self):
+        table = depth_scaling_table("parity-cat", None, range(1, 4))
+        assert [d for _, d, _, _, _ in table.rows] == [3, 5, 5]
+        assert table.verdict == "irregular"
+
     def test_text_output_is_tab_separated(self):
         table = depth_scaling_table("fanout", None, range(2, 5))
         lines = table.to_text().splitlines()
