@@ -293,39 +293,28 @@ class Layer:
         object.__setattr__(self, "gates", tuple(self.gates))
 
 
-def _pair_conflict(a: Gate, b: Gate, discipline: Discipline) -> str | None:
-    """Why gates a and b cannot share a layer, or None if they can."""
-    if discipline is Discipline.STRICT:
-        shared = a.support & b.support
-        if shared:
-            return f"overlapping supports on qubit(s) {sorted(shared)}"
-        return None
-    # WITH_FANOUT: controls may be shared (both gates are diagonal there),
-    # but a target may not appear anywhere in the other gate: two writes to
-    # one qubit, or a write feeding another gate's control, do not commute.
-    ta, tb = set(a.targets), set(b.targets)
-    if ta & tb:
-        return f"overlapping targets on qubit(s) {sorted(ta & tb)}"
-    cross = (ta & set(b.controls)) | (tb & set(a.controls))
-    if cross:
-        return f"target of one gate is a control of the other on qubit(s) {sorted(cross)}"
-    return None
-
-
 def validate_layer(layer: Layer, discipline: Discipline, width: int) -> None:
-    """Raise LayeringError/CircuitError unless `layer` is a valid layer."""
+    """Raise CircuitError if a qubit is out of range, else LayeringError
+    unless each qubit is free of conflict: under STRICT one gate acts on
+    it; under WITH_FANOUT several may read it as a control (each is
+    diagonal there), but a gate that writes it, as a target, is its only
+    gate."""
     gates = layer.gates
-    for g in gates:
-        out = [i for i in g.support if i >= width]
-        if out:
-            raise CircuitError(f"qubit index {out[0]} out of range for width {width}")
-    for i in range(len(gates)):
-        for j in range(i + 1, len(gates)):
-            why = _pair_conflict(gates[i], gates[j], discipline)
-            if why is not None:
-                raise LayeringError(
-                    f"gates {i} and {j} conflict under {discipline.value}: {why} "
-                    f"({gates[i]!r} vs {gates[j]!r})")
+    first, clash = {}, None  # qubit -> (its first gate, whether that gate writes it)
+    for j, g in enumerate(gates):
+        for k, i in enumerate(g.controls + g.targets):
+            if i >= width:
+                raise CircuitError(f"qubit index {i} out of range for width {width}")
+            writes = k >= len(g.controls)
+            h, wrote = first.setdefault(i, (j, writes))
+            if clash is None and h != j and (discipline is Discipline.STRICT or writes or wrote):
+                why = ("overlapping supports" if discipline is Discipline.STRICT else
+                       "overlapping targets" if writes and wrote else
+                       "target of one gate is a control of the other")
+                clash = (f"gates {h} and {j} conflict under {discipline.value}: {why} "
+                         f"on qubit {i} ({gates[h]!r} vs {gates[j]!r})")
+    if clash:  # raised only once every qubit is known to be in range
+        raise LayeringError(clash)
 
 
 @dataclass(frozen=True)
@@ -405,23 +394,23 @@ def inverse(c: Circuit) -> Circuit:
     return Circuit(c.width, c.roles, undo(c.layers), c.discipline)
 
 
-def remap_qubits(c: Circuit, mapping, width: int, roles, discipline=None) -> Circuit:
+def remap_gate(g: Gate, mapping) -> Gate:
+    """The same gate with qubit i moved to mapping[i]."""
+    return Gate(g.kind,
+                tuple(mapping[i] for i in g.controls),
+                tuple(mapping[i] for i in g.targets),
+                frozenset(mapping[i] for i in g.negated),
+                theta=g.theta, q=g.q, matrix=g.matrix)
+
+
+def remap_qubits(c: Circuit, mapping, width: int, roles) -> Circuit:
     """Embed a circuit into a wider register; qubit i becomes mapping[i]."""
     mapping = tuple(as_int(m, "qubit") for m in mapping)
     if len(mapping) != c.width or len(set(mapping)) != len(mapping):
         raise CircuitError("mapping must be injective and cover the circuit width")
-
-    def remap_gate(g: Gate) -> Gate:
-        return Gate(g.kind,
-                    tuple(mapping[i] for i in g.controls),
-                    tuple(mapping[i] for i in g.targets),
-                    frozenset(mapping[i] for i in g.negated),
-                    theta=g.theta, q=g.q, matrix=g.matrix)
-
-    layers = tuple(Layer(tuple(remap_gate(g) for g in layer.gates))
+    layers = tuple(Layer(tuple(remap_gate(g, mapping) for g in layer.gates))
                    for layer in c.layers)
-    return Circuit(width, tuple(roles), layers,
-                   c.discipline if discipline is None else discipline)
+    return Circuit(width, tuple(roles), layers, c.discipline)
 
 
 # --- JSON serialization ---

@@ -40,6 +40,7 @@ from .ir import (
     hadamard,
     modq_gate,
     pauli_x,
+    remap_gate,
     symmetric_phase,
     toffoli,
     undo,
@@ -99,9 +100,7 @@ def cat_builder(name: str) -> Callable[[int], Circuit]:
 def _on_blocks(cat: Circuit, blocks) -> list[Layer]:
     # cat's layers run on every block at once, qubit i of cat on qubit
     # block[i]; each layer lists its gates in cat's order, then by block
-    return [Layer(tuple(Gate(g.kind, tuple(b[c] for c in g.controls),
-                             tuple(b[t] for t in g.targets))
-                        for g in layer.gates for b in blocks))
+    return [Layer(tuple(remap_gate(g, b) for g in layer.gates for b in blocks))
             for layer in cat.layers]
 
 

@@ -435,23 +435,26 @@ class ScalingTable:
                            "verdict": self.verdict})
 
 
+def _line_slope(xs, ys) -> Fraction:
+    """The slope b of the line y = a + b*x through every (x, y), or 0 if no
+    line fits: a level line fits only a constant table."""
+    lo, hi = xs.index(min(xs)), xs.index(max(xs))
+    b = Fraction(ys[hi] - ys[lo], xs[hi] - xs[lo] or 1)
+    return b if all(y - b * x == ys[lo] - b * xs[lo] for x, y in zip(xs, ys)) else 0
+
+
 def _classify_depths(ns, depths) -> str:
     if len(set(depths)) == 1:
         return "constant"
-    # does one line depth = a + slope*ceil(log2 n) fit every row?
-    logs = [math.ceil(math.log2(n)) for n in ns]
-    lo, hi = logs.index(min(logs)), logs.index(max(logs))
-    slope = Fraction(depths[hi] - depths[lo], logs[hi] - logs[lo] or 1)
-    fits = all(d - slope * l == depths[lo] - slope * logs[lo] for d, l in zip(depths, logs))
-    if fits and slope == 1:
+    log_slope = _line_slope([math.ceil(math.log2(n)) for n in ns], depths)
+    if log_slope == 1:
         return "logarithmic"
-    diffs = [b - a for a, b in zip(depths, depths[1:])]
-    if len(set(diffs)) == 1 and diffs[0] > 0:
+    if _line_slope(ns, depths) > 0:
         return "linear"
-    # other slopes (one per copy phase) come after the linear test
-    if fits and slope > 0:
+    # other log slopes (one per copy phase) come after the linear test
+    if log_slope > 0:
         return "logarithmic"
-    if all(d > 0 for d in diffs):
+    if all(b > a for a, b in zip(depths, depths[1:])):
         return "increasing"
     return "irregular"
 

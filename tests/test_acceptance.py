@@ -109,7 +109,7 @@ def test_criterion_5_modq_resource_claims():
     for q in (2, 3, 4, 5):
         k = (q - 1).bit_length()
         depths = set()
-        for n in range(2, 17):
+        for n in (*range(2, 17), 64, 256):
             built = build_construction("modq-const", n=n, q=q)
             report = VerificationReport.of(built)
             assert report.copy_ancillae == n * k == n * math.ceil(math.log2(q))
@@ -119,8 +119,8 @@ def test_criterion_5_modq_resource_claims():
         seq_depths = [modq_sequential(n, q).depth for n in range(2, 17)]
         assert all(b > a for a, b in zip(seq_depths, seq_depths[1:]))
     _announce(5, "copy ancillae = n*ceil(log2 q) exactly; constant-form "
-                 "depth is one integer for n = 2..16 while the sequential "
-                 "form strictly grows")
+                 "depth is one integer for n = 2..16, 64 and 256 while the "
+                 "sequential form strictly grows over n = 2..16")
 
 
 def test_criterion_5_modq_amplitudes_at_n16(monkeypatch):
@@ -214,12 +214,13 @@ def test_criterion_8_reversible_embedding():
 def test_criterion_9_discipline_depth_gap():
     copy_phases = 4  # copy/uncopy in both the compute and uncompute halves
     for q in (2, 3, 4, 5):
-        for n in range(2, 17):
+        for n in (*range(2, 17), 64, 256):
             wf = modq_constant_depth(n, q).depth
             strict = modq_constant_depth(n, q, Discipline.STRICT).depth
             assert strict - wf == copy_phases * math.ceil(math.log2(n)), (q, n)
     _announce(9, "removing the fanout primitive costs exactly ceil(log2 n) "
-                 "layers for each of the four copy phases")
+                 "layers for each of the four copy phases, for n = 2..16, 64 "
+                 "and 256")
 
 
 def test_criterion_10_simulator_soundness():

@@ -1,8 +1,9 @@
 """Property tests: the three engines agree on random circuits, the dense
 engine agrees with the oracles on inputs in its shaped form that leave
 qubits idle, and with its own flat runs, to 1e-15 on circuits of
-permutations and diagonals, and the array oracle agrees with itself one
-int at a time.
+permutations and diagonals, the array oracle agrees with itself one
+int at a time, and the one-pass layer check accepts exactly the layers
+whose gates pass a pairwise check.
 
 The dense engine (sim.run, through unitary_of), the sparse engine
 (sim.run_basis on every basis input) and the product of the per-gate
@@ -13,6 +14,7 @@ the code under test, as soon as tests are collected, go to a temporary
 directory removed at exit, not to a .hypothesis directory in the tree.
 """
 import cmath
+import itertools
 import subprocess
 import sys
 import tempfile
@@ -23,13 +25,14 @@ import numpy as np
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
-from qdepth.ir import Circuit, Discipline, Gate, GateKind, block_matrix, compose, inverse
+from qdepth.ir import (Circuit, Discipline, Gate, GateKind, Layer, LayeringError, block_matrix,
+                       compose, inverse, validate_layer)
 from qdepth.oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
 from qdepth.sim import embed_index, random_state, run, run_basis, unitary_of
 from qdepth.synth import modq_constant_depth
 
-from common import (AFFINE_KINDS, DIAGONAL_KINDS, held_qubits, random_layered_circuit,
-                    shaped_and_flat)
+from common import (AFFINE_KINDS, DIAGONAL_KINDS, held_qubits, random_gate,
+                    random_layered_circuit, shaped_and_flat)
 
 TOL = 1e-12
 
@@ -307,6 +310,46 @@ def _definition(gate: Gate, x: int) -> tuple[int, complex]:
         on = fires and (x >> gate.targets[0]) & 1
         return x, cmath.exp(1j * gate.theta) if on else 1
     return x ^ (sum(1 << t for t in gate.targets) if fires else 0), 1
+
+
+def _pair_conflicts(a: Gate, b: Gate, discipline: Discipline) -> bool:
+    """Whether two gates may not share a layer: under STRICT when they share
+    any qubit, under WITH_FANOUT when either one's target is anywhere in
+    the other."""
+    if discipline is Discipline.STRICT:
+        return bool(a.support & b.support)
+    return bool(set(a.targets) & b.support or set(b.targets) & a.support)
+
+
+def test_one_pass_layer_check_matches_the_pairwise_definition():
+    # the gates of a layer valid under WITH_FANOUT, which share controls,
+    # mixed with gates of every kind on random qubits
+    seen = Counter()
+
+    @PROFILE
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(2, 8),
+           n_gates=st.integers(1, 6), n_random=st.integers(0, 2))
+    def agree(seed, width, n_gates, n_random):
+        rng = np.random.default_rng(seed)
+        shared = random_layered_circuit(rng, width, 1, Discipline.WITH_FANOUT).layers[0]
+        n_random = min(n_random, n_gates)
+        gates = [*shared.gates[:n_gates - n_random],
+                 *(random_gate(rng, width) for _ in range(n_random))]
+        rng.shuffle(gates)
+        rejected = []
+        for discipline in Discipline:
+            want = any(_pair_conflicts(a, b, discipline)
+                       for a, b in itertools.combinations(gates, 2))
+            try:
+                validate_layer(Layer(tuple(gates)), discipline, width)
+                rejected.append(False)
+            except LayeringError:
+                rejected.append(True)
+            assert rejected[-1] == want, (discipline, gates)
+        seen[tuple(rejected)] += 1
+
+    agree()
+    assert len(seen) == 3, seen  # none is valid under STRICT alone
 
 
 FAILING_PROPERTY = """

@@ -9,6 +9,7 @@ from qdepth.ir import (
     Circuit, CircuitError, Discipline, GateKind, Layer, Role, circuit_to_json,
     cnot, hadamard, modq_gate, symmetric_phase,
 )
+from qdepth import synth
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
     basis_state, check_ancilla_purity, data_block_unitary, plus_at,
@@ -82,6 +83,15 @@ class TestCatCircuits:
     def test_rejects_zero(self):
         with pytest.raises(CircuitError):
             cat_log_depth(0)
+
+    def test_laid_on_blocks_each_gate_keeps_its_fields(self):
+        # a negated control and a phase angle move with the gate's qubits
+        c = Circuit(3, (Role.INPUT,) * 3, (Layer((
+            cnot(0, 1, negated=(0,)), symmetric_phase(0.7, (0,), 2))),), Discipline.WITH_FANOUT)
+        layers = synth._on_blocks(c, [(4, 5, 6), (9, 8, 7)])
+        assert layers == [Layer((
+            cnot(4, 5, negated=(4,)), cnot(9, 8, negated=(9,)),
+            symmetric_phase(0.7, (4,), 6), symmetric_phase(0.7, (9,), 7)))]
 
 
 class TestFanoutGate:

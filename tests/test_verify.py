@@ -507,9 +507,24 @@ class TestScalingTables:
             assert table.verdict == "logarithmic", name
 
     def test_growth_at_uneven_steps_is_increasing(self):
+        # 1, 2, 4 lies on no line in n (1, 2, 3) nor in ceil(log2 n) (0, 1, 2)
+        assert verify._classify_depths([1, 2, 3], [1, 2, 4]) == "increasing"
+
+    def test_exact_growth_at_uneven_steps_is_linear(self):
+        # depth 2n + 2 whatever the steps between the n
         table = depth_scaling_table("modq-seq", 3, [1, 2, 4])
         assert [d for _, d, _, _, _ in table.rows] == [4, 6, 10]
-        assert table.verdict == "increasing"
+        assert table.verdict == "linear"
+
+    def test_a_log_depth_on_a_doubling_range_is_logarithmic(self):
+        # equal steps in depth over doubling n are a line in ceil(log2 n)
+        for name, q, ns, kw, depths in (
+                ("parity-cat", None, [1, 2, 4], {"builder": "log-cat"}, [3, 5, 7]),
+                ("modq-const", 3, [2, 4, 8, 16], {"discipline": Discipline.STRICT},
+                 [16, 20, 24, 28])):
+            table = depth_scaling_table(name, q, ns, **kw)
+            assert [d for _, d, _, _, _ in table.rows] == depths
+            assert table.verdict == "logarithmic", name
 
     def test_a_depth_that_stalls_is_irregular(self):
         table = depth_scaling_table("parity-cat", None, range(1, 4))
