@@ -1,6 +1,6 @@
 """
 Oracle-based equivalence checking, named-construction registry, and
-depth/width/ancilla scaling reports.
+scaling reports checked against each construction's exact counts.
 
 verify_construction is the one drive loop; the circuit's roles give its
 data register (INPUT, TARGET) and its ancillae (COPY, ANCILLA), which start
@@ -35,8 +35,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -355,6 +354,8 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
     """
     if name not in CONSTRUCTIONS:
         raise CircuitError(f"unknown construction {name!r}")
+    if theta is not None and (name, u) != ("ctrl-u", "phase"):
+        raise CircuitError("theta is read only by ctrl-u with u=phase")
 
     def built(circ, oracle, q=None, **extra) -> Built:
         return Built(name, n, q, circ, oracle, **extra)
@@ -393,6 +394,24 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
     return built(synth.modq_constant_depth(n, q, discipline), modq_oracle, q=q)
 
 
+def _claim(name: str, n: int, q: int | None, discipline: Discipline, builder: str):
+    """The depth growth that the builder documents, and the exact (depth,
+    width, COPY, ANCILLA) counts at n; a mod-q count takes ceil(log2 q) qubits."""
+    k, log_n = (q - 1).bit_length() if q else 0, (n - 1).bit_length()
+    c, cat = (log_n, "logarithmic") if builder == "log-cat" else (int(n > 1), "constant")
+    strict = discipline is Discipline.STRICT
+    return {
+        "cat": (cat, (c, n, 0, 0)),
+        "fanout": ("constant", (1, n + 1, 0, 0)),
+        "parity-fanout": ("constant", (3, n + 1, 0, 0)),
+        "parity-cat": (cat, (3 + 2 * c, 2 * n, n - 1, 0)),
+        "ctrl-u": ("constant", (3, n + 2, 0, 1)),
+        "modq-seq": ("linear", (2 * n + 2, n + 1 + k, 0, k)),
+        "modq-const": ("logarithmic" if strict else "constant",
+                       (12 + 4 * log_n * strict, n + 1 + k + n * k, n * k, k)),
+    }[name]
+
+
 def verify_built(built: Built, *, structural_only: bool = False,
                  tol_err: float | None = None, superpositions: int = 0,
                  seed: int = 0) -> VerificationReport:
@@ -420,7 +439,7 @@ class ScalingTable:
     q: int | None
     discipline: str
     rows: list[tuple[int, int, int, int, int]]  # (n, depth, width, ancillae, work)
-    verdict: str = field(default="")
+    verdict: str
 
     def to_text(self) -> str:
         lines = ["n\tdepth\twidth\tancillae\twork"]
@@ -435,46 +454,26 @@ class ScalingTable:
                            "verdict": self.verdict})
 
 
-def _line_slope(xs, ys) -> Fraction:
-    """The slope b of the line y = a + b*x through every (x, y), or 0 if no
-    line fits: a level line fits only a constant table."""
-    lo, hi = xs.index(min(xs)), xs.index(max(xs))
-    b = Fraction(ys[hi] - ys[lo], xs[hi] - xs[lo] or 1)
-    return b if all(y - b * x == ys[lo] - b * xs[lo] for x, y in zip(xs, ys)) else 0
-
-
-def _classify_depths(ns, depths) -> str:
-    if len(set(depths)) == 1:
-        return "constant"
-    log_slope = _line_slope([math.ceil(math.log2(n)) for n in ns], depths)
-    if log_slope == 1:
-        return "logarithmic"
-    if _line_slope(ns, depths) > 0:
-        return "linear"
-    # other log slopes (one per copy phase) come after the linear test
-    if log_slope > 0:
-        return "logarithmic"
-    if all(b > a for a, b in zip(depths, depths[1:])):
-        return "increasing"
-    return "irregular"
-
-
 def depth_scaling_table(name: str, q: int | None, n_range,
                         discipline: Discipline = Discipline.WITH_FANOUT,
                         builder: str = "fanout") -> ScalingTable:
-    """Tabulate (n, depth, width, ancillae, work), where ancillae counts
-    the COPY qubits and work the ANCILLA qubits, as verify reports them;
-    no simulation involved."""
-    rows = []
-    ns = list(n_range)
-    for n in ns:
-        b = build_construction(name, n=n, q=q, discipline=discipline,
-                               builder=builder)
-        c = b.circuit
+    """Tabulate (n, depth, width, ancillae, work), the COPY and ANCILLA
+    qubits counted as verify reports them, without simulating. The verdict
+    is _claim's growth if every row has its claimed counts, else `mismatch
+    at n=N: <column> <got>, claimed <want>` for the first that differs."""
+    rows, misses = [], []
+    for n in n_range:
+        c = build_construction(name, n=n, q=q, discipline=discipline,
+                               builder=builder).circuit
         rows.append((n, c.depth, c.width, c.roles.count(Role.COPY),
                      c.roles.count(Role.ANCILLA)))
-    verdict = _classify_depths(ns, [r[1] for r in rows])
-    return ScalingTable(name, q, discipline.value, rows, verdict)
+        growth, counts = _claim(name, n, q, discipline, builder)
+        misses += [f"mismatch at n={n}: {col} {got}, claimed {want}"
+                   for col, got, want in zip(("depth", "width", "ancillae", "work"),
+                                             rows[-1][1:], counts) if got != want]
+    if not rows:
+        raise ValueError("n_range is empty")
+    return ScalingTable(name, q, discipline.value, rows, misses[0] if misses else growth)
 
 
 # --- matrix identities ---

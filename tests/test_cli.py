@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from qdepth import synth
 from qdepth.cli import main
 from qdepth.classical import ClassicalCircuit, ClassicalGate, to_json
 from qdepth.ir import (Circuit, Layer, Role, circuit_from_json, circuit_to_json,
-                       symmetric_phase)
+                       pauli_x, symmetric_phase)
 from qdepth.verify import build_construction
 
 
@@ -459,6 +461,16 @@ class TestBadSettings:
                                  "--n", "2", "--u", "phase", f"--theta={value}")
         assert (code, out, err) == (2, "", "error: phase requires a finite theta\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--construction", "ctrl-u", "--n", "3", "--u", "h", "--theta", "0.5"),
+        ("synth", "--construction", "cat", "--n", "3", "--theta", "1", "--out", "c.json"),
+    ], ids=["ctrl-u-h", "synth-cat"])
+    def test_a_theta_no_gate_reads_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: theta is read only by ctrl-u with u=phase\n")
+        assert not (tmp_path / "c.json").exists()
+
     def test_negative_superpositions_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--construction", "fanout",
                                  "--n", "2", "--superpositions", "-3")
@@ -728,6 +740,24 @@ class TestScaleAndIdentities:
     def test_several_log_phases_read_logarithmic(self, capsys, args):
         code, text, _ = run_cli(capsys, "scale", *args, "--n-min", "1", "--n-max", "9")
         assert code == 0 and text.strip().endswith("verdict: logarithmic")
+
+    def test_a_mismatch_names_its_row(self, capsys, monkeypatch):
+        # one layer too many at n=5 only: the first row and column that differ
+        build = synth.modq_sequential
+
+        def one_layer_more(n, q):
+            c = build(n, q)
+            extra = (Layer((pauli_x(0),)),) if n == 5 else ()
+            return dataclasses.replace(c, layers=c.layers + extra)
+        monkeypatch.setattr(synth, "modq_sequential", one_layer_more)
+        argv = ("scale", "--construction", "modq-seq", "--q", "3", "--n-min", "2",
+                "--n-max", "8")
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == 0 and text.endswith("\nverdict: mismatch at n=5: depth 13, claimed 12\n")
+        code, text, _ = run_cli(capsys, *argv, "--json")
+        doc = json.loads(text)
+        assert code == 0 and doc["verdict"] == "mismatch at n=5: depth 13, claimed 12"
+        assert [row[1] for row in doc["rows"]] == [6, 8, 10, 13, 14, 16, 18]
 
     def test_bad_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,8 +2,9 @@
 engine agrees with the oracles on inputs in its shaped form that leave
 qubits idle, and with its own flat runs, to 1e-15 on circuits of
 permutations and diagonals, the array oracle agrees with itself one
-int at a time, and the one-pass layer check accepts exactly the layers
-whose gates pass a pairwise check.
+int at a time, the one-pass layer check accepts exactly the layers
+whose gates pass a pairwise check, and circuit JSON gives back every
+circuit exactly.
 
 The dense engine (sim.run, through unitary_of), the sparse engine
 (sim.run_basis on every basis input) and the product of the per-gate
@@ -25,8 +26,9 @@ import numpy as np
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
-from qdepth.ir import (Circuit, Discipline, Gate, GateKind, Layer, LayeringError, block_matrix,
-                       compose, inverse, validate_layer)
+from qdepth.ir import (Circuit, Discipline, Gate, GateKind, Layer, LayeringError, Role,
+                       block_matrix, circuit_from_json, circuit_to_json, compose, inverse,
+                       validate_layer)
 from qdepth.oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
 from qdepth.sim import embed_index, random_state, run, run_basis, unitary_of
 from qdepth.synth import modq_constant_depth
@@ -350,6 +352,27 @@ def test_one_pass_layer_check_matches_the_pairwise_definition():
 
     agree()
     assert len(seen) == 3, seen  # none is valid under STRICT alone
+
+
+def test_json_round_trip_is_exact():
+    # every gate kind under both disciplines, with negated controls, theta,
+    # q and explicit matrices, on a register of mixed roles
+    seen = Counter()
+
+    @PROFILE
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 10),
+           depth=st.integers(1, 3), discipline=st.sampled_from(list(Discipline)))
+    def round_trip(seed, width, depth, discipline):
+        rng = np.random.default_rng(seed)
+        c = random_layered_circuit(rng, width, depth, discipline)
+        c = Circuit(width, [list(Role)[i] for i in rng.integers(0, len(Role), width)],
+                    c.layers, discipline)
+        assert circuit_from_json(circuit_to_json(c)) == c
+        for g in c.gates():
+            seen.update([g.kind, discipline] + ["negated"] * bool(g.negated))
+
+    round_trip()
+    assert set(GateKind) | set(Discipline) | {"negated"} <= set(seen), seen
 
 
 FAILING_PROPERTY = """

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -506,10 +507,6 @@ class TestScalingTables:
             table = depth_scaling_table(name, None, range(9, 1, -1), builder=builder)
             assert table.verdict == "logarithmic", name
 
-    def test_growth_at_uneven_steps_is_increasing(self):
-        # 1, 2, 4 lies on no line in n (1, 2, 3) nor in ceil(log2 n) (0, 1, 2)
-        assert verify._classify_depths([1, 2, 3], [1, 2, 4]) == "increasing"
-
     def test_exact_growth_at_uneven_steps_is_linear(self):
         # depth 2n + 2 whatever the steps between the n
         table = depth_scaling_table("modq-seq", 3, [1, 2, 4])
@@ -526,10 +523,24 @@ class TestScalingTables:
             assert [d for _, d, _, _, _ in table.rows] == depths
             assert table.verdict == "logarithmic", name
 
-    def test_a_depth_that_stalls_is_irregular(self):
+    def test_a_fanout_copy_from_one_is_constant(self):
+        # one qubit needs no copy layer: depth 3 at n=1, 5 from n=2 on
         table = depth_scaling_table("parity-cat", None, range(1, 4))
         assert [d for _, d, _, _, _ in table.rows] == [3, 5, 5]
-        assert table.verdict == "irregular"
+        assert table.verdict == "constant"
+
+    @pytest.mark.parametrize("name", [c for c in verify.CONSTRUCTIONS if c != "rev-embed"])
+    def test_every_row_matches_its_claim(self, name):
+        # the builder is read by cat and parity-cat only, q by modq-* only
+        ns = [*range(1, 18), 31, 32, 33, 63, 64, 65, 255, 256, 257, 1024]
+        builders = ("fanout", "log-cat") if "cat" in name else ("fanout",)
+        qs = (2, 3, 5, 16) if name.startswith("modq") else (None,)
+        for builder, discipline, q in itertools.product(builders, Discipline, qs):
+            log = (builder == "log-cat" if "cat" in name else
+                   name == "modq-const" and discipline is Discipline.STRICT)
+            growth = "linear" if name == "modq-seq" else "logarithmic" if log else "constant"
+            table = depth_scaling_table(name, q, ns, discipline, builder)
+            assert table.verdict == growth, (builder, discipline, q)
 
     def test_text_output_is_tab_separated(self):
         table = depth_scaling_table("fanout", None, range(2, 5))
