@@ -49,7 +49,7 @@ DISCIPLINES = [d.value for d in Discipline]
 def _add_construction_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--construction", required=True, choices=CONSTRUCTIONS)
     p.add_argument("--n", type=int, help="number of inputs / register size")
-    p.add_argument("--q", type=int, help="modulus for the counting gates")
+    p.add_argument("--q", type=int, help="modulus for modq-seq and modq-const")
     p.add_argument("--discipline", choices=DISCIPLINES, default="wf")
     p.add_argument("--builder", choices=list(CAT_BUILDERS), default="fanout",
                    help="cat-state builder for parity-cat")
@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("scale", help="tabulate depth/width/ancillae over n")
-    p.add_argument("--construction", required=True, choices=CONSTRUCTIONS)
+    p.add_argument("--construction", required=True,
+                   choices=[c for c in CONSTRUCTIONS if c != "rev-embed"])
     p.add_argument("--q", type=int)
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
@@ -201,7 +202,7 @@ def main(argv=None) -> int:
         parser.error("--n-min must be <= --n-max")  # exits 2
     try:
         return args.fn(args)
-    except (CircuitError, cc.ClassicalCircuitError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # CircuitError and ClassicalCircuitError among them
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except WidthCapExceeded as e:

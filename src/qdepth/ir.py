@@ -60,10 +60,24 @@ class Discipline(Enum):
 
 _ZEROED_ROLES = frozenset({Role.COPY, Role.ANCILLA})  # start and end in |0>
 
-_SELF_INVERSE = frozenset({
-    GateKind.HADAMARD, GateKind.PAULI_X, GateKind.CNOT,
-    GateKind.TOFFOLI, GateKind.MODQ, GateKind.FANOUT,
-})
+# The gate set. Per kind: the fewest and most controls, the fewest and
+# most targets (None: no upper limit), and the one field the kind requires
+# (a kind that takes none of matrix, theta and q has None).
+_SPEC = {
+    GateKind.SINGLE_QUBIT: (0, 0, 1, 1, "matrix"),
+    GateKind.HADAMARD: (0, 0, 1, 1, None),
+    GateKind.PAULI_X: (0, 0, 1, 1, None),
+    GateKind.CNOT: (1, 1, 1, 1, None),
+    GateKind.TOFFOLI: (1, None, 1, 1, None),
+    GateKind.CONTROLLED_U: (0, None, 1, MAX_BLOCK_QUBITS, "matrix"),
+    GateKind.MODQ: (1, None, 1, 1, "q"),
+    GateKind.FANOUT: (1, 1, 1, None, None),
+    GateKind.PHASE: (0, None, 1, 1, "theta"),
+}
+
+# Kinds that permute basis states with no phase; each is its own inverse.
+FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
+                        GateKind.FANOUT, GateKind.MODQ})
 
 
 def as_int(value, what: str, error: type[ValueError] = CircuitError) -> int:
@@ -106,9 +120,11 @@ class Gate:
 
     `controls` and `targets` are disjoint qubit tuples; `negated` marks
     controls whose input is X-conjugated, so they fire on 0 instead of 1.
-    `theta` applies to PHASE, `q` to MODQ, and `matrix` to SINGLE_QUBIT
-    (2x2) and CONTROLLED_U (2^k x 2^k over the k targets, where bit j of
-    the block index is targets[j]); each is rejected on any other kind.
+    _SPEC gives each kind its control and target counts and the one field
+    it requires: `theta` for PHASE, `q` for MODQ, and `matrix` for
+    SINGLE_QUBIT (2x2) and CONTROLLED_U (2^k x 2^k over the k targets,
+    where bit j of the block index is targets[j]); a field is rejected on
+    any other kind.
     """
     kind: GateKind
     controls: tuple[int, ...] = ()
@@ -144,62 +160,36 @@ class Gate:
         if not self.negated <= set(cs):
             raise CircuitError("negated qubits must be a subset of controls")
 
-        if k in (GateKind.SINGLE_QUBIT, GateKind.HADAMARD, GateKind.PAULI_X):
-            if cs or len(ts) != 1:
-                raise CircuitError(f"{k.value} takes no controls and one target")
-        elif k is GateKind.CNOT:
-            if len(cs) != 1 or len(ts) != 1:
-                raise CircuitError("cnot takes one control and one target")
-        elif k is GateKind.TOFFOLI:
-            if len(cs) < 1 or len(ts) != 1:
-                raise CircuitError("toffoli takes >=1 controls and one target")
-        elif k is GateKind.MODQ:
-            if self.q is None or self.q < 2:
-                raise CircuitError("modq requires q >= 2")
-            if len(cs) < 1 or len(ts) != 1:
-                raise CircuitError("modq takes >=1 inputs and one target")
-        elif k is GateKind.FANOUT:
-            if len(cs) != 1 or len(ts) < 1:
-                raise CircuitError("fanout takes one control and >=1 targets")
-        elif k is GateKind.PHASE:
-            if self.theta is None or not math.isfinite(self.theta):
-                raise CircuitError("phase requires a finite theta")
-            if len(ts) != 1:
-                raise CircuitError("phase takes one target")
-        elif k is GateKind.CONTROLLED_U:
-            if len(ts) < 1:
-                raise CircuitError("cu takes >=1 targets")
-            if len(ts) > MAX_BLOCK_QUBITS:
-                raise CircuitError(
-                    f"cu target block of {len(ts)} qubits exceeds cap {MAX_BLOCK_QUBITS}")
-
-        if k is GateKind.SINGLE_QUBIT:
-            if self.matrix is None:
-                raise CircuitError("u requires an explicit 2x2 matrix")
-            _check_unitary(self.matrix, 2)
-        elif k is GateKind.CONTROLLED_U:
-            if self.matrix is None:
-                raise CircuitError("cu requires an explicit matrix")
+        c_lo, c_hi, t_lo, t_hi, field = _SPEC[k]
+        for what, count, lo, hi in (("controls", len(cs), c_lo, c_hi),
+                                    ("targets", len(ts), t_lo, t_hi)):
+            if count < lo or (hi is not None and count > hi):
+                want = lo if lo == hi else f">={lo}" if hi is None else f"{lo}..{hi}"
+                raise CircuitError(f"{k.value} takes {want} {what}, got {count}")
+        for name in ("matrix", "theta", "q"):
+            if (getattr(self, name) is None) == (name == field):
+                raise CircuitError(f"{k.value} requires {name}" if name == field
+                                   else f"{k.value} does not take {name}")
+        if field == "matrix":
             _check_unitary(self.matrix, 2 ** len(ts))
-        elif self.matrix is not None:
-            raise CircuitError(f"{k.value} does not take a matrix")
-        for name, owner in (("q", GateKind.MODQ), ("theta", GateKind.PHASE)):
-            if getattr(self, name) is not None and k is not owner:
-                raise CircuitError(f"{k.value} does not take {name}")
+        elif field == "q" and self.q < 2:
+            raise CircuitError("modq requires q >= 2")
+        elif field == "theta" and not math.isfinite(self.theta):
+            raise CircuitError("phase requires a finite theta")
 
     @property
     def support(self) -> frozenset[int]:
         return frozenset(self.controls) | frozenset(self.targets)
 
     def adjoint(self) -> "Gate":
-        if self.kind in _SELF_INVERSE:
+        if self.kind in FLIP_KINDS or self.kind is GateKind.HADAMARD:
             return self
         if self.kind is GateKind.PHASE:
             return Gate(self.kind, self.controls, self.targets, self.negated,
                         theta=-self.theta)
         # SINGLE_QUBIT / CONTROLLED_U: conjugate transpose
         return Gate(self.kind, self.controls, self.targets, self.negated,
-                    q=self.q, matrix=self.matrix.conj().T)
+                    matrix=self.matrix.conj().T)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):

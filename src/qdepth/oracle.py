@@ -7,7 +7,8 @@ deliberately sharing no code with the simulator in qdepth.sim. Toffoli
 negates the target iff all inputs are true (a mask test); the mod-q gate
 negates it iff the count of true inputs is not a multiple of q; fanout
 xors one control onto every target; the symmetric phase gate multiplies
-the all-ones subspace by e^{i theta}.
+the all-ones subspace by e^{i theta}. Like the simulator, it reads the
+gate kinds (FLIP_KINDS) and block matrices from qdepth.ir.
 """
 from __future__ import annotations
 
@@ -15,13 +16,10 @@ import cmath
 
 import numpy as np
 
-from .ir import Gate, GateKind, block_matrix
+from .ir import FLIP_KINDS, Gate, GateKind, block_matrix
 
 # Gates whose action on a basis state is a single basis state with a phase.
-PERMUTATION_KINDS = frozenset({
-    GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
-    GateKind.MODQ, GateKind.FANOUT, GateKind.PHASE,
-})
+PERMUTATION_KINDS = FLIP_KINDS | {GateKind.PHASE}
 
 
 class OracleError(ValueError):

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit, CircuitError, Discipline, Gate, GateKind, Role, block_matrix
+from .ir import FLIP_KINDS, Circuit, CircuitError, Discipline, Gate, GateKind, Role, block_matrix
 
 UNITARY_WIDTH_CAP = 12
 PURITY_TOL = 1e-10
@@ -186,9 +186,6 @@ def _on(gate: Gate) -> int:
     return sum(1 << c for c in gate.controls if c not in gate.negated)
 
 
-_FLIP_KINDS = frozenset({GateKind.PAULI_X, GateKind.CNOT, GateKind.TOFFOLI,
-                         GateKind.FANOUT, GateKind.MODQ})
-
 # A batch of states in one run (verify's superpositions and dense
 # fallback, unitary_of's columns) holds this many amplitudes (1 MiB), or
 # one state where that is more: more per run measured slower, as the
@@ -206,9 +203,8 @@ def _affine(gate: Gate) -> bool:
     """Whether a permutation gate is an affine map of the basis index over
     GF(2): X, CNOT and fanout, a Toffoli or MODQ on one control, or MODQ
     with q=2, which XORs the parity of its controls onto its target."""
-    return (gate.kind in (GateKind.PAULI_X, GateKind.CNOT, GateKind.FANOUT)
-            or (gate.kind is GateKind.MODQ and gate.q == 2)
-            or (gate.kind in _FLIP_KINDS and len(gate.controls) == 1))
+    return gate.kind in FLIP_KINDS and (
+        len(gate.controls) <= 1 or (gate.kind is GateKind.MODQ and gate.q == 2))
 
 
 def _flip(state: np.ndarray, scratch: np.ndarray, gate: Gate, shape: list):
@@ -404,7 +400,7 @@ def _plan(layers, w: int) -> list:
     for gates in layers:
         flips, diagonals, blocks = [], [], []
         for gate in gates:
-            if gate.kind in _FLIP_KINDS:
+            if gate.kind in FLIP_KINDS:
                 flips.append(gate)
                 continue
             u = block_matrix(gate)
@@ -612,7 +608,7 @@ def run_basis(circuit: Circuit, starts) -> Rows | None:
     for gate in circuit.gates():
         fires = _row_fires(gate, index)
         mask = sum(1 << t for t in gate.targets)
-        if gate.kind in _FLIP_KINDS:
+        if gate.kind in FLIP_KINDS:
             index ^= np.where(fires, mask, 0)
             continue
         u = block_matrix(gate)

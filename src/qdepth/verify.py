@@ -356,6 +356,8 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
         raise CircuitError(f"unknown construction {name!r}")
     if theta is not None and (name, u) != ("ctrl-u", "phase"):
         raise CircuitError("theta is read only by ctrl-u with u=phase")
+    if q is not None and name not in ("modq-seq", "modq-const"):
+        raise CircuitError("q is read only by modq-seq and modq-const")
 
     def built(circ, oracle, q=None, **extra) -> Built:
         return Built(name, n, q, circ, oracle, **extra)
@@ -448,10 +450,7 @@ class ScalingTable:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps({"construction": self.construction, "q": self.q,
-                           "discipline": self.discipline,
-                           "rows": [list(r) for r in self.rows],
-                           "verdict": self.verdict})
+        return json.dumps(dataclasses.asdict(self))
 
 
 def depth_scaling_table(name: str, q: int | None, n_range,

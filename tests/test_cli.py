@@ -471,6 +471,17 @@ class TestBadSettings:
             2, "", "error: theta is read only by ctrl-u with u=phase\n")
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--construction", "fanout", "--n", "2", "--q", "7"),
+        ("scale", "--construction", "cat", "--q", "3", "--n-min", "1", "--n-max", "3",
+         "--json"),
+        # parity-* set their own q = 2
+        ("verify", "--construction", "parity-fanout", "--n", "2", "--q", "2"),
+    ], ids=["verify-fanout", "scale-cat", "parity-fanout"])
+    def test_a_q_no_gate_reads_is_usage_error(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: q is read only by modq-seq and modq-const\n")
+
     def test_negative_superpositions_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--construction", "fanout",
                                  "--n", "2", "--superpositions", "-3")
@@ -764,6 +775,16 @@ class TestScaleAndIdentities:
             main(["scale", "--construction", "cat", "--n-min", "5",
                   "--n-max", "2"])
         assert exc.value.code == 2
+
+    def test_rev_embed_is_no_scale_choice(self, capsys):
+        # scale takes no classical circuit to embed
+        with pytest.raises(SystemExit) as exc:
+            main(["scale", "--construction", "rev-embed", "--n-min", "1", "--n-max", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'rev-embed'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["scale", "--help"])
+        assert "rev-embed" not in capsys.readouterr().out
 
     def test_identities_pass(self, capsys):
         code, text, _ = run_cli(capsys, "identities")

@@ -76,6 +76,58 @@ class TestGateInvariants:
             circuit_from_json(json.dumps(doc))
 
 
+# The paper's gate set, written out apart from ir's table: per kind, the
+# fewest and most controls, the fewest and most targets (None: no upper
+# limit), and the one field the kind requires.
+GATE_SET = [
+    (GateKind.SINGLE_QUBIT, 0, 0, 1, 1, "matrix"),
+    (GateKind.HADAMARD, 0, 0, 1, 1, None),
+    (GateKind.PAULI_X, 0, 0, 1, 1, None),
+    (GateKind.CNOT, 1, 1, 1, 1, None),
+    (GateKind.TOFFOLI, 1, None, 1, 1, None),
+    (GateKind.CONTROLLED_U, 0, None, 1, 4, "matrix"),
+    (GateKind.MODQ, 1, None, 1, 1, "q"),
+    (GateKind.FANOUT, 1, 1, 1, None, None),
+    (GateKind.PHASE, 0, None, 1, 1, "theta"),
+]
+
+
+def _gate(kind, n_controls, n_targets, field):
+    """A gate of `kind` on qubits 0.. as controls, then targets, carrying
+    a valid value of `field` (none if None)."""
+    value = {"matrix": np.eye(1 << n_targets), "theta": 0.5, "q": 3}.get(field)
+    return Gate(kind, tuple(range(n_controls)),
+                tuple(range(n_controls, n_controls + n_targets)),
+                **({field: value} if field else {}))
+
+
+@pytest.mark.parametrize("kind, c_lo, c_hi, t_lo, t_hi, field", GATE_SET,
+                         ids=[row[0].value for row in GATE_SET])
+class TestGateSet:
+    def test_fewest_and_most_counts_build(self, kind, c_lo, c_hi, t_lo, t_hi, field):
+        many = 3  # stands for the most where there is no upper limit
+        for c, t in ((c_lo, t_lo), (many if c_hi is None else c_hi,
+                                    many if t_hi is None else t_hi)):
+            g = _gate(kind, c, t, field)
+            assert (len(g.controls), len(g.targets)) == (c, t)
+
+    def test_one_past_a_bound_raises(self, kind, c_lo, c_hi, t_lo, t_hi, field):
+        counts = [(c_lo, t_lo - 1)]
+        counts += [(c_lo - 1, t_lo)] if c_lo else []
+        counts += [(c_hi + 1, t_lo)] if c_hi is not None else []
+        counts += [(c_lo, t_hi + 1)] if t_hi is not None else []
+        for c, t in counts:
+            with pytest.raises(CircuitError, match=f"{kind.value} takes"):
+                _gate(kind, c, t, field)
+
+    def test_a_missing_field_raises(self, kind, c_lo, c_hi, t_lo, t_hi, field):
+        if field is None:
+            _gate(kind, c_lo, t_lo, None)
+        else:
+            with pytest.raises(CircuitError, match=f"{kind.value} requires {field}"):
+                _gate(kind, c_lo, t_lo, None)
+
+
 class TestLayerValidation:
     def test_disjoint_cnots_accepted_under_strict(self):
         validate_layer(layer(cnot(0, 1), cnot(2, 3)), STRICT, 4)

@@ -501,8 +501,6 @@ class TestScalingTables:
         assert table.verdict == "logarithmic"
 
     def test_a_falling_range_is_logarithmic(self):
-        # the fitted line runs from a row at the smallest ceil(log2 n) to
-        # one at the largest, wherever they stand in the range
         for name, builder in (("cat", "log-cat"), ("parity-cat", "log-cat")):
             table = depth_scaling_table(name, None, range(9, 1, -1), builder=builder)
             assert table.verdict == "logarithmic", name
