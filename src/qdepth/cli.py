@@ -3,6 +3,9 @@ Command-line interface: synthesize circuits to JSON, simulate them on
 chosen inputs, verify constructions against their oracles, tabulate depth
 scaling, and run the matrix identity checks.
 
+A construction setting that the construction does not read (verify.READS)
+is a usage error; one not given takes build_construction's default.
+
 Input bitstrings are qubit-0-first ("110" sets qubit 0 and qubit 1); the
 state dump prints basis indices in binary with qubit 0 rightmost. Exit
 codes: 0 success/pass, 1 verification failure, 2 usage error, 3 register
@@ -27,6 +30,7 @@ from .synth import CAT_BUILDERS
 from .verify import (
     CONSTRUCTIONS,
     DEFAULT_ERROR_TOL,
+    READS,
     TOL_ENV,
     U_NAMES,
     Built,
@@ -35,6 +39,8 @@ from .verify import (
     check_sim_cap,
     depth_scaling_table,
     identity_checks,
+    read_only_by,
+    refuse_unread,
     verify_built,
 )
 
@@ -46,29 +52,39 @@ EXIT_CAP = 3
 DISCIPLINES = [d.value for d in Discipline]
 
 
+def _add_setting(p: argparse.ArgumentParser, setting: str, what: str, **kw) -> None:
+    """A flag for one construction setting, with no default."""
+    p.add_argument(f"--{setting}", help=f"{what}; {read_only_by(setting)}", **kw)
+
+
 def _add_construction_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--construction", required=True, choices=CONSTRUCTIONS)
-    p.add_argument("--n", type=int, help="number of inputs / register size")
-    p.add_argument("--q", type=int, help="modulus for modq-seq and modq-const")
-    p.add_argument("--discipline", choices=DISCIPLINES, default="wf")
-    p.add_argument("--builder", choices=list(CAT_BUILDERS), default="fanout",
-                   help="cat-state builder for parity-cat")
-    p.add_argument("--u", default="x", choices=U_NAMES,
-                   help="one-qubit unitary for ctrl-u")
-    p.add_argument("--theta", type=float, help="angle for --u phase")
-    p.add_argument("--classical", metavar="FILE",
-                   help="classical circuit JSON for rev-embed")
+    _add_setting(p, "n", "number of inputs / register size", type=int)
+    _add_setting(p, "q", "modulus", type=int)
+    _add_setting(p, "discipline", "layering discipline", choices=DISCIPLINES)
+    _add_setting(p, "builder", "cat-state builder", choices=list(CAT_BUILDERS))
+    _add_setting(p, "u", "one-qubit unitary", choices=U_NAMES)
+    _add_setting(p, "theta", "angle for --u phase", type=float)
+    _add_setting(p, "classical", "classical circuit JSON", metavar="FILE")
+
+
+def _given(args) -> dict:
+    """The construction settings given on the command line, the discipline
+    as a Discipline; refuses one that the construction does not read."""
+    given = {k: v for k, v in vars(args).items()
+             if v is not None and any(k in reads for reads in READS.values())}
+    refuse_unread(args.construction, given)
+    if "discipline" in given:
+        given["discipline"] = Discipline(given["discipline"])
+    return given
 
 
 def _build_from_args(args) -> Built:
-    classical = None
-    if args.classical:
-        with open(args.classical, encoding="utf-8") as f:
-            classical = cc.from_json(f.read())
-    return build_construction(
-        args.construction, n=args.n, q=args.q,
-        discipline=Discipline(args.discipline), builder=args.builder,
-        u=args.u, theta=args.theta, classical=classical)
+    given = _given(args)
+    if "classical" in given:
+        with open(given["classical"], encoding="utf-8") as f:
+            given["classical"] = cc.from_json(f.read())
+    return build_construction(args.construction, **given)
 
 
 def _parse_input(spec: str, width: int) -> np.ndarray:
@@ -128,9 +144,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    table = depth_scaling_table(
-        args.construction, args.q, range(args.n_min, args.n_max + 1),
-        discipline=Discipline(args.discipline), builder=args.builder)
+    given = _given(args)
+    table = depth_scaling_table(args.construction, given.pop("q", None),
+                                range(args.n_min, args.n_max + 1), **given)
     print(table.to_json() if args.json else table.to_text())
     return EXIT_PASS
 
@@ -179,12 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale", help="tabulate depth/width/ancillae over n")
     p.add_argument("--construction", required=True,
-                   choices=[c for c in CONSTRUCTIONS if c != "rev-embed"])
-    p.add_argument("--q", type=int)
+                   choices=[c for c in CONSTRUCTIONS if "n" in READS[c]])
+    _add_setting(p, "q", "modulus", type=int)
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--discipline", choices=DISCIPLINES, default="wf")
-    p.add_argument("--builder", choices=list(CAT_BUILDERS), default="fanout")
+    _add_setting(p, "discipline", "layering discipline", choices=DISCIPLINES)
+    _add_setting(p, "builder", "cat-state builder", choices=list(CAT_BUILDERS))
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_scale)
 

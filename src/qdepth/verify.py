@@ -1,6 +1,8 @@
 """
 Oracle-based equivalence checking, named-construction registry, and
-scaling reports checked against each construction's exact counts.
+scaling reports checked against each construction's exact counts. READS
+says which settings each named construction reads; build_construction's
+signature gives the defaults of the rest.
 
 verify_construction is the one drive loop; the circuit's roles give its
 data register (INPUT, TARGET) and its ancillae (COPY, ANCILLA), which start
@@ -57,8 +59,19 @@ TOL_ENV = "QDEPTH_TOL"
 DEFAULT_SIM_CAP = 22
 DEFAULT_ERROR_TOL = 1e-9
 
-CONSTRUCTIONS = ("cat", "fanout", "parity-fanout", "parity-cat",
-                 "modq-seq", "modq-const", "ctrl-u", "rev-embed")
+# The settings each construction reads, the one statement of who reads what.
+# build_construction refuses an unread q, theta or classical; the CLI any flag.
+READS = {
+    "cat": ("n", "builder"),
+    "fanout": ("n",),
+    "parity-fanout": ("n",),
+    "parity-cat": ("n", "builder"),
+    "modq-seq": ("n", "q"),
+    "modq-const": ("n", "q", "discipline"),
+    "ctrl-u": ("n", "u", "theta"),
+    "rev-embed": ("classical",),
+}
+CONSTRUCTIONS = tuple(READS)
 
 # data-register inputs xs -> (ids, ys, amps), ordered by id: input xs[ids[i]]
 # has amplitude amps[i] at data-register basis index ys[i] of its image
@@ -306,11 +319,28 @@ _U_BY_NAME = {
 U_NAMES = (*_U_BY_NAME, "phase")
 
 
+def read_only_by(setting: str) -> str:
+    """`<setting> is read only by <the constructions that read it>`."""
+    *rest, last = (name for name, reads in READS.items() if setting in reads)
+    return (f"{setting} is read only by {', '.join(rest)}{' and ' * bool(rest)}{last}"
+            + " with u=phase" * (setting == "theta"))
+
+
+def refuse_unread(name: str, given: dict) -> None:
+    """Raise CircuitError for the first setting in `given` that is not None
+    and that construction `name` does not read."""
+    for setting, value in given.items():
+        if value is not None and setting not in READS[name]:
+            raise CircuitError(read_only_by(setting))
+
+
 def _u_matrix(name: str, theta: float | None) -> np.ndarray:
     if name == "phase":
         if theta is None or not math.isfinite(theta):
             raise CircuitError("phase requires a finite theta")
         return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
+    if theta is not None:
+        raise CircuitError(read_only_by("theta"))
     try:
         return _U_BY_NAME[name]
     except KeyError:
@@ -348,16 +378,14 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
                        builder: str = "fanout", u: str = "x",
                        theta: float | None = None,
                        classical: cc.ClassicalCircuit | None = None) -> Built:
-    """Instantiate a construction by name; see CONSTRUCTIONS for the list.
+    """Instantiate a construction by name; READS lists the constructions
+    and the settings each reads, and a theta, q or classical not read is refused.
 
     Its registers and resource counts come from the circuit's qubit roles.
     """
-    if name not in CONSTRUCTIONS:
+    if name not in READS:
         raise CircuitError(f"unknown construction {name!r}")
-    if theta is not None and (name, u) != ("ctrl-u", "phase"):
-        raise CircuitError("theta is read only by ctrl-u with u=phase")
-    if q is not None and name not in ("modq-seq", "modq-const"):
-        raise CircuitError("q is read only by modq-seq and modq-const")
+    refuse_unread(name, {"theta": theta, "q": q, "classical": classical})
 
     def built(circ, oracle, q=None, **extra) -> Built:
         return Built(name, n, q, circ, oracle, **extra)
@@ -396,9 +424,10 @@ def build_construction(name: str, n: int | None = None, q: int | None = None,
     return built(synth.modq_constant_depth(n, q, discipline), modq_oracle, q=q)
 
 
-def _claim(name: str, n: int, q: int | None, discipline: Discipline, builder: str):
+def _claim(name: str, n: int, q: int | None, discipline: Discipline | None, builder: str | None):
     """The depth growth that the builder documents, and the exact (depth,
-    width, COPY, ANCILLA) counts at n; a mod-q count takes ceil(log2 q) qubits."""
+    width, COPY, ANCILLA) counts at n; a mod-q count takes ceil(log2 q) qubits.
+    None is build_construction's default, which is neither strict nor log-cat."""
     k, log_n = (q - 1).bit_length() if q else 0, (n - 1).bit_length()
     c, cat = (log_n, "logarithmic") if builder == "log-cat" else (int(n > 1), "constant")
     strict = discipline is Discipline.STRICT
@@ -454,16 +483,20 @@ class ScalingTable:
 
 
 def depth_scaling_table(name: str, q: int | None, n_range,
-                        discipline: Discipline = Discipline.WITH_FANOUT,
-                        builder: str = "fanout") -> ScalingTable:
+                        discipline: Discipline | None = None,
+                        builder: str | None = None) -> ScalingTable:
     """Tabulate (n, depth, width, ancillae, work), the COPY and ANCILLA
-    qubits counted as verify reports them, without simulating. The verdict
+    qubits counted as verify reports them, without simulating; a discipline
+    or builder of None takes build_construction's default. The verdict
     is _claim's growth if every row has its claimed counts, else `mismatch
-    at n=N: <column> <got>, claimed <want>` for the first that differs."""
-    rows, misses = [], []
+    at n=N: <column> <got>, claimed <want>` for the first that differs.
+    Its discipline is wf if any row's circuit is wf, as in ir.compose."""
+    given = {k: v for k, v in dict(discipline=discipline, builder=builder).items()
+             if v is not None}
+    rows, misses, wf = [], [], False
     for n in n_range:
-        c = build_construction(name, n=n, q=q, discipline=discipline,
-                               builder=builder).circuit
+        c = build_construction(name, n=n, q=q, **given).circuit
+        wf |= c.discipline is Discipline.WITH_FANOUT
         rows.append((n, c.depth, c.width, c.roles.count(Role.COPY),
                      c.roles.count(Role.ANCILLA)))
         growth, counts = _claim(name, n, q, discipline, builder)
@@ -472,7 +505,8 @@ def depth_scaling_table(name: str, q: int | None, n_range,
                                              rows[-1][1:], counts) if got != want]
     if not rows:
         raise ValueError("n_range is empty")
-    return ScalingTable(name, q, discipline.value, rows, misses[0] if misses else growth)
+    disc = Discipline.WITH_FANOUT if wf else Discipline.STRICT
+    return ScalingTable(name, q, disc.value, rows, misses[0] if misses else growth)
 
 
 # --- matrix identities ---

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -167,6 +168,13 @@ class TestSynth:
         assert code == 0
         assert "ancillae=8" in text and "work=2" in text
 
+    def test_json_summary(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "synth", "--construction", "modq-const", "--n", "4",
+                       "--q", "3", "--out", "m.json", "--json") == (
+            0, '{"construction": "modq-const", "n": 4, "q": 3, "discipline": "wf"'
+               ', "depth": 12, "width": 15, "ancillae": 8, "work": 2, "out": "m.json"}\n', "")
+
     def test_round_trip_preserves_circuit_exactly(self, tmp_path, capsys):
         out = tmp_path / "c.json"
         for args, kw in (
@@ -329,20 +337,20 @@ class TestSim:
         assert abs(complex(float(re), float(im)) - cmath.exp(0.3j)) <= 1e-15
 
     def test_readme_example(self, tmp_path, capsys, monkeypatch):
-        # the README's synth and sim pair, run as it shows them: the index
-        # it shows, at an amplitude within 1e-12 of 1
-        lines = README.read_text(encoding="utf-8").splitlines()
-        synth, sim = (next(i for i, line in enumerate(lines)
-                           if line.startswith(f"$ qdepth {cmd} ")) for cmd in ("synth", "sim"))
-        assert sim == synth + 2
+        # every `$ qdepth ...` line of the README's command-line block, run
+        # in order as it shows them: exit 0 and the output it shows, less
+        # its `#` comments, with `...` read as a gap
+        lines = README.read_text(encoding="utf-8").split("## Command line")[1].splitlines()
+        block = lines[lines.index("```sh") + 1:]
+        block = [line.split("#")[0].rstrip() for line in block[:block.index("```")]]
+        starts = [i for i, line in enumerate(block) if line.startswith("$ qdepth ")]
+        assert {block[i].split()[2] for i in starts} == {"synth", "sim", "verify", "scale"}
         monkeypatch.chdir(tmp_path)
-        assert main(lines[synth].split()[2:]) == 0
-        assert capsys.readouterr().out == lines[synth + 1] + "\n"
-        assert main(lines[sim].split("#")[0].split()[2:]) == 0
-        printed, shown = capsys.readouterr().out.split(), lines[sim + 1].split("#")[0].split()
-        assert printed[0] == shown[0]
-        for index, re, im in (printed, shown):
-            assert abs(complex(float(re), float(im)) - 1) <= 1e-12
+        for start, end in zip(starts, [*starts[1:], len(block)]):
+            assert main(block[start].split()[2:]) == 0, block[start]
+            shown = "\n".join(block[start + 1:end]) + "\n"
+            pattern = ".*".join(map(re.escape, shown.split("...")))
+            assert re.fullmatch(pattern, capsys.readouterr().out, re.DOTALL), block[start]
 
     @pytest.mark.parametrize("spec, message", [
         ("10000000", "error: input must be 9 bits (qubit 0 first) or plus@i, got '10000000'\n"),
@@ -482,6 +490,31 @@ class TestBadSettings:
         assert run_cli(capsys, *argv) == (
             2, "", "error: q is read only by modq-seq and modq-const\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--construction", "modq-seq", "--n", "3", "--q", "3",
+          "--discipline", "wf"), "discipline is read only by modq-const"),
+        (("verify", "--construction", "rev-embed", "--n", "9", "--classical", "c.json"),
+         "n is read only by cat, fanout, parity-fanout, parity-cat, modq-seq,"
+         " modq-const and ctrl-u"),
+        # refused before the file, which does not exist, is read
+        (("verify", "--construction", "fanout", "--n", "2", "--classical", "none.json"),
+         "classical is read only by rev-embed"),
+        (("verify", "--construction", "fanout", "--n", "2", "--u", "h"),
+         "u is read only by ctrl-u"),
+        (("synth", "--construction", "fanout", "--n", "2", "--builder", "log-cat",
+          "--out", "f.json"), "builder is read only by cat and parity-cat"),
+        (("scale", "--construction", "cat", "--discipline", "strict", "--n-min", "1",
+          "--n-max", "3"), "discipline is read only by modq-const"),
+    ], ids=["modq-seq-discipline", "rev-embed-n", "fanout-classical", "fanout-u",
+            "synth-fanout-builder", "scale-cat-discipline"])
+    def test_a_setting_the_construction_does_not_read_is_usage_error(
+            self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        c = ClassicalCircuit(2, ((ClassicalGate("and", (0, 1)),),))
+        (tmp_path / "c.json").write_text(to_json(c))
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "f.json").exists()
+
     def test_negative_superpositions_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--construction", "fanout",
                                  "--n", "2", "--superpositions", "-3")
@@ -555,7 +588,19 @@ class TestBadCircuitJson:
                        "targets": [1]}), "error: unknown gate key 'negated'\n"),
         (_circuit_doc({"kind": "cnot", "controls": [0], "targets": [1]},
                       comment="x"), "error: unknown circuit key 'comment'\n"),
-    ], ids=["gate", "document"])
+        # and fields of a known key that hold no valid value
+        (_circuit_doc({"kind": "phase", "controls": [0], "targets": [1],
+                       "theta": float("inf")}), "error: phase requires a finite theta\n"),
+        (_circuit_doc({"kind": "u", "targets": [0], "matrix": [[1, 0], [0, 0], [1, 0]]}),
+         "error: matrix of length 3 is not square\n"),
+        (_circuit_doc({"kind": "u", "targets": [0], "matrix": [[1, 0]] * 16}),
+         "error: matrix must be 2x2, got (4, 4)\n"),
+        (_circuit_doc({"kind": "toffoli", "controls": [0, 0], "targets": [1]}),
+         "error: duplicate qubit in controls or targets\n"),
+        (_circuit_doc({"kind": "cnot", "controls": [0], "targets": [1]}, width=-1),
+         "error: width must be nonnegative\n"),
+    ], ids=["gate", "document", "theta-infinity", "matrix-of-3", "matrix-of-16-on-u",
+            "duplicate-control", "width-minus-1"])
     def test_unknown_keys_are_usage_errors(self, tmp_path, capsys, doc, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
@@ -582,10 +627,22 @@ class TestBadClassicalJson:
          "error: unknown classical gate key 'negate'\n"),
         ({"inputs": 2, "layers": [[{"op": "and", "args": [0, 1]}]], "outputs": [2]},
          "error: unknown classical circuit key 'outputs'\n"),
-    ], ids=["gate", "document"])
+        # and documents that are no classical circuit; a str is written as is
+        ("not json", "error: invalid classical circuit JSON: Expecting value:"
+                     " line 1 column 1 (char 0)\n"),
+        ({"inputs": 2, "layers": [[{"op": "nand", "args": [0, 1]}]]},
+         "error: unknown op 'nand'\n"),
+        ({"inputs": 2, "layers": [[{"op": "and", "args": []}]]},
+         "error: and needs at least one argument\n"),
+        ({"inputs": 0, "layers": [[{"op": "and", "args": [0, 1]}]]},
+         "error: need at least one input\n"),
+        ({"inputs": 2, "layers": []}, "error: need at least one nonempty layer\n"),
+        ([{"inputs": 2}], "error: classical circuit must be a JSON object, got list\n"),
+    ], ids=["gate", "document", "not-json", "nand", "and-of-none", "no-inputs",
+            "no-layers", "list"])
     def test_unknown_keys_are_usage_errors(self, tmp_path, capsys, doc, message):
         path = tmp_path / "classical.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run_cli(capsys, "verify", "--construction", "rev-embed",
                                  "--classical", str(path))
         assert (code, out, err) == (2, "", message)
@@ -649,8 +706,13 @@ class TestNoHugeAllocation:
         # a count of superpositions that no loop could finish
         (("verify", "--construction", "fanout", "--n", "2", "--superpositions",
           str(2 ** 64)), 2, f"superpositions must be in 0..{sys.maxsize}, got {2 ** 64}"),
+        # a construction missing a setting it needs
+        (("verify", "--construction", "fanout", "--n", "0"), 2, "fanout requires n >= 1"),
+        (("verify", "--construction", "rev-embed"), 2,
+         "rev-embed requires a classical circuit"),
     ], ids=["block-oracle", "modq-const-modulus", "modq-seq-scale-modulus",
-            "modq-const-n2e64", "scale-cat-n2e64", "superpositions-2e64"])
+            "modq-const-n2e64", "scale-cat-n2e64", "superpositions-2e64",
+            "fanout-n0", "rev-embed-no-classical"])
     def test_one_error_line(self, tmp_path, argv, exit_code, message):
         proc = run_cli_limited(tmp_path, *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
@@ -769,6 +831,29 @@ class TestScaleAndIdentities:
         doc = json.loads(text)
         assert code == 0 and doc["verdict"] == "mismatch at n=5: depth 13, claimed 12"
         assert [row[1] for row in doc["rows"]] == [6, 8, 10, 13, 14, 16, 18]
+
+    @pytest.mark.parametrize("args, n_max, discipline", [
+        (("modq-seq", "--q", "3"), 3, "strict"),
+        (("modq-const", "--q", "3"), 3, "wf"),
+        (("modq-const", "--q", "3", "--discipline", "strict"), 3, "strict"),
+        (("ctrl-u",), 3, "strict"),
+        (("cat",), 3, "wf"),
+        (("cat", "--builder", "log-cat"), 3, "strict"),
+        (("parity-cat", "--builder", "log-cat"), 3, "strict"),
+        # a fanout-built parity-cat needs no fanout for one qubit
+        (("parity-cat",), 1, "strict"),
+        (("parity-cat",), 2, "wf"),
+    ], ids=["modq-seq", "modq-const", "modq-const-strict", "ctrl-u", "cat",
+            "cat-log-cat", "parity-cat-log-cat", "parity-cat-n1", "parity-cat-n2"])
+    def test_json_reports_the_discipline_of_its_circuits(self, capsys, args, n_max,
+                                                         discipline):
+        # wf if any row's circuit is wf, as verify reports it at the last row
+        code, text, _ = run_cli(capsys, "scale", "--construction", *args,
+                                "--n-min", "1", "--n-max", str(n_max), "--json")
+        assert code == 0 and json.loads(text)["discipline"] == discipline
+        code, text, _ = run_cli(capsys, "verify", "--construction", *args,
+                                "--n", str(n_max), "--structural-only", "--json")
+        assert code == 0 and json.loads(text)["discipline"] == discipline
 
     def test_bad_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,7 @@ import numpy as np
 from qdepth import verify
 from qdepth.classical import ClassicalCircuit, ClassicalGate
 from qdepth.ir import (
-    Circuit, Discipline, GateKind, Layer, Role, hadamard, modq_gate, pauli_x, toffoli,
+    Circuit, CircuitError, Discipline, GateKind, Layer, Role, hadamard, modq_gate, pauli_x, toffoli,
 )
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
@@ -167,6 +167,16 @@ class TestVerifyConstruction:
         r1 = verify_built(b, superpositions=5)
         r2 = verify_built(b, superpositions=5)
         assert r1.max_error == r2.max_error and r1.max_leakage == r2.max_leakage
+
+    def test_an_unread_classical_is_refused_and_defaults_are_ignored(self):
+        # the benchmark's builds pass n, discipline, builder and u to every
+        # construction; rev-embed takes its n from the classical circuit
+        c = ClassicalCircuit(2, ((ClassicalGate("and", (0, 1)),),))
+        with pytest.raises(CircuitError, match="^classical is read only by rev-embed$"):
+            build_construction("fanout", n=2, classical=c)
+        built = build_construction("rev-embed", n=9, discipline=Discipline.WITH_FANOUT,
+                                   builder="fanout", u="x", classical=c)
+        assert built.n == 2
 
 
 def _with_gate_changed(built, kind, change):
