@@ -3,6 +3,11 @@ Command-line interface: synthesize circuits to JSON, simulate them on
 chosen inputs, verify constructions against their oracles, tabulate depth
 scaling, and run the matrix identity checks.
 
+COMMANDS gives each sub-command its help, argument adder and handler.
+main builds the parser of the one sub-command that its first argument
+names, and no other; when it names none (--help, no argument, a typo),
+main builds all five, so help and errors list every command.
+
 A construction setting that the construction does not read (verify.READS)
 is a usage error; one not given takes build_construction's default.
 
@@ -163,26 +168,19 @@ def cmd_identities(args) -> int:
     return EXIT_PASS if all(ok for _, _, ok in results) else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qdepth",
-        description="Synthesize, simulate, and verify constant-depth "
-                    "fanout/parity/counting circuits.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="synthesize a construction to a JSON file")
+def _synth_args(p: argparse.ArgumentParser) -> None:
     _add_construction_args(p)
     p.add_argument("--out", required=True, help="output circuit JSON path")
     p.add_argument("--json", action="store_true", help="JSON summary")
-    p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("sim", help="run a circuit file on a basis or plus input")
+
+def _sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("circuit", help="circuit JSON path")
     p.add_argument("--input", required=True,
                    help="bitstring, qubit 0 first (e.g. 1100), or plus@i")
-    p.set_defaults(fn=cmd_sim)
 
-    p = sub.add_parser("verify", help="check a construction against its oracle")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     _add_construction_args(p)
     p.add_argument("--structural-only", action="store_true",
                    help="skip amplitude checks; report resources only")
@@ -191,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--superpositions", type=int, default=0,
                    help="extra random superposition inputs to check")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("scale", help="tabulate depth/width/ancillae over n")
+
+def _scale_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--construction", required=True,
                    choices=[c for c in CONSTRUCTIONS if "n" in READS[c]])
     _add_setting(p, "q", "modulus", type=int)
@@ -202,20 +200,48 @@ def build_parser() -> argparse.ArgumentParser:
     _add_setting(p, "discipline", "layering discipline", choices=DISCIPLINES)
     _add_setting(p, "builder", "cat-state builder", choices=list(CAT_BUILDERS))
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_scale)
 
-    p = sub.add_parser("identities", help="run the Hadamard-conjugation "
-                                          "matrix identity checks")
+
+def _identities_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_identities)
+
+
+# The sub-commands, in help order: name -> (help, argument adder, handler).
+COMMANDS = {
+    "synth": ("synthesize a construction to a JSON file", _synth_args, cmd_synth),
+    "sim": ("run a circuit file on a basis or plus input", _sim_args, cmd_sim),
+    "verify": ("check a construction against its oracle", _verify_args, cmd_verify),
+    "scale": ("tabulate depth/width/ancillae over n", _scale_args, cmd_scale),
+    "identities": ("run the Hadamard-conjugation matrix identity checks",
+                   _identities_args, cmd_identities),
+}
+
+
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The qdepth parser with the sub-commands `names` (default: all five)."""
+    parser = argparse.ArgumentParser(
+        prog="qdepth",
+        description="Synthesize, simulate, and verify constant-depth "
+                    "fanout/parity/counting circuits.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        what, add_args, fn = COMMANDS[name]
+        p = sub.add_parser(name, help=what)
+        add_args(p)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "scale" and args.n_min > args.n_max:
-        parser.error("--n-min must be <= --n-max")  # exits 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # one sub-command's parser when argv names it; all five for help and errors
+    named = [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS
+    args, extra = build_parser(named).parse_known_args(argv)
+    # the top-level parser's errors exit 2 with every command in their usage
+    if extra:
+        build_parser().error("unrecognized arguments: " + " ".join(extra))
+    if args.command == "scale" and args.n_min > args.n_max:
+        build_parser().error("--n-min must be <= --n-max")
     try:
         return args.fn(args)
     except (OSError, ValueError) as e:  # CircuitError and ClassicalCircuitError among them

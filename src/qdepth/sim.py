@@ -26,15 +26,16 @@ pass:
 
 Affine permutation gates (X, CNOT, fanout, and MODQ with q=2, the parity)
 are held back as one GF(2) affine map of the basis index, an offset and
-one column per qubit: x goes to the offset XOR the columns of its set
-bits. A diagonal gate that follows them is rewritten through the map into
-a factor over the qubits whose columns reach its own, evaluated on the
-grid that the offset spans over those columns by doubling. The held-back
-gates run, one step each in circuit order, only when a layer with a
-dense block or a non-affine permutation gate arrives, when a rewritten
-factor would outgrow its tensor, or at the end, and not at all when the
-map composes to the identity. So the paper's copy, diagonal, uncopy
-pattern costs only the diagonal.
+one column per qubit, kept as one row mask per qubit: x goes to the
+offset XOR the columns of its set bits. A diagonal gate that follows
+them is rewritten through the map into a factor over the qubits whose
+columns reach its own, evaluated on the grid that the offset spans over
+those columns by doubling. The held-back gates run, one step each in
+circuit order, only when a layer with a dense block or a non-affine
+permutation gate arrives, when a rewritten factor would outgrow its
+tensor, or at the end, and not at all when the map composes to the
+identity. So the paper's copy, diagonal, uncopy pattern costs only the
+diagonal.
 
 A run holds only the live qubits: those that the input holds and those
 that a step moves (permutation and dense-block targets). Every other
@@ -287,38 +288,48 @@ def _dense_block(state: np.ndarray, scratch: np.ndarray, pair, shape: list):
 class _Pending:
     """Affine permutation gates that a plan holds back, kept as the map
     they compose to: basis index x goes to P(x), the offset `off` XOR
-    cols[r] for each set bit r of x. `gates` keeps the gates themselves,
-    in circuit order, for when they must run; it empties whenever the map
-    composes to the identity. A push visits every column, g·w steps for g
-    held-back gates on w qubits: building the plan of modq-const n=16 q=3
-    strict (width 51) takes about 1.4 ms on a 2-vCPU host."""
+    column r for each set bit r of x. The map is kept by rows, one per
+    qubit: bit r of rows[q] is bit q of column r. So a gate reads and
+    writes only its own qubits' rows, and building a plan is linear in its
+    gates. `gates` keeps the gates themselves, in circuit order, for when
+    they must run; it empties whenever the map composes to the identity."""
 
     def __init__(self, w: int):
-        self.off, self.cols, self.gates = 0, [1 << r for r in range(w)], []
+        self.identity = [1 << q for q in range(w)]
+        self.off, self.rows, self.gates = 0, self.identity.copy(), []
 
     def push(self, gates: list) -> None:
         """Compose one layer's affine gates onto the map: each flips its
         targets in each column, and in the offset, where its controls'
-        parity is 1; the offset's also counts the negated controls, and is 1
-        for an uncontrolled X. No gate of a layer reads another's target."""
+        parity is 1; a CNOT c -> t is rows[t] ^= rows[c]. The offset's
+        parity also counts the negated controls, and is 1 for an
+        uncontrolled X. No gate of a layer reads another's target."""
         for gate in gates:
+            flips = 0  # the columns where the controls' parity is 1
+            for c in gate.controls:
+                flips ^= self.rows[c]
+            for t in gate.targets:
+                self.rows[t] ^= flips
             controls = sum(1 << c for c in gate.controls)
-            targets = sum(1 << t for t in gate.targets)
-            for r, col in enumerate(self.cols):
-                if (col & controls).bit_count() & 1:
-                    self.cols[r] = col ^ targets
             if ((self.off & controls).bit_count() + len(gate.negated) + (not gate.controls)) & 1:
-                self.off ^= targets
+                self.off ^= sum(1 << t for t in gate.targets)
         self.gates.extend(gates)
-        if not self.off and self.cols == [1 << r for r in range(len(self.cols))]:
+        if not self.off and self.rows == self.identity:
             self.gates = []
 
     def terms(self, gate: Gate) -> tuple:
         """The map cut to the gate's qubits: (offset, ((r, column), ...))
-        over the qubits r that those bits of P(x) read, in ascending order."""
-        cut = sum(1 << q for q in gate.support)
-        return self.off & cut, tuple((r, col & cut) for r, col in enumerate(self.cols)
-                                     if col & cut)
+        over the qubits r that those bits of P(x) read, in ascending order,
+        each column the transpose of the gate's own rows."""
+        support = sorted(gate.support)
+        reads, cols = 0, []
+        for q in support:
+            reads |= self.rows[q]
+        while reads:
+            r = (reads & -reads).bit_length() - 1
+            cols.append((r, sum(1 << q for q in support if self.rows[q] >> r & 1)))
+            reads &= reads - 1
+        return self.off & sum(1 << q for q in support), tuple(cols)
 
 
 def _span(off: int, cols) -> np.ndarray:
@@ -650,35 +661,46 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
 @dataclass(frozen=True)
 class AncillaPurityResult:
     pure: bool
-    leakage: float  # probability mass on basis states with any ancilla bit set
+    leakage: float  # mass on basis states with any ancilla bit set; a batch's largest
 
 
-def check_ancilla_purity(state: np.ndarray, ancillae) -> AncillaPurityResult:
+def check_ancilla_purity(state: np.ndarray, ancillae, lead: int = 0) -> AncillaPurityResult:
     """Total probability of any ancilla being |1>; pure iff <= PURITY_TOL.
+    After `lead` leading axes of any length (1 for a batch of run's shaped
+    form), each state has its own leakage, and the result is the largest,
+    a NaN kept, taken in one pass over the batch.
 
     Zero leakage means the state factors exactly as (data state) x |0...0>
     on the ancilla block. An ancilla on a length-1 axis of run's shaped
-    form is at 0 and adds nothing. The sum runs in place over disjoint
-    slabs of the [2]*w view (ancilla k at |1>, every higher one at |0>),
-    which are contiguous when the ancillae are the high qubits.
+    form is at 0 and adds nothing, and those axes are dropped, so a batch
+    at the 63-qubit ceiling stays within numpy's 64 axes. The sum runs in
+    place over disjoint slabs of the held qubits (ancilla k at |1>, every
+    higher one at |0>), which are contiguous when the ancillae are the
+    high qubits. numpy may add a slab of a batch in another order than the
+    same slab alone, so a state's leakage in a batch can differ from its
+    lone call's in the last bit.
     """
-    shape = _view_shape(state)
-    w = len(shape)
+    shape = _view_shape(state, lead=lead)
+    w = len(shape) - lead
+    held = [w - 1 - i for i, size in enumerate(shape[lead:]) if size == 2]  # in axis order
+    axis = {q: lead + k for k, q in enumerate(held)}  # with the idle axes dropped
     # real view with a trailing (re, im) axis, so |amp|^2 is a sum of squares
-    psi = np.ascontiguousarray(state, dtype=complex).view(float).reshape(shape + [2])
-    index = [slice(None)] * w
-    leakage = 0.0
+    psi = np.ascontiguousarray(state, dtype=complex).reshape(-1).view(float)
+    psi = psi.reshape(shape[:lead] + [2] * len(held) + [2])
+    index = [slice(None)] * psi.ndim
+    leakage = np.zeros(shape[:lead])
     for a in sorted(set(ancillae), reverse=True):
         if not 0 <= a < w:
             raise CircuitError(f"ancilla index {a} outside width {w}")
-        if shape[_axis(a, w)] == 1:
+        if a not in axis:
             continue
-        index[_axis(a, w)] = 1
+        index[axis[a]] = 1
         slab = psi[tuple(index)]
         axes = list(range(slab.ndim))
-        leakage += float(np.einsum(slab, axes, slab, axes, []))
-        index[_axis(a, w)] = 0
-    return AncillaPurityResult(leakage <= PURITY_TOL, leakage)
+        leakage += np.einsum(slab, axes, slab, axes, axes[:lead])
+        index[axis[a]] = 0
+    worst = float(leakage.max(initial=0.0))
+    return AncillaPurityResult(worst <= PURITY_TOL, worst)
 
 
 def dump_state(state: np.ndarray) -> str:

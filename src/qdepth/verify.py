@@ -11,23 +11,23 @@ the simulator, and all 2^width output amplitudes are compared with the
 oracle's image. An Oracle maps an int64 array of inputs to the entries of
 their images in one call; _gate_oracle makes one of a Gate, cat and
 rev-embed build theirs directly. Leakage is the output's probability mass
-on basis states with any ancilla bit set. The basis inputs run together
-on the sparse engine, sim.run_basis, as rows of (input id, basis index,
+on basis states with any ancilla bit set. The basis inputs run together on
+the sparse engine, sim.run_basis, as rows of (input id, basis index,
 amplitude); once those rows would outnumber the 2^width amplitudes of one
-dense state, each input runs alone on the dense engine, sim.run, with
-sim.check_ancilla_purity. Amplitudes, not bit patterns: the counting
-circuits are correct only because internal phases cancel. Cat is decided
-exactly by the inputs 0 and 1, by linearity; rev-embed, a permutation,
-drives every (x, y) at one sparse row each. Superposition spot checks run
-on the dense engine with a fixed seed: a random superposition of the
-checked basis inputs is expected to map to the sum of their images,
-weighted by its amplitudes. Such an input goes to the dense engine in
-its shaped form, and its output comes back on only the qubits that the
-input sets or the circuit moves, the only ones not left at 0: for
-modq-const n=4 q=5 the data register and the counter, 8 of its 20 qubits.
-The dense engine takes these inputs, superpositions and fallback basis
-inputs alike, as batches of sim.KEEP_AMPS amplitudes, one run each, and
-the leakage of each state of a batch is its own.
+dense state, they run on the dense engine, sim.run, and
+sim.check_ancilla_purity takes their leakage. Amplitudes, not bit patterns:
+the counting circuits are correct only because internal phases cancel. Cat
+is decided exactly by the inputs 0 and 1, by linearity; rev-embed, a
+permutation, drives every (x, y) at one sparse row each. Superposition spot
+checks run on the dense engine with a fixed seed: a random superposition of
+the checked basis inputs is expected to map to the sum of their images,
+weighted by its amplitudes. Such an input goes to the dense engine in its
+shaped form, and its output comes back on only the qubits that the input
+sets or the circuit moves, the only ones not left at 0: for modq-const n=4
+q=5 the data register and the counter, 8 of its 20 qubits. The dense engine
+takes these inputs, superpositions and fallback basis inputs alike, as
+batches of sim.KEEP_AMPS amplitudes, one run each, and one
+check_ancilla_purity call gives each batch's largest leakage.
 """
 from __future__ import annotations
 
@@ -134,8 +134,7 @@ class VerificationReport:
                    c.roles.count(Role.ANCILLA), **fields)
 
     def to_dict(self) -> dict:
-        return {"pass" if k == "passed" else k: v
-                for k, v in dataclasses.asdict(self).items()}
+        return {"pass" if k == "passed" else k: v for k, v in vars(self).items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -269,16 +268,15 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
     def drive(weights, whose, entries, norm) -> float:
         """Run a batch of data-register states, row i of `weights` the
         amplitudes of state i on the inputs xs, in one run, and fold in
-        each state's leakage. Returns the largest `norm` of a state's
+        the batch's largest leakage. Returns the largest `norm` of a state's
         output less its image: the oracle's `entries`, entry j times its
         input's weight in state whose[j]."""
         nonlocal max_leak, at
         v = np.zeros((len(weights), 1 << d), dtype=complex)
         v[:, xs] = weights
         out = run(circuit, v.reshape(-1, *shape))
-        for state in out:
-            leak = check_ancilla_purity(state, ancillae).leakage
-            max_leak = float(np.maximum(max_leak, leak))
+        leak = check_ancilla_purity(out, ancillae, lead=1).leakage
+        max_leak = float(np.maximum(max_leak, leak))
         if at is None:
             held = [q for q in range(width) if out.shape[-1 - q] == 2]
             at = sum(((ys >> q) & 1) << k for k, q in enumerate(held))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qdepth import synth
+from qdepth import cli, synth
 from qdepth.cli import main
 from qdepth.classical import ClassicalCircuit, ClassicalGate, to_json
 from qdepth.ir import (Circuit, Layer, Role, circuit_from_json, circuit_to_json,
@@ -144,6 +144,57 @@ OUTPUTS = {
         ', "max_error": 2.535772158592562e-16, "pass": true}'
         ', {"identity": "fanout-h-conjugation-is-parity"'
         ', "max_error": 6.661338147750939e-16, "pass": true}]\n'),
+}
+
+
+# --help of the top level and of verify, byte for byte at 80 columns: main
+# builds a lone sub-command's parser, or all five, and each prints the same
+HELP = {
+    ("--help",): (
+        "usage: qdepth [-h] {synth,sim,verify,scale,identities} ...\n\n"
+        "Synthesize, simulate, and verify constant-depth fanout/parity/counting\n"
+        "circuits.\n\n"
+        "positional arguments:\n"
+        "  {synth,sim,verify,scale,identities}\n"
+        "    synth               synthesize a construction to a JSON file\n"
+        "    sim                 run a circuit file on a basis or plus input\n"
+        "    verify              check a construction against its oracle\n"
+        "    scale               tabulate depth/width/ancillae over n\n"
+        "    identities          run the Hadamard-conjugation matrix identity checks\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"),
+    ("verify", "--help"): (
+        "usage: qdepth verify [-h] --construction\n"
+        "                     {cat,fanout,parity-fanout,parity-cat,modq-seq,modq-const,ctrl-u,rev-embed}\n"
+        "                     [--n N] [--q Q] [--discipline {strict,wf}]\n"
+        "                     [--builder {fanout,log-cat}] [--u {x,z,h,s,phase}]\n"
+        "                     [--theta THETA] [--classical FILE] [--structural-only]\n"
+        "                     [--tolerance TOLERANCE] [--superpositions SUPERPOSITIONS]\n"
+        "                     [--json]\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --construction {cat,fanout,parity-fanout,parity-cat,modq-seq,modq-const,ctrl-u,rev-embed}\n"
+        "  --n N                 number of inputs / register size; n is read only by\n"
+        "                        cat, fanout, parity-fanout, parity-cat, modq-seq,\n"
+        "                        modq-const and ctrl-u\n"
+        "  --q Q                 modulus; q is read only by modq-seq and modq-const\n"
+        "  --discipline {strict,wf}\n"
+        "                        layering discipline; discipline is read only by modq-\n"
+        "                        const\n"
+        "  --builder {fanout,log-cat}\n"
+        "                        cat-state builder; builder is read only by cat and\n"
+        "                        parity-cat\n"
+        "  --u {x,z,h,s,phase}   one-qubit unitary; u is read only by ctrl-u\n"
+        "  --theta THETA         angle for --u phase; theta is read only by ctrl-u with\n"
+        "                        u=phase\n"
+        "  --classical FILE      classical circuit JSON; classical is read only by rev-\n"
+        "                        embed\n"
+        "  --structural-only     skip amplitude checks; report resources only\n"
+        "  --tolerance TOLERANCE\n"
+        "                        max amplitude error (default $QDEPTH_TOL or 1e-09)\n"
+        "  --superpositions SUPERPOSITIONS\n"
+        "                        extra random superposition inputs to check\n"
+        "  --json\n"),
 }
 
 
@@ -430,6 +481,53 @@ class TestOutputs:
     @pytest.mark.parametrize("argv", OUTPUTS, ids=" ".join)
     def test_stdout_is_unchanged(self, capsys, argv):
         assert run_cli(capsys, *argv) == (0, OUTPUTS[argv], "")
+
+    @pytest.mark.parametrize("argv", HELP, ids=" ".join)
+    def test_help_is_unchanged(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert (exc.value.code, *capsys.readouterr()) == (0, HELP[argv], "")
+
+
+class TestOneSubCommand:
+    """main builds the parser of the sub-command that its first argument
+    names, and every sub-command's when it names none."""
+
+    CHOICES = "{synth,sim,verify,scale,identities}"
+
+    def test_verify_runs_no_other_argument_adder(self, monkeypatch, capsys):
+        def refuse(p):
+            raise AssertionError("built another sub-command's arguments")
+        for name, (what, _, fn) in cli.COMMANDS.items():
+            if name != "verify":
+                monkeypatch.setitem(cli.COMMANDS, name, (what, refuse, fn))
+        code, out, _ = run_cli(capsys, "verify", "--construction", "fanout", "--n", "3", "--json")
+        assert code == 0 and json.loads(out)["pass"] is True
+        with pytest.raises(AssertionError, match="another sub-command"):
+            main(["--help"])
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and self.CHOICES in out
+        assert all(f"\n    {name} " in out for name in cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv, message", [
+        ((), "the following arguments are required: command"),
+        (("bogus",), "argument command: invalid choice: 'bogus' (choose from 'synth', "
+                     "'sim', 'verify', 'scale', 'identities')"),
+        (("identities", "--json", "x"), "unrecognized arguments: x"),
+        (("scale", "--construction", "cat", "--n-min", "5", "--n-max", "2"),
+         "--n-min must be <= --n-max"),
+    ])
+    def test_a_usage_error_lists_every_command(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (f"usage: qdepth [-h] {self.CHOICES} ...\n"
+                                           f"qdepth: error: {message}\n")
 
 
 class TestBadSettings:

@@ -13,7 +13,7 @@ from qdepth.ir import (
 )
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
-    WidthCapExceeded, apply_gate, basis_state, check_ancilla_purity,
+    PURITY_TOL, WidthCapExceeded, apply_gate, basis_state, check_ancilla_purity,
     data_block_unitary, dump_state, embed_index, held_shape, live_qubits,
     make_workspace, merge_rows, plus_at, random_state, relabel_qubits, run,
     run_basis, unitary_of, zero_state,
@@ -1045,6 +1045,37 @@ class TestAncillaPurity:
     def test_ancilla_outside_width_raises(self):
         with pytest.raises(CircuitError):
             check_ancilla_purity(zero_state(2), (2,))
+
+    def test_a_batch_gives_its_largest_leakage(self):
+        # random batches of shaped states on random held qubits: the batch's
+        # leakage is the largest of its states' lone calls, to the last bit
+        # (numpy may add a slab of a batch in another order), and 0 once
+        # every held ancilla is cleared
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            w = int(rng.integers(1, 11))
+            held = [q for q in range(w) if rng.random() < 0.7]
+            ancillae = tuple(int(a) for a in rng.choice(w, int(rng.integers(0, w + 1)), False))
+            batch = np.stack([shaped_and_flat(held, w, random_state(len(held), rng))[0]
+                              for _ in range(int(rng.integers(1, 9)))])
+            lone = [check_ancilla_purity(state, ancillae).leakage for state in batch]
+            got = check_ancilla_purity(batch, ancillae, lead=1)
+            assert abs(got.leakage - max(lone)) <= 1e-15
+            assert got.pure == (max(lone) <= PURITY_TOL)
+            index = embed_index(np.arange(1 << len(held)), held).reshape(batch.shape[1:])
+            clean = batch * ((index & sum(1 << a for a in ancillae)) == 0)
+            res = check_ancilla_purity(clean, ancillae, lead=1)
+            assert res.pure and res.leakage == 0.0
+
+    def test_a_nan_state_makes_a_batch_impure(self):
+        # qubit 1 the ancilla: state 0 is NaN there, state 2 leaks 1/2
+        batch = np.zeros((3, 2, 2), dtype=complex)
+        batch[:, 0, 0] = 1
+        batch[0, 1, 0] = np.nan
+        batch[2] = np.sqrt(0.5) * np.array([[1, 0], [1, 0]])
+        res = check_ancilla_purity(batch, (1,), lead=1)
+        assert not res.pure and np.isnan(res.leakage)
+        assert check_ancilla_purity(batch[1:], (1,), lead=1).leakage == pytest.approx(0.5)
 
 
 class TestProperties:
