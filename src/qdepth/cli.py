@@ -30,7 +30,7 @@ import numpy as np
 
 from . import classical as cc
 from .ir import CircuitError, Discipline, circuit_from_json, circuit_to_json
-from .sim import WidthCapExceeded, dump_state, held_shape, run
+from .sim import WidthCapExceeded, compact_index, dump_state, held_shape, run
 from .synth import CAT_BUILDERS
 from .verify import (
     CONSTRUCTIONS,
@@ -105,8 +105,9 @@ def _parse_input(spec: str, width: int) -> np.ndarray:
         return np.full(held_shape((qubit,), width), 1 / np.sqrt(2), dtype=complex)
     if len(spec) != width or set(spec) - {"0", "1"}:
         raise CircuitError(usage)
-    state = np.zeros(held_shape([i for i, b in enumerate(spec) if b == "1"], width), dtype=complex)
-    state.reshape(-1)[-1] = 1.0  # a view; state.flat takes at most 32 axes
+    ones = [i for i, b in enumerate(spec) if b == "1"]
+    state = np.zeros(held_shape(ones, width), dtype=complex)
+    np.put(state, compact_index(sum(1 << i for i in ones), ones), 1.0)
     return state
 
 

@@ -109,7 +109,8 @@ def json_object(value, keys, what: str, error: type[ValueError] = CircuitError) 
 def _check_unitary(m: np.ndarray, dim: int) -> None:
     if m.shape != (dim, dim):
         raise CircuitError(f"matrix must be {dim}x{dim}, got {m.shape}")
-    err = np.abs(m.conj().T @ m - np.eye(dim)).max()
+    with np.errstate(all="ignore"):  # a huge or infinite entry gives inf or NaN, refused below
+        err = np.abs(m.conj().T @ m - np.eye(dim)).max()
     if not err <= UNITARY_TOL:  # NaN fails too
         raise CircuitError(f"matrix is not unitary (deviation {err:.3g})")
 

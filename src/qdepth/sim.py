@@ -45,13 +45,15 @@ idle qubits are 0, each on a length-1 axis, with its own gates: an idle
 control's slab is empty when plain (the gate never fires) and whole when
 negated, and an idle MODQ input reads 0. Factor tensors are built on the
 live axes alone. An input says which qubits it holds by its shape: in
-the shaped form, one axis per qubit, of length 1 where it is idle, run
-takes and returns the held slab alone, so a data-register superposition
-of modq-const n=4 q=5 touches 2^8 of its 2^20 amplitudes, input to
-output. A flat input of 2^m amplitudes holds every qubit. A batch of
-shaped states that hold the same qubits, stacked on one more leading
-axis, is one run: a kernel finds a qubit's axis counting from the last,
-so each step acts on every state of the batch at once.
+the shaped form, one axis per qubit, of length 2 where it is held and 1
+where it is idle, qubit q on axis -1 - q (held_shape; held_qubits reads
+the qubits back), run takes and returns the held slab alone, so a
+data-register superposition of modq-const n=4 q=5 touches 2^8 of its
+2^20 amplitudes, input to output. Bit j of the slab's index is the j-th
+held qubit (compact_index of a basis index; embed_index maps it back). A
+flat input of 2^m amplitudes holds every qubit. A batch of shaped states
+that hold the same qubits, stacked on one more leading axis, is one run:
+each step acts on every state of the batch at once.
 
 Beyond the workspace pair a run allocates a few KiB of numpy
 bookkeeping, except that a MODQ step builds its 2^inputs count and mask
@@ -150,35 +152,38 @@ def random_state(width: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _axis(qubit: int, width: int) -> int:
-    # reshape([2]*width) puts qubit width-1 on axis 0
-    return width - 1 - qubit
-
-
 def _slab(index: int, qubits, width: int) -> tuple:
     """Index of the slab of the [2]*width view where `qubits` hold their
     bits in the basis index `index`. Their axes get length-1 slices, so
-    the slab keeps every axis where _axis puts it."""
+    the slab keeps every axis where it was."""
     sel = [slice(None)] * width
     for q in qubits:
         b = (index >> q) & 1
-        sel[_axis(q, width)] = slice(b, b + 1)
+        sel[-1 - q] = slice(b, b + 1)
     return tuple(sel)
 
 
 def held_shape(qubits, width: int) -> list[int]:
     """The shape of run's shaped form for a state that holds `qubits`: 2 on
-    their axes, 1 on the others. It broadcasts against the [2]*width view."""
+    their axes, 1 on the others, qubit q on axis -1 - q. It broadcasts
+    against the [2]*width view. held_qubits is its inverse."""
     shape = [1] * width
     for q in qubits:
-        shape[_axis(q, width)] = 2
+        shape[-1 - q] = 2
     return shape
 
 
-def _grid(qubits, width: int) -> np.ndarray:
-    """The basis index of every setting of `qubits` (every other qubit 0),
-    in held_shape(qubits, width)."""
-    return _span(0, [1 << q for q in sorted(qubits)]).reshape(held_shape(qubits, width))
+def held_qubits(shape, width: int) -> list[int]:
+    """The qubits, ascending, that run's shaped form `shape` holds: those
+    whose axis, counted from the last past any batch axis, has length 2."""
+    return [q for q in range(width) if shape[-1 - q] == 2]
+
+
+def _grid(qubits, shape: list) -> np.ndarray:
+    """The basis index of every setting of those of `qubits` held in `shape`
+    (a batch axis is none), every other qubit 0, in held_shape over them."""
+    held = sorted(set(qubits).intersection(held_qubits(shape, len(shape))))
+    return _span(0, [1 << q for q in held]).reshape(held_shape(held, len(shape)))
 
 
 def _on(gate: Gate) -> int:
@@ -220,11 +225,10 @@ def _flip(state: np.ndarray, scratch: np.ndarray, gate: Gate, shape: list):
     modq = gate.kind is GateKind.MODQ
     sel = _slab(_on(gate), () if modq else gate.controls, w)
     view, staged = psi[sel], out[sel]
-    staged[...] = np.flip(view, [_axis(t, w) for t in gate.targets])
+    staged[...] = np.flip(view, [-1 - t for t in gate.targets])
     if view.size == state.size and not modq:
         return scratch, state
-    held = [c for c in gate.controls if shape[_axis(c, w)] == 2]
-    fires = _row_fires(gate, _grid(held, w)) if modq else True
+    fires = _row_fires(gate, _grid(gate.controls, shape)) if modq else True
     np.copyto(view, staged, where=fires)
     return state, scratch
 
@@ -233,10 +237,9 @@ def _scale(state: np.ndarray, scratch: np.ndarray, step, shape: list):
     """One in-place multiply of the step's slab of the state viewed in
     `shape`, where its `fixed` qubits hold their bits in `on` (empty where
     an idle one is at 1), by the factor tensor that its recipe (qubits,
-    group, w) builds on the live qubits, those on an axis of length 2
-    counted from the last (past any batch axis), freed after the step."""
+    group, w) builds on the live qubits (held_qubits), freed after it."""
     qubits, group, w, on, fixed = step
-    live = [q for q in range(w) if shape[-1 - q] == 2]
+    live = held_qubits(shape, w)
     view = state.reshape(shape)[(..., *_slab(on, fixed, w))]  # after any batch axis
     view *= _factor(qubits, group, w, live)  # psi[slab] *= would write back in a second pass
     return state, scratch
@@ -272,8 +275,8 @@ def _dense_block(state: np.ndarray, scratch: np.ndarray, pair, shape: list):
     # state, in the state itself, whose contents are staged already.
     # (a transpose that moves the target axes last, as np.moveaxis would,
     # without its argument checks)
-    src = [_axis(t, w) for t in reversed(gate.targets)]
-    order = [a for a in range(w) if a not in src] + src
+    src = [-1 - t for t in reversed(gate.targets)]
+    order = [a for a in range(-w, 0) if a not in src] + src
     moved = view.transpose(order)
     m = moved.size
     rows = scratch[:m].reshape(moved.shape)
@@ -354,7 +357,7 @@ def _factor(qubits, group, w: int, live) -> np.ndarray:
     for gate, diag, (off, cols) in group:
         cols = [(r, col) for r, col in cols if r in live]
         image = _span(off, [col for _, col in cols]).reshape(held_shape([r for r, _ in cols], w))
-        factor *= np.where(_row_fires(gate, image), diag[_block(gate, image)], 1)
+        factor *= np.where(_row_fires(gate, image), diag[compact_index(image, gate.targets)], 1)
     return factor
 
 
@@ -523,15 +526,12 @@ def run(circuit: Circuit, initial: np.ndarray,
     So the gates of a layer commute, and any order or grouping gives the
     same state.
 
-    `initial` is flat, 2^width amplitudes, or in the shaped form
-    (held_shape): width axes, of length 2 for a held qubit and 1 for an
-    idle one, at 0; for a 1-qubit circuit both are one axis, and shape
-    (1,) leaves it idle. A flat input holds every qubit. A batch of B
-    states is the shaped form with one more leading axis, of length B:
-    (B, *held_shape(qubits, width)), every state holding the same qubits
-    (for a 1-qubit circuit, (B, 2) or (B, 1)). The states advance
-    together, each kernel acting on all of them, and come back as (B,
-    *held_shape(live, width)).
+    `initial` is flat, 2^width amplitudes, which hold every qubit, or in
+    the shaped form, held_shape(qubits, width); for a 1-qubit circuit both
+    are one axis, and shape (1,) leaves it idle. A batch of B states that
+    hold the same qubits is (B, *held_shape(qubits, width)) (for a 1-qubit
+    circuit, (B, 2) or (B, 1)). The states advance together, each kernel
+    acting on all of them, and come back as (B, *held_shape(live, width)).
 
     A run holds its live qubits (live_qubits): the held ones and those the
     plan moves. The circuit keeps its plan alone, for every live set; each
@@ -552,7 +552,7 @@ def run(circuit: Circuit, initial: np.ndarray,
     if not initial.size:
         raise CircuitError("a batch of no state")
     plan = _dense_plan(circuit)[0]
-    live = live_qubits(circuit, [q for q in range(w) if shape[_axis(q, len(shape))] == 2])
+    live = live_qubits(circuit, held_qubits(shape, w))
     batch = shape[0] if lead else 1
     core, n = shape[:lead] + held_shape(live, w), batch << len(live)
     state, scratch = workspace or make_workspace(len(live) + (batch - 1).bit_length())
@@ -594,11 +594,6 @@ def _row_fires(gate: Gate, index: np.ndarray) -> np.ndarray:
     return hits == controls
 
 
-def _block(gate: Gate, index: np.ndarray) -> np.ndarray:
-    """The block index of each basis index: bit j is target j's bit."""
-    return sum(((index >> t) & 1) << j for j, t in enumerate(gate.targets))
-
-
 def run_basis(circuit: Circuit, starts) -> Rows | None:
     """Run the basis inputs |starts[i]> through the circuit at once.
 
@@ -623,7 +618,7 @@ def run_basis(circuit: Circuit, starts) -> Rows | None:
             index ^= np.where(fires, mask, 0)
             continue
         u = block_matrix(gate)
-        block = _block(gate, index)
+        block = compact_index(index, gate.targets)
         diag = _diagonal(u)
         if diag is not None:
             amps *= np.where(fires, diag[block], 1)
@@ -682,11 +677,11 @@ def check_ancilla_purity(state: np.ndarray, ancillae, lead: int = 0) -> AncillaP
     """
     shape = _view_shape(state, lead=lead)
     w = len(shape) - lead
-    held = [w - 1 - i for i, size in enumerate(shape[lead:]) if size == 2]  # in axis order
-    axis = {q: lead + k for k, q in enumerate(held)}  # with the idle axes dropped
+    # the held qubits' axes, before (re, im), the idle axes dropped
+    axis = {q: -2 - k for k, q in enumerate(held_qubits(shape, w))}
     # real view with a trailing (re, im) axis, so |amp|^2 is a sum of squares
     psi = np.ascontiguousarray(state, dtype=complex).reshape(-1).view(float)
-    psi = psi.reshape(shape[:lead] + [2] * len(held) + [2])
+    psi = psi.reshape(shape[:lead] + [2] * len(axis) + [2])
     index = [slice(None)] * psi.ndim
     leakage = np.zeros(shape[:lead])
     for a in sorted(set(ancillae), reverse=True):
@@ -711,7 +706,7 @@ def dump_state(state: np.ndarray) -> str:
     w = len(shape)
     amps = state.reshape(-1)
     hits = np.flatnonzero(np.abs(amps) > DUMP_THRESHOLD)
-    index = embed_index(hits, [q for q in range(w) if shape[_axis(q, w)] == 2])
+    index = embed_index(hits, held_qubits(shape, w))
     return "\n".join(f"{b:0{w}b} {amp.real:.17g} {amp.imag:.17g}"
                      for b, amp in zip(index, amps[hits]))
 
@@ -733,10 +728,13 @@ def embed_index(index, data_qubits):
     qubit at |0>: bit j of `index` moves to qubit data_qubits[j]. Works on a
     Python int or elementwise on an integer array, so it maps a few indices
     of a wide register, where _span would build all 2^d."""
-    out = index & 0
-    for j, qb in enumerate(data_qubits):
-        out = out | (((index >> j) & 1) << qb)
-    return out
+    return sum((((index >> j) & 1) << q for j, q in enumerate(data_qubits)), index & 0)
+
+
+def compact_index(index, qubits):
+    """The inverse of embed_index, on a Python int or elementwise on an
+    integer array: bit j of the result is qubit qubits[j]'s bit of `index`."""
+    return sum((((index >> q) & 1) << j for j, q in enumerate(qubits)), index & 0)
 
 
 def data_block_unitary(u: np.ndarray, data_qubits) -> np.ndarray:

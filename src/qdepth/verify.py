@@ -50,8 +50,8 @@ from .ir import (
 from .oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
 from .sim import (
     KEEP_AMPS, PURITY_TOL, UNITARY_WIDTH_CAP, WidthCapExceeded,
-    check_ancilla_purity, check_ceiling, check_size, embed_index, held_shape,
-    live_qubits, merge_rows, run, run_basis, unitary_of,
+    check_ancilla_purity, check_ceiling, check_size, compact_index, embed_index,
+    held_shape, live_qubits, merge_rows, run, run_basis, unitary_of,
 )
 
 SIM_CAP_ENV = "QDEPTH_SIM_CAP"
@@ -261,9 +261,10 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
             return max_error, max_leak, xs.size
 
     shape = held_shape(data_qubits, width)  # run's shaped form
-    batch = max(KEEP_AMPS >> len(live_qubits(circuit, data_qubits)), 1)
+    live = live_qubits(circuit, data_qubits)  # the qubits a run of these inputs holds
+    at = compact_index(ys, live)  # where each of the oracle's entries sits in its output
+    batch = max(KEEP_AMPS >> len(live), 1)
     check_size(batch << d, complex, f"a batch of {batch} x 2^{d} amplitudes")
-    at = None  # where each of the oracle's entries sits in a run's output
 
     def drive(weights, whose, entries, norm) -> float:
         """Run a batch of data-register states, row i of `weights` the
@@ -271,15 +272,12 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
         the batch's largest leakage. Returns the largest `norm` of a state's
         output less its image: the oracle's `entries`, entry j times its
         input's weight in state whose[j]."""
-        nonlocal max_leak, at
+        nonlocal max_leak
         v = np.zeros((len(weights), 1 << d), dtype=complex)
         v[:, xs] = weights
         out = run(circuit, v.reshape(-1, *shape))
         leak = check_ancilla_purity(out, ancillae, lead=1).leakage
         max_leak = float(np.maximum(max_leak, leak))
-        if at is None:
-            held = [q for q in range(width) if out.shape[-1 - q] == 2]
-            at = sum(((ys >> q) & 1) << k for k, q in enumerate(held))
         out = out.reshape(len(v), -1)
         np.add.at(out, (whose, at[entries]), -amps[entries] * weights[whose, ids[entries]])
         return float(np.max([norm(row) for row in out]))
@@ -493,10 +491,9 @@ def depth_scaling_table(name: str, q: int | None, n_range,
              if v is not None}
     rows, misses, wf = [], [], False
     for n in n_range:
-        c = build_construction(name, n=n, q=q, **given).circuit
-        wf |= c.discipline is Discipline.WITH_FANOUT
-        rows.append((n, c.depth, c.width, c.roles.count(Role.COPY),
-                     c.roles.count(Role.ANCILLA)))
+        r = VerificationReport.of(build_construction(name, n=n, q=q, **given))
+        wf |= r.discipline == Discipline.WITH_FANOUT.value
+        rows.append((n, r.depth, r.width, r.copy_ancillae, r.work_qubits))
         growth, counts = _claim(name, n, q, discipline, builder)
         misses += [f"mismatch at n={n}: {col} {got}, claimed {want}"
                    for col, got, want in zip(("depth", "width", "ancillae", "work"),

@@ -8,7 +8,7 @@ from qdepth.ir import (
     cnot, controlled_u, fanout, hadamard, modq_gate, pauli_x, single_qubit,
     symmetric_phase, toffoli,
 )
-from qdepth.sim import embed_index, held_shape
+from qdepth.sim import embed_index, held_qubits, held_shape
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -42,16 +42,10 @@ def shaped_and_flat(held, w: int, values: np.ndarray) -> tuple[np.ndarray, np.nd
     return values.reshape(held_shape(held, w)), flat
 
 
-def held_qubits(state: np.ndarray) -> list[int]:
-    """The qubits that a state in run's shaped form holds: those whose axis
-    has length 2 (qubit 0's axis is the last)."""
-    w = state.ndim
-    return [q for q in range(w) if state.shape[w - 1 - q] == 2]
-
-
 def flat_form(state: np.ndarray) -> np.ndarray:
     """The flat form of a state in run's shaped form: 0 off its held slab."""
-    return shaped_and_flat(held_qubits(state), state.ndim, state.reshape(-1))[1]
+    w = state.ndim
+    return shaped_and_flat(held_qubits(state.shape, w), w, state.reshape(-1))[1]
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

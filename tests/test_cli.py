@@ -653,10 +653,13 @@ class TestBadCircuitJson:
     @pytest.mark.parametrize("entry, message", [
         (float("nan"), "error: matrix is not unitary"),
         (True, "error: matrix entry must be a real number"),
-    ], ids=["nan", "bool"])
+        (float("inf"), "error: matrix is not unitary (deviation nan)"),
+        (1e308, "error: matrix is not unitary (deviation inf)"),
+    ], ids=["nan", "bool", "inf", "1e308"])
     def test_bad_matrix_entries_are_usage_errors(self, tmp_path, capsys, entry,
                                                  message):
-        # the identity with one entry replaced; JSON carries NaN as a literal
+        # the identity with one entry replaced; JSON carries NaN and
+        # Infinity as literals. 1e308 overflows the unitarity check
         doc = _circuit_doc({"kind": "u", "targets": [0],
                             "matrix": [[entry, 0], [0, 0], [0, 0], [1, 0]]},
                            width=1, roles=["input"])
@@ -664,6 +667,7 @@ class TestBadCircuitJson:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "sim", str(path), "--input", "0")
         assert code == 2 and out == "" and err.startswith(message)
+        assert len(err.splitlines()) == 1, err
 
 
     @pytest.mark.parametrize("gate, message", [

@@ -50,6 +50,15 @@ class TestGateInvariants:
         with pytest.raises(CircuitError, match="not unitary"):
             controlled_u((0,), nan, (1,))
 
+    @pytest.mark.parametrize("big", [1e308, np.inf, 1e200], ids=["1e308", "inf", "1e200"])
+    def test_a_huge_entry_is_refused_without_a_warning(self, big):
+        # U+.U overflows to inf or NaN; under the suite's warning filter a
+        # numpy warning there would raise in place of the CircuitError
+        with pytest.raises(CircuitError, match="not unitary"):
+            single_qubit(np.array([[big, 0], [0, big]]), 0)
+        with pytest.raises(CircuitError, match="not unitary"):
+            controlled_u((0,), np.full((2, 2), big), (1,))
+
     def test_block_size_cap(self):
         with pytest.raises(CircuitError):
             controlled_u((0,), np.eye(32), (1, 2, 3, 4, 5))

@@ -3,8 +3,9 @@ engine agrees with the oracles on inputs in its shaped form that leave
 qubits idle, and with its own flat runs, to 1e-15 on circuits of
 permutations and diagonals, the array oracle agrees with itself one
 int at a time, the one-pass layer check accepts exactly the layers
-whose gates pass a pairwise check, and circuit JSON gives back every
-circuit exactly.
+whose gates pass a pairwise check, circuit JSON gives back every
+circuit exactly, a circuit followed by its inverse is the identity, and
+malformed circuit and classical JSON end the CLI in one error line.
 
 The dense engine (sim.run, through unitary_of), the sparse engine
 (sim.run_basis on every basis input) and the product of the per-gate
@@ -16,9 +17,11 @@ directory removed at exit, not to a .hypothesis directory in the tree.
 """
 import cmath
 import itertools
+import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -26,14 +29,17 @@ import numpy as np
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
+from qdepth.classical import random_circuit as random_classical
+from qdepth.classical import to_json
+from qdepth.cli import main
 from qdepth.ir import (Circuit, Discipline, Gate, GateKind, Layer, LayeringError, Role,
                        block_matrix, circuit_from_json, circuit_to_json, compose, inverse,
                        validate_layer)
 from qdepth.oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
-from qdepth.sim import embed_index, random_state, run, run_basis, unitary_of
+from qdepth.sim import embed_index, held_qubits, random_state, run, run_basis, unitary_of
 from qdepth.synth import modq_constant_depth
 
-from common import (AFFINE_KINDS, DIAGONAL_KINDS, held_qubits, random_gate,
+from common import (AFFINE_KINDS, DIAGONAL_KINDS, random_gate,
                     random_layered_circuit, shaped_and_flat)
 
 TOL = 1e-12
@@ -150,7 +156,7 @@ def _held_run(c: Circuit, support, values) -> tuple[np.ndarray, list[int]]:
     """run on `values` held on the `support` qubits, in the shaped form:
     the output, flattened, and the qubits it holds."""
     got = run(c, shaped_and_flat(support, c.width, values)[0])
-    return got.reshape(-1), held_qubits(got)
+    return got.reshape(-1), held_qubits(got.shape, c.width)
 
 
 def test_run_on_live_qubits_matches_the_oracle():
@@ -263,7 +269,7 @@ def test_shaped_runs_of_permutations_and_diagonals_are_the_flat_runs_cut():
         support = [q for q in range(width) if rng.random() < 0.5]
         shaped, flat = shaped_and_flat(support, width, random_state(len(support), rng))
         got, out = run(c, shaped), run(c, flat)
-        held = held_qubits(got)
+        held = held_qubits(got.shape, width)
         slab = embed_index(np.arange(1 << len(held)), held)
         assert np.abs(got.reshape(-1) - out[slab]).max() <= 1e-15
         assert not np.delete(out, slab).any()
@@ -373,6 +379,128 @@ def test_json_round_trip_is_exact():
 
     round_trip()
     assert set(GateKind) | set(Discipline) | {"negated"} <= set(seen), seen
+
+
+def test_a_circuit_then_its_inverse_is_the_identity():
+    # every layer kind under both disciplines: the dense engine's matrix,
+    # and the sparse engine's columns wherever their rows fit
+    seen = Counter()
+
+    @PROFILE
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(2, 6),
+           depth=st.integers(1, 4), discipline=st.sampled_from(list(Discipline)))
+    def identity(seed, width, depth, discipline):
+        c = random_layered_circuit(np.random.default_rng(seed), width, depth, discipline)
+        both, eye = compose(c, inverse(c)), np.eye(1 << width)
+        assert np.abs(unitary_of(both) - eye).max() <= TOL
+        sparse, filled = _sparse_columns(both)
+        assert np.abs(sparse[:, filled] - eye[:, filled]).max(initial=0.0) <= TOL
+        seen[discipline] += 1
+        seen["sparse"] += bool(filled)
+
+    identity()
+    assert set(Discipline) | {"sparse"} <= set(seen), seen
+
+
+# a mutation of a valid document that no reader accepts, or a register
+# widened past the 22-qubit cap
+MUTATIONS = ("junk", "number", "drop", "stray", "cut", "wide")
+# valid nowhere in either document; JSON carries the floats as literals
+NON_FINITE = (float("inf"), float("nan"))
+JUNK = (None, True, "zz", {"zz": 0}, [None], *NON_FINITE)
+
+
+def _nodes(value):
+    """(parent, key, child) for every node under a JSON value."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield value, key, child
+        yield from _nodes(child)
+
+
+def _mutated(doc: dict, how: str, required, rng) -> str:
+    """The text of `doc` after one mutation: a node replaced by JUNK, a
+    number (a qubit, a matrix entry) by one not finite, a required key
+    dropped, a stray key added to an object, or the text cut short; "wide"
+    leaves it as it is."""
+    nodes = list(_nodes(doc))
+    if how in ("junk", "number"):
+        if how == "number":
+            nodes = [n for n in nodes if type(n[2]) in (int, float)]
+        parent, key, _ = nodes[rng.integers(len(nodes))]
+        pool = JUNK if how == "junk" else NON_FINITE
+        parent[key] = pool[rng.integers(len(pool))]
+    elif how == "drop":
+        keys = [(parent, key) for parent, key, _ in nodes if key in required]
+        parent, key = keys[rng.integers(len(keys))]
+        del parent[key]
+    elif how == "stray":
+        objects = [doc, *(child for _, _, child in nodes if isinstance(child, dict))]
+        objects[rng.integers(len(objects))]["zz"] = 0
+    text = json.dumps(doc)
+    return text[:rng.integers(len(text))] if how == "cut" else text
+
+
+def _one_error_line(capsys, *argv) -> int:
+    """Run the CLI in-process and return its exit code; its stdout must be
+    empty and its stderr one error line, with no warning on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert not caught, [str(w.message) for w in caught]
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, err
+    return code
+
+
+def test_malformed_circuit_json_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # qdepth sim on a random layered circuit's document, mutated: exit 2,
+    # or 3 for a register past the cap or the 63-qubit ceiling
+    monkeypatch.delenv("QDEPTH_SIM_CAP", raising=False)
+    path, seen = tmp_path / "c.json", Counter()
+
+    @PROFILE
+    @given(seed=st.integers(0, 2**32 - 1), how=st.sampled_from(MUTATIONS))
+    def refused(seed, how):
+        rng = np.random.default_rng(seed)
+        c = random_layered_circuit(rng, int(rng.integers(1, 7)), int(rng.integers(1, 4)),
+                                   list(Discipline)[int(rng.integers(2))])
+        doc = json.loads(circuit_to_json(c))
+        if how == "wide":
+            doc["width"] = int(rng.integers(23, 71))
+            doc["roles"] = ["input"] * doc["width"]
+        path.write_text(_mutated(doc, how, ("width", "discipline", "roles", "layers",
+                                            "kind", "targets"), rng))
+        assert _one_error_line(capsys, "sim", str(path), "--input", "0") == 2 + (how == "wide")
+        seen[how] += 1
+
+    refused()
+    assert set(seen) == set(MUTATIONS), seen
+
+
+def test_malformed_classical_json_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # qdepth verify --construction rev-embed on a random classical
+    # circuit's document, mutated: exit 2, or 3 for a register past the cap
+    monkeypatch.delenv("QDEPTH_SIM_CAP", raising=False)
+    path, seen = tmp_path / "classical.json", Counter()
+
+    @PROFILE
+    @given(seed=st.integers(0, 2**32 - 1), how=st.sampled_from(MUTATIONS))
+    def refused(seed, how):
+        rng = np.random.default_rng(seed)
+        doc = json.loads(to_json(random_classical(rng, int(rng.integers(1, 5)),
+                                                  int(rng.integers(1, 4)), 3)))
+        if how == "wide":
+            doc["inputs"] = int(rng.integers(23, 31))
+        path.write_text(_mutated(doc, how, ("inputs", "layers", "op", "args"), rng))
+        code = _one_error_line(capsys, "verify", "--construction", "rev-embed",
+                               "--classical", str(path))
+        assert code == 2 + (how == "wide")
+        seen[how] += 1
+
+    refused()
+    assert set(seen) == set(MUTATIONS), seen
 
 
 FAILING_PROPERTY = """

@@ -4,9 +4,14 @@ underscore, not the retired plan accessor, and no monkeypatch of a
 qdepth.sim attribute. So the engine's plan can change without a test to
 rewrite.
 
+Run's shaped form (qubit q on axis -1 - q) is read only through sim's
+held_shape, held_qubits, embed_index and compact_index: no file but
+sim.py subscripts a shape by qubit, with -1 - q or w - 1 - q.
+
 The banned spellings below are split in two pieces, so that a text search
 of tests/ for them finds only real uses."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py"),
                   *(p for p in (ROOT / "src" / "qdepth").glob("*.py") if p.name != "sim.py")])
 RETIRED = "dense" + "_plan"  # the name the plan's accessor had while it was public
+BY_QUBIT = re.compile(r"(-1|.+ - 1) - .+")  # a subscript -1 - q or w - 1 - q, as unparsed
 
 
 def _sim_aliases(tree: ast.AST) -> set:
@@ -107,3 +113,35 @@ def test_public_names_and_other_modules_pass():
               "sim.run, sim.KEEP_AMPS, verify._gate_oracle\n"
               "monkeypatch.setattr(verify, 'run', run)\n_private = 1\n")
     assert violations(source) == []
+
+
+def layout_violations(source: str) -> list[str]:
+    """Each subscript of a shape by qubit in `source`, as "line: subscript"."""
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript)
+            and getattr(node.value, "id", getattr(node.value, "attr", None)) == "shape"
+            and BY_QUBIT.fullmatch(ast.unparse(node.slice))]
+
+
+def test_no_module_indexes_a_shape_by_qubit():
+    found = [f"{path.relative_to(ROOT)}:{v}"
+             for path in [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py"))]
+             for v in layout_violations(path.read_text(encoding="utf-8"))]
+    assert not found, found
+
+
+@pytest.mark.parametrize("source", [
+    "out.shape[-1" + " - q] == 2",
+    "state.shape[w - 1" + " - q]",
+    "shape[-1" + " - q]",
+    "x.shape[len(x.shape) - 1" + " - q]",
+    "shape[lead + w - 1" + " - q] = 2",
+], ids=["negative", "width", "bare", "len", "after-a-lead"])
+def test_each_subscript_by_qubit_is_found(source):
+    assert layout_violations(source)
+
+
+def test_other_subscripts_pass():
+    source = ("shape[-1], out.shape[0], shape[w - lo - k:], shape[lead:], rows[-1 - q]\n"
+              "held_qubits(out.shape, w), held_shape(held, w)\n")
+    assert layout_violations(source) == []

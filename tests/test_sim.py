@@ -14,9 +14,9 @@ from qdepth.ir import (
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
     PURITY_TOL, WidthCapExceeded, apply_gate, basis_state, check_ancilla_purity,
-    data_block_unitary, dump_state, embed_index, held_shape, live_qubits,
-    make_workspace, merge_rows, plus_at, random_state, relabel_qubits, run,
-    run_basis, unitary_of, zero_state,
+    compact_index, data_block_unitary, dump_state, embed_index, held_qubits,
+    held_shape, live_qubits, make_workspace, merge_rows, plus_at, random_state,
+    relabel_qubits, run, run_basis, unitary_of, zero_state,
 )
 from qdepth.synth import (cat_fanout, cat_log_depth, modq_constant_depth,
                           reversible_embed)
@@ -611,6 +611,15 @@ class TestShapedForm:
     one axis per qubit, of length 2 where it is held and 1 where it is
     idle, at 0 (held_shape)."""
 
+    def test_held_qubits_reads_held_shape_back(self):
+        # qubit q on axis -1 - q; every subset of 5 qubits, alone and after
+        # a batch axis of length 2, which is no qubit
+        assert held_shape((2,), 3) == [2, 1, 1]
+        for mask in range(1 << 5):
+            held = [q for q in range(5) if mask >> q & 1]
+            assert held_qubits(held_shape(held, 5), 5) == held
+            assert held_qubits((2, *held_shape(held, 5)), 5) == held
+
     def test_run_holds_the_moved_qubits_and_returns_the_shaped_form(self):
         # modq-const n=4 q=5 on a superposition of inputs 0-3 alone: the run
         # also holds the target and the counter, which the plan moves, at
@@ -1172,6 +1181,13 @@ class TestDumpAndRelabel:
         assert embed_index(0b01, (2, 0)) == 0b100
         assert embed_index(0b10, (2, 0)) == 0b001
         assert embed_index(np.arange(4), (2, 0)).tolist() == [0b000, 0b100, 0b001, 0b101]
+
+    def test_compact_index_inverts_embed_index(self):
+        # bit j comes from qubits[j]; the bits of other qubits are dropped
+        assert compact_index(0b100, (2, 0)) == 0b01
+        assert compact_index(0b111, (2, 0)) == 0b11
+        index = np.arange(8)
+        assert np.array_equal(compact_index(embed_index(index, (4, 0, 2)), (4, 0, 2)), index)
 
     def test_data_block_unitary_keeps_the_callers_qubit_order(self):
         u = unitary_of(random_circuit(np.random.default_rng(26), 3, 4))
