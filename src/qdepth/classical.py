@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import as_int, json_object
+from .ir import as_int, json_list, json_object
 
 OPS = ("and", "or", "not", "xor")
 _BIT_OPS = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
@@ -108,17 +108,23 @@ def to_json(circuit: ClassicalCircuit) -> str:
     return json.dumps(doc)
 
 
+def _gate_from_obj(obj) -> ClassicalGate:
+    obj = json_object(obj, ("op", "args"), "classical gate", ClassicalCircuitError)
+    return ClassicalGate(obj["op"], tuple(json_list(obj["args"], "args", ClassicalCircuitError)))
+
+
 def from_json(text: str) -> ClassicalCircuit:
     try:
         doc = json_object(json.loads(text), ("inputs", "layers"),
                           "classical circuit", ClassicalCircuitError)
         layers = tuple(
-            tuple(ClassicalGate(**json_object(g, ("op", "args"), "classical gate",
-                                              ClassicalCircuitError)) for g in layer)
-            for layer in doc["layers"])
+            tuple(map(_gate_from_obj, json_list(layer, "layer", ClassicalCircuitError)))
+            for layer in json_list(doc["layers"], "layers", ClassicalCircuitError))
         return ClassicalCircuit(doc["inputs"], layers)
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except json.JSONDecodeError as e:
         raise ClassicalCircuitError(f"invalid classical circuit JSON: {e}") from e
+    except KeyError as e:
+        raise ClassicalCircuitError(f"invalid classical circuit JSON: missing field {e}") from e
 
 
 def random_circuit(rng: np.random.Generator, n_inputs: int, depth: int,

@@ -100,8 +100,8 @@ def _parse_input(spec: str, width: int) -> np.ndarray:
         if not (spec.isascii() and spec[5:].removeprefix("-").isdigit()):
             raise CircuitError(usage)
         qubit = int(spec[5:])
-        if not 0 <= qubit < width:
-            raise CircuitError(f"qubit {qubit} outside width {width}")
+        if spec[5] == "-" or qubit >= width:  # -0 too
+            raise CircuitError(f"qubit {spec[5:]} outside width {width}")
         return np.full(held_shape((qubit,), width), 1 / np.sqrt(2), dtype=complex)
     if len(spec) != width or set(spec) - {"0", "1"}:
         raise CircuitError(usage)

@@ -106,6 +106,13 @@ def json_object(value, keys, what: str, error: type[ValueError] = CircuitError) 
     return value
 
 
+def json_list(value, what: str, error: type[ValueError] = CircuitError) -> list:
+    """`value` if it is a JSON array, else `error`."""
+    if not isinstance(value, list):
+        raise error(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def _check_unitary(m: np.ndarray, dim: int) -> None:
     if m.shape != (dim, dim):
         raise CircuitError(f"matrix must be {dim}x{dim}, got {m.shape}")
@@ -427,15 +434,18 @@ def _gate_from_obj(obj) -> Gate:
                       "gate")
     matrix = None
     if "matrix" in obj:
+        pairs = [json_list(z, "matrix entry") for z in json_list(obj["matrix"], "matrix")]
+        if any(len(z) != 2 for z in pairs):
+            raise CircuitError("matrix entry must be a [re, im] pair")
         flat = np.array([complex(as_real(re, "matrix entry"), as_real(im, "matrix entry"))
-                         for re, im in obj["matrix"]])
+                         for re, im in pairs])
         dim = math.isqrt(flat.size)
         if dim * dim != flat.size:
             raise CircuitError(f"matrix of length {flat.size} is not square")
         matrix = flat.reshape(dim, dim)
-    return Gate(GateKind(obj["kind"]), tuple(obj.get("controls", ())),
-                tuple(obj.get("targets", ())), frozenset(obj.get("neg", ())),
-                theta=obj.get("theta"), q=obj.get("q"), matrix=matrix)
+    qubits = [tuple(json_list(obj.get(key, []), key)) for key in ("controls", "targets", "neg")]
+    return Gate(GateKind(obj["kind"]), *qubits, theta=obj.get("theta"), q=obj.get("q"),
+                matrix=matrix)
 
 
 def circuit_to_json(c: Circuit, indent: int | None = None) -> str:
@@ -453,10 +463,10 @@ def circuit_from_json(text: str) -> Circuit:
         raise CircuitError(f"invalid circuit JSON: {e}") from e
     doc = json_object(doc, ("width", "discipline", "roles", "layers"), "circuit")
     try:
-        roles = tuple(Role(r) for r in doc["roles"])
-        layers = tuple(Layer(tuple(_gate_from_obj(o) for o in layer))
-                       for layer in doc["layers"])
+        roles = tuple(Role(r) for r in json_list(doc["roles"], "roles"))
+        layers = tuple(Layer(tuple(_gate_from_obj(o) for o in json_list(layer, "layer")))
+                       for layer in json_list(doc["layers"], "layers"))
         return Circuit(doc["width"], roles, layers,
                        Discipline(doc["discipline"]))
-    except (KeyError, TypeError) as e:
-        raise CircuitError(f"invalid circuit JSON: missing/bad field {e}") from e
+    except KeyError as e:
+        raise CircuitError(f"invalid circuit JSON: missing field {e}") from e

@@ -711,18 +711,6 @@ def dump_state(state: np.ndarray) -> str:
                      for b, amp in zip(index, amps[hits]))
 
 
-def relabel_qubits(array: np.ndarray, src: tuple[int, ...] | list[int]) -> np.ndarray:
-    """Reorder a state or unitary so qubit i of the result is qubit src[i] of the input."""
-    w = len(src)
-    if sorted(src) != list(range(w)):
-        raise CircuitError("src must be a permutation of 0..w-1")
-    # basis index j moves to f[j]: its bit src[i] becomes bit i
-    f = _span(0, [1 << src.index(r) for r in range(w)])
-    out = np.empty_like(array)
-    out[np.ix_(*[f] * array.ndim)] = array  # rows, and columns of a unitary
-    return out
-
-
 def embed_index(index, data_qubits):
     """Full-register basis index of a data-register basis index, every other
     qubit at |0>: bit j of `index` moves to qubit data_qubits[j]. Works on a
@@ -739,6 +727,7 @@ def compact_index(index, qubits):
 
 def data_block_unitary(u: np.ndarray, data_qubits) -> np.ndarray:
     """Restrict a full unitary to the block where all other qubits are |0>,
-    bit j of the block index on data_qubits[j]."""
+    bit j of the block index on data_qubits[j]. On every qubit, in any
+    order, it relabels: qubit j of the result is qubit data_qubits[j]."""
     emb = _span(0, [1 << q for q in data_qubits])
     return u[np.ix_(emb, emb)]

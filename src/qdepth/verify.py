@@ -4,29 +4,30 @@ scaling reports checked against each construction's exact counts. READS
 says which settings each named construction reads; build_construction's
 signature gives the defaults of the rest.
 
-verify_construction is the one drive loop; the circuit's roles give its
+verify_construction is the one check loop; the circuit's roles give its
 data register (INPUT, TARGET) and its ancillae (COPY, ANCILLA), which start
 and must end in |0>. Every basis input of the data register runs through
 the simulator, and all 2^width output amplitudes are compared with the
 oracle's image. An Oracle maps an int64 array of inputs to the entries of
 their images in one call; _gate_oracle makes one of a Gate, cat and
 rev-embed build theirs directly. Leakage is the output's probability mass
-on basis states with any ancilla bit set. The basis inputs run together on
-the sparse engine, sim.run_basis, as rows of (input id, basis index,
-amplitude); once those rows would outnumber the 2^width amplitudes of one
-dense state, they run on the dense engine, sim.run, and
+on basis states with any ancilla bit set. Each check gives its error and
+leakage to one fold, and they run in this order. The basis inputs run
+together on the sparse engine, sim.run_basis, as rows of (input id, basis
+index, amplitude); once those rows would outnumber the 2^width amplitudes
+of one dense state, they run on the dense engine, sim.run, and
 sim.check_ancilla_purity takes their leakage. Amplitudes, not bit patterns:
 the counting circuits are correct only because internal phases cancel. Cat
 is decided exactly by the inputs 0 and 1, by linearity; rev-embed, a
-permutation, drives every (x, y) at one sparse row each. Superposition spot
-checks run on the dense engine with a fixed seed: a random superposition of
-the checked basis inputs is expected to map to the sum of their images,
-weighted by its amplitudes. Such an input goes to the dense engine in its
-shaped form, and its output comes back on only the qubits that the input
-sets or the circuit moves, the only ones not left at 0: for modq-const n=4
-q=5 the data register and the counter, 8 of its 20 qubits. The dense engine
-takes these inputs, superpositions and fallback basis inputs alike, as
-batches of sim.KEEP_AMPS amplitudes, one run each, and one
+permutation, drives every (x, y) at one sparse row each. Then superposition
+spot checks run on the dense engine with a fixed seed: a random
+superposition of the checked basis inputs is expected to map to the sum of
+their images, weighted by its amplitudes. Such an input goes to the dense
+engine in its shaped form, and its output comes back on only the qubits
+that the input sets or the circuit moves, the only ones not left at 0: for
+modq-const n=4 q=5 the data register and the counter, 8 of its 20 qubits.
+The dense engine takes these inputs, superpositions and fallback basis
+inputs alike, as batches of sim.KEEP_AMPS amplitudes, one run each, and one
 check_ancilla_purity call gives each batch's largest leakage.
 """
 from __future__ import annotations
@@ -201,15 +202,16 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
     runs with the ancillae at |0>, and the error is the max |amplitude| of
     (output - expected image) over the whole register; random
     superpositions of those inputs use its l2 norm. Returns (max_error,
-    max_leakage, inputs_checked). The folds use np.maximum, which keeps a
-    NaN (max() drops one that comes second), so a NaN fails every tolerance.
+    max_leakage, inputs_checked).
 
-    The basis inputs run together on the sparse engine, sim.run_basis,
-    unless their rows would outnumber the 2^width amplitudes of one dense
-    state; then they run on the dense engine, sim.run. Either way the
-    leakage is each input's probability mass on basis states with any
-    ancilla bit set. Superpositions always run on the dense engine. A dense
-    run takes and returns run's shaped form, so its error and leakage are
+    One loop folds each check's (error, leakage) in with np.maximum, which
+    keeps a NaN (max() drops one that comes second), so a NaN fails every
+    tolerance. The checks, in order: the basis inputs together on the
+    sparse engine, sim.run_basis, or, if their rows would outnumber the
+    2^width amplitudes of one dense state, on the dense engine, sim.run;
+    then the superpositions, on the dense engine. Leakage is each input's
+    probability mass on basis states with any ancilla bit set. A dense run
+    takes and returns run's shaped form, so its error and leakage are
     taken over the qubits it holds; every other qubit stays at 0. It takes
     a batch of inputs at once, as many as fit KEEP_AMPS amplitudes on the
     qubits the run holds (one from 16 of them on); each superposition is
@@ -233,74 +235,66 @@ def verify_construction(circuit: Circuit, oracle: Gate | Oracle, *,
     xs = np.arange(inputs.start, inputs.stop, inputs.step, dtype=np.int64)
     ids, ys, amps = oracle(xs)
     ys = embed_index(ys, data_qubits)
-    starts = embed_index(xs, data_qubits)
-    max_error = 0.0
-    max_leak = 0.0
 
-    rows = run_basis(circuit, starts)
-    if rows is not None:
-        out_ids, out_index, out = rows
-        if np.array_equal(ids, np.arange(xs.size)):
-            # each input expects amps[id] at its image and 0 elsewhere; an
-            # input with no row at its image misses the whole amplitude
-            hit = out_index == ys[out_ids]
-            at_image = np.zeros(xs.size, dtype=complex)
-            at_image[out_ids[hit]] = out[hit]
-            max_error = float(np.maximum(np.abs(at_image - amps).max(initial=0.0),
-                                         np.abs(out[~hit]).max(initial=0.0)))
-        else:
-            residual = merge_rows(np.concatenate((out_ids, ids)),
-                                  np.concatenate((out_index, ys)),
-                                  np.concatenate((out, -amps)))[2]
-            max_error = float(np.abs(residual).max(initial=0.0))
-        dirty = (out_index & sum(1 << a for a in ancillae)) != 0
-        leak = np.bincount(out_ids[dirty], out[dirty].real ** 2
-                           + out[dirty].imag ** 2, xs.size)
-        max_leak = float(leak.max(initial=0.0))
-        if not superpositions:
-            return max_error, max_leak, xs.size
+    def checks():
+        """Each check's (error, leakage), in the order given above."""
+        rows = run_basis(circuit, embed_index(xs, data_qubits))
+        if rows is not None:
+            out_ids, out_index, out = rows
+            if np.array_equal(ids, np.arange(xs.size)):
+                # each input expects amps[id] at its image and 0 elsewhere; an
+                # input with no row at its image misses the whole amplitude
+                hit = out_index == ys[out_ids]
+                at_image = np.zeros(xs.size, dtype=complex)
+                at_image[out_ids[hit]] = out[hit]
+                residual = np.concatenate((at_image - amps, out[~hit]))
+            else:
+                residual = merge_rows(np.concatenate((out_ids, ids)),
+                                      np.concatenate((out_index, ys)),
+                                      np.concatenate((out, -amps)))[2]
+            dirty = (out_index & sum(1 << a for a in ancillae)) != 0
+            leak = np.bincount(out_ids[dirty], out[dirty].real ** 2
+                               + out[dirty].imag ** 2, xs.size)
+            yield np.abs(residual).max(initial=0.0), leak.max(initial=0.0)
+            if not superpositions:
+                return  # no dense run is set up
 
-    shape = held_shape(data_qubits, width)  # run's shaped form
-    live = live_qubits(circuit, data_qubits)  # the qubits a run of these inputs holds
-    at = compact_index(ys, live)  # where each of the oracle's entries sits in its output
-    batch = max(KEEP_AMPS >> len(live), 1)
-    check_size(batch << d, complex, f"a batch of {batch} x 2^{d} amplitudes")
+        shape = held_shape(data_qubits, width)  # run's shaped form
+        live = live_qubits(circuit, data_qubits)  # the qubits a run of these inputs holds
+        at = compact_index(ys, live)  # where each of the oracle's entries sits in its output
+        batch = max(KEEP_AMPS >> len(live), 1)
+        check_size(batch << d, complex, f"a batch of {batch} x 2^{d} amplitudes")
 
-    def drive(weights, whose, entries, norm) -> float:
-        """Run a batch of data-register states, row i of `weights` the
-        amplitudes of state i on the inputs xs, in one run, and fold in
-        the batch's largest leakage. Returns the largest `norm` of a state's
-        output less its image: the oracle's `entries`, entry j times its
-        input's weight in state whose[j]."""
-        nonlocal max_leak
-        v = np.zeros((len(weights), 1 << d), dtype=complex)
-        v[:, xs] = weights
-        out = run(circuit, v.reshape(-1, *shape))
-        leak = check_ancilla_purity(out, ancillae, lead=1).leakage
+        def drive(weights, norm):
+            """Run a batch of data-register states, row i of `weights` the
+            amplitudes of state i on the inputs xs, in one run. Returns the
+            largest `norm` of a state's output less its image, and the
+            batch's largest leakage."""
+            v = np.zeros((len(weights), 1 << d), dtype=complex)
+            v[:, xs] = weights
+            out = run(circuit, v.reshape(-1, *shape))
+            leak = check_ancilla_purity(out, ancillae, lead=1).leakage
+            out = out.reshape(len(v), -1)
+            # the linear extension of the image: each of the oracle's entries
+            # times its input's weight in the state, added at the entry's index
+            weight = weights[:, ids]
+            whose, entries = np.nonzero(weight)  # row-major: by state, then entry
+            np.add.at(out, (whose, at[entries]), -amps[entries] * weight[whose, entries])
+            return np.max([norm(row) for row in out]), leak
+
+        if rows is None:
+            for lo in range(0, xs.size, batch):
+                yield drive(np.eye(min(batch, xs.size - lo), xs.size, lo, dtype=complex),
+                            lambda row: np.abs(row).max())
+        rng = np.random.default_rng(seed)
+        for lo in range(0, superpositions, batch):
+            yield drive(_superpositions(rng, min(batch, superpositions - lo), xs.size),
+                        lambda row: math.sqrt(np.vdot(row, row).real))
+
+    max_error = max_leak = 0.0
+    for error, leak in checks():
+        max_error = float(np.maximum(max_error, error))
         max_leak = float(np.maximum(max_leak, leak))
-        out = out.reshape(len(v), -1)
-        np.add.at(out, (whose, at[entries]), -amps[entries] * weights[whose, ids[entries]])
-        return float(np.max([norm(row) for row in out]))
-
-    if rows is None:
-        bounds = np.searchsorted(ids, np.arange(xs.size + 1))
-        for lo in range(0, xs.size, batch):
-            hi = min(lo + batch, xs.size)
-            entries = slice(bounds[lo], bounds[hi])
-            err = drive(np.eye(hi - lo, xs.size, lo, dtype=complex), ids[entries] - lo,
-                        entries, lambda row: np.abs(row).max())
-            max_error = float(np.maximum(max_error, err))
-
-    rng = np.random.default_rng(seed)
-    for lo in range(0, superpositions, batch):
-        count = min(batch, superpositions - lo)
-        # the linear extension of the image: each entry's amplitude times
-        # its input's weight in the state, added at the entry's index
-        err = drive(_superpositions(rng, count, xs.size), np.arange(count).repeat(ids.size),
-                    np.tile(np.arange(ids.size), count),
-                    lambda row: math.sqrt(np.vdot(row, row).real))
-        max_error = float(np.maximum(max_error, err))
-
     return max_error, max_leak, xs.size + superpositions
 
 

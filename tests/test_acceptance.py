@@ -12,7 +12,7 @@ from qdepth.ir import Circuit, Discipline, GateKind, Layer, cnot, hadamard, modq
 from qdepth.oracle import oracle_unitary
 from qdepth.sim import (
     apply_gate, basis_state, check_ancilla_purity, data_block_unitary,
-    random_state, relabel_qubits, run, unitary_of, zero_state,
+    random_state, run, unitary_of, zero_state,
 )
 from qdepth.synth import (
     cat_fanout, cat_log_depth, fanout_from_parity,
@@ -34,7 +34,7 @@ def _announce(criterion: int, text: str) -> None:
 def _to_displayed_order(u: np.ndarray) -> np.ndarray:
     # circuits put inputs on qubits 0..2 and the target on qubit 3; the
     # displayed matrices put the target on the fast index
-    return relabel_qubits(u, (3, 0, 1, 2))
+    return data_block_unitary(u, (3, 0, 1, 2))
 
 
 def test_criterion_1_parity_matrix_reproduction():

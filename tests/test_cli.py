@@ -406,6 +406,7 @@ class TestSim:
     @pytest.mark.parametrize("spec, message", [
         ("10000000", "error: input must be 9 bits (qubit 0 first) or plus@i, got '10000000'\n"),
         ("plus@9", "error: qubit 9 outside width 9\n"),
+        ("plus@-0", "error: qubit -0 outside width 9\n"),
         ("1000x0000", "error: input must be 9 bits (qubit 0 first) or plus@i, got '1000x0000'\n"),
         ("plus@x", "error: input must be 9 bits (qubit 0 first) or plus@i, got 'plus@x'\n"),
         ("plus@", "error: input must be 9 bits (qubit 0 first) or plus@i, got 'plus@'\n"),
@@ -701,8 +702,21 @@ class TestBadCircuitJson:
          "error: duplicate qubit in controls or targets\n"),
         (_circuit_doc({"kind": "cnot", "controls": [0], "targets": [1]}, width=-1),
          "error: width must be nonnegative\n"),
+        # and fields of the wrong JSON type, each refused by its name
+        (_circuit_doc({"kind": "cnot", "controls": 1.5, "targets": [1]}),
+         "error: controls must be a JSON array, got float\n"),
+        (_circuit_doc({"kind": "u", "targets": [0], "matrix": 5}),
+         "error: matrix must be a JSON array, got int\n"),
+        (_circuit_doc({"kind": "u", "targets": [0], "matrix": [[1], [0, 0], [0, 0], [1, 0]]}),
+         "error: matrix entry must be a [re, im] pair\n"),
+        (_circuit_doc(None, layers=[{"kind": "x", "targets": [0]}]),
+         "error: layer must be a JSON array, got dict\n"),
+        (_circuit_doc(None, layers=None), "error: layers must be a JSON array, got NoneType\n"),
+        ({"width": 2, "discipline": "strict", "roles": ["input"] * 2},
+         "error: invalid circuit JSON: missing field 'layers'\n"),
     ], ids=["gate", "document", "theta-infinity", "matrix-of-3", "matrix-of-16-on-u",
-            "duplicate-control", "width-minus-1"])
+            "duplicate-control", "width-minus-1", "controls-float", "matrix-int",
+            "matrix-entry-of-1", "layer-object", "layers-null", "no-layers"])
     def test_unknown_keys_are_usage_errors(self, tmp_path, capsys, doc, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
@@ -740,8 +754,16 @@ class TestBadClassicalJson:
          "error: need at least one input\n"),
         ({"inputs": 2, "layers": []}, "error: need at least one nonempty layer\n"),
         ([{"inputs": 2}], "error: classical circuit must be a JSON object, got list\n"),
+        # and fields missing or of the wrong JSON type, each refused by its name
+        ({"inputs": 2, "layers": [[{"op": "and"}]]},
+         "error: invalid classical circuit JSON: missing field 'args'\n"),
+        ({"inputs": 2, "layers": [[{"op": "and", "args": 3}]]},
+         "error: args must be a JSON array, got int\n"),
+        ({"inputs": 2, "layers": [{"op": "and", "args": [0, 1]}]},
+         "error: layer must be a JSON array, got dict\n"),
+        ({"inputs": 2}, "error: invalid classical circuit JSON: missing field 'layers'\n"),
     ], ids=["gate", "document", "not-json", "nand", "and-of-none", "no-inputs",
-            "no-layers", "list"])
+            "no-layers", "list", "no-args", "args-int", "layer-object", "layers-missing"])
     def test_unknown_keys_are_usage_errors(self, tmp_path, capsys, doc, message):
         path = tmp_path / "classical.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))

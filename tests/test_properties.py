@@ -5,7 +5,8 @@ permutations and diagonals, the array oracle agrees with itself one
 int at a time, the one-pass layer check accepts exactly the layers
 whose gates pass a pairwise check, circuit JSON gives back every
 circuit exactly, a circuit followed by its inverse is the identity, and
-malformed circuit and classical JSON end the CLI in one error line.
+malformed circuit JSON, classical JSON and --input strings end the CLI in
+one error line.
 
 The dense engine (sim.run, through unitary_of), the sparse engine
 (sim.run_basis on every basis input) and the product of the per-gate
@@ -33,8 +34,8 @@ from qdepth.classical import random_circuit as random_classical
 from qdepth.classical import to_json
 from qdepth.cli import main
 from qdepth.ir import (Circuit, Discipline, Gate, GateKind, Layer, LayeringError, Role,
-                       block_matrix, circuit_from_json, circuit_to_json, compose, inverse,
-                       validate_layer)
+                       block_matrix, circuit_from_json, circuit_to_json, compose, hadamard,
+                       inverse, validate_layer)
 from qdepth.oracle import PERMUTATION_KINDS, oracle_apply, oracle_unitary
 from qdepth.sim import embed_index, held_qubits, random_state, run, run_basis, unitary_of
 from qdepth.synth import modq_constant_depth
@@ -501,6 +502,28 @@ def test_malformed_classical_json_is_one_error_line(tmp_path, capsys, monkeypatc
 
     refused()
     assert set(seen) == set(MUTATIONS), seen
+
+
+def test_malformed_input_strings_are_one_error_line(tmp_path, capsys):
+    # qdepth sim --input on a 3-qubit circuit: a basis string of another
+    # length, or with a character other than 0 and 1 (non-ASCII digits
+    # among them), or plus@ with a sign, a space, a non-ASCII digit or
+    # other junk around its qubit, or a qubit outside the register: exit 2
+    path = tmp_path / "c.json"
+    path.write_text(circuit_to_json(Circuit(3, (Role.INPUT,) * 3, (Layer((hadamard(0),)),))))
+    other_length = st.text("01", max_size=8).filter(lambda s: len(s) != 3)
+    not_binary = st.text("01" + "2x \u0661\uff11\u00b9", min_size=3, max_size=3).filter(
+        lambda s: set(s) - {"0", "1"})
+    junk = st.sampled_from(["", "-", "+", " ", "\u0663", "-0", "0x", "_"])
+    plus = st.builds("plus@{}{}{}".format, junk, st.integers(0, 2**70), junk).filter(
+        lambda s: s not in ("plus@0", "plus@1", "plus@2"))
+
+    @PROFILE
+    @given(spec=st.one_of(other_length, not_binary, plus))
+    def refused(spec):
+        assert _one_error_line(capsys, "sim", str(path), "--input", spec) == 2
+
+    refused()
 
 
 FAILING_PROPERTY = """

@@ -16,7 +16,7 @@ from qdepth.sim import (
     PURITY_TOL, WidthCapExceeded, apply_gate, basis_state, check_ancilla_purity,
     compact_index, data_block_unitary, dump_state, embed_index, held_qubits,
     held_shape, live_qubits, make_workspace, merge_rows, plus_at, random_state,
-    relabel_qubits, run, run_basis, unitary_of, zero_state,
+    run, run_basis, unitary_of, zero_state,
 )
 from qdepth.synth import (cat_fanout, cat_log_depth, modq_constant_depth,
                           reversible_embed)
@@ -1154,13 +1154,13 @@ class TestDumpAndRelabel:
 
     def test_relabel_state(self):
         state = basis_state(3, 0b011)  # qubits 0,1 set
-        moved = relabel_qubits(state, (2, 0, 1))  # new qubit 0 = old qubit 2
+        moved = state[embed_index(np.arange(8), (2, 0, 1))]  # new qubit 0 = old qubit 2
         assert moved[0b110] == 1.0
 
     def test_relabel_matrix_round_trip(self):
         rng = np.random.default_rng(18)
         u = unitary_of(random_circuit(rng, 3, 4))
-        back = relabel_qubits(relabel_qubits(u, (1, 2, 0)), (2, 0, 1))
+        back = data_block_unitary(data_block_unitary(u, (1, 2, 0)), (2, 0, 1))
         assert np.array_equal(back, u)
 
     def test_data_block_unitary_picks_zero_ancilla_block(self):
@@ -1170,11 +1170,6 @@ class TestDumpAndRelabel:
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[3, 1] = expected[2, 2] = expected[1, 3] = 1
         assert np.array_equal(block, expected)
-
-    @pytest.mark.parametrize("src", [(0, 0, 2), (0, 1, 3)], ids=["duplicate", "out-of-range"])
-    def test_relabel_refuses_a_non_permutation(self, src):
-        with pytest.raises(CircuitError, match="src must be a permutation of 0..w-1"):
-            relabel_qubits(zero_state(3), src)
 
     def test_embed_index_keeps_the_callers_qubit_order(self):
         # bit j goes to qubits[j], not to the j-th smallest qubit
@@ -1191,6 +1186,6 @@ class TestDumpAndRelabel:
 
     def test_data_block_unitary_keeps_the_callers_qubit_order(self):
         u = unitary_of(random_circuit(np.random.default_rng(26), 3, 4))
-        swapped = relabel_qubits(data_block_unitary(u, (0, 2)), (1, 0))
+        swapped = data_block_unitary(data_block_unitary(u, (0, 2)), (1, 0))
         assert np.array_equal(data_block_unitary(u, (2, 0)), swapped)
         assert not np.array_equal(data_block_unitary(u, (2, 0)), data_block_unitary(u, (0, 2)))

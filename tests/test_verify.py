@@ -352,6 +352,19 @@ class TestSinglePath:
         report = verify_built(build_construction("fanout", n=2))
         assert report.coverage == 1 and "coverage" not in report.to_text()
 
+    def test_a_basis_check_whose_rows_fit_builds_no_dense_plan(self, engine_used):
+        # the sparse rows decide a basis-only check, so no dense run is set
+        # up and the circuit gains nothing; superpositions run dense, and
+        # the plan that they build is kept on the circuit
+        for built in (_rev_embed(2, [[("and", (0, 1)), ("or", (0, 1))], [("xor", (2, 3))]]),
+                      build_construction("modq-const", n=3, q=3)):
+            before = dict(vars(built.circuit))
+            assert verify_built(built).passed
+            assert vars(built.circuit) == before
+            assert verify_built(built, superpositions=2).passed
+            assert vars(built.circuit).keys() > before.keys()
+        assert engine_used == [True] * 4
+
 
 class TestShapedSuperpositions:
     """Superpositions run on the data register in sim.run's shaped form:
